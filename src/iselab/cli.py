@@ -21,14 +21,13 @@ import numpy as np
 from . import __version__, rng
 from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
-from .eigensolve import eigs_below
+from .eigensolve import background_eigs_below
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      exact_event_probability, monte_carlo_event_probability,
                      select_scale)
 from .grid import GridSpec
 from .ise import (ExperimentPlan, band_edge_of_background,
                   estimate_ise_probability, ids_estimate)
-from .operators import assemble_background
 from .plotting import ids_curve_svg, ise_trend_svg
 from .potentials import load_model, sample_configuration
 from .ucp import (FitSample, LiftingRecord, equidistributed_from_event,
@@ -244,8 +243,7 @@ def cmd_ucp(args):
     cfg = _event_configuration(model, spec, sites, args.seed, args.attempts)
     profiles = model.profiles_for(grid)
     _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    h0 = assemble_background(grid, model.background)
-    window = eigs_below(h0, args.energy)
+    window = background_eigs_below(grid, model.background, args.energy)
     if window.count == 0:
         raise ValueError("no eigenvalues below the requested energy")
     v_inf = args.v_inf

@@ -4,6 +4,11 @@ Small problems go through a dense solver; larger ones use ARPACK's
 shift-invert Lanczos.  Every returned pair is residual-checked against
 tol_eig, and failures surface as SolverError with telemetry instead of
 silently truncated results.
+
+The background operator H_{0,L} = -Laplacian + V0 is never solved in d
+dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
+so its spectrum is the set of sums of the eigenvalues of one n x n
+operator per axis (`background_spectrum`).
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +19,9 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh
 
 from .errors import SolverError
-from .operators import SparseSymmetricOperator, assemble_interpolated
+from .grid import _lap1d
+from .operators import (SparseSymmetricOperator, assemble_background,
+                        assemble_interpolated)
 
 TOL_EIG = 1e-8
 TOL_GAP = 1e-6
@@ -72,6 +79,61 @@ def _dense_pairs(mat):
     return values, vectors
 
 
+@dataclass(frozen=True)
+class BackgroundSpectrum:
+    """The whole spectrum of H_{0,L}, sorted, with the 1D factors it comes from.
+
+    values[i] = offset + sum_k w_k[j_k] for the axis eigenvalues w_k and the
+    multi-index (j_0, ..., j_{d-1}) = unravel(order[i]); its eigenvector is
+    the Kronecker product of the axis eigenvectors u_k[:, j_k].
+    """
+
+    values: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    axis_vectors: tuple = field(repr=False)
+
+    def vectors(self, count):
+        """Eigenvectors of values[:count], in C node order (axis 0 slowest)."""
+        n = self.axis_vectors[0].shape[0]
+        multi = np.unravel_index(self.order[:count], (n,) * len(self.axis_vectors))
+        out = np.ones((1, count))
+        for u, j in zip(self.axis_vectors, multi):
+            out = (out[:, None, :] * u[:, j][None, :, :]).reshape(
+                out.shape[0] * n, count)
+        return out
+
+
+def background_spectrum(grid, v0):
+    """Exact spectrum of H_{0,L} = -Laplacian + V0 without a d-dimensional solve.
+
+    Per axis k this diagonalizes the n x n operator
+    _lap1d + diag(axis term at grid.axis_coords(k)), the same block that
+    laplacian_matrix sums, so the Kronecker sum is H_{0,L} itself.
+    """
+    block = _lap1d(grid.points_per_side, grid.spacing, grid.boundary).toarray()
+    total = np.array([float(v0.offset)])
+    axis_vectors = []
+    for k in range(grid.dimension):
+        values, vectors = np.linalg.eigh(
+            block + np.diag(v0.axis_values(grid.axis_coords(k))))
+        total = np.add.outer(total, values).ravel()
+        axis_vectors.append(vectors)
+    order = np.argsort(total, kind="stable")
+    return BackgroundSpectrum(total[order], order, tuple(axis_vectors))
+
+
+def background_eigs_below(grid, v0, threshold):
+    """Eigenpairs of H_{0,L} below threshold - tol_eig, from the 1D factors.
+
+    The Kronecker vectors are residual-checked against the assembled H_{0,L}.
+    """
+    spectrum = background_spectrum(grid, v0)
+    count = int(np.searchsorted(spectrum.values, threshold - TOL_EIG))
+    return _check_residuals(assemble_background(grid, v0).matrix,
+                            spectrum.values[:count], spectrum.vectors(count),
+                            "separable", count)
+
+
 def eigs_below(op, threshold):
     """All eigenpairs with value < threshold - tol_eig."""
     mat = _matrix(op)
@@ -87,7 +149,7 @@ def eigs_below(op, threshold):
         try:
             values, vectors = eigsh(mat, k=k, which="SA",
                                     v0=start_vector(n))
-        except Exception as exc:  # ARPACK non-convergence
+        except RuntimeError as exc:  # ARPACK non-convergence
             raise SolverError(f"iterative solver failed: {exc}",
                               telemetry={"k": k, "which": "SA"})
         if values.max() >= threshold - TOL_EIG:
@@ -107,13 +169,14 @@ def _shift_invert(mat, sigma, k):
     try:
         return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
                      which="LM", v0=v0)
-    except Exception:
-        # sigma may coincide with an eigenvalue; nudge and retry once
+    except RuntimeError:
+        # sigma may coincide with an eigenvalue (SuperLU reports an exactly
+        # singular factor) or ARPACK failed to converge; nudge and retry once
         sigma = sigma + 100 * TOL_EIG * (1.0 + abs(sigma))
         try:
             return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
                          which="LM", v0=v0)
-        except Exception as exc:
+        except RuntimeError as exc:
             raise SolverError(f"shift-invert failed: {exc}",
                               telemetry={"sigma": sigma, "k": k})
 
@@ -144,16 +207,21 @@ def min_eig_above(op, b, k=8):
     raise SolverError("window exhausted above b", telemetry={"b": b})
 
 
+def lowest_in_spectrum_above(values, b):
+    """(k0, lambda) from a full sorted spectrum; values within tol_eig of b count."""
+    below = int(np.sum(values < b - TOL_EIG))
+    if below == values.size:
+        raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
+    return below + 1, float(values[below])
+
+
 def lowest_eig_above(op, b):
     """(k0, lambda): the lowest eigenvalue in [b, inf) and its 1-based index."""
     mat = _matrix(op)
     n = mat.shape[0]
     if n <= DENSE_CUTOFF:
-        values = np.sort(eigh(mat.toarray(), eigvals_only=True))
-        below = int(np.sum(values < b - TOL_EIG))
-        if below == n:
-            raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
-        return below + 1, float(values[below])
+        return lowest_in_spectrum_above(
+            np.sort(eigh(mat.toarray(), eigvals_only=True)), b)
     value = min_eig_above(op, b)
     below = eigs_below(op, b).count
     return below + 1, value
@@ -192,8 +260,12 @@ def smallest_eigs(op, k):
     if n <= DENSE_CUTOFF:
         values, vectors = _dense_pairs(mat)
         return _check_residuals(mat, values[:k], vectors[:, :k], "dense", n)
-    values, vectors = eigsh(mat, k=min(k, n - 1), which="SA",
-                            v0=start_vector(n))
+    try:
+        values, vectors = eigsh(mat, k=min(k, n - 1), which="SA",
+                                v0=start_vector(n))
+    except RuntimeError as exc:  # ARPACK non-convergence
+        raise SolverError(f"iterative solver failed: {exc}",
+                          telemetry={"k": k, "which": "SA"})
     return _check_residuals(mat, values, vectors, "iterative", k)
 
 

@@ -75,6 +75,13 @@ class GridSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def node_coords(self, idx):
+        """Coordinates of the nodes with flat indices idx; equals nodes()[idx]."""
+        n = self.points_per_side
+        multi = np.unravel_index(idx, (n,) * self.dimension)
+        return np.stack([self.axis_coords(k)[i] for k, i in enumerate(multi)],
+                        axis=1)
+
     def nodes_within_ball(self, center, radius):
         """Flat indices of nodes with strict Euclidean distance < radius.
 

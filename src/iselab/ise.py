@@ -14,15 +14,13 @@ import numpy as np
 from scipy.linalg import eigh
 
 from . import rng
-from .eigensolve import (DENSE_CUTOFF, TOL_EIG, TOL_GAP, min_eig_above,
-                         start_vector,
-                         smallest_eigs)
+from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum,
+                         min_eig_above, start_vector)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      select_scale, wilson_interval)
 from .grid import GridSpec
-from .operators import (assemble_background, assemble_hamiltonian,
-                        assemble_test_perturbation)
+from .operators import assemble_hamiltonian, assemble_test_perturbation
 from .potentials import load_model, sample_configuration
 from .ucp import equidistributed_from_event
 
@@ -35,32 +33,17 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GA
     mode 'bottom' returns (-inf, smallest eigenvalue); mode 'gap' finds
     the spectral gap of H_{0,L} containing the hinted energy and returns
     its endpoints, b being the infimum of the spectrum above the gap.
+    Both read the exact spectrum off the separable background.
     """
-    h0 = assemble_background(grid, v0)
-    if mode == "bottom":
-        lam = smallest_eigs(h0, 1).values[0]
-        return -math.inf, float(lam)
-    if hint is None:
+    if mode != "bottom" and hint is None:
         raise ValueError("gap mode needs an energy hint")
-    n = grid.num_points
-    if n <= DENSE_CUTOFF:
-        values = np.sort(eigh(h0.matrix.toarray(), eigvals_only=True))
-        below = values[values < hint]
-        above = values[values >= hint]
-    else:
-        k = 32
-        while True:
-            values, _ = eigsh(h0.matrix, k=k, sigma=hint, which="LM",
-                              v0=start_vector(n))
-            values = np.sort(values)
-            below = values[values < hint]
-            above = values[values >= hint]
-            if (below.size and above.size) or k >= min(n - 1, 512):
-                break
-            k *= 2
-    if below.size == 0 or above.size == 0:
+    values = background_spectrum(grid, v0).values
+    if mode == "bottom":
+        return -math.inf, float(values[0])
+    split = int(np.searchsorted(values, hint))
+    if split == 0 or split == values.size:
         raise GapNotFoundError(f"hint {hint} is outside the computed spectrum")
-    a, b = float(below[-1]), float(above[0])
+    a, b = float(values[split - 1]), float(values[split])
     if b - a <= min_gap:
         raise GapNotFoundError(
             f"no gap wider than {min_gap:g} near {hint}: found ({a}, {b})"
@@ -242,7 +225,6 @@ def estimate_ise_probability(plan, dimension=2):
         a, b = band_edge_of_background(grid, model.background,
                                        hint=plan.band_edge_hint,
                                        mode=plan.band_edge_mode)
-        base = min_eig_above(assemble_background(grid, model.background), b)
         try:
             l = select_scale(L, plan.alpha)
             event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
@@ -257,7 +239,7 @@ def estimate_ise_probability(plan, dimension=2):
              "L": L, "alpha": plan.alpha, "model": plan.model, "b": b,
              "points_per_unit": plan.points_per_unit,
              "boundary": plan.boundary, "dimension": dimension,
-             "event_spec": event_spec, "base_eigenvalue": base}
+             "event_spec": event_spec, "base_eigenvalue": b}
             for t in range(plan.trials)
         ]
         if plan.workers > 1:

@@ -20,50 +20,57 @@ MIN_POINTS_ACROSS_BALL = 4
 
 @dataclass(frozen=True)
 class PeriodicPotential:
-    """G-periodic bounded scalar field, evaluated by point sampling."""
+    """G-periodic bounded separable field V0(x) = offset + sum_k axis_term(x_k).
+
+    `axis_term` is one G-periodic function of a single coordinate, applied
+    to every axis.  Separability makes the box operator -Laplacian + V0 a
+    Kronecker sum of one n x n operator per axis.
+    """
 
     period: float
-    func: object = field(repr=False)
+    axis_term: object = field(repr=False)
     sup_bound: float
     description: str = "custom"
+    offset: float = 0.0
+
+    def axis_values(self, coords):
+        """axis_term at 1D coordinates wrapped into the period cell."""
+        g = self.period
+        wrapped = ((np.asarray(coords, dtype=float) + g / 2.0) % g) - g / 2.0
+        return np.asarray(self.axis_term(wrapped), dtype=float)
 
     def evaluate(self, points):
         points = np.asarray(points, dtype=float)
-        g = self.period
-        wrapped = ((points + g / 2.0) % g) - g / 2.0
-        values = np.asarray(self.func(wrapped), dtype=float)
+        values = np.full(points.shape[0], float(self.offset))
+        for k in range(points.shape[1]):
+            values += self.axis_values(points[:, k])
         if values.size and np.max(np.abs(values)) > self.sup_bound + 1e-12:
             raise ValueError("periodic potential exceeds its stated sup bound")
         return values
 
 
+def _no_axis_term(x):
+    return np.zeros(np.shape(x))
+
+
 def zero_potential(period=1.0):
-    return PeriodicPotential(period, lambda p: np.zeros(p.shape[0]), 0.0, "zero")
+    return PeriodicPotential(period, _no_axis_term, 0.0, "zero")
 
 
 def constant_potential(value, period=1.0):
-    return PeriodicPotential(
-        period, lambda p, v=float(value): np.full(p.shape[0], v), abs(value),
-        f"constant({value})",
-    )
+    return PeriodicPotential(period, _no_axis_term, abs(value),
+                             f"constant({value})", offset=float(value))
 
 
 def separable_square_potential(amplitude, period=1.0, duty=0.5):
-    """V0(x) = amplitude * sum_i s(x_i) with s a square wave of given duty.
-
-    Separable by construction, so box spectra factor into 1D problems.
-    """
+    """V0(x) = amplitude * sum_i s(x_i) with s a square wave of given duty."""
     a, g, w = float(amplitude), float(period), float(duty)
-
-    def func(points):
-        frac = (points / g) % 1.0
-        return a * np.sum(frac < w, axis=1).astype(float)
-
-    return PeriodicPotential(g, func, math.inf, f"separable_square({a},{g},{w})")
+    return PeriodicPotential(g, square_wave_1d(a, g, w), math.inf,
+                             f"separable_square({a},{g},{w})")
 
 
 def square_wave_1d(amplitude, period=1.0, duty=0.5):
-    """1D factor of the separable square potential, for closed-form checks."""
+    """amplitude on the first `duty` fraction of each period, 0 elsewhere."""
     def s(x):
         frac = (np.asarray(x, dtype=float) / period) % 1.0
         return amplitude * (frac < duty).astype(float)
@@ -231,8 +238,7 @@ def _accumulate(field_values, grid, profile, weight):
     idx = grid.nodes_within_ball(profile.ball_center, profile.support_radius)
     if idx.size == 0:
         return
-    nodes = grid.nodes()[idx]
-    field_values[idx] += weight * profile.evaluate(nodes)
+    field_values[idx] += weight * profile.evaluate(grid.node_coords(idx))
 
 
 def assemble_random_potential(cfg, profiles, grid):
@@ -282,7 +288,7 @@ def verify_single_site_bound(profile, grid, period=1.0):
     idx = grid.nodes_within_ball(profile.ball_center, profile.ball_radius)
     if idx.size == 0:
         raise UnresolvableBallError("ball contains no grid node")
-    values = profile.evaluate(grid.nodes()[idx])
+    values = profile.evaluate(grid.node_coords(idx))
     min_on_ball = float(values.min())
     bound = min_on_ball >= profile.lower_bound - 1e-12
     return SingleSiteReport(

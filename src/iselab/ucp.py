@@ -13,13 +13,12 @@ import numpy as np
 
 from . import rng
 from .errors import EventViolatedError, IselabError
-from .eigensolve import (TOL_EIG, TOL_GAP, eigs_below, lowest_eig_above,
-                         smallest_eigs, track_family)
+from .eigensolve import (TOL_EIG, background_spectrum, lowest_eig_above,
+                         lowest_in_spectrum_above, smallest_eigs, track_family)
 from .events import EquidistributedSequence, event_A_indicator, lifting_bound
 from .grid import Ball
-from .operators import (assemble_background, assemble_hamiltonian,
-                        assemble_interpolated, assemble_test_perturbation,
-                        mask_from_balls)
+from .operators import (assemble_hamiltonian, assemble_interpolated,
+                        assemble_test_perturbation, mask_from_balls)
 
 
 @dataclass(frozen=True)
@@ -167,16 +166,16 @@ def lifting_experiment(grid, v0, cfg, spec, profiles, b, eta, c, k_sandwich=10):
     the minimax sandwich on the k_sandwich lowest eigenvalues.
     """
     sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    h0 = assemble_background(grid, v0)
+    spectrum0 = background_spectrum(grid, v0).values
     h_pert = assemble_test_perturbation(grid, v0, mask, eta * c)
     h_rand = assemble_hamiltonian(grid, v0, cfg, profiles)
 
-    k0, lam0 = lowest_eig_above(h0, b)
+    k0, lam0 = lowest_in_spectrum_above(spectrum0, b)
     _, lam_pert = lowest_eig_above(h_pert, b)
     _, lam_rand = lowest_eig_above(h_rand, b)
 
     k = min(k_sandwich, grid.num_points)
-    low0 = smallest_eigs(h0, k).values
+    low0 = spectrum0[:k]
     low_pert = smallest_eigs(h_pert, k).values
     low_rand = smallest_eigs(h_rand, k).values
     low_env = smallest_eigs(assemble_interpolated(grid, v0, 1.0, profiles), k).values

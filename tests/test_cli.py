@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from iselab.cli import main
@@ -68,6 +69,28 @@ class TestExitCodes:
                      "--kappa", "0.5"])
         assert code == 3
         assert "ledger verdict: False" in capsys.readouterr().out
+
+    def test_arpack_failure_in_lift_is_solver_error(self, model_file,
+                                                    monkeypatch, capsys):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        from iselab import eigensolve
+        real_eigsh = eigensolve.eigsh
+
+        def sandwich_fails(mat, k, **kwargs):
+            # the k=16 counting queries converge, the k=10 sandwich does not
+            if kwargs.get("which") == "SA" and k == 10:
+                raise ArpackNoConvergence("no convergence", np.empty(0),
+                                          np.empty((0, 0)))
+            return real_eigsh(mat, k=k, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "eigsh", sandwich_fails)
+        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
+        code = main(["lift", "--model", model_file, "--L", "2",
+                     "--points-per-unit", "6", "--mode", "bottom",
+                     "--scales", "1", "--seed", "3"])
+        assert code == 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_window_intrusion_is_assertion_failure(self, model_file, capsys):
         # the free box operator has an eigenvalue inside (1, 3)

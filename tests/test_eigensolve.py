@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from iselab import eigensolve
-from iselab.eigensolve import (TOL_EIG, eigs_below, eigs_in_window,
+from iselab.eigensolve import (TOL_EIG, background_eigs_below,
+                               background_spectrum, eigs_below, eigs_in_window,
                                lowest_eig_above, min_eig_above, smallest_eigs,
                                track_family)
 from iselab.errors import SolverError
@@ -133,3 +135,72 @@ class TestTrackFamily:
     def test_unsorted_t_grid_rejected(self, free4):
         with pytest.raises(ValueError):
             track_family(free4, zero_potential(), [], [0.5, 0.2], (0, 1))
+
+
+BACKGROUNDS = {
+    "zero": zero_potential(),
+    "constant": constant_potential(2.5),
+    "separable_square": separable_square_potential(40.0),
+}
+
+
+class TestBackgroundSpectrum:
+    @pytest.mark.parametrize("kind", sorted(BACKGROUNDS))
+    @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_diagonalization(self, kind, boundary, d):
+        grid = GridSpec(dimension=d, side=2.0, spacing=0.2 if d == 2 else 1 / 3,
+                        boundary=boundary, center=(0.3,) + (-0.7,) * (d - 1))
+        v0 = BACKGROUNDS[kind]
+        want = np.linalg.eigvalsh(assemble_background(grid, v0).matrix.toarray())
+        got = background_spectrum(grid, v0).values
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_kronecker_basis_spans_the_dense_subspace(self, boundary):
+        grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
+                        boundary=boundary, center=(0.5, 0.0))
+        v0 = separable_square_potential(40.0)
+        for threshold in (30.0, 60.0):
+            kron = background_eigs_below(grid, v0, threshold)
+            dense = eigs_below(assemble_background(grid, v0), threshold)
+            assert kron.method == "separable"
+            assert kron.count == dense.count > 0
+            assert np.allclose(kron.values, dense.values, atol=1e-9)
+            p_kron = kron.vectors @ kron.vectors.T
+            p_dense = dense.vectors @ dense.vectors.T
+            assert np.max(np.abs(p_kron - p_dense)) <= 1e-8
+
+    def test_empty_below_the_spectrum(self, free4):
+        res = background_eigs_below(free4, zero_potential(), -0.5)
+        assert res.count == 0
+
+
+class TestSolverFailures:
+    def test_programming_errors_are_not_retried(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(kwargs.get("sigma"))
+            raise TypeError("bad argument")
+
+        grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
+                        boundary="periodic")
+        monkeypatch.setattr(eigensolve, "eigsh", broken)
+        monkeypatch.setattr(eigensolve, "SMALL_DENSE", 16)
+        with pytest.raises(TypeError):
+            min_eig_above(build_laplacian(grid), 1.0)
+        assert len(calls) == 1
+
+    def test_arpack_failure_in_smallest_eigs_is_a_solver_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+        grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
+                        boundary="periodic")
+        monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
+        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
+        with pytest.raises(SolverError):
+            smallest_eigs(build_laplacian(grid), 3)

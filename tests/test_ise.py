@@ -28,18 +28,22 @@ class TestBandEdge:
             band_edge_of_background(grid, zero_potential(), hint=-1.0)
 
     def test_gap_endpoints_match_dense_diagonalization(self, gapped_model):
-        grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
-                        boundary="periodic")
-        a, b = band_edge_of_background(grid, gapped_model.background,
-                                       hint=REFERENCE_GAP_HINT)
         from iselab.operators import assemble_background
-        vals = np.linalg.eigvalsh(
-            assemble_background(grid, gapped_model.background)
-            .matrix.toarray())
-        below = vals[vals < REFERENCE_GAP_HINT]
-        above = vals[vals >= REFERENCE_GAP_HINT]
-        assert a == pytest.approx(below.max(), abs=1e-9)
-        assert b == pytest.approx(above.min(), abs=1e-9)
+        for boundary in ("periodic", "dirichlet", "neumann"):
+            grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
+                            boundary=boundary)
+            a, b = band_edge_of_background(grid, gapped_model.background,
+                                           hint=REFERENCE_GAP_HINT)
+            vals = np.linalg.eigvalsh(
+                assemble_background(grid, gapped_model.background)
+                .matrix.toarray())
+            below = vals[vals < REFERENCE_GAP_HINT]
+            above = vals[vals >= REFERENCE_GAP_HINT]
+            assert a == pytest.approx(below.max(), abs=1e-9)
+            assert b == pytest.approx(above.min(), abs=1e-9)
+            bottom = band_edge_of_background(grid, gapped_model.background,
+                                             mode="bottom")
+            assert bottom == (-math.inf, pytest.approx(vals.min(), abs=1e-9))
 
     def test_bottom_mode_returns_ground_state_edge(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,

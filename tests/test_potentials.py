@@ -40,6 +40,35 @@ class TestBackgrounds:
             v.evaluate(np.zeros((3, 2)))
 
 
+def _full_d_square(amplitude, period, duty):
+    """The d-dimensional separable-square formula, one call per point set."""
+    def func(points):
+        frac = (points / period) % 1.0
+        return amplitude * np.sum(frac < duty, axis=1).astype(float)
+    return func
+
+
+class TestSeparableEvaluation:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_matches_full_d_formula_bit_for_bit(self, d, boundary):
+        grid = GridSpec(dimension=d, side=3.0, spacing=1 / 7 if d == 2 else 1 / 3,
+                        boundary=boundary, center=(0.4,) * d)
+        points = grid.nodes()
+        g = 1.0
+        wrapped = ((points + g / 2.0) % g) - g / 2.0
+        cases = [
+            (zero_potential(), np.zeros(points.shape[0])),
+            (constant_potential(3.5), np.full(points.shape[0], 3.5)),
+            (separable_square_potential(40.0),
+             _full_d_square(40.0, 1.0, 0.5)(wrapped)),
+            (separable_square_potential(2.5, duty=0.3),
+             _full_d_square(2.5, 1.0, 0.3)(wrapped)),
+        ]
+        for v0, want in cases:
+            assert np.array_equal(v0.evaluate(points), want)
+
+
 class TestDisorderDistributions:
     def test_bernoulli_one_is_degenerate(self):
         cfg = sample_configuration(1, [(0, 0), (1, 2)], bernoulli(1.0))
@@ -117,6 +146,21 @@ class TestFieldAssembly:
         nodes = grid8.nodes()
         want = p0.evaluate(nodes) + p1.evaluate(nodes)
         assert np.allclose(combined, want, atol=1e-14)
+
+    def test_matches_full_node_array_reference(self):
+        grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
+                        boundary="periodic", center=(0.2, -0.1))
+        sites = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+        profiles = ([indicator_profile(s, 1.0, 0.45) for s in sites]
+                    + [cone_profile(s, 2.0, 0.7, 1.0, 0.3) for s in sites])
+        cfg = sample_configuration(11, sites, uniform01())
+        want = np.zeros(grid.num_points)
+        for p in profiles:
+            idx = grid.nodes_within_ball(p.ball_center, p.support_radius)
+            if idx.size:
+                want[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
+        assert np.array_equal(assemble_random_potential(cfg, profiles, grid),
+                              want)
 
     def test_missing_profile_for_contributing_site(self, grid8):
         cfg = DisorderConfiguration(seed=0, values={(0, 0): 1.0})
