@@ -332,19 +332,17 @@ def cmd_ids(args):
     for L in (float(s) for s in args.L.split(",")):
         rec = ids_estimate(model, L, e_grid, args.trials, args.seed,
                            args.e0, points_per_unit=args.points_per_unit,
-                           boundary=args.boundary, dimension=args.d,
-                           max_eigenvalues=args.max_eigenvalues)
+                           boundary=args.boundary, dimension=args.d)
         out.append((L, rec))
         defined = sum(1 for v in rec.double_log if v is not None)
         print(f"L={L:g}: N({args.e_max:g}) = {rec.counting[-1]:.6g}, "
               f"double-log statistic defined at {defined}/{len(e_grid)} "
-              f"energies{' (truncated)' if rec.truncated else ''}")
+              "energies")
     params = {"model": args.model, "L": args.L, "d": args.d,
               "points_per_unit": args.points_per_unit,
               "boundary": args.boundary, "e_min": args.e_min,
               "e_max": args.e_max, "e_steps": args.e_steps,
-              "trials": args.trials, "seed": args.seed, "e0": args.e0,
-              "max_eigenvalues": args.max_eigenvalues}
+              "trials": args.trials, "seed": args.seed, "e0": args.e0}
     manifest = make_manifest("ids", params, time.perf_counter() - t0)
     if args.out:
         _write_json(_out_path(args, "ids.json"), manifest,
@@ -477,7 +475,6 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--e0", type=float, required=True,
                    help="reference energy for the edge statistic")
-    p.add_argument("--max-eigenvalues", type=int)
     _add_out_flag(p)
     p.set_defaults(func=cmd_ids)
 

@@ -1,9 +1,14 @@
-"""Windowed symmetric eigensolves.
+"""Symmetric eigenvalue counts, and at most one eigensolve per query.
 
-Small problems go through a dense solver; larger ones use ARPACK's
-shift-invert Lanczos.  Every returned pair is residual-checked against
-tol_eig, and failures surface as SolverError with telemetry instead of
-silently truncated results.
+The spectral primitive is `count_below(op, sigma)`: by Sylvester's law of
+inertia the negative pivots of a sparse LDL^T of H - sigma I number exactly
+the eigenvalues below sigma.  Whether a window holds spectrum is a
+difference of two counts and needs no eigensolve.  A query that must
+report eigenvalues counts first and then makes one solve with exactly that
+many: dense up to DENSE_CUTOFF nodes where eigenpairs are enumerated,
+ARPACK otherwise.  Every returned pair is residual-checked against tol_eig,
+and failures surface as SolverError with telemetry instead of silently
+truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from .errors import SolverError
 from .grid import _lap1d
@@ -26,7 +31,6 @@ from .operators import (SparseSymmetricOperator, assemble_background,
 TOL_EIG = 1e-8
 TOL_GAP = 1e-6
 DENSE_CUTOFF = 4096
-MAX_ITER_K = 768
 
 
 def _matrix(op):
@@ -134,77 +138,86 @@ def background_eigs_below(grid, v0, threshold):
                             "separable", count)
 
 
-def eigs_below(op, threshold):
-    """All eigenpairs with value < threshold - tol_eig."""
+def _nudge(sigma):
+    """The upward shift that moves sigma off an eigenvalue it sits on."""
+    return sigma + 100 * TOL_EIG * (1.0 + abs(sigma))
+
+
+def _inertia(mat, sigma):
+    """#{lambda < sigma}, or None when the factor cannot be trusted.
+
+    SuperLU in symmetric mode factors P (H - sigma I) P^T = L D L^T, so by
+    Sylvester's law of inertia the negative pivots count the eigenvalues
+    below sigma.  Without pivoting, rounding grows with the largest pivot;
+    a pivot within it (sigma at an eigenvalue), or rounding beyond
+    tol_eig (1 + |sigma|), rejects the factor.
+    """
+    shifted = (mat - sigma * sparse.identity(mat.shape[0], format="csr")).tocsc()
+    try:
+        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # SuperLU: factor is exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None  # an exactly zero diagonal pivot forced a row exchange
+    pivots = lu.U.diagonal()
+    size, eps = np.abs(pivots), np.finfo(float).eps
+    noise = 64 * eps * max(abs(shifted).sum(axis=0).max(), size.max())
+    if size.min() <= noise or eps * size.max() > TOL_EIG * (1.0 + abs(sigma)):
+        return None
+    return int(np.count_nonzero(pivots < 0))
+
+
+def count_below(op, sigma):
+    """Exact number of eigenvalues below sigma, from one sparse LDL^T.
+
+    An untrusted factor moves sigma up by one nudge, so an eigenvalue at
+    sigma counts as below (count_below(op, E) = #{lambda <= E}), as may one
+    within the nudge above it.
+    """
     mat = _matrix(op)
-    n = mat.shape[0]
-    if n <= DENSE_CUTOFF:
-        values, vectors = _dense_pairs(mat)
-        keep = values < threshold - TOL_EIG
-        return _check_residuals(mat, values[keep], vectors[:, keep], "dense", n)
-    k = 16
-    while True:
-        if k >= min(n - 1, MAX_ITER_K):
-            k = min(n - 1, MAX_ITER_K)
-        try:
-            values, vectors = eigsh(mat, k=k, which="SA",
-                                    v0=start_vector(n))
-        except RuntimeError as exc:  # ARPACK non-convergence
-            raise SolverError(f"iterative solver failed: {exc}",
-                              telemetry={"k": k, "which": "SA"})
-        if values.max() >= threshold - TOL_EIG:
-            keep = values < threshold - TOL_EIG
-            return _check_residuals(mat, values[keep], vectors[:, keep],
-                                    "iterative", k)
-        if k >= min(n - 1, MAX_ITER_K):
-            raise SolverError(
-                "window exhausted: too many eigenvalues below threshold",
-                telemetry={"k": k, "threshold": threshold},
-            )
-        k *= 2
+    count = _inertia(mat, sigma)
+    if count is None:
+        count = _inertia(mat, _nudge(sigma))
+    if count is None:
+        raise SolverError("no trusted LDL^T factor at sigma or after a nudge",
+                          telemetry={"sigma": sigma})
+    return count
 
 
-def _shift_invert(mat, sigma, k):
+def eigs_below(op, threshold):
+    """All eigenpairs with value < threshold - tol_eig: a count, then one solve."""
+    return smallest_eigs(op, count_below(op, threshold - TOL_EIG))
+
+
+def _shift_invert(mat, sigma, k, which="LM"):
     v0 = start_vector(mat.shape[0])
     try:
         return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
-                     which="LM", v0=v0)
+                     which=which, v0=v0)
     except RuntimeError:
         # sigma may coincide with an eigenvalue (SuperLU reports an exactly
         # singular factor) or ARPACK failed to converge; nudge and retry once
-        sigma = sigma + 100 * TOL_EIG * (1.0 + abs(sigma))
+        sigma = _nudge(sigma)
         try:
             return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
-                         which="LM", v0=v0)
+                         which=which, v0=v0)
         except RuntimeError as exc:
             raise SolverError(f"shift-invert failed: {exc}",
                               telemetry={"sigma": sigma, "k": k})
 
 
-SMALL_DENSE = 1024
-
-
-def min_eig_above(op, b, k=8):
+def min_eig_above(op, b):
     """Smallest eigenvalue classified as >= b (values within tol_eig count).
 
-    Uses shift-invert already on mid-sized problems: only the value is
-    needed, and a factorization is far cheaper than a full dense solve.
+    In shift-invert mode "LA" selects the largest 1 / (lambda - sigma), which
+    is the eigenvalue closest above sigma = b - tol_eig; when none lies
+    above, ARPACK returns one below sigma instead.
     """
-    mat = _matrix(op)
-    n = mat.shape[0]
-    if n <= SMALL_DENSE:
-        values = np.sort(eigh(mat.toarray(), eigvals_only=True))
-        above = values[values >= b - TOL_EIG]
-        if above.size == 0:
-            raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
-        return float(above[0])
-    while k <= 64:
-        values, _ = _shift_invert(mat, b + 10 * TOL_EIG, k)
-        above = np.sort(values[values >= b - TOL_EIG])
-        if above.size:
-            return float(above[0])
-        k *= 2
-    raise SolverError("window exhausted above b", telemetry={"b": b})
+    values, _ = _shift_invert(_matrix(op), b - TOL_EIG, 1, which="LA")
+    if values[0] < b - TOL_EIG:
+        raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
+    return float(values[0])
 
 
 def lowest_in_spectrum_above(values, b):
@@ -215,42 +228,24 @@ def lowest_in_spectrum_above(values, b):
     return below + 1, float(values[below])
 
 
-def lowest_eig_above(op, b):
-    """(k0, lambda): the lowest eigenvalue in [b, inf) and its 1-based index."""
-    mat = _matrix(op)
-    n = mat.shape[0]
-    if n <= DENSE_CUTOFF:
-        return lowest_in_spectrum_above(
-            np.sort(eigh(mat.toarray(), eigvals_only=True)), b)
-    value = min_eig_above(op, b)
-    below = eigs_below(op, b).count
-    return below + 1, value
-
-
 def eigs_in_window(op, a, b):
-    """All eigenvalues in (a + tol_gap, b - tol_gap), sorted ascending."""
+    """All eigenvalues in (a + tol_gap, b - tol_gap), sorted ascending.
+
+    The window is counted first; only a nonempty one is solved, for exactly
+    that many eigenvalues around its center.
+    """
     if b <= a:
         raise ValueError("need a < b")
     mat = _matrix(op)
-    n = mat.shape[0]
     lo, hi = a + TOL_GAP, b - TOL_GAP
-    if n <= DENSE_CUTOFF:
-        values = np.sort(eigh(mat.toarray(), eigvals_only=True))
-        return values[(values > lo) & (values < hi)]
-    sigma = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    k = 8
-    while True:
-        values, _ = _shift_invert(mat, sigma, k)
-        # the k returned values are the k closest to sigma; once the
-        # farthest lies outside the window, the window is fully enumerated
-        if np.max(np.abs(values - sigma)) > half or k >= min(n - 1, MAX_ITER_K):
-            inside = np.sort(values[(values > lo) & (values < hi)])
-            if np.max(np.abs(values - sigma)) <= half:
-                raise SolverError("window enumeration budget exhausted",
-                                  telemetry={"k": k, "window": (a, b)})
-            return inside
-        k *= 2
+    k = count_below(mat, hi) - count_below(mat, lo)
+    if k == 0:
+        return np.empty(0)
+    if mat.shape[0] <= DENSE_CUTOFF:
+        values = eigh(mat.toarray(), eigvals_only=True)
+    else:
+        values = np.sort(_shift_invert(mat, 0.5 * (a + b), k)[0])
+    return values[(values > lo) & (values < hi)]
 
 
 def smallest_eigs(op, k):
@@ -260,6 +255,9 @@ def smallest_eigs(op, k):
     if n <= DENSE_CUTOFF:
         values, vectors = _dense_pairs(mat)
         return _check_residuals(mat, values[:k], vectors[:, :k], "dense", n)
+    if k == 0:
+        return _check_residuals(mat, np.empty(0), np.empty((n, 0)),
+                                "iterative", k)
     try:
         values, vectors = eigsh(mat, k=min(k, n - 1), which="SA",
                                 v0=start_vector(n))

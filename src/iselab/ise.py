@@ -11,11 +11,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import rng
-from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum,
-                         min_eig_above, start_vector)
+from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
+                         min_eig_above)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      select_scale, wilson_interval)
@@ -23,8 +22,6 @@ from .grid import GridSpec
 from .operators import assemble_hamiltonian, assemble_test_perturbation
 from .potentials import load_model, sample_configuration
 from .ucp import equidistributed_from_event
-
-from scipy.sparse.linalg import eigsh
 
 
 def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GAP):
@@ -109,9 +106,11 @@ def run_ise_trial(seed, L, alpha, model, b, points_per_unit=9,
                   base_eigenvalue=None):
     """One trial: is the window [b, b + L^-alpha) free of spectrum?
 
-    Returns a dict with the verdict, the located eigenvalue, a borderline
-    flag (within tol_eig of the window edge), and, when the configuration
-    lies in the good event, the observed lift of the test perturbation.
+    Returns a dict with the verdict, the number of eigenvalues in the window
+    (values within tol_eig below b count), a borderline flag (the window
+    holds spectrum only within tol_eig of its upper edge), and, when the
+    configuration lies in the good event, the observed lift of the test
+    perturbation.
     """
     if isinstance(model, dict):
         model = load_model(model)
@@ -121,20 +120,20 @@ def run_ise_trial(seed, L, alpha, model, b, points_per_unit=9,
     profiles = model.profiles_for(grid)
     sites = _trial_sites(model, grid, event_spec)
     cfg = sample_configuration(seed, sites, model.disorder)
-    result = {"seed": seed, "valid": True, "outcome": None, "value": None,
-              "borderline": False, "event": None, "observed_lift": None}
+    result = {"seed": seed, "valid": True, "outcome": None,
+              "window_count": None, "borderline": False, "event": None,
+              "observed_lift": None}
     try:
         h_rand = assemble_hamiltonian(grid, model.background, cfg, profiles)
-        value = min_eig_above(h_rand, b)
+        below = count_below(h_rand, b - TOL_EIG)
+        result["window_count"] = count_below(h_rand, b + width) - below
+        result["outcome"] = result["window_count"] == 0
+        if not result["outcome"]:
+            result["borderline"] = \
+                count_below(h_rand, b + width - TOL_EIG) == below
     except SolverError as exc:
         result.update(valid=False, error=str(exc))
         return result
-    result["value"] = value
-    if value >= b + width:
-        result["outcome"] = True
-    else:
-        result["outcome"] = False
-        result["borderline"] = value >= b + width - TOL_EIG
     if event_spec is not None:
         in_event = event_A_indicator(cfg, event_spec)
         result["event"] = in_event
@@ -266,25 +265,30 @@ def estimate_ise_probability(plan, dimension=2):
 
 @dataclass(frozen=True)
 class IDSRecord:
+    """Counting function of one box size.
+
+    The counts are exact, so the JSON key "truncated" is always false; it is
+    kept for readers of earlier ids.json files.
+    """
+
     energies: tuple
     counting: tuple          # trial-averaged N_L(E)
     double_log: tuple        # statistic or None where undefined
     reference_energy: float
-    truncated: bool
 
     def to_json(self):
         return {"energies": list(self.energies),
                 "counting": list(self.counting),
                 "double_log": list(self.double_log),
                 "reference_energy": self.reference_energy,
-                "truncated": self.truncated}
+                "truncated": False}
 
 
 def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
-                 points_per_unit=9, boundary="periodic", dimension=2,
-                 max_eigenvalues=None):
+                 points_per_unit=9, boundary="periodic", dimension=2):
     """Trial-averaged normalized counting function and its double-log slope.
 
+    N(E) counts the eigenvalues <= E exactly, by one count per energy.
     This is a diagnostic only: the slope statistic is reported where
     N(E) - N(E0) lies in (0, 1) and no limit claim is attached.
     """
@@ -297,20 +301,12 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
                     spacing=1.0 / points_per_unit, boundary=boundary)
     profiles = model.profiles_for(grid)
     sites = model.sites_for(grid)
-    truncated = False
     counts = np.zeros(len(E_grid))
     for t in range(trials):
         trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
         cfg = sample_configuration(trial_seed, sites, model.disorder)
         h = assemble_hamiltonian(grid, model.background, cfg, profiles)
-        n = grid.num_points
-        if max_eigenvalues is not None and max_eigenvalues < n:
-            values = np.sort(eigsh(h.matrix, k=max_eigenvalues, which="SA",
-                                   v0=start_vector(n))[0])
-            truncated = True
-        else:
-            values = np.sort(eigh(h.matrix.toarray(), eigvals_only=True))
-        counts += np.searchsorted(values, E_grid, side="right")
+        counts += [count_below(h, e) for e in E_grid]
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
     n_ref = float(np.interp(reference_energy, E_grid, counting)) \
@@ -335,4 +331,4 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     return IDSRecord(energies=tuple(float(e) for e in E_grid),
                      counting=tuple(float(c) for c in counting),
                      double_log=tuple(stats),
-                     reference_energy=reference_energy, truncated=truncated)
+                     reference_energy=reference_energy)

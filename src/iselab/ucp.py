@@ -13,8 +13,8 @@ import numpy as np
 
 from . import rng
 from .errors import EventViolatedError, IselabError
-from .eigensolve import (TOL_EIG, background_spectrum, lowest_eig_above,
-                         lowest_in_spectrum_above, smallest_eigs, track_family)
+from .eigensolve import (TOL_EIG, background_spectrum, lowest_in_spectrum_above,
+                         min_eig_above, smallest_eigs, track_family)
 from .events import EquidistributedSequence, event_A_indicator, lifting_bound
 from .grid import Ball
 from .operators import (assemble_hamiltonian, assemble_interpolated,
@@ -171,8 +171,8 @@ def lifting_experiment(grid, v0, cfg, spec, profiles, b, eta, c, k_sandwich=10):
     h_rand = assemble_hamiltonian(grid, v0, cfg, profiles)
 
     k0, lam0 = lowest_in_spectrum_above(spectrum0, b)
-    _, lam_pert = lowest_eig_above(h_pert, b)
-    _, lam_rand = lowest_eig_above(h_rand, b)
+    lam_pert = min_eig_above(h_pert, b)
+    lam_rand = min_eig_above(h_rand, b)
 
     k = min(k_sandwich, grid.num_points)
     low0 = spectrum0[:k]

@@ -78,7 +78,7 @@ class TestExitCodes:
         real_eigsh = eigensolve.eigsh
 
         def sandwich_fails(mat, k, **kwargs):
-            # the k=16 counting queries converge, the k=10 sandwich does not
+            # the shift-invert queries converge, the k=10 sandwich does not
             if kwargs.get("which") == "SA" and k == 10:
                 raise ArpackNoConvergence("no convergence", np.empty(0),
                                           np.empty((0, 0)))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
-                               background_spectrum, eigs_below, eigs_in_window,
-                               lowest_eig_above, min_eig_above, smallest_eigs,
+                               background_spectrum, count_below, eigs_below,
+                               eigs_in_window, min_eig_above, smallest_eigs,
                                track_family)
 from iselab.errors import SolverError
 from iselab.grid import GridSpec, laplacian_eigenvalues
@@ -54,39 +57,105 @@ class TestEigsBelow:
         assert np.allclose(dense.values, iterative.values, atol=1e-7)
 
 
+class TestCountBelow:
+    def test_shift_near_an_eigenvalue_counts_exactly(self, free4):
+        # periodic spectrum: 0 once, then 2 four times
+        op = build_laplacian(free4)
+        assert count_below(op, -1e-12) == 0
+        assert count_below(op, 1e-12) == 1
+
+    def test_shift_on_an_eigenvalue_counts_it_below(self, free4, monkeypatch):
+        # the nudge makes count_below(E) = #{lambda <= E}, as searchsorted
+        # with side="right" counts a sorted spectrum
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        op = build_laplacian(free4)
+        assert count_below(op, 1e-12) == 1
+        assert len(factorizations) == 1
+        assert count_below(op, 0.0) == 1
+        assert len(factorizations) == 3
+        assert count_below(op, 2.0) == 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3]),
+           boundary=st.sampled_from(["dirichlet", "neumann", "periodic"]),
+           side=st.integers(2, 5),
+           amplitude=st.sampled_from([0.0, 1.0, 10.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1),
+           index=st.integers(0, 10**6),
+           near=st.booleans(),
+           offset=st.sampled_from([-1e-6, -1e-9, 1e-9, 1e-6]))
+    def test_matches_dense_count(self, d, boundary, side, amplitude, seed,
+                                 index, near, offset):
+        grid = GridSpec(dimension=d, side=float(side), spacing=1.0,
+                        boundary=boundary)
+        n = grid.num_points
+        diagonal = np.random.default_rng(seed).uniform(-amplitude, amplitude, n)
+        mat = build_laplacian(grid).matrix + sparse.diags(diagonal)
+        values = np.linalg.eigvalsh(mat.toarray())
+        j = index % n
+        if near:
+            sigma = values[j] + offset * (1.0 + abs(values[j]))
+        else:
+            # midway between values[j] and the next larger level, or above
+            # the whole spectrum
+            higher = values[values > values[j] + 1e-6]
+            sigma = values[j] + 1.0 if higher.size == 0 \
+                else 0.5 * (values[j] + higher[0])
+        # the dense oracle itself cannot place a shift within rounding of
+        # an eigenvalue
+        assume(np.min(np.abs(values - sigma)) > 1e-11 * (1.0 + abs(sigma)))
+        count = count_below(mat, sigma)
+        if eigensolve._inertia(mat, sigma) is None:
+            # an untrusted factor: the count is taken at the nudged shift
+            sigma = eigensolve._nudge(sigma)
+        assert count == int(np.sum(values < sigma))
+
+
 class TestLowestAbove:
     def test_spectrum_bottom(self, free4):
-        k0, lam = lowest_eig_above(build_laplacian(free4), -1.0)
-        assert (k0, lam) == (1, pytest.approx(0.0, abs=1e-12))
+        op = build_laplacian(free4)
+        assert count_below(op, -1.0 - TOL_EIG) + 1 == 1
+        assert min_eig_above(op, -1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_first_excited_level(self, free4):
-        k0, lam = lowest_eig_above(build_laplacian(free4), 1.0)
-        assert lam == pytest.approx(2.0, abs=1e-10)
-        assert k0 == 2
+        op = build_laplacian(free4)
+        assert min_eig_above(op, 1.0) == pytest.approx(2.0, abs=1e-10)
+        assert count_below(op, 1.0 - TOL_EIG) + 1 == 2   # k0
 
     def test_shift_equivariance(self, free4):
         v = 2.5
-        k0a, la = lowest_eig_above(build_laplacian(free4), 1.0)
-        k0b, lb = lowest_eig_above(
-            assemble_background(free4, constant_potential(v)), 1.0 + v)
-        assert k0a == k0b
-        assert lb == pytest.approx(la + v, abs=1e-10)
+        base = build_laplacian(free4)
+        shifted = assemble_background(free4, constant_potential(v))
+        assert count_below(base, 1.0 - TOL_EIG) == \
+            count_below(shifted, 1.0 + v - TOL_EIG)
+        assert min_eig_above(shifted, 1.0 + v) == pytest.approx(
+            min_eig_above(base, 1.0) + v, abs=1e-10)
 
     def test_eigenvalue_at_b_counts_as_above(self, free4):
-        _, lam = lowest_eig_above(build_laplacian(free4), 0.0)
-        assert lam == pytest.approx(0.0, abs=1e-12)
+        op = build_laplacian(free4)
+        assert min_eig_above(op, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert count_below(op, 0.0 - TOL_EIG) == 0
 
-    def test_min_eig_above_iterative_agrees_with_dense(self, monkeypatch):
+    def test_min_eig_above_iterative_agrees_with_dense(self):
         grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
                         boundary="periodic")
         op = assemble_background(grid, separable_square_potential(5.0))
-        dense_val = min_eig_above(op, 6.0)
-        monkeypatch.setattr(eigensolve, "SMALL_DENSE", 16)
-        assert min_eig_above(op, 6.0) == pytest.approx(dense_val, abs=1e-7)
+        values = np.linalg.eigvalsh(op.matrix.toarray())
+        want = values[values >= 6.0 - TOL_EIG][0]
+        assert min_eig_above(op, 6.0) == pytest.approx(want, abs=1e-7)
 
     def test_no_eigenvalue_above_raises(self, free4):
+        op = build_laplacian(free4)
+        assert count_below(op, 1e9) == free4.num_points
         with pytest.raises(SolverError):
-            lowest_eig_above(build_laplacian(free4), 1e9)
+            min_eig_above(op, 1e9)
 
 
 class TestWindows:
@@ -188,7 +257,6 @@ class TestSolverFailures:
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", broken)
-        monkeypatch.setattr(eigensolve, "SMALL_DENSE", 16)
         with pytest.raises(TypeError):
             min_eig_above(build_laplacian(grid), 1.0)
         assert len(calls) == 1

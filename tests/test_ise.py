@@ -61,15 +61,29 @@ class TestSingleTrial:
                             points_per_unit=8)
         # every site fires, so the ground state moves well above 4^-0.9
         assert out["valid"] and out["outcome"]
-        assert out["value"] >= 4.0 ** -0.9
+        assert out["window_count"] == 0
 
     def test_zero_couplings_reduce_to_background(self):
         model = load_model(bernoulli_model(1e-12))
         out = run_ise_trial(seed=0, L=4, alpha=0.5, model=model, b=0.0,
                             points_per_unit=8)
-        # the background periodic Laplacian has its ground state at b
-        assert out["value"] == pytest.approx(0.0, abs=1e-9)
+        # the background periodic Laplacian has its ground state at b, well
+        # below the upper window edge 4^-0.5
+        assert out["window_count"] == 1
         assert not out["outcome"]
+        assert not out["borderline"]
+
+    def test_window_narrower_than_tol_eig_is_borderline(self):
+        model = load_model(bernoulli_model(1e-12))
+        # width 4^-alpha = TOL_EIG / 2: the ground state at b lies within
+        # TOL_EIG of the upper window edge
+        alpha = math.log(2e8) / math.log(4.0)
+        out = run_ise_trial(seed=0, L=4, alpha=alpha, model=model, b=0.0,
+                            points_per_unit=8)
+        assert out["valid"]
+        assert out["window_count"] == 1
+        assert not out["outcome"]
+        assert out["borderline"]
 
     def test_vanishing_window_is_vacuously_clear(self):
         model = load_model(bernoulli_model(1.0))
@@ -152,12 +166,6 @@ class TestIDS:
             diff = n - rec.counting[0]
             if not 0.0 < diff < 1.0:
                 assert stat is None
-
-    def test_budget_truncation_is_flagged(self):
-        rec = ids_estimate(bernoulli_model(0.5), L=3, E_grid=[0.0, 500.0],
-                           trials=1, seed=0, reference_energy=0.0,
-                           points_per_unit=6, max_eigenvalues=5)
-        assert rec.truncated
 
 
 class TestReferencePlanShape:
