@@ -110,8 +110,8 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _grid(args, L=None):
-    return GridSpec(dimension=args.d, side=float(L if L is not None else args.L),
+def _grid(args):
+    return GridSpec(dimension=args.d, side=float(args.L),
                     spacing=1.0 / args.points_per_unit, boundary=args.boundary)
 
 
@@ -365,7 +365,7 @@ def _add_grid_flags(p, with_model=True):
     if with_model:
         p.add_argument("--model", required=True,
                        help="potential model JSON file")
-    p.add_argument("--L", type=float, required=True, help="box half-side")
+    p.add_argument("--L", type=float, required=True, help="box side")
     p.add_argument("--d", type=int, default=2, help="dimension")
     p.add_argument("--points-per-unit", type=int, default=9,
                    help="grid nodes per unit length")

@@ -1,4 +1,4 @@
-"""Threshold sets, the good-configuration event, scales and bound ledgers.
+"""The good-configuration event, scales and bound ledgers.
 
 Everything here mirrors the union-bound chain that turns the per-cell
 large-deviation estimate (1-kappa)^(l^d) into a probability bound of the
@@ -62,13 +62,8 @@ class EventSpec:
         return sites
 
 
-def threshold_set(cfg, eta):
-    """J(omega): the sites whose coupling is at least eta (closed inequality)."""
-    return {site for site in cfg.sites() if cfg[site] >= eta}
-
-
 def event_A_indicator(cfg, spec):
-    """True iff every cell of the doubled box contains a site of J(omega)."""
+    """True iff every cell of the doubled box has a site with coupling >= eta."""
     cells = spec.cells()
     for center in cells.centers:
         if not any(cfg[s] >= spec.eta for s in cells.lattice_points(center)):
@@ -114,7 +109,7 @@ def _log_minus_log_p(spec):
     a = _cell_failure_log(spec.l, spec.dimension, spec.kappa)
     if a == -math.inf:
         return -math.inf
-    log_m = _log_int(cell_count(spec.dimension, spec.L, spec.l))
+    log_m = math.log(cell_count(spec.dimension, spec.L, spec.l))
     if a < -700:
         # -ln(1 - e^a) = e^a to double precision
         return log_m + a
@@ -135,7 +130,7 @@ def exact_event_log_failure(spec):
     a = _cell_failure_log(spec.l, spec.dimension, spec.kappa)
     if a == -math.inf:
         return -math.inf
-    log_m = _log_int(cell_count(spec.dimension, spec.L, spec.l))
+    log_m = math.log(cell_count(spec.dimension, spec.L, spec.l))
     if a < -700 or log_m + a < -700:
         # 1 - (1-g)^M = M g (1 + O(M g)); the correction is far below ulp
         return log_m + a
@@ -143,18 +138,6 @@ def exact_event_log_failure(spec):
     if z > math.log(745.0):   # P[A] ~ 0; the failure is certain
         return 0.0
     return math.log(-math.expm1(-math.exp(z)))
-
-
-def union_bound_log_failure(spec):
-    """ln(M * (1-kappa)^(l^d)), the union bound on 1 - P[A]."""
-    a = _cell_failure_log(spec.l, spec.dimension, spec.kappa)
-    if a == -math.inf:
-        return -math.inf
-    return _log_int(cell_count(spec.dimension, spec.L, spec.l)) + a
-
-
-def _log_int(m):
-    return math.log(m)
 
 
 def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
@@ -273,7 +256,7 @@ def build_ledger(dimension, L, alpha, q, kappa, eta, c):
     x = (alpha * ln_l) ** (2.0 / 3.0)
     a_cell = _cell_failure_log(l, d, kappa)
     m = cell_count(d, L, l)
-    log_m = _log_int(m)
+    log_m = math.log(m)
     log_two_l_d = d * (math.log(2.0) + ln_l)
     log_target = -q * ln_l
 

@@ -122,15 +122,6 @@ class Ball:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
 
-    def contains(self, point):
-        d2 = sum((p - c) ** 2 for p, c in zip(point, self.center))
-        return d2 < self.radius ** 2
-
-
-def in_open_cube(point, center, side):
-    """Strict membership of a point in the open cube of given side."""
-    return all(abs(p - c) < side / 2.0 for p, c in zip(point, center))
-
 
 @dataclass(frozen=True)
 class CellDecomposition:
@@ -144,14 +135,6 @@ class CellDecomposition:
     @property
     def cell_count(self):
         return len(self.centers)
-
-    def lattice_count(self, center):
-        """Number of integer lattice points strictly inside the cell."""
-        count = 1
-        for c in center:
-            lo, hi = c - self.cell_side / 2.0, c + self.cell_side / 2.0
-            count *= max(0, _int_floor_strict(hi) - _int_ceil_strict(lo))
-        return count
 
     def lattice_points(self, center):
         """All integer lattice points strictly inside the cell at `center`."""

@@ -1,14 +1,19 @@
 """Monte Carlo estimation of the no-spectrum-in-window probability, and
 the finite-volume counting-function diagnostic.
 
-Trials are pure functions of (master seed, L index, trial index), so the
-estimate is byte-identical no matter how trials are distributed over
-worker processes.
+Everything the trials at one box size share (grid, sites, profiles, the
+site-to-node matrix U and V0 at the nodes) is built once into a
+TrialContext; a trial samples the couplings omega, forms V_omega = U @ omega
+and counts.  Trials are pure functions of (context, seed), and seeds of
+(master seed, L index, trial index), so the estimate is byte-identical no
+matter how trials are distributed over worker processes.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,8 +24,10 @@ from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      select_scale, wilson_interval)
 from .grid import GridSpec
-from .operators import assemble_hamiltonian, assemble_test_perturbation
-from .potentials import load_model, sample_configuration
+from .operators import (assemble_schrodinger, assemble_test_perturbation,
+                        background_diagonal)
+from .potentials import (assemble_random_potential, load_model,
+                         sample_configuration, site_matrix)
 from .ucp import equidistributed_from_event
 
 
@@ -89,42 +96,60 @@ class ExperimentPlan:
         )
 
 
-def _grid_for(plan, L, dimension=2):
-    return GridSpec(dimension=dimension, side=float(L),
-                    spacing=1.0 / plan.points_per_unit, boundary=plan.boundary)
+@dataclass(frozen=True, eq=False)
+class TrialContext:
+    """What every trial on one box shares; only the couplings change.
+
+    `sites` is the sorted profile lattice together with the event sites,
+    and `site_matrix` is U = site_matrix(profiles, grid), so that
+    V_omega = U @ omega.  b and width are those of the window
+    [b, b + width); counting-function runs leave them unset.
+    """
+
+    model: object
+    grid: GridSpec
+    sites: tuple = field(repr=False)
+    profiles: tuple = field(repr=False)
+    site_matrix: object = field(repr=False)
+    v0_nodes: np.ndarray = field(repr=False)
+    event_spec: EventSpec = None
+    b: float = None
+    width: float = None
+
+    @classmethod
+    def build(cls, model, grid, event_spec=None, b=None, width=None):
+        profiles = tuple(model.profiles_for(grid))
+        extra = () if event_spec is None else event_spec.required_sites()
+        sites = tuple(sorted(set(model.sites_for(grid)).union(extra)))
+        return cls(model, grid, sites, profiles, site_matrix(profiles, grid),
+                   background_diagonal(grid, model.background),
+                   event_spec, b, width)
+
+    def hamiltonian(self, cfg):
+        """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
+        v_omega = assemble_random_potential(cfg, self.profiles, self.grid,
+                                            self.site_matrix)
+        return assemble_schrodinger(
+            self.grid, self.v0_nodes + v_omega,
+            f"random:{self.model.background.description}", seed=cfg.seed)
 
 
-def _trial_sites(model, grid, event_spec):
-    sites = set(model.sites_for(grid))
-    if event_spec is not None:
-        sites.update(event_spec.required_sites())
-    return sorted(sites)
-
-
-def run_ise_trial(seed, L, alpha, model, b, points_per_unit=9,
-                  boundary="periodic", dimension=2, event_spec=None,
-                  base_eigenvalue=None):
-    """One trial: is the window [b, b + L^-alpha) free of spectrum?
+def run_ise_trial(ctx, seed):
+    """One trial: is the window [b, b + width) free of spectrum?
 
     Returns a dict with the verdict, the number of eigenvalues in the window
     (values within tol_eig below b count), a borderline flag (the window
     holds spectrum only within tol_eig of its upper edge), and, when the
     configuration lies in the good event, the observed lift of the test
-    perturbation.
+    perturbation above b.
     """
-    if isinstance(model, dict):
-        model = load_model(model)
-    grid = GridSpec(dimension=dimension, side=float(L),
-                    spacing=1.0 / points_per_unit, boundary=boundary)
-    width = float(L) ** (-alpha)
-    profiles = model.profiles_for(grid)
-    sites = _trial_sites(model, grid, event_spec)
-    cfg = sample_configuration(seed, sites, model.disorder)
+    b, width = ctx.b, ctx.width
+    cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
     result = {"seed": seed, "valid": True, "outcome": None,
               "window_count": None, "borderline": False, "event": None,
               "observed_lift": None}
     try:
-        h_rand = assemble_hamiltonian(grid, model.background, cfg, profiles)
+        h_rand = ctx.hamiltonian(cfg)
         below = count_below(h_rand, b - TOL_EIG)
         result["window_count"] = count_below(h_rand, b + width) - below
         result["outcome"] = result["window_count"] == 0
@@ -134,24 +159,21 @@ def run_ise_trial(seed, L, alpha, model, b, points_per_unit=9,
     except SolverError as exc:
         result.update(valid=False, error=str(exc))
         return result
-    if event_spec is not None:
-        in_event = event_A_indicator(cfg, event_spec)
+    if ctx.event_spec is not None:
+        in_event = event_A_indicator(cfg, ctx.event_spec)
         result["event"] = in_event
-        if in_event and base_eigenvalue is not None:
-            eta, c = model.disorder.eta, model.coupling_floor
+        if in_event:
+            model = ctx.model
             try:
-                _, mask = equidistributed_from_event(cfg, event_spec, profiles, grid)
-                h_pert = assemble_test_perturbation(grid, model.background,
-                                                    mask, eta * c)
-                lam_pert = min_eig_above(h_pert, b)
-                result["observed_lift"] = lam_pert - base_eigenvalue
+                _, mask = equidistributed_from_event(cfg, ctx.event_spec,
+                                                     ctx.profiles, ctx.grid)
+                h_pert = assemble_test_perturbation(
+                    ctx.grid, model.background, mask,
+                    model.disorder.eta * model.coupling_floor)
+                result["observed_lift"] = min_eig_above(h_pert, b) - b
             except (SolverError, IselabError) as exc:
                 result.update(valid=False, error=str(exc))
     return result
-
-
-def _trial_worker(payload):
-    return run_ise_trial(**payload)
 
 
 @dataclass(frozen=True)
@@ -215,51 +237,49 @@ class ISEReport:
 
 
 def estimate_ise_probability(plan, dimension=2):
-    """Per-L Wilson estimate of the ISE probability, with bound ledgers."""
+    """Per-L Wilson estimates with bound ledgers; one pool serves every L."""
     model = load_model(plan.model)
     dist = model.disorder
     per_L = []
-    for L_index, L in enumerate(plan.L_values):
-        grid = _grid_for(plan, L, dimension)
-        a, b = band_edge_of_background(grid, model.background,
-                                       hint=plan.band_edge_hint,
-                                       mode=plan.band_edge_mode)
-        try:
-            l = select_scale(L, plan.alpha)
-            event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
-                                   eta=dist.eta, kappa=dist.kappa)
-            ledger = build_ledger(dimension, int(L), plan.alpha, plan.q,
-                                  dist.kappa, dist.eta, model.coupling_floor)
-        except ScaleWindowError:
-            l, event_spec, ledger = None, None, None
-        payloads = [
-            {"seed": rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
-                                     (L_index, t)),
-             "L": L, "alpha": plan.alpha, "model": plan.model, "b": b,
-             "points_per_unit": plan.points_per_unit,
-             "boundary": plan.boundary, "dimension": dimension,
-             "event_spec": event_spec, "base_eigenvalue": b}
-            for t in range(plan.trials)
-        ]
-        if plan.workers > 1:
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-                records = list(pool.map(_trial_worker, payloads, chunksize=4))
-        else:
-            records = [_trial_worker(p) for p in payloads]
-        valid = [r for r in records if r["valid"]]
-        if not valid:
-            raise SolverError(f"all trials invalid at L={L}")
-        successes = sum(1 for r in valid if r["outcome"])
-        p_hat, lo, hi = wilson_interval(successes, len(valid))
-        per_L.append(ISEPerL(
-            L=int(L), l=l, band_edge=b, gap_lower=a,
-            window_width=float(L) ** (-plan.alpha),
-            trials=plan.trials, valid=len(valid), successes=successes,
-            borderline=sum(1 for r in valid if r["borderline"]),
-            event_count=sum(1 for r in valid if r.get("event")),
-            p_hat=p_hat, ci_lo=lo, ci_hi=hi, ledger=ledger,
-            trial_records=tuple(records),
-        ))
+    with (ProcessPoolExecutor(max_workers=plan.workers)
+          if plan.workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else partial(pool.map, chunksize=4)
+        for L_index, L in enumerate(plan.L_values):
+            grid = GridSpec(dimension=dimension, side=float(L),
+                            spacing=1.0 / plan.points_per_unit,
+                            boundary=plan.boundary)
+            a, b = band_edge_of_background(grid, model.background,
+                                           hint=plan.band_edge_hint,
+                                           mode=plan.band_edge_mode)
+            try:
+                l = select_scale(L, plan.alpha)
+                event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
+                                       eta=dist.eta, kappa=dist.kappa)
+                ledger = build_ledger(dimension, int(L), plan.alpha, plan.q,
+                                      dist.kappa, dist.eta,
+                                      model.coupling_floor)
+            except ScaleWindowError:
+                l, event_spec, ledger = None, None, None
+            ctx = TrialContext.build(model, grid, event_spec, b,
+                                     float(L) ** (-plan.alpha))
+            seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
+                                     (L_index, t))
+                     for t in range(plan.trials)]
+            records = list(run(partial(run_ise_trial, ctx), seeds))
+            valid = [r for r in records if r["valid"]]
+            if not valid:
+                raise SolverError(f"all trials invalid at L={L}")
+            successes = sum(1 for r in valid if r["outcome"])
+            p_hat, lo, hi = wilson_interval(successes, len(valid))
+            per_L.append(ISEPerL(
+                L=int(L), l=l, band_edge=b, gap_lower=a,
+                window_width=ctx.width,
+                trials=plan.trials, valid=len(valid), successes=successes,
+                borderline=sum(1 for r in valid if r["borderline"]),
+                event_count=sum(1 for r in valid if r.get("event")),
+                p_hat=p_hat, ci_lo=lo, ci_hi=hi, ledger=ledger,
+                trial_records=tuple(records),
+            ))
     return ISEReport(plan=plan, per_L=tuple(per_L))
 
 
@@ -297,15 +317,14 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     E_grid = list(E_grid)
     if E_grid != sorted(E_grid):
         raise ValueError("E_grid must be sorted")
-    grid = GridSpec(dimension=dimension, side=float(L),
-                    spacing=1.0 / points_per_unit, boundary=boundary)
-    profiles = model.profiles_for(grid)
-    sites = model.sites_for(grid)
+    ctx = TrialContext.build(model, GridSpec(
+        dimension=dimension, side=float(L), spacing=1.0 / points_per_unit,
+        boundary=boundary))
     counts = np.zeros(len(E_grid))
     for t in range(trials):
         trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
-        cfg = sample_configuration(trial_seed, sites, model.disorder)
-        h = assemble_hamiltonian(grid, model.background, cfg, profiles)
+        h = ctx.hamiltonian(
+            sample_configuration(trial_seed, ctx.sites, model.disorder))
         counts += [count_below(h, e) for e in E_grid]
     volume = float(L) ** dimension
     counting = counts / (trials * volume)

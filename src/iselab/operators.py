@@ -30,14 +30,6 @@ class SparseSymmetricOperator:
     def shape(self):
         return self.matrix.shape
 
-    def export_triplets(self, path):
-        """Write `row col value` per stored entry, 17 significant digits."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
-            for k in order:
-                fh.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}\n")
-
 
 @dataclass(frozen=True)
 class IndicatorMask:
@@ -92,7 +84,8 @@ def build_laplacian(grid):
     return _wrap(laplacian_matrix(grid), grid, "laplacian")
 
 
-def _with_diagonal(grid, diagonal, description, seed=None):
+def assemble_schrodinger(grid, diagonal, description, seed=None):
+    """-Laplacian + diag(diagonal): the step every assemble_* ends with."""
     lap = laplacian_matrix(grid)
     return _wrap(lap + sparse.diags(diagonal), grid, description, seed)
 
@@ -103,14 +96,15 @@ def background_diagonal(grid, v0):
 
 def assemble_background(grid, v0):
     """H_{0,L} = -Laplacian + V0."""
-    return _with_diagonal(grid, background_diagonal(grid, v0),
-                          f"background:{v0.description}")
+    return assemble_schrodinger(grid, background_diagonal(grid, v0),
+                                f"background:{v0.description}")
 
 
 def assemble_hamiltonian(grid, v0, cfg, profiles):
     """H_{omega,L} = -Laplacian + V0 + V_omega."""
     diag = background_diagonal(grid, v0) + assemble_random_potential(cfg, profiles, grid)
-    return _with_diagonal(grid, diag, f"random:{v0.description}", seed=cfg.seed)
+    return assemble_schrodinger(grid, diag, f"random:{v0.description}",
+                                seed=cfg.seed)
 
 
 def assemble_interpolated(grid, v0, t, profiles):
@@ -118,7 +112,8 @@ def assemble_interpolated(grid, v0, t, profiles):
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     diag = background_diagonal(grid, v0) + t * assemble_w(profiles, grid)
-    return _with_diagonal(grid, diag, f"interpolated(t={t}):{v0.description}")
+    return assemble_schrodinger(grid, diag,
+                                f"interpolated(t={t}):{v0.description}")
 
 
 def assemble_test_perturbation(grid, v0, mask, amplitude):
@@ -128,5 +123,5 @@ def assemble_test_perturbation(grid, v0, mask, amplitude):
     if mask.size == 0:
         raise IselabError("empty indicator mask")
     diag = background_diagonal(grid, v0) + amplitude * mask.indicator(grid.num_points)
-    return _with_diagonal(grid, diag,
-                          f"test_perturbation(a={amplitude}):{v0.description}")
+    return assemble_schrodinger(
+        grid, diag, f"test_perturbation(a={amplitude}):{v0.description}")

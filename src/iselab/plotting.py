@@ -106,7 +106,7 @@ def ise_trend_svg(report):
     canvas = SvgCanvas(
         f"Spectral-window hit rate vs box size (alpha={report.plan.alpha:g})")
     ax = _Axes(canvas, (lo - pad, hi + pad), (0.0, 1.05),
-               "box half-side L", "estimated probability")
+               "box side L", "estimated probability")
     for y in (0.0, 0.25, 0.5, 0.75, 1.0):
         ax.y_tick(y, f"{y:g}")
         canvas.line(ax.x0, ax.py(y), ax.x1, ax.py(y),

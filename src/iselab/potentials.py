@@ -9,8 +9,10 @@ constants omega_j with its threshold pair (eta, kappa).
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 
 from . import rng
 from .errors import MissingProfileError, MissingSiteError, UnresolvableBallError
@@ -69,12 +71,14 @@ def separable_square_potential(amplitude, period=1.0, duty=0.5):
                              f"separable_square({a},{g},{w})")
 
 
+def _square_wave(amplitude, period, duty, x):
+    frac = (np.asarray(x, dtype=float) / period) % 1.0
+    return amplitude * (frac < duty).astype(float)
+
+
 def square_wave_1d(amplitude, period=1.0, duty=0.5):
     """amplitude on the first `duty` fraction of each period, 0 elsewhere."""
-    def s(x):
-        frac = (np.asarray(x, dtype=float) / period) % 1.0
-        return amplitude * (frac < duty).astype(float)
-    return s
+    return partial(_square_wave, amplitude, period, duty)
 
 
 @dataclass(frozen=True)
@@ -105,27 +109,32 @@ class SingleSiteProfile:
         return values
 
 
+# Profile functions are partials of module-level functions, so a model
+# pickles into pool workers.
+
+def _indicator(center, c, delta, points):
+    d2 = np.sum((points - np.asarray(center)) ** 2, axis=1)
+    return c * (d2 < delta * delta)
+
+
+def _cone(center, peak, radius, points):
+    dist = np.sqrt(np.sum((points - np.asarray(center)) ** 2, axis=1))
+    return peak * np.maximum(0.0, 1.0 - dist / radius)
+
+
 def indicator_profile(site, c, delta, period=1.0):
     """u_j = c * indicator(B_delta(j*G)); the minimal admissible profile."""
     center = tuple(float(s) * period for s in site)
-
-    def func(points):
-        d2 = np.sum((points - np.asarray(center)) ** 2, axis=1)
-        return c * (d2 < delta * delta)
-
-    return SingleSiteProfile(site, func, c, delta, center, delta,
+    return SingleSiteProfile(site, partial(_indicator, center, c, delta), c,
+                             delta, center, delta,
                              f"indicator(c={c},delta={delta})")
 
 
 def cone_profile(site, peak, radius, c, delta, period=1.0):
     """Linear cone of height `peak`; certified bound needs peak*(1-delta/radius) >= c."""
     center = tuple(float(s) * period for s in site)
-
-    def func(points):
-        dist = np.sqrt(np.sum((points - np.asarray(center)) ** 2, axis=1))
-        return peak * np.maximum(0.0, 1.0 - dist / radius)
-
-    return SingleSiteProfile(site, func, c, delta, center, radius,
+    return SingleSiteProfile(site, partial(_cone, center, peak, radius), c,
+                             delta, center, radius,
                              f"cone(peak={peak},radius={radius})")
 
 
@@ -232,27 +241,38 @@ def sample_configuration(seed, sites, dist):
     return DisorderConfiguration(seed=int(seed), values=values)
 
 
-def _accumulate(field_values, grid, profile, weight):
-    if weight == 0.0:
-        return
-    idx = grid.nodes_within_ball(profile.ball_center, profile.support_radius)
-    if idx.size == 0:
-        return
-    field_values[idx] += weight * profile.evaluate(grid.node_coords(idx))
+def site_matrix(profiles, grid):
+    """Sparse node x profile matrix U: column j holds u_j on its support nodes.
 
-
-def assemble_random_potential(cfg, profiles, grid):
-    """Nodewise V_omega = sum_j omega_j u_j on the grid."""
-    out = np.zeros(grid.num_points)
+    V_omega = U @ omega for omega_j the coupling of profiles[j].  The CSC
+    product adds the columns in profile order, node by node, so it equals
+    adding the weighted profiles one at a time, bit for bit.
+    """
+    rows, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
     for profile in profiles:
-        if profile.site not in cfg:
-            idx = grid.nodes_within_ball(profile.ball_center, profile.support_radius)
-            if idx.size:
-                raise MissingProfileError(
-                    f"no coupling sampled for contributing site {profile.site}"
-                )
-            continue
-        _accumulate(out, grid, profile, cfg[profile.site])
+        idx = grid.nodes_within_ball(profile.ball_center, profile.support_radius)
+        rows.append(idx)
+        values.append(profile.evaluate(grid.node_coords(idx)))
+        indptr.append(indptr[-1] + idx.size)
+    return sparse.csc_matrix((np.concatenate(values), np.concatenate(rows),
+                              indptr), shape=(grid.num_points, len(profiles)))
+
+
+def assemble_random_potential(cfg, profiles, grid, matrix=None):
+    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid.
+
+    `matrix` is site_matrix(profiles, grid), built here when not given.
+    """
+    if matrix is None:
+        matrix = site_matrix(profiles, grid)
+    omega = np.zeros(len(profiles))
+    for j, profile in enumerate(profiles):
+        if profile.site in cfg:
+            omega[j] = cfg[profile.site]
+        elif matrix.indptr[j + 1] > matrix.indptr[j]:
+            raise MissingProfileError(
+                f"no coupling sampled for contributing site {profile.site}")
+    out = matrix @ omega
     if out.size and out.min() < 0:
         raise ValueError("random potential must be nonnegative")
     return out
@@ -260,10 +280,7 @@ def assemble_random_potential(cfg, profiles, grid):
 
 def assemble_w(profiles, grid):
     """Nodewise envelope W = sum_j u_j (all couplings at 1)."""
-    out = np.zeros(grid.num_points)
-    for profile in profiles:
-        _accumulate(out, grid, profile, 1.0)
-    return out
+    return site_matrix(profiles, grid) @ np.ones(len(profiles))
 
 
 @dataclass(frozen=True)

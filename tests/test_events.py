@@ -11,32 +11,12 @@ from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            exact_event_log_failure, exact_event_probability,
                            lifting_bound, min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
-                           threshold_set, union_bound_log_failure,
                            wilson_interval)
-from iselab.grid import in_open_cube
 from iselab.potentials import DisorderConfiguration
 
 
 def config_from(values):
     return DisorderConfiguration(seed=0, values=dict(values))
-
-
-class TestThresholdSet:
-    def test_all_above(self):
-        cfg = config_from({(i, j): 1.0 for i in range(3) for j in range(3)})
-        assert threshold_set(cfg, 0.5) == set(cfg.sites())
-
-    def test_all_below(self):
-        cfg = config_from({(i, j): 0.0 for i in range(3) for j in range(3)})
-        assert threshold_set(cfg, 0.5) == set()
-
-    def test_mixed_scan_oracle(self):
-        gen = np.random.default_rng(0)
-        values = {(i, j): float(gen.random())
-                  for i in range(-2, 3) for j in range(-2, 3)}
-        cfg = config_from(values)
-        want = {s for s, v in values.items() if v >= 0.5}
-        assert threshold_set(cfg, 0.5) == want
 
 
 class TestEventIndicator:
@@ -105,8 +85,10 @@ class TestExactProbability:
         for kappa in (0.1, 0.5, 0.9):
             for l, L in ((1, 4), (3, 9), (5, 25)):
                 spec = EventSpec(dimension=2, l=l, L=L, eta=0.5, kappa=kappa)
-                assert exact_event_log_failure(spec) <= \
-                    union_bound_log_failure(spec) + 1e-12
+                # ln(M (1-kappa)^(l^d)), the union bound on 1 - P[A]
+                union = (math.log(cell_count(2, L, l))
+                         + l ** 2 * math.log1p(-kappa))
+                assert exact_event_log_failure(spec) <= union + 1e-12
 
     def test_log_failure_finite_at_astronomical_L(self):
         L = 10 ** 5000

@@ -1,16 +1,23 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from iselab import ise, rng
+from iselab.eigensolve import TOL_EIG, count_below, min_eig_above
 from iselab.errors import GapNotFoundError
+from iselab.events import EventSpec, event_A_indicator, select_scale
 from iselab.grid import GridSpec, laplacian_eigenvalues
-from iselab.ise import (ExperimentPlan, band_edge_of_background,
+from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
-from iselab.potentials import load_model, zero_potential
-from iselab.reference import (REFERENCE_GAP_HINT, reference_model_spec,
+from iselab.operators import assemble_hamiltonian, assemble_test_perturbation
+from iselab.potentials import load_model, sample_configuration, zero_potential
+from iselab.reference import (REFERENCE_ALPHA, REFERENCE_GAP_HINT,
+                              REFERENCE_SEED, reference_model_spec,
                               reference_plan)
+from iselab.ucp import equidistributed_from_event
 
 
 def bernoulli_model(p):
@@ -54,19 +61,22 @@ class TestBandEdge:
         assert b == pytest.approx(0.0, abs=1e-10)
 
 
+def box_context(model_spec, L, alpha, b=0.0, points_per_unit=8):
+    grid = GridSpec(dimension=2, side=float(L), spacing=1.0 / points_per_unit,
+                    boundary="periodic")
+    return TrialContext.build(load_model(model_spec), grid, b=b,
+                              width=float(L) ** (-alpha))
+
+
 class TestSingleTrial:
     def test_full_couplings_lift_clears_window(self):
-        model = load_model(bernoulli_model(1.0))
-        out = run_ise_trial(seed=0, L=4, alpha=0.9, model=model, b=0.0,
-                            points_per_unit=8)
+        out = run_ise_trial(box_context(bernoulli_model(1.0), 4, 0.9), 0)
         # every site fires, so the ground state moves well above 4^-0.9
         assert out["valid"] and out["outcome"]
         assert out["window_count"] == 0
 
     def test_zero_couplings_reduce_to_background(self):
-        model = load_model(bernoulli_model(1e-12))
-        out = run_ise_trial(seed=0, L=4, alpha=0.5, model=model, b=0.0,
-                            points_per_unit=8)
+        out = run_ise_trial(box_context(bernoulli_model(1e-12), 4, 0.5), 0)
         # the background periodic Laplacian has its ground state at b, well
         # below the upper window edge 4^-0.5
         assert out["window_count"] == 1
@@ -74,22 +84,78 @@ class TestSingleTrial:
         assert not out["borderline"]
 
     def test_window_narrower_than_tol_eig_is_borderline(self):
-        model = load_model(bernoulli_model(1e-12))
         # width 4^-alpha = TOL_EIG / 2: the ground state at b lies within
         # TOL_EIG of the upper window edge
         alpha = math.log(2e8) / math.log(4.0)
-        out = run_ise_trial(seed=0, L=4, alpha=alpha, model=model, b=0.0,
-                            points_per_unit=8)
+        out = run_ise_trial(box_context(bernoulli_model(1e-12), 4, alpha), 0)
         assert out["valid"]
         assert out["window_count"] == 1
         assert not out["outcome"]
         assert out["borderline"]
 
     def test_vanishing_window_is_vacuously_clear(self):
-        model = load_model(bernoulli_model(1.0))
-        out = run_ise_trial(seed=0, L=4, alpha=200.0, model=model, b=0.0,
-                            points_per_unit=8)
+        out = run_ise_trial(box_context(bernoulli_model(1.0), 4, 200.0), 0)
         assert out["outcome"]
+
+
+def public_path_record(model, grid, spec, b, width, seed):
+    """One trial rebuilt from the public assembly and counting calls."""
+    sites = sorted(set(model.sites_for(grid)) | set(spec.required_sites()))
+    cfg = sample_configuration(seed, sites, model.disorder)
+    profiles = model.profiles_for(grid)
+    h = assemble_hamiltonian(grid, model.background, cfg, profiles)
+    below = count_below(h, b - TOL_EIG)
+    count = count_below(h, b + width) - below
+    record = {"seed": seed, "valid": True, "outcome": count == 0,
+              "window_count": count,
+              "borderline": (count != 0 and
+                             count_below(h, b + width - TOL_EIG) == below),
+              "event": event_A_indicator(cfg, spec), "observed_lift": None}
+    if record["event"]:
+        _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
+        h_pert = assemble_test_perturbation(
+            grid, model.background, mask,
+            model.disorder.eta * model.coupling_floor)
+        record["observed_lift"] = min_eig_above(h_pert, b) - b
+    return record, cfg, h
+
+
+class TestTrialContext:
+    L = 6
+
+    @pytest.fixture(scope="class")
+    def reference_context(self):
+        model = load_model(reference_model_spec())
+        grid = GridSpec(dimension=2, side=float(self.L), spacing=1.0 / 9,
+                        boundary="periodic")
+        _, b = band_edge_of_background(grid, model.background,
+                                       hint=REFERENCE_GAP_HINT)
+        spec = EventSpec(dimension=2, l=select_scale(self.L, REFERENCE_ALPHA),
+                         L=self.L, eta=model.disorder.eta,
+                         kappa=model.disorder.kappa)
+        ctx = TrialContext.build(model, grid, spec, b,
+                                 float(self.L) ** (-REFERENCE_ALPHA))
+        seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+                 for t in range(8)]
+        return ctx, seeds
+
+    def test_trial_equals_the_public_path(self, reference_context):
+        ctx, seeds = reference_context
+        events = 0
+        for seed in seeds:
+            want, cfg, h = public_path_record(ctx.model, ctx.grid,
+                                              ctx.event_spec, ctx.b,
+                                              ctx.width, seed)
+            assert run_ise_trial(ctx, seed) == want
+            assert (ctx.hamiltonian(cfg).matrix != h.matrix).nnz == 0
+            events += bool(want["event"])
+        assert events >= 1
+
+    def test_pickled_context_gives_the_same_records(self, reference_context):
+        ctx, seeds = reference_context
+        clone = pickle.loads(pickle.dumps(ctx))
+        assert [run_ise_trial(clone, s) for s in seeds[:4]] == \
+            [run_ise_trial(ctx, s) for s in seeds[:4]]
 
 
 class TestPlan:
@@ -119,9 +185,20 @@ class TestEstimate:
         assert report.per_L[0].p_hat in (0.0, 1.0)
         assert report.per_L[0].p_hat == 1.0
 
-    def test_workers_do_not_change_the_report(self):
+    def test_workers_do_not_change_the_report(self, monkeypatch):
+        pools = []
+
+        class CountedPool(ise.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(ise, "ProcessPoolExecutor", CountedPool)
         r1 = estimate_ise_probability(reference_plan(trials=4, workers=1))
+        assert pools == []
         r2 = estimate_ise_probability(reference_plan(trials=4, workers=3))
+        # one pool serves every box size of the plan
+        assert len(pools) == 1 and len(r2.per_L) >= 2
         assert json.dumps(r1.to_json(), sort_keys=True) == \
             json.dumps(r2.to_json(), sort_keys=True)
 

@@ -112,19 +112,3 @@ class TestTestPerturbation:
     def test_empty_mask_rejected(self, grid6):
         with pytest.raises(Exception):
             mask_from_balls(grid6, [Ball((100.0, 100.0), 0.2)])
-
-
-class TestExport:
-    def test_triplet_export_roundtrips(self, grid6, tmp_path):
-        op = build_laplacian(grid6)
-        path = tmp_path / "lap.txt"
-        op.export_triplets(str(path))
-        rows = []
-        for line in path.read_text().splitlines():
-            i, j, v = line.split()
-            rows.append((int(i), int(j), float(v)))
-        dense = np.zeros(op.shape)
-        for i, j, v in rows:
-            dense[i, j] = v
-        assert np.array_equal(dense, op.matrix.toarray())
-        assert rows == sorted(rows)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ class TestFieldAssembly:
                 [profile], grid8)
         # a far-away missing site that cannot touch the box is fine
         assemble_random_potential(cfg, [profile] + broken, grid8)
+
+    def test_models_and_profiles_pickle(self, grid8):
+        model = load_model({
+            "G": 1.0, "V0": {"kind": "separable_square", "amplitude": 4.0},
+            "single_site": {"kind": "cone", "c": 1.0, "delta": 0.3,
+                            "radius": 0.7},
+            "disorder": {"kind": "uniform01", "eta": 0.5}})
+        clone = pickle.loads(pickle.dumps(model))
+        nodes = grid8.nodes()
+        assert np.array_equal(clone.background.evaluate(nodes),
+                              model.background.evaluate(nodes))
+        for profile in (model.profile_for((0, 0)),
+                        indicator_profile((1, 0), 1.0, 0.4)):
+            copy = pickle.loads(pickle.dumps(profile))
+            assert np.array_equal(copy.evaluate(nodes),
+                                  profile.evaluate(nodes))
 
     def test_w_is_c_on_disjoint_ball_union(self, grid8):
         profiles = [indicator_profile((0, 0), 1.5, 0.3),
