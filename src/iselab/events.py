@@ -144,22 +144,21 @@ def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
     """Estimate P[A] by direct simulation with exact threshold mass kappa.
 
     Returns (p_hat, wilson_lo, wilson_hi).  Deterministic for a fixed seed:
-    trial chunks draw from counter-based streams indexed by chunk number.
+    every trial draws from one counter-based stream in turn, so the chunk
+    size, which only bounds memory, does not change the estimate.
     """
     cells = spec.cells()
     m = cells.cell_count
     sites_per_cell = spec.l ** spec.dimension
+    gen = rng.stream(seed, rng.EVENT_TRIALS, (0,))
     hits = 0
     done = 0
-    chunk_index = 0
     while done < trials:
         batch = min(chunk, trials - done)
-        gen = rng.stream(seed, rng.EVENT_TRIALS, (chunk_index,))
         u = gen.random((batch, m, sites_per_cell))
         cell_ok = (u < spec.kappa).any(axis=2)
         hits += int(cell_ok.all(axis=1).sum())
         done += batch
-        chunk_index += 1
     return wilson_interval(hits, trials)
 
 

@@ -17,7 +17,8 @@ from .errors import MemoryBudgetError
 
 BOUNDARY_CONDITIONS = ("dirichlet", "neumann", "periodic")
 
-DEFAULT_MAX_POINTS = 4_000_000
+# Grids larger than this are refused before anything is allocated.
+MAX_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,6 @@ class GridSpec:
     spacing: float
     boundary: str = "periodic"
     center: tuple = None
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -50,9 +50,9 @@ class GridSpec:
             raise ValueError("need at least 2 points per side")
         if abs(n * self.spacing - self.side) > 1e-12 * self.side:
             raise ValueError("spacing must divide the side: n*h != L")
-        if n ** self.dimension > self.max_points:
+        if n ** self.dimension > MAX_POINTS:
             raise MemoryBudgetError(
-                f"grid has {n}^{self.dimension} points, budget is {self.max_points}"
+                f"grid has {n}^{self.dimension} points, budget is {MAX_POINTS}"
             )
 
     @property

@@ -371,25 +371,6 @@ class PotentialModel:
     def profiles_for(self, grid):
         return [self.profile_for(s) for s in self.sites_for(grid)]
 
-    def describe(self):
-        return {
-            "G": self.period,
-            "V0": self.background.description,
-            "single_site": {"kind": self.site_kind, "params": list(self.site_params)},
-            "disorder": {
-                "kind": self.disorder.kind,
-                "eta": self.disorder.eta,
-                "kappa": self.disorder.kappa,
-                "params": _jsonable(self.disorder.params),
-            },
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(o) for o in obj]
-    return obj
-
 
 def load_model(spec):
     """Build a PotentialModel from a JSON dict (or a path to one).

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,3 +176,118 @@ class TestArtifacts:
         assert data[0]["L"] == 3.0
         assert len(data[0]["counting"]) == 5
         assert (out / "ids.svg").read_text().startswith("<svg")
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def grid_params(model, L, **extra):
+    return {"model": model, "L": L, "d": 2, "points_per_unit": 6,
+            "boundary": "periodic", **extra}
+
+
+class TestManifest:
+    """One manifest per call: every flag except --out, and its run time."""
+
+    def calls(self, model, plan):
+        """(argv without --out, expected params, manifest name) per command."""
+        grid = ["--model", model, "--L", "2", "--points-per-unit", "6"]
+        return {
+            "bands": (["bands", *grid, "--mode", "bottom"],
+                      grid_params(model, 2.0, hint=None, mode="bottom"),
+                      "bands.json"),
+            "event-prob": (["event-prob", "--l", "1", "--L", "2",
+                            "--kappa", "0.5"],
+                           {"d": 2, "l": 1, "L": 2, "kappa": 0.5, "eta": 0.5,
+                            "trials": None, "seed": None},
+                           "event_prob.json"),
+            "scale": (["scale", "--L", "2981", "--alpha", "1.0"],
+                      {"L": 2981, "alpha": 1.0, "d": 2, "q": None,
+                       "kappa": 0.5, "eta": 0.5, "c": 1.0},
+                      "scale.json"),
+            "lift": (["lift", *grid, "--mode", "bottom", "--scales", "1",
+                      "--seed", "3"],
+                     grid_params(model, 2.0, hint=None, mode="bottom",
+                                 scales="1", seed=3, attempts=200),
+                     "lift.json"),
+            "ucp": (["ucp", *grid, "--l", "1", "--energy", "12",
+                     "--count", "3", "--seed", "3"],
+                    grid_params(model, 2.0, l=1, energy=12.0, count=3,
+                                seed=3, v_inf=None, attempts=200),
+                    "ucp.json"),
+            "gap": (["gap", *grid, "--a", "1.0", "--b", "3.0"],
+                    grid_params(model, 2.0, a=1.0, b=3.0, t_steps=21),
+                    "gap.json"),
+            "ise": (["ise", "--plan", plan, "--workers", "1"],
+                    {"plan": {**json.loads(Path(plan).read_text()),
+                              "workers": 1},
+                     "seed": 5},
+                    "ise.json"),
+            "ids": (["ids", "--model", model, "--L", "3",
+                     "--points-per-unit", "6", "--e-min", "0.0",
+                     "--e-max", "4.0", "--e-steps", "5", "--trials", "2",
+                     "--seed", "1", "--e0", "0.0"],
+                    grid_params(model, "3", e_min=0.0, e_max=4.0, e_steps=5,
+                                trials=2, seed=1, e0=0.0),
+                    "ids.json"),
+        }
+
+    @pytest.mark.parametrize("subcommand", [
+        "bands", "event-prob", "scale", "lift", "ucp", "gap", "ise", "ids"])
+    def test_params_are_the_flags_except_out(self, subcommand, model_file,
+                                             plan_file, tmp_path, capsys):
+        argv, params, name = self.calls(model_file, plan_file)[subcommand]
+        out = tmp_path / "art"
+        assert main(argv + ["--out", str(out)]) in (0, 3)
+        manifest, _ = read_artifact(out / name)
+        assert manifest["subcommand"] == subcommand
+        assert manifest["params"] == params
+        assert manifest["workers"] == 1
+        assert manifest["wall_clock_s"] > 0
+
+    def test_content_hash_is_pinned(self, plan_file, tmp_path, monkeypatch,
+                                    capsys):
+        # the hash covers the version, the subcommand and the params only
+        monkeypatch.chdir(REPO_ROOT)
+        out = tmp_path / "art"
+        assert main(["bands", "--model", "models/free_uniform.json",
+                     "--L", "3", "--points-per-unit", "6", "--mode", "bottom",
+                     "--out", str(out)]) == 0
+        assert main(["ise", "--plan", plan_file, "--out", str(out)]) == 0
+        bands, _ = read_artifact(out / "bands.json")
+        ise, _ = read_artifact(out / "ise.json")
+        assert bands["content_hash"] == ("808a65698a4207ccb1ad3601247c05cf"
+                                         "8e842009c650a7e956862feebda2d72b")
+        assert ise["content_hash"] == ("ab462dfdfa1328b13b92ef873bf8946d"
+                                       "2625cd684e7a19d613293f4aa829080a")
+
+    def test_ise_records_the_resolved_worker_count(self, plan_file, tmp_path,
+                                                   capsys):
+        out = tmp_path / "art"
+        assert main(["ise", "--plan", plan_file, "--workers", "2",
+                     "--out", str(out)]) == 0
+        manifest, _ = read_artifact(out / "ise.json")
+        assert manifest["workers"] == 2
+        assert manifest["params"]["plan"]["workers"] == 2
+        csv_manifest = json.loads((out / "ise.csv").read_text()
+                                  .splitlines()[0].removeprefix("# manifest: "))
+        assert csv_manifest == manifest
+
+    def test_failing_ledger_still_writes_its_artifact(self, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert main(["scale", "--L", "5000", "--alpha", "0.9", "--q", "1.0",
+                     "--kappa", "0.5", "--out", str(out)]) == 3
+        manifest, data = read_artifact(out / "scale.json")
+        assert manifest["subcommand"] == "scale"
+        assert data["ledger"]["verdict"] is False
+
+    def test_window_intrusion_still_writes_its_artifact(self, model_file,
+                                                        tmp_path, capsys):
+        out = tmp_path / "art"
+        assert main(["gap", "--model", model_file, "--L", "4",
+                     "--points-per-unit", "3", "--a", "1.0", "--b", "3.0",
+                     "--out", str(out)]) == 3
+        manifest, data = read_artifact(out / "gap.json")
+        assert manifest["subcommand"] == "gap"
+        assert data["ok"] is False
+        assert data["intrusions"]

@@ -78,8 +78,10 @@ class TestExactProbability:
     def test_monte_carlo_chunking_is_invisible(self):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         a = monte_carlo_event_probability(spec, 5_000, seed=3, chunk=2048)
-        b = monte_carlo_event_probability(spec, 5_000, seed=3, chunk=137)
-        assert a == b
+        for chunk in (137, 50, 1):
+            b = monte_carlo_event_probability(spec, 5_000, seed=3,
+                                              chunk=chunk)
+            assert a == b, chunk
 
     def test_union_bound_dominates_exact_failure(self):
         for kappa in (0.1, 0.5, 0.9):
