@@ -1,12 +1,24 @@
 """Monte Carlo estimation of the no-spectrum-in-window probability, and
 the finite-volume counting-function diagnostic.
 
-Everything the trials at one box size share (grid, sites, profiles, the
-site-to-node matrix U and V0 at the nodes) is built once into a
-TrialContext; a trial samples the couplings omega, forms V_omega = U @ omega
-and counts.  Trials are pure functions of (context, seed), and seeds of
-(master seed, L index, trial index), so the estimate is byte-identical no
-matter how trials are distributed over worker processes.
+Everything the trials at one box size share (grid, site coordinates,
+profiles, the site-to-node matrix U, V0 at the nodes and the certified
+lower count) is built once into a TrialContext.  A trial is one vectorized
+draw of the couplings omega, V_omega = U @ omega, and one count at the top
+of the window (a second only when the window holds spectrum, for the
+borderline flag).  Trials are pure functions of (context, seed), and seeds
+of (master seed, L index, trial index), so the estimate is byte-identical
+no matter how trials are distributed over worker processes.
+
+The count below the window needs no factorization where operator order
+settles it.  Couplings lie in [0, 1] and U >= 0, so 0 <= V_omega <= s node
+by node, s the largest row sum of U, and Weyl's monotonicity gives
+lambda_j(H0) <= lambda_j(H_omega) <= lambda_j(H0) + s.  With k background
+eigenvalues below b - tol_eig, the largest of them lambda_k(H0), and
+lambda_k(H0) + s < b - tol_eig - tol_gap, every H_omega has exactly k
+eigenvalues below b - tol_eig.  The certificate is refused, and the trial
+counts at b - tol_eig as well, when U has a negative entry or s does not
+fit below the gap; each per-L entry records which held.
 """
 
 import math
@@ -55,6 +67,24 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GA
     return a, b
 
 
+def certified_lower_count(grid, v0, matrix, b):
+    """#{lambda(H_omega) < b - tol_eig} for every omega in [0, 1]^m, or None.
+
+    `matrix` is U.  Weyl's monotonicity under 0 <= V_omega <= s, s the
+    largest row sum of U, fixes the count at the background's k when the
+    k-th background eigenvalue plus s stays tol_gap below b - tol_eig.
+    None (refused) when U has a negative entry or s does not fit.
+    """
+    if matrix.nnz and matrix.data.min() < 0:
+        return None
+    s = float(np.asarray(matrix.sum(axis=1)).max(initial=0.0))
+    values = background_spectrum(grid, v0).values
+    k = int(np.searchsorted(values, b - TOL_EIG))
+    if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
+        return None
+    return k
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     model: dict
@@ -75,6 +105,8 @@ class ExperimentPlan:
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         ls = tuple(self.L_values)
+        if not ls:
+            raise ValueError("L_values must name at least one box size")
         if list(ls) != sorted(ls):
             raise ValueError("L values must be sorted ascending")
         object.__setattr__(self, "L_values", ls)
@@ -101,29 +133,36 @@ class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
     `sites` is the sorted profile lattice together with the event sites,
-    and `site_matrix` is U = site_matrix(profiles, grid), so that
-    V_omega = U @ omega.  b and width are those of the window
-    [b, b + width); counting-function runs leave them unset.
+    as an (m, d) integer array, and `site_matrix` is
+    U = site_matrix(profiles, grid), so that V_omega = U @ omega.  b and
+    width are those of the window [b, b + width); counting-function runs
+    leave them unset.  `certified_below` is certified_lower_count at b, or
+    None where the trials must count below the window themselves.
     """
 
     model: object
     grid: GridSpec
-    sites: tuple = field(repr=False)
+    sites: np.ndarray = field(repr=False)
     profiles: tuple = field(repr=False)
     site_matrix: object = field(repr=False)
     v0_nodes: np.ndarray = field(repr=False)
     event_spec: EventSpec = None
     b: float = None
     width: float = None
+    certified_below: int = None
 
     @classmethod
     def build(cls, model, grid, event_spec=None, b=None, width=None):
         profiles = tuple(model.profiles_for(grid))
         extra = () if event_spec is None else event_spec.required_sites()
-        sites = tuple(sorted(set(model.sites_for(grid)).union(extra)))
-        return cls(model, grid, sites, profiles, site_matrix(profiles, grid),
+        sites = np.array(sorted(set(model.sites_for(grid)).union(extra)),
+                         dtype=np.int64).reshape(-1, grid.dimension)
+        matrix = site_matrix(profiles, grid)
+        below = None if b is None else \
+            certified_lower_count(grid, model.background, matrix, b)
+        return cls(model, grid, sites, profiles, matrix,
                    background_diagonal(grid, model.background),
-                   event_spec, b, width)
+                   event_spec, b, width, below)
 
     def hamiltonian(self, cfg):
         """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
@@ -141,7 +180,9 @@ def run_ise_trial(ctx, seed):
     (values within tol_eig below b count), a borderline flag (the window
     holds spectrum only within tol_eig of its upper edge), and, when the
     configuration lies in the good event, the observed lift of the test
-    perturbation above b.
+    perturbation above b.  The count below b - tol_eig is the context's
+    certified one where it holds, so such a trial factorizes only at
+    b + width (and at b + width - tol_eig when the window holds spectrum).
     """
     b, width = ctx.b, ctx.width
     cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
@@ -150,7 +191,9 @@ def run_ise_trial(ctx, seed):
               "observed_lift": None}
     try:
         h_rand = ctx.hamiltonian(cfg)
-        below = count_below(h_rand, b - TOL_EIG)
+        below = ctx.certified_below
+        if below is None:
+            below = count_below(h_rand, b - TOL_EIG)
         result["window_count"] = count_below(h_rand, b + width) - below
         result["outcome"] = result["window_count"] == 0
         if not result["outcome"]:
@@ -183,6 +226,7 @@ class ISEPerL:
     band_edge: float
     gap_lower: float
     window_width: float
+    lower_count_certified: bool
     trials: int
     valid: int
     successes: int
@@ -199,6 +243,7 @@ class ISEPerL:
             "L": self.L, "l": self.l, "band_edge": self.band_edge,
             "gap_lower": None if math.isinf(self.gap_lower) else self.gap_lower,
             "window_width": self.window_width,
+            "lower_count_certified": self.lower_count_certified,
             "trials": self.trials, "valid": self.valid,
             "successes": self.successes, "borderline": self.borderline,
             "event_count": self.event_count,
@@ -274,6 +319,7 @@ def estimate_ise_probability(plan, dimension=2):
             per_L.append(ISEPerL(
                 L=int(L), l=l, band_edge=b, gap_lower=a,
                 window_width=ctx.width,
+                lower_count_certified=ctx.certified_below is not None,
                 trials=plan.trials, valid=len(valid), successes=successes,
                 borderline=sum(1 for r in valid if r["borderline"]),
                 event_count=sum(1 for r in valid if r.get("event")),

@@ -230,15 +230,17 @@ def sample_configuration(seed, sites, dist):
     """Sample omega_j for every site from the counter-based stream.
 
     Each value depends only on (seed, site), never on enumeration order.
+    `sites` is a sequence of integer tuples or an (m, d) integer array;
+    all m uniforms come from one vectorized Philox evaluation.
     """
-    sites = [tuple(int(c) for c in s) for s in sites]
-    if len(set(sites)) != len(sites):
+    coords = np.asarray(sites if isinstance(sites, np.ndarray) else list(sites),
+                        dtype=np.int64)
+    keys = list(map(tuple, coords.tolist()))
+    if len(set(keys)) != len(keys):
         raise ValueError("sites must be distinct")
-    values = {}
-    for site in sites:
-        u = rng.uniform_at(seed, rng.SITE_VALUES, site)
-        values[site] = float(dist.from_uniform(u))
-    return DisorderConfiguration(seed=int(seed), values=values)
+    u = rng.uniforms_at(seed, rng.SITE_VALUES, coords)
+    values = dist.from_uniform(u).tolist()
+    return DisorderConfiguration(seed=int(seed), values=dict(zip(keys, values)))
 
 
 def site_matrix(profiles, grid):

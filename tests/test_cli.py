@@ -56,6 +56,15 @@ class TestExitCodes:
     def test_missing_plan_file_is_input_error(self, tmp_path, capsys):
         assert main(["ise", "--plan", str(tmp_path / "nope.json")]) == 1
 
+    def test_empty_plan_names_its_l_values(self, tmp_path, capsys):
+        plan = {"model": ZERO_MODEL, "L_values": [], "alpha": 0.6, "q": 1.0,
+                "trials": 2, "seed": 5}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(["ise", "--plan", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "L_values" in err and "no per-L entries" not in err
+
     def test_unknown_subcommand_is_input_error(self, capsys):
         assert main(["frobnicate"]) == 1
 

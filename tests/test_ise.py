@@ -5,8 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from iselab import ise, rng
-from iselab.eigensolve import TOL_EIG, count_below, min_eig_above
+from iselab import eigensolve, ise, rng
+from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
+                               min_eig_above)
 from iselab.errors import GapNotFoundError
 from iselab.events import EventSpec, event_A_indicator, select_scale
 from iselab.grid import GridSpec, laplacian_eigenvalues
@@ -158,8 +159,87 @@ class TestTrialContext:
             [run_ise_trial(ctx, s) for s in seeds[:4]]
 
 
+class TestLowerCountCertificate:
+    L = 6
+
+    def context(self, spec, mode):
+        model = load_model(spec)
+        grid = GridSpec(dimension=2, side=float(self.L), spacing=1.0 / 9,
+                        boundary="periodic")
+        _, b = band_edge_of_background(grid, model.background,
+                                       hint=REFERENCE_GAP_HINT, mode=mode)
+        event = EventSpec(dimension=2, l=select_scale(self.L, REFERENCE_ALPHA),
+                          L=self.L, eta=model.disorder.eta,
+                          kappa=model.disorder.kappa)
+        return TrialContext.build(model, grid, event, b,
+                                  float(self.L) ** (-REFERENCE_ALPHA))
+
+    def seeds(self, count):
+        return [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+                for t in range(count)]
+
+    def assert_public_path(self, ctx, seeds):
+        for seed in seeds:
+            want, _, _ = public_path_record(ctx.model, ctx.grid,
+                                            ctx.event_spec, ctx.b,
+                                            ctx.width, seed)
+            assert run_ise_trial(ctx, seed) == want
+
+    def test_reference_gap_is_certified(self):
+        ctx = self.context(reference_model_spec(), "gap")
+        # s = 1 against a gap about 20 wide: the count is the background's
+        below = int(np.sum(background_spectrum(ctx.grid, ctx.model.background)
+                           .values < ctx.b))
+        assert ctx.certified_below == below > 0
+
+    def test_bottom_mode_certifies_trivially(self):
+        ctx = self.context(reference_model_spec(), "bottom")
+        assert ctx.certified_below == 0
+        self.assert_public_path(ctx, self.seeds(4))
+
+    def test_coupling_larger_than_the_gap_is_refused(self):
+        spec = reference_model_spec()
+        spec["single_site"]["c"] = 40.0
+        ctx = self.context(spec, "gap")
+        assert ctx.certified_below is None
+        self.assert_public_path(ctx, self.seeds(4))
+
+    def test_estimate_records_the_certificate(self):
+        for c, certified in ((1.0, True), (40.0, False)):
+            spec = reference_model_spec()
+            spec["single_site"]["c"] = c
+            plan = ExperimentPlan(
+                model=spec, L_values=(self.L,), alpha=REFERENCE_ALPHA, q=1.0,
+                trials=2, master_seed=REFERENCE_SEED,
+                band_edge_hint=REFERENCE_GAP_HINT)
+            per_L = estimate_ise_probability(plan).to_json()["per_L"]
+            assert per_L[0]["lower_count_certified"] is certified
+
+    def test_certified_trial_factorizes_once(self, monkeypatch):
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        ctx = self.context(reference_model_spec(), "gap")
+        outcomes = []
+        for seed in self.seeds(8):
+            factorizations.clear()
+            record = run_ise_trial(ctx, seed)
+            outcomes.append(record["outcome"])
+            # borderline takes a second count only on a failed window
+            assert len(factorizations) == (1 if record["outcome"] else 2)
+        assert True in outcomes and False in outcomes
+
+
 class TestPlan:
     def test_plan_validation(self):
+        with pytest.raises(ValueError, match="L_values"):
+            ExperimentPlan(model={}, L_values=(), alpha=0.5, q=1.0,
+                           trials=4, master_seed=0)
         with pytest.raises(ValueError):
             ExperimentPlan(model={}, L_values=(6, 3), alpha=0.5, q=1.0,
                            trials=4, master_seed=0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iselab import rng
 from iselab.errors import (MissingProfileError, MissingSiteError,
                            UnresolvableBallError)
 from iselab.grid import GridSpec
@@ -87,6 +88,23 @@ class TestDisorderDistributions:
         a = sample_configuration(3, sites, d)
         b = sample_configuration(3, list(reversed(sites)), d)
         assert all(a[s] == b[s] for s in sites)
+
+    def test_duplicate_sites_rejected(self):
+        for sites in ([(0, 1), (2, 3), (0, 1)],
+                      np.array([[0, 1], [2, 3], [0, 1]])):
+            with pytest.raises(ValueError, match="distinct"):
+                sample_configuration(1, sites, uniform01())
+
+    def test_matches_the_per_site_stream(self):
+        dist = truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)
+        sites = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
+        want = {s: float(dist.from_uniform(
+                    rng.uniform_at(7, rng.SITE_VALUES, s))) for s in sites}
+        for given in (sites, np.array(sites)):
+            cfg = sample_configuration(7, given, dist)
+            assert cfg.values == want
+            assert all(type(c) is int for s in cfg.sites() for c in s)
+        assert sample_configuration(7, [], dist).values == {}
 
     def test_uniform_bulk_mean(self):
         sites = [(i, 0) for i in range(100_000)]
