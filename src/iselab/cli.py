@@ -244,12 +244,13 @@ def cmd_gap(args):
     report = verify_gap_hypothesis(grid, model.background, profiles,
                                    (args.a, args.b), t_grid)
     if report.ok:
-        print(f"window ({args.a:g}, {args.b:g}) stays spectrum-free along "
-              f"{args.t_steps} interpolation steps")
+        print(f"window ({args.a:g}, {args.b:g}) stays spectrum-free for "
+              "every t in [0, 1]")
     else:
-        print(f"{len(report.intrusions)} intrusion(s) into the window; "
-              f"first at t={report.intrusions[0][0]:g}, "
-              f"E={report.intrusions[0][1]:.12g}")
+        first = "".join(f", first at t={t:g}, E={e:.12g}"
+                        for t, e in report.intrusions[:1])
+        print(f"{report.crossings} eigenvalue branch(es) cross the window; "
+              f"{len(report.intrusions)} intrusion(s) sampled{first}")
     code = EXIT_OK if report.ok else EXIT_ASSERTION
     return code, {"gap.json": report.to_json()}
 
@@ -384,7 +385,8 @@ def build_parser():
     _add_grid_flags(p)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
-    p.add_argument("--t-steps", type=int, default=21)
+    p.add_argument("--t-steps", type=int, default=21,
+                   help="sampled only to list a failing window's intrusions")
 
     p = add("ise", cmd_ise,
             "estimate the spectral-window hit rate over a plan of box sizes")

@@ -267,13 +267,19 @@ def smallest_eigs(op, k):
     return _check_residuals(mat, values, vectors, method, k)
 
 
+def check_t_grid(t_grid):
+    """t_grid as a tuple, checked to rise strictly in [0, 1] by <= 0.05."""
+    t_grid = tuple(t_grid)
+    steps = np.diff(t_grid)
+    if (np.any(steps <= 0) or np.any(steps > 0.05 + 1e-12)
+            or (t_grid and (t_grid[0] < 0 or t_grid[-1] > 1))):
+        raise ValueError("t_grid must rise strictly in [0, 1] by <= 0.05")
+    return t_grid
+
+
 def track_family(grid, v0, profiles, t_grid, window):
     """Eigenvalues of H0 + t W inside the window, for each t."""
-    t_grid = list(t_grid)
-    if any(t1 >= t2 for t1, t2 in zip(t_grid, t_grid[1:])):
-        raise ValueError("t_grid must be strictly increasing")
-    if t_grid and (t_grid[0] < 0 or t_grid[-1] > 1):
-        raise ValueError("t_grid must lie in [0, 1]")
+    t_grid = check_t_grid(t_grid)
     a, b = window
     out = []
     for t in t_grid:

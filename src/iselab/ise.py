@@ -43,17 +43,18 @@ from .potentials import (assemble_random_potential, load_model,
 from .ucp import equidistributed_from_event
 
 
-def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GAP):
+def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GAP,
+                            values=None):
     """Locate (a, b) for the background box operator.
 
     mode 'bottom' returns (-inf, smallest eigenvalue); mode 'gap' finds
     the spectral gap of H_{0,L} containing the hinted energy and returns
     its endpoints, b being the infimum of the spectrum above the gap.
-    Both read the exact spectrum off the separable background.
+    Both read the exact background spectrum (`values` if the caller has it).
     """
     if mode != "bottom" and hint is None:
         raise ValueError("gap mode needs an energy hint")
-    values = background_spectrum(grid, v0).values
+    values = background_spectrum(grid, v0).values if values is None else values
     if mode == "bottom":
         return -math.inf, float(values[0])
     split = int(np.searchsorted(values, hint))
@@ -67,18 +68,17 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GA
     return a, b
 
 
-def certified_lower_count(grid, v0, matrix, b):
+def certified_lower_count(values, matrix, b):
     """#{lambda(H_omega) < b - tol_eig} for every omega in [0, 1]^m, or None.
 
-    `matrix` is U.  Weyl's monotonicity under 0 <= V_omega <= s, s the
-    largest row sum of U, fixes the count at the background's k when the
-    k-th background eigenvalue plus s stays tol_gap below b - tol_eig.
+    `values` is the background spectrum, `matrix` U.  Weyl, with V_omega in
+    [0, s] node-wise and s the largest row sum of U, keeps the background's
+    count k when its k-th eigenvalue plus s stays tol_gap below b - tol_eig.
     None (refused) when U has a negative entry or s does not fit.
     """
     if matrix.nnz and matrix.data.min() < 0:
         return None
     s = float(np.asarray(matrix.sum(axis=1)).max(initial=0.0))
-    values = background_spectrum(grid, v0).values
     k = int(np.searchsorted(values, b - TOL_EIG))
     if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
         return None
@@ -152,14 +152,16 @@ class TrialContext:
     certified_below: int = None
 
     @classmethod
-    def build(cls, model, grid, event_spec=None, b=None, width=None):
+    def build(cls, model, grid, event_spec=None, b=None, width=None,
+              values=None):
         profiles = tuple(model.profiles_for(grid))
         extra = () if event_spec is None else event_spec.required_sites()
         sites = np.array(sorted(set(model.sites_for(grid)).union(extra)),
                          dtype=np.int64).reshape(-1, grid.dimension)
         matrix = site_matrix(profiles, grid)
-        below = None if b is None else \
-            certified_lower_count(grid, model.background, matrix, b)
+        if b is not None and values is None:
+            values = background_spectrum(grid, model.background).values
+        below = None if b is None else certified_lower_count(values, matrix, b)
         return cls(model, grid, sites, profiles, matrix,
                    background_diagonal(grid, model.background),
                    event_spec, b, width, below)
@@ -293,9 +295,10 @@ def estimate_ise_probability(plan, dimension=2):
             grid = GridSpec(dimension=dimension, side=float(L),
                             spacing=1.0 / plan.points_per_unit,
                             boundary=plan.boundary)
-            a, b = band_edge_of_background(grid, model.background,
-                                           hint=plan.band_edge_hint,
-                                           mode=plan.band_edge_mode)
+            values = background_spectrum(grid, model.background).values
+            a, b = band_edge_of_background(
+                grid, model.background, hint=plan.band_edge_hint,
+                mode=plan.band_edge_mode, values=values)
             try:
                 l = select_scale(L, plan.alpha)
                 event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
@@ -306,7 +309,7 @@ def estimate_ise_probability(plan, dimension=2):
             except ScaleWindowError:
                 l, event_spec, ledger = None, None, None
             ctx = TrialContext.build(model, grid, event_spec, b,
-                                     float(L) ** (-plan.alpha))
+                                     float(L) ** (-plan.alpha), values)
             seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
                                      (L_index, t))
                      for t in range(plan.trials)]

@@ -87,20 +87,71 @@ class TestExitCodes:
         from iselab import eigensolve
         real_eigsh = eigensolve.eigsh
 
-        def sandwich_fails(mat, k, **kwargs):
-            # the shift-invert queries converge, the k=10 sandwich does not
-            if kwargs.get("which") == "SA" and k == 10:
+        def lift_fails(mat, k, **kwargs):
+            # min_eig_above's shift-invert ("LA") does not converge, even
+            # after its nudged retry
+            if kwargs.get("which") == "LA":
                 raise ArpackNoConvergence("no convergence", np.empty(0),
                                           np.empty((0, 0)))
             return real_eigsh(mat, k=k, **kwargs)
 
-        monkeypatch.setattr(eigensolve, "eigsh", sandwich_fails)
-        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
+        monkeypatch.setattr(eigensolve, "eigsh", lift_fails)
         code = main(["lift", "--model", model_file, "--L", "2",
                      "--points-per-unit", "6", "--mode", "bottom",
                      "--scales", "1", "--seed", "3"])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
+
+    def test_window_missed_by_the_t_grid_is_assertion_failure(self, tmp_path,
+                                                               capsys):
+        # indicator bumps with c = 5 on sites -1..1; the lowest branch
+        # crosses the window between the sampled t = 0 and t = 0.05
+        from iselab.grid import GridSpec
+        from iselab.operators import assemble_interpolated
+        from iselab.potentials import load_model
+
+        spec = dict(ZERO_MODEL, single_site={"kind": "ball_indicator",
+                                             "c": 5.0, "delta": 0.45})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        model = load_model(spec)
+        grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
+                        boundary="periodic")
+        a, b = (np.linalg.eigvalsh(assemble_interpolated(
+                    grid, model.background, t, model.profiles_for(grid))
+                    .matrix.toarray())[0] for t in (0.01, 0.04))
+        code = main(["gap", "--model", str(path), "--L", "2",
+                     "--points-per-unit", "3", "--a", repr(float(a)),
+                     "--b", repr(float(b))])
+        assert code == 3
+        assert capsys.readouterr().out.startswith(
+            "1 eigenvalue branch(es) cross the window; 0 intrusion(s)")
+
+    def test_verdicts_solve_no_eigenpairs(self, tmp_path, monkeypatch,
+                                          capsys):
+        # the lift and gap calls of the benchmark's first diagnostics input
+        from iselab import eigensolve
+        from iselab.reference import reference_model_spec
+
+        calls = []
+
+        def spy(name):
+            real = getattr(eigensolve, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("smallest_eigs", "eigs_in_window"):
+            monkeypatch.setattr(eigensolve, name, spy(name))
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(reference_model_spec()))
+        assert main(["lift", "--model", str(path), "--L", "3", "--hint", "36",
+                     "--scales", "1,3", "--seed", "20260824"]) == 0
+        assert main(["gap", "--model", str(path), "--L", "2", "--a", "28",
+                     "--b", "46", "--t-steps", "41"]) == 0
+        assert calls == []
 
     def test_window_intrusion_is_assertion_failure(self, model_file, capsys):
         # the free box operator has an eigenvalue inside (1, 3)

@@ -215,6 +215,22 @@ class TestLowerCountCertificate:
             per_L = estimate_ise_probability(plan).to_json()["per_L"]
             assert per_L[0]["lower_count_certified"] is certified
 
+    def test_one_background_spectrum_per_box_size(self, monkeypatch):
+        calls = []
+        real = ise.background_spectrum
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].side)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ise, "background_spectrum", spy)
+        plan = ExperimentPlan(
+            model=reference_model_spec(), L_values=(4, self.L),
+            alpha=REFERENCE_ALPHA, q=1.0, trials=1,
+            master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
+        estimate_ise_probability(plan)
+        assert calls == [4.0, float(self.L)]
+
     def test_certified_trial_factorizes_once(self, monkeypatch):
         factorizations = []
         real_splu = eigensolve.splu

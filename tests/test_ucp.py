@@ -1,15 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from iselab import rng
 from iselab.errors import EventViolatedError
-from iselab.eigensolve import TOL_EIG, smallest_eigs
-from iselab.events import EventSpec, lifting_bound
+from iselab.eigensolve import TOL_EIG, TOL_GAP, smallest_eigs
+from iselab.events import EventSpec, event_A_indicator, lifting_bound
 from iselab.grid import Ball, GridSpec
-from iselab.operators import (IndicatorMask, build_laplacian, mask_from_balls)
+from iselab.operators import (IndicatorMask, assemble_background,
+                              assemble_hamiltonian, assemble_interpolated,
+                              assemble_test_perturbation, build_laplacian,
+                              mask_from_balls)
 from iselab.potentials import (DisorderConfiguration, indicator_profile,
+                               load_model, sample_configuration,
                                zero_potential)
+from iselab.reference import reference_model_spec
 from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors, ucp_theoretical_bound,
@@ -19,6 +26,18 @@ from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
 @pytest.fixture
 def grid6():
     return GridSpec(dimension=2, side=6.0, spacing=0.125, boundary="periodic")
+
+
+FREE_MODEL = {
+    "G": 1.0,
+    "V0": {"kind": "zero"},
+    "single_site": {"kind": "ball_indicator", "c": 1.0, "delta": 0.25},
+    "disorder": {"kind": "uniform01", "eta": 0.5, "kappa": 0.5},
+}
+
+
+def dense_spectrum(op):
+    return np.linalg.eigvalsh(op.matrix.toarray())
 
 
 class TestTheoreticalBound:
@@ -200,6 +219,75 @@ class TestLiftingExperiment:
         assert rec.predicted_floor == pytest.approx(
             lifting_bound(3, 0.5, 1.0))
 
+    def test_understated_profile_breaks_the_sandwich(self):
+        grid, spec, _, _ = self._setup(0.5)
+        sites = list(spec.required_sites())
+        # every coupling 0.6 is in the event; the profiles are 0.5 on
+        # their balls, so V_omega = 0.3 there
+        cfg = DisorderConfiguration(0, {s: 0.6 for s in sites})
+        truthful = [indicator_profile(s, 0.5, 0.45) for s in sites]
+        rec = lifting_experiment(grid, zero_potential(), cfg, spec, truthful,
+                                 b=-1.0, eta=0.5, c=0.5)
+        assert rec.sandwich_ok
+        # the same bumps claiming c = 1: eta c = 0.5 exceeds V_omega = 0.3
+        understated = [dataclasses.replace(p, lower_bound=1.0)
+                       for p in truthful]
+        rec = lifting_experiment(grid, zero_potential(), cfg, spec,
+                                 understated, b=-1.0, eta=0.5, c=1.0)
+        assert not rec.sandwich_ok
+
+    @pytest.mark.parametrize("single_site", [
+        {"kind": "ball_indicator", "c": 1.0, "delta": 0.45},
+        {"kind": "cone", "c": 1.0, "delta": 0.3, "radius": 0.45},
+    ])
+    def test_node_order_orders_the_dense_spectra(self, single_site):
+        spec_json = reference_model_spec()
+        spec_json["single_site"] = single_site
+        model = load_model(spec_json)
+        grid = GridSpec(dimension=2, side=4.0, spacing=1.0 / 3,
+                        boundary="periodic")
+        spec = EventSpec(dimension=2, l=3, L=4, eta=model.disorder.eta,
+                         kappa=model.disorder.kappa)
+        profiles = model.profiles_for(grid)
+        sites = sorted(set(model.sites_for(grid)) |
+                       set(spec.required_sites()))
+        v0 = model.background
+        amplitude = model.disorder.eta * model.coupling_floor
+        low = dense_spectrum(assemble_background(grid, v0))
+        top = dense_spectrum(assemble_interpolated(grid, v0, 1.0, profiles))
+        checked = 0
+        for t in range(6):
+            cfg = sample_configuration(
+                rng.derive_seed(11, rng.TRIAL_STREAM, (0, t)), sites,
+                model.disorder)
+            if not event_A_indicator(cfg, spec):
+                continue
+            rec = lifting_experiment(grid, v0, cfg, spec, profiles, 0.0,
+                                     model.disorder.eta, model.coupling_floor)
+            if not rec.sandwich_ok:
+                continue
+            _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
+            chain = [low, dense_spectrum(assemble_test_perturbation(
+                         grid, v0, mask, amplitude)),
+                     dense_spectrum(assemble_hamiltonian(grid, v0, cfg,
+                                                         profiles)), top]
+            for lo, hi in zip(chain, chain[1:]):
+                assert np.all(lo <= hi + 1e-9 * (np.abs(hi) + 1.0))
+            checked += 1
+        assert checked >= 4
+
+
+def missed_window_setup():
+    """Free 6 x 6 box with c = 5 indicator bumps on sites -1..1, and the
+    window (lambda_0(H0 + 0.01 W), lambda_0(H0 + 0.04 W))."""
+    grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
+                    boundary="periodic")
+    profiles = [indicator_profile((i, j), 5.0, 0.45)
+                for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    window = tuple(float(dense_spectrum(assemble_interpolated(
+        grid, zero_potential(), t, profiles))[0]) for t in (0.01, 0.04))
+    return grid, profiles, window
+
 
 class TestGapHypothesis:
     def test_trivial_gap_without_perturbation(self):
@@ -223,6 +311,47 @@ class TestGapHypothesis:
         with pytest.raises(ValueError):
             verify_gap_hypothesis(grid, zero_potential(), [], (4.1, 5.9),
                                   [0.0, 0.5, 1.0])
+
+    def test_window_missed_by_the_grid_fails(self):
+        # the lowest branch crosses (lambda_0(t = 0.01), lambda_0(t = 0.04))
+        # between the sampled t = 0 and t = 0.05
+        grid, profiles, window = missed_window_setup()
+        t_grid = [i / 20 for i in range(21)]
+        for t in t_grid:
+            values = dense_spectrum(assemble_interpolated(
+                grid, zero_potential(), t, profiles))
+            assert not np.any((values > window[0]) & (values < window[1]))
+        report = verify_gap_hypothesis(grid, zero_potential(), profiles,
+                                       window, t_grid)
+        assert not report.ok
+        assert report.crossings == 1
+        assert report.intrusions == ()
+        assert report.to_json()["crossings"] == 1
+
+    @pytest.mark.parametrize("spec_json, windows", [
+        (reference_model_spec(), [(28.8, 49.9), (24.0, 25.6), (23.5, 23.9),
+                                  (26.0, 28.5), (28.5, 30.0), (50.0, 50.5)]),
+        (FREE_MODEL, [(0.2, 9.6), (20.0, 35.9), (0.05, 0.08), (9.7, 9.8),
+                      (19.3, 30.0), (36.01, 40.0)]),
+    ])
+    def test_crossings_match_a_fine_scan(self, spec_json, windows):
+        model = load_model(spec_json)
+        grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 6,
+                        boundary="periodic")
+        profiles = model.profiles_for(grid)
+        # row i holds the sorted spectrum at t_i, column j one branch
+        scan = np.array([dense_spectrum(assemble_interpolated(
+            grid, model.background, t, profiles))
+            for t in np.linspace(0.0, 1.0, 401)])
+        crossings = []
+        for a, b in windows:
+            inside = (scan > a + TOL_GAP) & (scan < b - TOL_GAP)
+            report = verify_gap_hypothesis(grid, model.background, profiles,
+                                           (a, b), [i / 20 for i in range(21)])
+            assert report.crossings == int(np.sum(inside.any(axis=0)))
+            assert report.ok == (report.crossings == 0)
+            crossings.append(report.crossings)
+        assert crossings.count(0) == 2 and min(crossings[2:]) >= 1
 
     def test_matches_dense_scan_for_gapped_background(self, gapped_model):
         grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
