@@ -26,12 +26,12 @@ import numpy as np
 from . import __version__, rng
 from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
-from .eigensolve import background_eigs_below
+from .eigensolve import T_GRID_RULE, background_eigs_below
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      exact_event_probability, monte_carlo_event_probability,
                      select_scale)
 from .grid import GridSpec
-from .ise import (ExperimentPlan, band_edge_of_background,
+from .ise import (ExperimentPlan, band_edge_of_background, box_sites,
                   estimate_ise_probability, ids_estimate)
 from .plotting import ids_curve_svg, ise_trend_svg
 from .potentials import load_model, sample_configuration
@@ -188,9 +188,8 @@ def cmd_lift(args):
     for l in (int(s) for s in args.scales.split(",")):
         spec = EventSpec(dimension=args.d, l=l, L=int(args.L),
                          eta=model.disorder.eta, kappa=model.disorder.kappa)
-        sites = sorted(set(model.sites_for(grid)) | set(spec.required_sites()))
-        cfg = _event_configuration(model, spec, sites, args.seed,
-                                   args.attempts)
+        cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
+                                   args.seed, args.attempts)
         records.append(lifting_experiment(
             grid, model.background, cfg, spec, profiles, b,
             model.disorder.eta, model.coupling_floor))
@@ -210,8 +209,8 @@ def cmd_ucp(args):
     grid = _grid(args)
     spec = EventSpec(dimension=args.d, l=args.l, L=int(args.L),
                      eta=model.disorder.eta, kappa=model.disorder.kappa)
-    sites = sorted(set(model.sites_for(grid)) | set(spec.required_sites()))
-    cfg = _event_configuration(model, spec, sites, args.seed, args.attempts)
+    cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
+                               args.seed, args.attempts)
     profiles = model.profiles_for(grid)
     _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
     window = background_eigs_below(grid, model.background, args.energy)
@@ -240,6 +239,8 @@ def cmd_gap(args):
     model = load_model(args.model)
     grid = _grid(args)
     profiles = model.profiles_for(grid)
+    if args.t_steps < 2:   # a grid from t = 0 to t = 1 needs both ends
+        raise ValueError(T_GRID_RULE)
     t_grid = [i / (args.t_steps - 1) for i in range(args.t_steps)]
     report = verify_gap_hypothesis(grid, model.background, profiles,
                                    (args.a, args.b), t_grid)

@@ -267,13 +267,16 @@ def smallest_eigs(op, k):
     return _check_residuals(mat, values, vectors, method, k)
 
 
+T_GRID_RULE = "t_grid must rise strictly in [0, 1] by <= 0.05"
+
+
 def check_t_grid(t_grid):
     """t_grid as a tuple, checked to rise strictly in [0, 1] by <= 0.05."""
     t_grid = tuple(t_grid)
     steps = np.diff(t_grid)
     if (np.any(steps <= 0) or np.any(steps > 0.05 + 1e-12)
             or (t_grid and (t_grid[0] < 0 or t_grid[-1] > 1))):
-        raise ValueError("t_grid must rise strictly in [0, 1] by <= 0.05")
+        raise ValueError(T_GRID_RULE)
     return t_grid
 
 

@@ -5,6 +5,12 @@ large-deviation estimate (1-kappa)^(l^d) into a probability bound of the
 form 1 - L^(-q), together with the scale window that trades that bound
 against the exp(-l^(7/5)) eigenvalue lift.  All smallness is tracked in
 log space: the exponents involved underflow doubles almost immediately.
+
+The cells have a closed form.  For odd l <= L they are the open cubes
+Lambda_l(j) of side l centered at j = l * (-m..m)^d, m = (2L - 1) // (2l),
+the points of lZ^d strictly inside the doubled box (-L, L)^d; each holds
+the l^d integer sites j + {-(l-1)/2 .. (l-1)/2}^d.  EventSpec.cells
+tabulates them, and everything that reads the event reads that table.
 """
 
 import math
@@ -14,7 +20,6 @@ import numpy as np
 
 from . import rng
 from .errors import ScaleWindowError, SearchBudgetError
-from .grid import decompose_cells
 
 
 @dataclass(frozen=True)
@@ -51,34 +56,42 @@ class EventSpec:
             raise ValueError("need l <= L")
 
     def cells(self):
-        return decompose_cells(self.dimension, self.L, self.l, window="2L")
+        """(M, l^d, d) int64 table: row i holds the sites of the i-th cell.
+
+        Rows follow the centers l * (-m..m)^d and entries the offsets
+        {-(l-1)/2 .. (l-1)/2}^d, both in lexicographic order, so the middle
+        entry l^d // 2 of a row is the cell's center.
+        """
+        m = (2 * self.L - 1) // (2 * self.l)
+        centers = self.l * _cube(m, self.dimension)
+        return centers[:, None, :] + _cube(self.l // 2, self.dimension)
 
     def required_sites(self):
-        """All lattice sites appearing in some cell of the doubled box."""
-        cells = self.cells()
-        sites = []
-        for center in cells.centers:
-            sites.extend(cells.lattice_points(center))
-        return sites
+        """All lattice sites of the cells, cell by cell, as int tuples."""
+        return list(map(tuple, self.cells().reshape(-1, self.dimension).tolist()))
+
+
+def _cube(r, d):
+    """The points of {-r..r}^d, lexicographic, as a ((2r+1)^d, d) int64 array."""
+    axis = np.arange(-r, r + 1, dtype=np.int64)
+    return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
+
+
+def cell_hits(cfg, spec):
+    """(spec.cells(), hits), hits[i, k] true iff omega >= eta at entry (i, k)."""
+    table = spec.cells()
+    omega = [cfg[s] for s in table.reshape(-1, spec.dimension).tolist()]
+    return table, np.reshape(omega, table.shape[:2]) >= spec.eta
 
 
 def event_A_indicator(cfg, spec):
     """True iff every cell of the doubled box has a site with coupling >= eta."""
-    cells = spec.cells()
-    for center in cells.centers:
-        if not any(cfg[s] >= spec.eta for s in cells.lattice_points(center)):
-            return False
-    return True
+    return bool(cell_hits(cfg, spec)[1].any(axis=1).all())
 
 
 def cell_count(dimension, L, l):
     """M = #((lZ)^d intersect Lambda_{2L}); exact for (possibly huge) int L."""
-    if isinstance(L, int) and isinstance(l, int):
-        per_axis = 2 * ((2 * L - 1) // (2 * l)) + 1
-    else:
-        per_axis = len(decompose_cells(dimension, L, l).centers) ** (1.0 / dimension)
-        per_axis = int(round(per_axis))
-    return per_axis ** dimension
+    return (2 * ((2 * L - 1) // (2 * l)) + 1) ** dimension
 
 
 def _cell_failure_log(l, d, kappa):
@@ -147,8 +160,7 @@ def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
     every trial draws from one counter-based stream in turn, so the chunk
     size, which only bounds memory, does not change the estimate.
     """
-    cells = spec.cells()
-    m = cells.cell_count
+    m = cell_count(spec.dimension, spec.L, spec.l)
     sites_per_cell = spec.l ** spec.dimension
     gen = rng.stream(seed, rng.EVENT_TRIALS, (0,))
     hits = 0
@@ -162,10 +174,11 @@ def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
     return wilson_interval(hits, trials)
 
 
-def wilson_interval(successes, trials, z=1.959963984540054):
+def wilson_interval(successes, trials):
     """(p_hat, lo, hi): 95% Wilson score interval."""
     if trials <= 0:
         raise ValueError("need at least one trial")
+    z = 1.959963984540054
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

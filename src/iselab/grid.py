@@ -1,13 +1,14 @@
-"""Boxes, balls, cell decompositions and the finite-difference Laplacian.
+"""Boxes, balls and the finite-difference Laplacian.
 
 The open hypercube of side L centered at x is discretized with n = L/h
 cell-centered nodes per axis, so every node lies strictly inside the box
 and, for periodic boundary conditions, wrapping a node by L lands exactly
-on another node.
+on another node.  The cells of the good event are integer boxes with a
+closed-form layout; events.EventSpec.cells tabulates them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -121,61 +122,6 @@ class Ball:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-
-@dataclass(frozen=True)
-class CellDecomposition:
-    """Cells of side l centered on the sub-lattice (l Z)^d inside a window box."""
-
-    dimension: int
-    cell_side: float
-    window_side: float
-    centers: tuple = field(repr=False)
-
-    @property
-    def cell_count(self):
-        return len(self.centers)
-
-    def lattice_points(self, center):
-        """All integer lattice points strictly inside the cell at `center`."""
-        ranges = []
-        for c in center:
-            lo, hi = c - self.cell_side / 2.0, c + self.cell_side / 2.0
-            ranges.append(range(_int_ceil_strict(lo), _int_floor_strict(hi)))
-        out = [()]
-        for r in ranges:
-            out = [p + (z,) for p in out for z in r]
-        return out
-
-
-def _int_ceil_strict(x):
-    """Smallest integer strictly greater than x."""
-    c = math.ceil(x)
-    return c + 1 if c == x else c
-
-def _int_floor_strict(x):
-    """One past the largest integer strictly less than x (for range())."""
-    f = math.floor(x)
-    return f if f == x else f + 1
-
-
-def decompose_cells(dimension, L, l, window="2L"):
-    """Cells Lambda_l(j), j in (lZ)^d intersected with the open window box."""
-    if not 0 < l <= L:
-        raise ValueError("need 0 < l <= L")
-    if window not in ("L", "2L"):
-        raise ValueError("window must be 'L' or '2L'")
-    W = L if window == "L" else 2 * L
-    m_max = int(math.floor((W / 2.0) / l))
-    while m_max * l >= W / 2.0:
-        m_max -= 1
-    axis = [m * l for m in range(-m_max, m_max + 1)]
-    centers = [()]
-    for _ in range(dimension):
-        centers = [c + (a,) for c in centers for a in axis]
-    return CellDecomposition(
-        dimension=dimension, cell_side=l, window_side=W, centers=tuple(centers)
-    )
 
 
 def _lap1d(n, h, boundary):

@@ -43,14 +43,14 @@ from .potentials import (assemble_random_potential, load_model,
 from .ucp import equidistributed_from_event
 
 
-def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GAP,
-                            values=None):
+def band_edge_of_background(grid, v0, hint=None, mode="gap", values=None):
     """Locate (a, b) for the background box operator.
 
     mode 'bottom' returns (-inf, smallest eigenvalue); mode 'gap' finds
     the spectral gap of H_{0,L} containing the hinted energy and returns
-    its endpoints, b being the infimum of the spectrum above the gap.
-    Both read the exact background spectrum (`values` if the caller has it).
+    its endpoints, b being the infimum of the spectrum above the gap, which
+    must be wider than 10 tol_gap.  Both read the exact background spectrum
+    (`values` if the caller has it).
     """
     if mode != "bottom" and hint is None:
         raise ValueError("gap mode needs an energy hint")
@@ -61,9 +61,9 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", min_gap=10 * TOL_GA
     if split == 0 or split == values.size:
         raise GapNotFoundError(f"hint {hint} is outside the computed spectrum")
     a, b = float(values[split - 1]), float(values[split])
-    if b - a <= min_gap:
+    if b - a <= 10 * TOL_GAP:
         raise GapNotFoundError(
-            f"no gap wider than {min_gap:g} near {hint}: found ({a}, {b})"
+            f"no gap wider than {10 * TOL_GAP:g} near {hint}: found ({a}, {b})"
         )
     return a, b
 
@@ -128,12 +128,21 @@ class ExperimentPlan:
         )
 
 
+def box_sites(model, grid, event_spec=None):
+    """The profile lattice of the box and the event's cell sites.
+
+    A sorted (m, d) int64 array: every coupling a trial on this box draws.
+    """
+    extra = () if event_spec is None else event_spec.required_sites()
+    return np.array(sorted(set(model.sites_for(grid)).union(extra)),
+                    dtype=np.int64).reshape(-1, grid.dimension)
+
+
 @dataclass(frozen=True, eq=False)
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
-    `sites` is the sorted profile lattice together with the event sites,
-    as an (m, d) integer array, and `site_matrix` is
+    `sites` is box_sites(model, grid, event_spec), and `site_matrix` is
     U = site_matrix(profiles, grid), so that V_omega = U @ omega.  b and
     width are those of the window [b, b + width); counting-function runs
     leave them unset.  `certified_below` is certified_lower_count at b, or
@@ -155,9 +164,7 @@ class TrialContext:
     def build(cls, model, grid, event_spec=None, b=None, width=None,
               values=None):
         profiles = tuple(model.profiles_for(grid))
-        extra = () if event_spec is None else event_spec.required_sites()
-        sites = np.array(sorted(set(model.sites_for(grid)).union(extra)),
-                         dtype=np.int64).reshape(-1, grid.dimension)
+        sites = box_sites(model, grid, event_spec)
         matrix = site_matrix(profiles, grid)
         if b is not None and values is None:
             values = background_spectrum(grid, model.background).values
@@ -170,9 +177,7 @@ class TrialContext:
         """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
         v_omega = assemble_random_potential(cfg, self.profiles, self.grid,
                                             self.site_matrix)
-        return assemble_schrodinger(
-            self.grid, self.v0_nodes + v_omega,
-            f"random:{self.model.background.description}", seed=cfg.seed)
+        return assemble_schrodinger(self.grid, self.v0_nodes + v_omega)
 
 
 def run_ise_trial(ctx, seed):
@@ -240,8 +245,8 @@ class ISEPerL:
     ledger: object
     trial_records: tuple = field(repr=False)
 
-    def to_json(self, include_trials=True):
-        out = {
+    def to_json(self):
+        return {
             "L": self.L, "l": self.l, "band_edge": self.band_edge,
             "gap_lower": None if math.isinf(self.gap_lower) else self.gap_lower,
             "window_width": self.window_width,
@@ -251,10 +256,8 @@ class ISEPerL:
             "event_count": self.event_count,
             "p_hat": self.p_hat, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
             "ledger": None if self.ledger is None else self.ledger.to_json(),
+            "trial_records": [dict(r) for r in self.trial_records],
         }
-        if include_trials:
-            out["trial_records"] = [dict(r) for r in self.trial_records]
-        return out
 
 
 @dataclass(frozen=True)
@@ -262,11 +265,11 @@ class ISEReport:
     plan: ExperimentPlan
     per_L: tuple
 
-    def to_json(self, include_trials=True):
+    def to_json(self):
         return {
             "alpha": self.plan.alpha, "q": self.plan.q,
             "trials": self.plan.trials, "seed": self.plan.master_seed,
-            "per_L": [p.to_json(include_trials) for p in self.per_L],
+            "per_L": [p.to_json() for p in self.per_L],
         }
 
     CSV_COLUMNS = ("L", "l", "window", "trials", "valid", "p_hat",

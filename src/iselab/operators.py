@@ -5,8 +5,6 @@ matrix-level ordering H0 <= H0 + eta*c*chi_S <= H_omega <= H0 + W is exact
 whenever the corresponding nodewise inequalities hold.
 """
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +17,9 @@ from .potentials import assemble_random_potential, assemble_w
 
 @dataclass(frozen=True)
 class SparseSymmetricOperator:
-    """Assembled symmetric operator with provenance metadata."""
+    """Assembled symmetric operator."""
 
     matrix: object = field(repr=False)   # scipy CSR
-    grid: object
-    description: str
-    content_hash: str
 
     @property
     def shape(self):
@@ -60,34 +55,20 @@ def mask_from_balls(grid, balls):
     return IndicatorMask(np.concatenate(pieces))
 
 
-def _content_hash(grid, description, seed=None):
-    payload = {
-        "d": grid.dimension, "L": grid.side, "h": grid.spacing,
-        "bc": grid.boundary, "center": grid.center,
-        "potential": description, "seed": seed,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _wrap(matrix, grid, description, seed=None):
+def _wrap(matrix):
     matrix = sparse.csr_matrix(matrix)
     matrix.sum_duplicates()
-    return SparseSymmetricOperator(
-        matrix=matrix, grid=grid, description=description,
-        content_hash=_content_hash(grid, description, seed),
-    )
+    return SparseSymmetricOperator(matrix)
 
 
 def build_laplacian(grid):
     """Discrete -Laplacian with the grid's boundary condition."""
-    return _wrap(laplacian_matrix(grid), grid, "laplacian")
+    return _wrap(laplacian_matrix(grid))
 
 
-def assemble_schrodinger(grid, diagonal, description, seed=None):
+def assemble_schrodinger(grid, diagonal):
     """-Laplacian + diag(diagonal): the step every assemble_* ends with."""
-    lap = laplacian_matrix(grid)
-    return _wrap(lap + sparse.diags(diagonal), grid, description, seed)
+    return _wrap(laplacian_matrix(grid) + sparse.diags(diagonal))
 
 
 def background_diagonal(grid, v0):
@@ -96,15 +77,13 @@ def background_diagonal(grid, v0):
 
 def assemble_background(grid, v0):
     """H_{0,L} = -Laplacian + V0."""
-    return assemble_schrodinger(grid, background_diagonal(grid, v0),
-                                f"background:{v0.description}")
+    return assemble_schrodinger(grid, background_diagonal(grid, v0))
 
 
 def assemble_hamiltonian(grid, v0, cfg, profiles):
     """H_{omega,L} = -Laplacian + V0 + V_omega."""
     diag = background_diagonal(grid, v0) + assemble_random_potential(cfg, profiles, grid)
-    return assemble_schrodinger(grid, diag, f"random:{v0.description}",
-                                seed=cfg.seed)
+    return assemble_schrodinger(grid, diag)
 
 
 def assemble_interpolated(grid, v0, t, profiles):
@@ -112,8 +91,7 @@ def assemble_interpolated(grid, v0, t, profiles):
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     diag = background_diagonal(grid, v0) + t * assemble_w(profiles, grid)
-    return assemble_schrodinger(grid, diag,
-                                f"interpolated(t={t}):{v0.description}")
+    return assemble_schrodinger(grid, diag)
 
 
 def assemble_test_perturbation(grid, v0, mask, amplitude):
@@ -123,5 +101,4 @@ def assemble_test_perturbation(grid, v0, mask, amplitude):
     if mask.size == 0:
         raise IselabError("empty indicator mask")
     diag = background_diagonal(grid, v0) + amplitude * mask.indicator(grid.num_points)
-    return assemble_schrodinger(
-        grid, diag, f"test_perturbation(a={amplitude}):{v0.description}")
+    return assemble_schrodinger(grid, diag)

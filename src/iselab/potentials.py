@@ -32,7 +32,6 @@ class PeriodicPotential:
     period: float
     axis_term: object = field(repr=False)
     sup_bound: float
-    description: str = "custom"
     offset: float = 0.0
 
     def axis_values(self, coords):
@@ -56,19 +55,18 @@ def _no_axis_term(x):
 
 
 def zero_potential(period=1.0):
-    return PeriodicPotential(period, _no_axis_term, 0.0, "zero")
+    return PeriodicPotential(period, _no_axis_term, 0.0)
 
 
 def constant_potential(value, period=1.0):
     return PeriodicPotential(period, _no_axis_term, abs(value),
-                             f"constant({value})", offset=float(value))
+                             offset=float(value))
 
 
 def separable_square_potential(amplitude, period=1.0, duty=0.5):
     """V0(x) = amplitude * sum_i s(x_i) with s a square wave of given duty."""
     a, g, w = float(amplitude), float(period), float(duty)
-    return PeriodicPotential(g, square_wave_1d(a, g, w), math.inf,
-                             f"separable_square({a},{g},{w})")
+    return PeriodicPotential(g, square_wave_1d(a, g, w), math.inf)
 
 
 def _square_wave(amplitude, period, duty, x):
@@ -94,7 +92,6 @@ class SingleSiteProfile:
     ball_radius: float           # delta
     ball_center: tuple           # x_j
     support_radius: float
-    description: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "site", tuple(int(s) for s in self.site))
@@ -126,16 +123,14 @@ def indicator_profile(site, c, delta, period=1.0):
     """u_j = c * indicator(B_delta(j*G)); the minimal admissible profile."""
     center = tuple(float(s) * period for s in site)
     return SingleSiteProfile(site, partial(_indicator, center, c, delta), c,
-                             delta, center, delta,
-                             f"indicator(c={c},delta={delta})")
+                             delta, center, delta)
 
 
 def cone_profile(site, peak, radius, c, delta, period=1.0):
     """Linear cone of height `peak`; certified bound needs peak*(1-delta/radius) >= c."""
     center = tuple(float(s) * period for s in site)
     return SingleSiteProfile(site, partial(_cone, center, peak, radius), c,
-                             delta, center, radius,
-                             f"cone(peak={peak},radius={radius})")
+                             delta, center, radius)
 
 
 @dataclass(frozen=True)
@@ -356,9 +351,9 @@ class PotentialModel:
             return cone_profile(site, peak, radius, c, delta, self.period)
         raise ValueError(self.site_kind)
 
-    def sites_for(self, grid, margin=None):
+    def sites_for(self, grid):
         """Integer site indices whose support can intersect the grid box."""
-        reach = self.support_radius if margin is None else margin
+        reach = self.support_radius
         g = self.period
         ranges = []
         for k in range(grid.dimension):

@@ -16,10 +16,10 @@ from .errors import EventViolatedError, IselabError
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, check_t_grid,
                          count_below, lowest_in_spectrum_above, min_eig_above,
                          track_family)
-from .events import EquidistributedSequence, event_A_indicator, lifting_bound
+from .events import EquidistributedSequence, cell_hits, lifting_bound
 from .grid import Ball
-from .operators import (assemble_hamiltonian, assemble_interpolated,
-                        assemble_test_perturbation, mask_from_balls)
+from .operators import (assemble_interpolated, assemble_schrodinger,
+                        background_diagonal, mask_from_balls)
 from .potentials import assemble_random_potential, site_matrix
 
 
@@ -94,9 +94,9 @@ def fit_ucp_constant(samples):
     return fitted, per_sample
 
 
-def random_subspace_vectors(vectors, count, seed, index=()):
+def random_subspace_vectors(vectors, count, seed):
     """Seeded random unit combinations spanning the computed subspace."""
-    gen = rng.stream(seed, rng.COMBINATIONS, index)
+    gen = rng.stream(seed, rng.COMBINATIONS)
     out = []
     for _ in range(count):
         coeff = gen.normal(size=vectors.shape[1])
@@ -109,18 +109,20 @@ def equidistributed_from_event(cfg, spec, profiles, grid):
     """Pick one qualifying site per cell and build the ball-union mask.
 
     The per-cell choice is the lexicographically smallest site of J(omega)
-    in the cell, so the selection is deterministic.
+    in the cell, the first qualifying entry of its row of spec.cells(), so
+    the selection is deterministic.
     """
-    if not event_A_indicator(cfg, spec):
+    table, hits = cell_hits(cfg, spec)
+    if not hits.any(axis=1).all():
         raise EventViolatedError("configuration is not in the event")
+    chosen = table[np.arange(len(table)), hits.argmax(axis=1)].tolist()
+    centers = table[:, table.shape[1] // 2].tolist()
     by_site = {p.site: p for p in profiles}
-    cells = spec.cells()
     points = {}
     balls = []
     delta = None
-    for center in cells.centers:
-        chosen = min(s for s in cells.lattice_points(center) if cfg[s] >= spec.eta)
-        profile = by_site.get(chosen)
+    for center, site in zip(map(tuple, centers), map(tuple, chosen)):
+        profile = by_site.get(site)
         if profile is None:
             # sites outside the profile lattice cannot contribute mass
             # inside the box; their cells are still covered by the event
@@ -168,20 +170,23 @@ def lifting_experiment(grid, v0, cfg, spec, profiles, b, eta, c):
     H0 <= H0 + eta c chi_S <= H_omega <= H0 + W with no eigensolve: all four
     share -Laplacian + V0, so the order holds iff eta c chi_S <= V_omega <= W
     node by node (up to the 1e-12 verify_single_site_bound allows, which Weyl
-    bounds), and min-max then orders the eigenvalues at every index.
+    bounds), and min-max then orders the eigenvalues at every index.  V0 at
+    the nodes and U = site_matrix(profiles, grid) are built once and serve
+    both the operators and the check.
     """
+    if eta * c < 0:
+        raise ValueError("amplitude must be nonnegative")
     sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    h_pert = assemble_test_perturbation(grid, v0, mask, eta * c)
-    h_rand = assemble_hamiltonian(grid, v0, cfg, profiles)
+    v0_nodes = background_diagonal(grid, v0)
+    matrix = site_matrix(profiles, grid)
+    v_test = eta * c * mask.indicator(grid.num_points)
+    v_rand = assemble_random_potential(cfg, profiles, grid, matrix)
 
     k0, lam0 = lowest_in_spectrum_above(background_spectrum(grid, v0).values, b)
-    lam_pert = min_eig_above(h_pert, b)
-    lam_rand = min_eig_above(h_rand, b)
-
-    matrix = site_matrix(profiles, grid)
-    v_rand = assemble_random_potential(cfg, profiles, grid, matrix)
+    lam_pert = min_eig_above(assemble_schrodinger(grid, v0_nodes + v_test), b)
+    lam_rand = min_eig_above(assemble_schrodinger(grid, v0_nodes + v_rand), b)
     sandwich_ok = bool(
-        np.all(eta * c * mask.indicator(grid.num_points) <= v_rand + 1e-12)
+        np.all(v_test <= v_rand + 1e-12)
         and np.all(v_rand <= matrix @ np.ones(len(profiles)) + 1e-12))
 
     observed = lam_pert - lam0

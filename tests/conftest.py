@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from iselab.grid import GridSpec
@@ -20,3 +23,26 @@ def fine_grid():
 def gapped_model():
     from iselab.reference import reference_model_spec
     return load_model(reference_model_spec())
+
+
+def _brute_force_cells(spec):
+    """[(center, sites)] of the event's cells, found by filtering.
+
+    Centers are the points of lZ^d in the open box (-L, L)^d and a cell's
+    sites the integer points strictly inside the open cube of side l around
+    its center, both filtered from the integer points of [-2L, 2L]^d and so
+    both in lexicographic order.
+    """
+    L, l = spec.L, spec.l
+    pts = np.array(list(itertools.product(range(-2 * L, 2 * L + 1),
+                                          repeat=spec.dimension)))
+    centers = pts[((pts % l) == 0).all(axis=1) & (np.abs(pts) < L).all(axis=1)]
+    return [(tuple(j), [tuple(p) for p in
+                        pts[(np.abs(pts - j) < l / 2.0).all(axis=1)].tolist()])
+            for j in centers.tolist()]
+
+
+@pytest.fixture(scope="session")
+def brute_force_cells():
+    """Independent oracle for EventSpec.cells(): see _brute_force_cells."""
+    return _brute_force_cells

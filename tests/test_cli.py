@@ -74,6 +74,15 @@ class TestExitCodes:
     def test_empty_scale_window_is_input_error(self, capsys):
         assert main(["scale", "--L", "6", "--alpha", "0.4"]) == 1
 
+    @pytest.mark.parametrize("steps", ["0", "1", "20"])
+    def test_t_grid_too_coarse_is_input_error(self, model_file, capsys, steps):
+        code = main(["gap", "--model", model_file, "--L", "2",
+                     "--points-per-unit", "3", "--a", "1.0", "--b", "3.0",
+                     "--t-steps", steps])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: t_grid must rise strictly in [0, 1] by <= 0.05")
+
     def test_failing_ledger_is_assertion_failure(self, capsys):
         code = main(["scale", "--L", "5000", "--alpha", "0.9", "--q", "1.0",
                      "--kappa", "0.5"])

@@ -31,17 +31,21 @@ class TestEventIndicator:
         values[(1, -1)] = 0.0
         assert not event_A_indicator(config_from(values), spec)
 
-    def test_matches_brute_force_conjunction(self):
-        spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
+    def test_matches_brute_force_conjunction(self, brute_force_cells):
         gen = np.random.default_rng(1)
-        for _ in range(50):
-            values = {s: float(gen.random()) for s in spec.required_sites()}
-            cfg = config_from(values)
-            brute = all(
-                any(values[s] >= spec.eta
-                    for s in spec.cells().lattice_points(center))
-                for center in spec.cells().centers)
-            assert event_A_indicator(cfg, spec) == brute
+        # nine cells each; eta makes the event hold about half the time
+        for spec in (EventSpec(dimension=2, l=1, L=2, eta=0.075, kappa=0.5),
+                     EventSpec(dimension=2, l=3, L=4, eta=0.75, kappa=0.5)):
+            cells = brute_force_cells(spec)
+            seen = set()
+            for _ in range(50):
+                values = {s: float(gen.random())
+                          for _, sites in cells for s in sites}
+                brute = all(any(values[s] >= spec.eta for s in sites)
+                            for _, sites in cells)
+                assert event_A_indicator(config_from(values), spec) == brute
+                seen.add(brute)
+            assert seen == {True, False}
 
     def test_even_l_rejected(self):
         with pytest.raises(ValueError):
@@ -110,6 +114,26 @@ class TestExactProbability:
         bumped = EventSpec(dimension=2, l=l, L=L, eta=0.5,
                            kappa=min(1.0, kappa + 0.05))
         assert exact_event_probability(bumped) >= p - 1e-15
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("d, l, L", [(2, 1, 2), (2, 1, 5), (2, 3, 3),
+                                         (2, 3, 7), (2, 5, 9), (2, 7, 8),
+                                         (3, 1, 2), (3, 1, 4), (3, 3, 4),
+                                         (3, 3, 5), (3, 5, 6)])
+    def test_matches_brute_force(self, brute_force_cells, d, l, L):
+        spec = EventSpec(dimension=d, l=l, L=L, eta=0.5, kappa=0.5)
+        table = spec.cells()
+        want = brute_force_cells(spec)
+        assert table.dtype == np.int64
+        assert table.shape == (cell_count(d, L, l), l ** d, d)
+        assert [tuple(r) for r in table[:, l ** d // 2].tolist()] == \
+            [center for center, _ in want]
+        rows = [list(map(tuple, row)) for row in table.tolist()]
+        assert rows == [sites for _, sites in want]
+        flat = [s for row in rows for s in row]
+        assert len(set(flat)) == len(flat)
+        assert spec.required_sites() == flat
 
 
 class TestCellCount:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iselab.errors import MemoryBudgetError
-from iselab.grid import (Ball, GridSpec, decompose_cells,
-                         laplacian_eigenvalues, laplacian_eigenvalues_1d,
-                         laplacian_matrix)
+from iselab.events import EventSpec
+from iselab.grid import (Ball, GridSpec, laplacian_eigenvalues,
+                         laplacian_eigenvalues_1d, laplacian_matrix)
 
 
 def strict_lattice_count(center, side):
@@ -105,37 +105,48 @@ class TestLaplacian:
 
 
 class TestCellDecomposition:
+    """The closed-form cell table of the good event, EventSpec.cells()."""
+
+    @staticmethod
+    def centers(spec):
+        table = spec.cells()
+        return [tuple(c) for c in table[:, table.shape[1] // 2].tolist()]
+
     def test_nine_unit_cells_in_doubled_box(self):
-        cells = decompose_cells(2, 2, 1, window="2L")
-        want = {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
-        assert set(cells.centers) == want
+        spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
+        want = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        assert self.centers(spec) == want
+        assert spec.cells().shape == (9, 1, 2)
 
     def test_single_cell_when_l_equals_L(self):
-        cells = decompose_cells(2, 3, 3, window="L")
-        assert set(cells.centers) == {(0, 0)}
+        spec = EventSpec(dimension=2, l=3, L=3, eta=0.5, kappa=0.5)
+        assert self.centers(spec) == [(0, 0)]
 
     def test_coarse_cells_in_doubled_box(self):
-        cells = decompose_cells(2, 6, 3, window="2L")
-        want = {(i, j) for i in (-3, 0, 3) for j in (-3, 0, 3)}
-        assert set(cells.centers) == want
+        spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.5)
+        want = [(i, j) for i in (-3, 0, 3) for j in (-3, 0, 3)]
+        assert self.centers(spec) == want
 
     def test_rejects_l_larger_than_L(self):
         with pytest.raises(ValueError):
-            decompose_cells(2, 2, 3)
+            EventSpec(dimension=2, l=3, L=2, eta=0.5, kappa=0.5)
 
     @pytest.mark.parametrize("l", [1, 3, 5])
     def test_odd_cells_hold_l_to_the_d_lattice_points(self, l):
-        cells = decompose_cells(2, 15, l, window="L")
-        for center in cells.centers:
-            assert len(cells.lattice_points(center)) == l ** 2
+        spec = EventSpec(dimension=2, l=l, L=15, eta=0.5, kappa=0.5)
+        table = spec.cells()
+        assert table.shape[1] == l ** 2
+        for row in table:
+            center = row[l ** 2 // 2]
+            assert np.all(np.abs(row - center) < l / 2.0)
+            assert len({tuple(p) for p in row.tolist()}) == l ** 2
 
     def test_cells_partition_the_lattice_points(self):
-        cells = decompose_cells(2, 6, 3, window="2L")
+        spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.5)
         seen = []
-        for center in cells.centers:
-            pts = list(cells.lattice_points(center))
-            assert len(pts) == strict_lattice_count(center, cells.cell_side)
-            seen.extend(pts)
+        for center, row in zip(self.centers(spec), spec.cells().tolist()):
+            assert len(row) == strict_lattice_count(center, spec.l)
+            seen.extend(map(tuple, row))
         assert len(seen) == len(set(seen))
         # the union covers exactly the points inside the union of the cells
         want = {(i, j) for i in range(-4, 5) for j in range(-4, 5)}
@@ -146,7 +157,7 @@ class TestCellDecomposition:
     def test_lattice_counts_match_brute_force(self, L, l):
         if l > L:
             return
-        cells = decompose_cells(2, L, l, window="2L")
-        for center in list(cells.centers)[:5]:
-            assert len(cells.lattice_points(center)) == \
-                strict_lattice_count(center, l)
+        spec = EventSpec(dimension=2, l=l, L=L, eta=0.5, kappa=0.5)
+        for center, row in list(zip(self.centers(spec), spec.cells()))[:5]:
+            assert len(row) == strict_lattice_count(center, l)
+            assert np.all(np.abs(row - center) < l / 2.0)

@@ -50,14 +50,6 @@ class TestAssembly:
         assert np.array_equal(lap.matrix.indices, h.matrix.indices)
         assert np.array_equal(lap.matrix.indptr, h.matrix.indptr)
 
-    def test_content_hash_tracks_configuration_seed(self, grid6):
-        p = [indicator_profile((0, 0), 1.0, 0.45)]
-        h1 = assemble_hamiltonian(grid6, zero_potential(),
-                                  DisorderConfiguration(1, {(0, 0): 1.0}), p)
-        h2 = assemble_hamiltonian(grid6, zero_potential(),
-                                  DisorderConfiguration(2, {(0, 0): 1.0}), p)
-        assert h1.content_hash != h2.content_hash
-
 
 class TestInterpolatedFamily:
     def test_endpoints(self, grid6):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from iselab import rng
+from iselab import operators, potentials, rng, ucp
 from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, smallest_eigs
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
@@ -149,40 +149,51 @@ class TestEquidistributedSelection:
     def _profiles(self, sites, delta=0.45):
         return [indicator_profile(s, 1.0, delta) for s in sites]
 
-    def test_lexicographically_smallest_per_cell(self):
+    def test_lexicographically_smallest_per_cell(self, brute_force_cells):
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
-        cfg = DisorderConfiguration(0, {s: 1.0 for s in spec.required_sites()})
-        profiles = self._profiles([s for s in spec.required_sites()
+        cells = brute_force_cells(spec)
+        sites = [s for _, cell in cells for s in cell]
+        cfg = DisorderConfiguration(0, {s: 1.0 for s in sites})
+        profiles = self._profiles([s for s in sites
                                    if max(abs(s[0]), abs(s[1])) <= 3])
         sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-        for center, point in sequence.points.items():
-            want = min(spec.cells().lattice_points(center))
-            assert point == tuple(float(w) for w in want)
+        # cells whose smallest site has no profile drop out of the sequence
+        want = {center: tuple(float(w) for w in min(cell))
+                for center, cell in cells
+                if max(abs(w) for w in min(cell)) <= 3}
+        assert sequence.points == want
+        assert all(type(w) is int for center in want for w in center)
         assert mask.node_indices.size > 0
 
-    def test_matches_brute_force_choice(self):
-        spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
+    def test_matches_brute_force_choice(self, brute_force_cells):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
         gen = np.random.default_rng(3)
-        for _ in range(20):
-            values = {s: float(gen.random()) for s in spec.required_sites()}
-            cfg = DisorderConfiguration(0, values)
-            cells = spec.cells()
-            if not all(any(values[s] >= spec.eta
-                           for s in cells.lattice_points(c))
-                       for c in cells.centers):
-                continue
-            profiles = self._profiles(list(spec.required_sites()))
-            sequence, _ = equidistributed_from_event(cfg, spec, profiles,
-                                                     grid)
-            for center in cells.centers:
-                want = min(s for s in cells.lattice_points(center)
-                           if values[s] >= spec.eta)
-                assert sequence.points[center] == \
-                    tuple(float(w) for w in want)
+        # nine cells each; eta makes the event hold about half the time
+        for spec in (EventSpec(dimension=2, l=1, L=2, eta=0.075, kappa=0.9),
+                     EventSpec(dimension=2, l=3, L=6, eta=0.75, kappa=0.9)):
+            cells = brute_force_cells(spec)
+            sites = [s for _, cell in cells for s in cell]
+            profiles = self._profiles(sites)
+            checked = 0
+            for _ in range(20):
+                values = {s: float(gen.random()) for s in sites}
+                cfg = DisorderConfiguration(0, values)
+                if not all(any(values[s] >= spec.eta for s in cell)
+                           for _, cell in cells):
+                    with pytest.raises(EventViolatedError):
+                        equidistributed_from_event(cfg, spec, profiles, grid)
+                    continue
+                sequence, _ = equidistributed_from_event(cfg, spec, profiles,
+                                                         grid)
+                assert sequence.points == {
+                    center: tuple(float(w) for w in
+                                  min(s for s in cell if values[s] >= spec.eta))
+                    for center, cell in cells}
+                checked += 1
+            assert 0 < checked < 20
 
     def test_event_violation_is_an_error(self):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
@@ -218,6 +229,26 @@ class TestLiftingExperiment:
         assert rec.sandwich_ok
         assert rec.predicted_floor == pytest.approx(
             lifting_bound(3, 0.5, 1.0))
+
+    def test_builds_u_and_v0_once(self, monkeypatch):
+        grid, spec, cfg, profiles = self._setup(0.5)
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((ucp, "site_matrix"), (potentials, "site_matrix"),
+                             (ucp, "background_diagonal"),
+                             (operators, "background_diagonal")):
+            spy(module, name)
+        lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
+                           b=-1.0, eta=0.5, c=1.0)
+        assert sorted(calls) == ["background_diagonal", "site_matrix"]
 
     def test_understated_profile_breaks_the_sandwich(self):
         grid, spec, _, _ = self._setup(0.5)
