@@ -6,9 +6,11 @@ the eigenvalues below sigma.  Whether a window holds spectrum is a
 difference of two counts and needs no eigensolve.  A query that must
 report eigenvalues counts first and then makes one solve with exactly that
 many: dense up to DENSE_CUTOFF nodes where eigenpairs are enumerated,
-ARPACK otherwise.  Every returned pair is residual-checked against tol_eig,
-and failures surface as SolverError with telemetry instead of silently
-truncated results.
+ARPACK otherwise.  The lowest eigenvalue above an energy (`min_eig_above`)
+is one ARPACK shift-invert run on the trusted LDL^T of the count, not on
+a pivoted LU of its own.  Every returned pair is residual-checked against
+tol_eig, and failures surface as SolverError with telemetry instead of
+silently truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import SolverError
 from .grid import _lap1d
@@ -139,7 +141,7 @@ def _nudge(sigma):
 
 
 def _inertia(mat, sigma):
-    """#{lambda < sigma}, or None when the factor cannot be trusted.
+    """(factor, #{lambda < sigma}), or None when the factor cannot be trusted.
 
     SuperLU in symmetric mode factors P (H - sigma I) P^T = L D L^T, so by
     Sylvester's law of inertia the negative pivots count the eigenvalues
@@ -160,7 +162,17 @@ def _inertia(mat, sigma):
     noise = 64 * eps * max(abs(shifted).sum(axis=0).max(), size.max())
     if size.min() <= noise or eps * size.max() > TOL_EIG * (1.0 + abs(sigma)):
         return None
-    return int(np.count_nonzero(pivots < 0))
+    return lu, int(np.count_nonzero(pivots < 0))
+
+
+def _trusted_ldlt(mat, sigma):
+    """(factor, count, shift): _inertia at sigma, or after one upward nudge."""
+    for shift in (sigma, _nudge(sigma)):
+        factor = _inertia(mat, shift)
+        if factor is not None:
+            return (*factor, shift)
+    raise SolverError("no trusted LDL^T factor at sigma or after a nudge",
+                      telemetry={"sigma": sigma})
 
 
 def count_below(op, sigma):
@@ -170,14 +182,7 @@ def count_below(op, sigma):
     sigma counts as below (count_below(op, E) = #{lambda <= E}), as may one
     within the nudge above it.
     """
-    mat = _matrix(op)
-    count = _inertia(mat, sigma)
-    if count is None:
-        count = _inertia(mat, _nudge(sigma))
-    if count is None:
-        raise SolverError("no trusted LDL^T factor at sigma or after a nudge",
-                          telemetry={"sigma": sigma})
-    return count
+    return _trusted_ldlt(_matrix(op), sigma)[1]
 
 
 def eigs_below(op, threshold):
@@ -185,18 +190,16 @@ def eigs_below(op, threshold):
     return smallest_eigs(op, count_below(op, threshold - TOL_EIG))
 
 
-def _shift_invert(mat, sigma, k, which="LM"):
+def _shift_invert(mat, sigma, k):
     v0 = start_vector(mat.shape[0])
     try:
-        return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
-                     which=which, v0=v0)
+        return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma, v0=v0)
     except RuntimeError:
         # sigma may coincide with an eigenvalue (SuperLU reports an exactly
         # singular factor) or ARPACK failed to converge; nudge and retry once
         sigma = _nudge(sigma)
         try:
-            return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma,
-                         which=which, v0=v0)
+            return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma, v0=v0)
         except RuntimeError as exc:
             raise SolverError(f"shift-invert failed: {exc}",
                               telemetry={"sigma": sigma, "k": k})
@@ -207,9 +210,20 @@ def min_eig_above(op, b):
 
     In shift-invert mode "LA" selects the largest 1 / (lambda - sigma), which
     is the eigenvalue closest above sigma = b - tol_eig; when none lies
-    above, ARPACK returns one below sigma instead.
+    above, ARPACK returns one below sigma instead.  ARPACK applies
+    (H - sigma I)^-1 through the trusted LDL^T that count_below uses (an
+    untrusted one takes its one nudge), not through a pivoted LU of its own.
     """
-    values, _ = _shift_invert(_matrix(op), b - TOL_EIG, 1, which="LA")
+    mat = _matrix(op)
+    lu, _, sigma = _trusted_ldlt(mat, b - TOL_EIG)
+    try:
+        values, _ = eigsh(mat, k=1, sigma=sigma, which="LA",
+                          v0=start_vector(mat.shape[0]),
+                          OPinv=LinearOperator(mat.shape, matvec=lu.solve,
+                                               dtype=mat.dtype))
+    except RuntimeError as exc:  # ARPACK non-convergence
+        raise SolverError(f"shift-invert failed: {exc}",
+                          telemetry={"sigma": sigma, "k": 1})
     if values[0] < b - TOL_EIG:
         raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
     return float(values[0])

@@ -84,6 +84,11 @@ def cell_hits(cfg, spec):
     return table, np.reshape(omega, table.shape[:2]) >= spec.eta
 
 
+def cell_choice(table, hits):
+    """(M, d): each cell's first qualifying site, lexicographically smallest."""
+    return table[np.arange(len(table)), hits.argmax(axis=1)]
+
+
 def event_A_indicator(cfg, spec):
     """True iff every cell of the doubled box has a site with coupling >= eta."""
     return bool(cell_hits(cfg, spec)[1].any(axis=1).all())

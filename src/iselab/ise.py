@@ -4,11 +4,12 @@ the finite-volume counting-function diagnostic.
 Everything the trials at one box size share (grid, site coordinates,
 profiles, the site-to-node matrix U, V0 at the nodes and the certified
 lower count) is built once into a TrialContext.  A trial is one vectorized
-draw of the couplings omega, V_omega = U @ omega, and one count at the top
-of the window (a second only when the window holds spectrum, for the
-borderline flag).  Trials are pure functions of (context, seed), and seeds
-of (master seed, L index, trial index), so the estimate is byte-identical
-no matter how trials are distributed over worker processes.
+draw of the couplings omega, V_omega = U @ omega, one lookup of omega over
+the good event's cells, and at most one count at the top of the window (a
+second only when the window holds spectrum, for the borderline flag).
+Trials are pure functions of (context, seed), and seeds of (master seed,
+L index, trial index), so the estimate is byte-identical no matter how
+trials are distributed over worker processes.
 
 The count below the window needs no factorization where operator order
 settles it.  Couplings lie in [0, 1] and U >= 0, so 0 <= V_omega <= s node
@@ -19,13 +20,23 @@ lambda_k(H0) + s < b - tol_eig - tol_gap, every H_omega has exactly k
 eigenvalues below b - tol_eig.  The certificate is refused, and the trial
 counts at b - tol_eig as well, when U has a negative entry or s does not
 fit below the gap; each per-L entry records which held.
+
+On the good event the paper's test perturbation clears the window, and so
+does the code: the test operator H_pert = H0 + eta c chi_S depends on omega
+only through each cell's chosen site, so its lift and its count at
+b + width are solved once per box size and choice (event_lift, memoized in
+each process).  When V_omega >= eta c chi_S node by node, H_omega >= H_pert,
+and when H_pert has the certified k eigenvalues below b + width, min-max
+leaves H_omega's window empty: the trial is decided with no factorization
+of H_omega.  Each per-L entry counts these trials in `lift_certified`;
+every other trial counts as above.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -33,14 +44,13 @@ from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
                          min_eig_above)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
-from .events import (EventSpec, build_ledger, event_A_indicator,
+from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      select_scale, wilson_interval)
 from .grid import GridSpec
-from .operators import (assemble_schrodinger, assemble_test_perturbation,
-                        background_diagonal)
+from .operators import assemble_schrodinger, background_diagonal
 from .potentials import (assemble_random_potential, load_model,
                          sample_configuration, site_matrix)
-from .ucp import equidistributed_from_event
+from .ucp import equidistributed_from_choice
 
 
 def band_edge_of_background(grid, v0, hint=None, mode="gap", values=None):
@@ -173,11 +183,46 @@ class TrialContext:
                    background_diagonal(grid, model.background),
                    event_spec, b, width, below)
 
+    def potential(self, cfg):
+        """V_omega = U @ omega at the nodes."""
+        return assemble_random_potential(cfg, self.profiles, self.grid,
+                                         self.site_matrix)
+
     def hamiltonian(self, cfg):
         """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
-        v_omega = assemble_random_potential(cfg, self.profiles, self.grid,
-                                            self.site_matrix)
-        return assemble_schrodinger(self.grid, self.v0_nodes + v_omega)
+        return assemble_schrodinger(self.grid,
+                                    self.v0_nodes + self.potential(cfg))
+
+
+@lru_cache(maxsize=16)
+def event_lift(model, grid, spec, b, width, choice):
+    """The good event's test operator for one per-cell choice: (S, lift, top).
+
+    H_pert = H0 + eta c chi_S, S the union of the balls of the chosen sites
+    (`choice` holds one int tuple per cell, as cell_choice picks them); lift
+    is H_pert's lowest eigenvalue at or above b (min_eig_above) minus b, and
+    top = count_below(H_pert, b + width).  It depends on omega only through
+    the choice, and every argument hashes by value, also after pickling, so
+    each process (the serial one, or each pool worker) solves it once per
+    box size and choice.
+    """
+    _, mask = equidistributed_from_choice(spec, choice,
+                                          model.profiles_for(grid), grid)
+    v_test = (model.disorder.eta * model.coupling_floor
+              * mask.indicator(grid.num_points))
+    h_pert = assemble_schrodinger(
+        grid, background_diagonal(grid, model.background) + v_test)
+    return mask, min_eig_above(h_pert, b) - b, count_below(h_pert, b + width)
+
+
+class TrialRecord(dict):
+    """A trial's data, and beside it how the verdict was reached.
+
+    The items are the record ise.json stores; `lift_certified` is not one of
+    them, so a record is the same whichever path decided it.
+    """
+
+    lift_certified = False
 
 
 def run_ise_trial(ctx, seed):
@@ -187,42 +232,55 @@ def run_ise_trial(ctx, seed):
     (values within tol_eig below b count), a borderline flag (the window
     holds spectrum only within tol_eig of its upper edge), and, when the
     configuration lies in the good event, the observed lift of the test
-    perturbation above b.  The count below b - tol_eig is the context's
-    certified one where it holds, so such a trial factorizes only at
-    b + width (and at b + width - tol_eig when the window holds spectrum).
+    perturbation above b (event_lift).  The record's `lift_certified` says
+    whether that lift settled the verdict: V_omega >= eta c chi_S node by
+    node gives H_omega >= H_pert, so when H_pert has the certified count
+    below b + width, min-max leaves H_omega's window empty and H_omega is not
+    factorized.  Otherwise the count below b - tol_eig is the context's
+    certified one where it holds, so the trial factorizes only at b + width
+    (and at b + width - tol_eig when the window holds spectrum).
     """
-    b, width = ctx.b, ctx.width
+    b, width, spec = ctx.b, ctx.width, ctx.event_spec
     cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
-    result = {"seed": seed, "valid": True, "outcome": None,
-              "window_count": None, "borderline": False, "event": None,
-              "observed_lift": None}
+    result = TrialRecord(seed=seed, valid=True, outcome=None,
+                         window_count=None, borderline=False, event=None,
+                         observed_lift=None)
+    v_omega = ctx.potential(cfg)   # >= 0 node by node, or it raises
+    in_event, lift, lift_error = None, None, None
+    if spec is not None:
+        table, hits = cell_hits(cfg, spec)
+        in_event = bool(hits.any(axis=1).all())
+    if in_event:
+        choice = tuple(map(tuple, cell_choice(table, hits).tolist()))
+        try:
+            mask, lift, top = event_lift(ctx.model, ctx.grid, spec, b, width,
+                                         choice)
+        except (SolverError, IselabError) as exc:
+            lift_error = str(exc)
+        else:
+            amplitude = ctx.model.disorder.eta * ctx.model.coupling_floor
+            result.lift_certified = bool(
+                ctx.certified_below is not None and top == ctx.certified_below
+                and np.all(v_omega[mask.node_indices] >= amplitude))
     try:
-        h_rand = ctx.hamiltonian(cfg)
-        below = ctx.certified_below
-        if below is None:
-            below = count_below(h_rand, b - TOL_EIG)
-        result["window_count"] = count_below(h_rand, b + width) - below
-        result["outcome"] = result["window_count"] == 0
-        if not result["outcome"]:
-            result["borderline"] = \
-                count_below(h_rand, b + width - TOL_EIG) == below
+        if result.lift_certified:
+            result.update(window_count=0, outcome=True)
+        else:
+            h_rand = assemble_schrodinger(ctx.grid, ctx.v0_nodes + v_omega)
+            below = ctx.certified_below
+            if below is None:
+                below = count_below(h_rand, b - TOL_EIG)
+            result["window_count"] = count_below(h_rand, b + width) - below
+            result["outcome"] = result["window_count"] == 0
+            if not result["outcome"]:
+                result["borderline"] = \
+                    count_below(h_rand, b + width - TOL_EIG) == below
     except SolverError as exc:
         result.update(valid=False, error=str(exc))
         return result
-    if ctx.event_spec is not None:
-        in_event = event_A_indicator(cfg, ctx.event_spec)
-        result["event"] = in_event
-        if in_event:
-            model = ctx.model
-            try:
-                _, mask = equidistributed_from_event(cfg, ctx.event_spec,
-                                                     ctx.profiles, ctx.grid)
-                h_pert = assemble_test_perturbation(
-                    ctx.grid, model.background, mask,
-                    model.disorder.eta * model.coupling_floor)
-                result["observed_lift"] = min_eig_above(h_pert, b) - b
-            except (SolverError, IselabError) as exc:
-                result.update(valid=False, error=str(exc))
+    result.update(event=in_event, observed_lift=lift)
+    if lift_error is not None:
+        result.update(valid=False, error=lift_error)
     return result
 
 
@@ -239,6 +297,7 @@ class ISEPerL:
     successes: int
     borderline: int
     event_count: int
+    lift_certified: int
     p_hat: float
     ci_lo: float
     ci_hi: float
@@ -254,6 +313,7 @@ class ISEPerL:
             "trials": self.trials, "valid": self.valid,
             "successes": self.successes, "borderline": self.borderline,
             "event_count": self.event_count,
+            "lift_certified": self.lift_certified,
             "p_hat": self.p_hat, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
             "ledger": None if self.ledger is None else self.ledger.to_json(),
             "trial_records": [dict(r) for r in self.trial_records],
@@ -329,6 +389,7 @@ def estimate_ise_probability(plan, dimension=2):
                 trials=plan.trials, valid=len(valid), successes=successes,
                 borderline=sum(1 for r in valid if r["borderline"]),
                 event_count=sum(1 for r in valid if r.get("event")),
+                lift_certified=sum(r.lift_certified for r in records),
                 p_hat=p_hat, ci_lo=lo, ci_hi=hi, ledger=ledger,
                 trial_records=tuple(records),
             ))

@@ -66,17 +66,24 @@ def constant_potential(value, period=1.0):
 def separable_square_potential(amplitude, period=1.0, duty=0.5):
     """V0(x) = amplitude * sum_i s(x_i) with s a square wave of given duty."""
     a, g, w = float(amplitude), float(period), float(duty)
-    return PeriodicPotential(g, square_wave_1d(a, g, w), math.inf)
+    return PeriodicPotential(g, SquareWave(a, g, w), math.inf)
 
 
-def _square_wave(amplitude, period, duty, x):
-    frac = (np.asarray(x, dtype=float) / period) % 1.0
-    return amplitude * (frac < duty).astype(float)
+@dataclass(frozen=True)
+class SquareWave:
+    """amplitude on the first `duty` fraction of each period, 0 elsewhere.
 
+    A value, not a closure, so a model compares and hashes by its
+    parameters, also after pickling into a pool worker.
+    """
 
-def square_wave_1d(amplitude, period=1.0, duty=0.5):
-    """amplitude on the first `duty` fraction of each period, 0 elsewhere."""
-    return partial(_square_wave, amplitude, period, duty)
+    amplitude: float
+    period: float = 1.0
+    duty: float = 0.5
+
+    def __call__(self, x):
+        frac = (np.asarray(x, dtype=float) / self.period) % 1.0
+        return self.amplitude * (frac < self.duty).astype(float)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ node-counting sums, so the h^d factors cancel in the ratio.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,8 @@ from .errors import EventViolatedError, IselabError
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, check_t_grid,
                          count_below, lowest_in_spectrum_above, min_eig_above,
                          track_family)
-from .events import EquidistributedSequence, cell_hits, lifting_bound
+from .events import (EquidistributedSequence, cell_choice, cell_hits,
+                     lifting_bound)
 from .grid import Ball
 from .operators import (assemble_interpolated, assemble_schrodinger,
                         background_diagonal, mask_from_balls)
@@ -115,7 +116,13 @@ def equidistributed_from_event(cfg, spec, profiles, grid):
     table, hits = cell_hits(cfg, spec)
     if not hits.any(axis=1).all():
         raise EventViolatedError("configuration is not in the event")
-    chosen = table[np.arange(len(table)), hits.argmax(axis=1)].tolist()
+    return equidistributed_from_choice(
+        spec, cell_choice(table, hits).tolist(), profiles, grid)
+
+
+def equidistributed_from_choice(spec, chosen, profiles, grid):
+    """(sequence, mask) of the balls of `chosen`, row i a site of cell i."""
+    table = spec.cells()
     centers = table[:, table.shape[1] // 2].tolist()
     by_site = {p.site: p for p in profiles}
     points = {}

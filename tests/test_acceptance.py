@@ -15,7 +15,7 @@ import pytest
 
 from iselab import eigensolve, rng
 from iselab.cli import _event_configuration, main
-from iselab.eigensolve import TOL_EIG, eigs_below, smallest_eigs
+from iselab.eigensolve import TOL_EIG, count_below, eigs_below, smallest_eigs
 from iselab.errors import ScaleWindowError
 from iselab.events import (EventSpec, build_ledger, event_A_indicator,
                            exact_event_log_failure, exact_event_probability,
@@ -288,6 +288,39 @@ class TestConditionalCertainty:
                         f"L={per.L}: lift {lift} cleared the window " \
                         f"{width} but an eigenvalue intruded"
         assert triggered > 0
+
+    def test_certified_windows_hold_no_spectrum(self, reference_report):
+        # a certified trial takes its verdict from the lift, so the check
+        # above holds for it by construction; count its H_omega instead
+        report, _ = reference_report
+        plan = report.plan
+        model = load_model(plan.model)
+        checked = 0
+        for per in report.per_L:
+            certified = [r for r in per.trial_records if r.lift_certified]
+            assert len(certified) == per.lift_certified
+            if not certified:
+                continue
+            grid = GridSpec(dimension=2, side=float(per.L),
+                            spacing=1.0 / plan.points_per_unit,
+                            boundary=plan.boundary)
+            spec = EventSpec(dimension=2, l=per.l, L=per.L,
+                             eta=model.disorder.eta,
+                             kappa=model.disorder.kappa)
+            sites = sorted(set(model.sites_for(grid)) |
+                           set(spec.required_sites()))
+            profiles = model.profiles_for(grid)
+            for rec in certified[:5]:
+                cfg = sample_configuration(rec["seed"], sites, model.disorder)
+                assert event_A_indicator(cfg, spec)
+                h = assemble_hamiltonian(grid, model.background, cfg,
+                                         profiles)
+                assert count_below(h, per.band_edge + per.window_width) == \
+                    count_below(h, per.band_edge - TOL_EIG), \
+                    f"L={per.L}: certified trial {rec['seed']} has spectrum " \
+                    "in its window"
+                checked += 1
+        assert checked > 0
 
     def test_reference_run_is_healthy(self, reference_report):
         report, _ = reference_report

@@ -9,12 +9,14 @@ from iselab import eigensolve, ise, rng
 from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
                                min_eig_above)
 from iselab.errors import GapNotFoundError
-from iselab.events import EventSpec, event_A_indicator, select_scale
+from iselab.events import (EventSpec, cell_choice, cell_hits,
+                           event_A_indicator, select_scale)
 from iselab.grid import GridSpec, laplacian_eigenvalues
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
 from iselab.operators import assemble_hamiltonian, assemble_test_perturbation
-from iselab.potentials import load_model, sample_configuration, zero_potential
+from iselab.potentials import (PotentialModel, load_model,
+                               sample_configuration, zero_potential)
 from iselab.reference import (REFERENCE_ALPHA, REFERENCE_GAP_HINT,
                               REFERENCE_SEED, reference_model_spec,
                               reference_plan)
@@ -121,36 +123,57 @@ def public_path_record(model, grid, spec, b, width, seed):
     return record, cfg, h
 
 
+def reference_box(L, trials=8):
+    """(context, seeds) of the reference plan's first box size, here at L."""
+    model = load_model(reference_model_spec())
+    grid = GridSpec(dimension=2, side=float(L), spacing=1.0 / 9,
+                    boundary="periodic")
+    _, b = band_edge_of_background(grid, model.background,
+                                   hint=REFERENCE_GAP_HINT)
+    spec = EventSpec(dimension=2, l=select_scale(L, REFERENCE_ALPHA), L=L,
+                     eta=model.disorder.eta, kappa=model.disorder.kappa)
+    ctx = TrialContext.build(model, grid, spec, b,
+                             float(L) ** (-REFERENCE_ALPHA))
+    seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+             for t in range(trials)]
+    return ctx, seeds
+
+
+def assert_records_match(got, want):
+    """Equal records, the observed lifts to 1e-12."""
+    got, want = dict(got), dict(want)
+    lifts = got.pop("observed_lift"), want.pop("observed_lift")
+    assert got == want
+    assert (lifts[0] is None) == (lifts[1] is None)
+    if lifts[0] is not None:
+        assert abs(lifts[0] - lifts[1]) <= 1e-12
+
+
 class TestTrialContext:
     L = 6
 
     @pytest.fixture(scope="class")
     def reference_context(self):
-        model = load_model(reference_model_spec())
-        grid = GridSpec(dimension=2, side=float(self.L), spacing=1.0 / 9,
-                        boundary="periodic")
-        _, b = band_edge_of_background(grid, model.background,
-                                       hint=REFERENCE_GAP_HINT)
-        spec = EventSpec(dimension=2, l=select_scale(self.L, REFERENCE_ALPHA),
-                         L=self.L, eta=model.disorder.eta,
-                         kappa=model.disorder.kappa)
-        ctx = TrialContext.build(model, grid, spec, b,
-                                 float(self.L) ** (-REFERENCE_ALPHA))
-        seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
-                 for t in range(8)]
-        return ctx, seeds
+        return reference_box(self.L)
 
     def test_trial_equals_the_public_path(self, reference_context):
-        ctx, seeds = reference_context
-        events = 0
-        for seed in seeds:
-            want, cfg, h = public_path_record(ctx.model, ctx.grid,
-                                              ctx.event_spec, ctx.b,
-                                              ctx.width, seed)
-            assert run_ise_trial(ctx, seed) == want
-            assert (ctx.hamiltonian(cfg).matrix != h.matrix).nnz == 0
-            events += bool(want["event"])
-        assert events >= 1
+        # the lift is about 0.2995: below w = 6^-0.6 ~ 0.341, so no L = 6
+        # trial is certified; above w = 8^-0.6 ~ 0.287, so L = 8 event
+        # trials are, and the public path counts their H_omega instead
+        certified = {}
+        for ctx, seeds in (reference_context, reference_box(8)):
+            events = certified[ctx.grid.side] = 0
+            for seed in seeds:
+                want, cfg, h = public_path_record(ctx.model, ctx.grid,
+                                                  ctx.event_spec, ctx.b,
+                                                  ctx.width, seed)
+                record = run_ise_trial(ctx, seed)
+                assert_records_match(record, want)
+                assert (ctx.hamiltonian(cfg).matrix != h.matrix).nnz == 0
+                events += bool(want["event"])
+                certified[ctx.grid.side] += record.lift_certified
+            assert events >= 1
+        assert certified[6.0] == 0 and certified[8.0] >= 1
 
     def test_pickled_context_gives_the_same_records(self, reference_context):
         ctx, seeds = reference_context
@@ -239,8 +262,12 @@ class TestLowerCountCertificate:
             factorizations.append(1)
             return real_splu(*args, **kwargs)
 
-        monkeypatch.setattr(eigensolve, "splu", spy)
         ctx = self.context(reference_model_spec(), "gap")
+        # the event lift is solved once per box size; warm it up so that
+        # only H_omega's factorizations are counted below
+        for seed in self.seeds(8):
+            run_ise_trial(ctx, seed)
+        monkeypatch.setattr(eigensolve, "splu", spy)
         outcomes = []
         for seed in self.seeds(8):
             factorizations.clear()
@@ -249,6 +276,70 @@ class TestLowerCountCertificate:
             # borderline takes a second count only on a failed window
             assert len(factorizations) == (1 if record["outcome"] else 2)
         assert True in outcomes and False in outcomes
+
+
+class OverclaimingModel(PotentialModel):
+    """The reference model's bumps, which are c = 1 on their balls, with a
+    claimed floor of 2: eta c chi_S then lies above V_omega."""
+
+    @property
+    def coupling_floor(self):
+        return 2.0 * self.site_params[0]
+
+
+class TestLiftCertificate:
+    def test_overclaimed_floor_takes_the_counted_path(self):
+        ctx, seeds = reference_box(6, trials=12)
+        model = OverclaimingModel(**vars(ctx.model))
+        ctx = TrialContext.build(model, ctx.grid, ctx.event_spec, ctx.b,
+                                 ctx.width)
+        lifted, failed = 0, 0
+        for seed in seeds:
+            want, _, _ = public_path_record(model, ctx.grid, ctx.event_spec,
+                                            ctx.b, ctx.width, seed)
+            record = run_ise_trial(ctx, seed)
+            assert_records_match(record, want)
+            assert not record.lift_certified
+            if record["event"]:
+                # the doubled test operator clears the window, so only the
+                # node-wise check V_omega >= eta c chi_S refuses the lift
+                cells, hits = cell_hits(
+                    sample_configuration(seed, ctx.sites, model.disorder),
+                    ctx.event_spec)
+                choice = tuple(map(tuple, cell_choice(cells, hits).tolist()))
+                top = ise.event_lift(model, ctx.grid, ctx.event_spec, ctx.b,
+                                     ctx.width, choice)[2]
+                lifted += top == ctx.certified_below
+                failed += not record["outcome"]
+        assert lifted >= 1 and failed >= 1
+
+    def test_one_lift_solve_per_box_size(self, monkeypatch):
+        solves, factorizations = [], []
+        real_eigsh, real_splu = eigensolve.eigsh, eigensolve.splu
+
+        def eigsh_spy(*args, **kwargs):
+            solves.append(1)
+            return real_eigsh(*args, **kwargs)
+
+        def splu_spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        ise.event_lift.cache_clear()
+        monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
+        monkeypatch.setattr(eigensolve, "splu", splu_spy)
+        plan = ExperimentPlan(
+            model=reference_model_spec(), L_values=(8,),
+            alpha=REFERENCE_ALPHA, q=1.0, trials=10,
+            master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
+        per = estimate_ise_probability(plan).per_L[0]
+        assert per.event_count >= 2 and per.lift_certified >= 2
+        assert len(solves) == 1
+        # the lift's factor and its count at b + w, then H_omega's counts
+        # on every trial the lift did not settle
+        counted = [r for r in per.trial_records if not r.lift_certified]
+        assert len(factorizations) == 2 + sum(
+            1 if r["outcome"] else 2 for r in counted)
 
 
 class TestPlan:
