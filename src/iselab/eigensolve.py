@@ -6,11 +6,12 @@ the eigenvalues below sigma.  Whether a window holds spectrum is a
 difference of two counts and needs no eigensolve.  A query that must
 report eigenvalues counts first and then makes one solve with exactly that
 many: dense up to DENSE_CUTOFF nodes where eigenpairs are enumerated,
-ARPACK otherwise.  The lowest eigenvalue above an energy (`min_eig_above`)
-is one ARPACK shift-invert run on the trusted LDL^T of the count, not on
-a pivoted LU of its own.  Every returned pair is residual-checked against
-tol_eig, and failures surface as SolverError with telemetry instead of
-silently truncated results.
+ARPACK otherwise.  Both shift-invert queries, the lowest eigenvalue above
+an energy (`min_eig_above`) and the eigenvalues of a large window
+(`eigs_in_window`), are one ARPACK run on the trusted LDL^T of the count,
+not on a pivoted LU of its own.  Every returned pair is residual-checked
+against tol_eig, and failures surface as SolverError with telemetry
+instead of silently truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
@@ -190,19 +191,17 @@ def eigs_below(op, threshold):
     return smallest_eigs(op, count_below(op, threshold - TOL_EIG))
 
 
-def _shift_invert(mat, sigma, k):
-    v0 = start_vector(mat.shape[0])
+def _ldlt_shift_invert(mat, sigma, k, which="LM"):
+    """eigsh near sigma, (H - sigma I)^-1 applied by _trusted_ldlt's factor."""
+    lu, _, sigma = _trusted_ldlt(mat, sigma)
+    n = mat.shape[0]
     try:
-        return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma, v0=v0)
-    except RuntimeError:
-        # sigma may coincide with an eigenvalue (SuperLU reports an exactly
-        # singular factor) or ARPACK failed to converge; nudge and retry once
-        sigma = _nudge(sigma)
-        try:
-            return eigsh(mat, k=min(k, mat.shape[0] - 1), sigma=sigma, v0=v0)
-        except RuntimeError as exc:
-            raise SolverError(f"shift-invert failed: {exc}",
-                              telemetry={"sigma": sigma, "k": k})
+        return eigsh(mat, k=min(k, n - 1), sigma=sigma, which=which,
+                     v0=start_vector(n), OPinv=LinearOperator(
+                         mat.shape, matvec=lu.solve, dtype=mat.dtype))
+    except RuntimeError as exc:  # ARPACK non-convergence
+        raise SolverError(f"shift-invert failed: {exc}",
+                          telemetry={"sigma": sigma, "k": k})
 
 
 def min_eig_above(op, b):
@@ -210,20 +209,9 @@ def min_eig_above(op, b):
 
     In shift-invert mode "LA" selects the largest 1 / (lambda - sigma), which
     is the eigenvalue closest above sigma = b - tol_eig; when none lies
-    above, ARPACK returns one below sigma instead.  ARPACK applies
-    (H - sigma I)^-1 through the trusted LDL^T that count_below uses (an
-    untrusted one takes its one nudge), not through a pivoted LU of its own.
+    above, ARPACK returns one below sigma instead.
     """
-    mat = _matrix(op)
-    lu, _, sigma = _trusted_ldlt(mat, b - TOL_EIG)
-    try:
-        values, _ = eigsh(mat, k=1, sigma=sigma, which="LA",
-                          v0=start_vector(mat.shape[0]),
-                          OPinv=LinearOperator(mat.shape, matvec=lu.solve,
-                                               dtype=mat.dtype))
-    except RuntimeError as exc:  # ARPACK non-convergence
-        raise SolverError(f"shift-invert failed: {exc}",
-                          telemetry={"sigma": sigma, "k": 1})
+    values, _ = _ldlt_shift_invert(_matrix(op), b - TOL_EIG, 1, "LA")
     if values[0] < b - TOL_EIG:
         raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
     return float(values[0])
@@ -253,7 +241,7 @@ def eigs_in_window(op, a, b):
     if mat.shape[0] <= DENSE_CUTOFF:
         values = eigh(mat.toarray(), eigvals_only=True)
     else:
-        values = np.sort(_shift_invert(mat, 0.5 * (a + b), k)[0])
+        values = np.sort(_ldlt_shift_invert(mat, 0.5 * (a + b), k)[0])
     return values[(values > lo) & (values < hi)]
 
 

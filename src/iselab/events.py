@@ -80,8 +80,7 @@ def _cube(r, d):
 def cell_hits(cfg, spec):
     """(spec.cells(), hits), hits[i, k] true iff omega >= eta at entry (i, k)."""
     table = spec.cells()
-    omega = [cfg[s] for s in table.reshape(-1, spec.dimension).tolist()]
-    return table, np.reshape(omega, table.shape[:2]) >= spec.eta
+    return table, cfg[table] >= spec.eta
 
 
 def cell_choice(table, hits):

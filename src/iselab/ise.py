@@ -143,9 +143,10 @@ def box_sites(model, grid, event_spec=None):
 
     A sorted (m, d) int64 array: every coupling a trial on this box draws.
     """
-    extra = () if event_spec is None else event_spec.required_sites()
-    return np.array(sorted(set(model.sites_for(grid)).union(extra)),
-                    dtype=np.int64).reshape(-1, grid.dimension)
+    sites = [np.array(model.sites_for(grid), dtype=np.int64)]
+    if event_spec is not None:
+        sites.append(event_spec.cells().reshape(-1, grid.dimension))
+    return np.unique(np.concatenate(sites), axis=0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,11 @@
 A potential model bundles a periodic background V0, a lattice of
 nonnegative single-site profiles u_j carrying a ball lower bound
 c * indicator(B_delta(x_j)) <= u_j, and the distribution of the coupling
-constants omega_j with its threshold pair (eta, kappa).
+constants omega_j with its threshold pair (eta, kappa).  Couplings are a
+sorted (m, d) site array and the aligned value array; cfg[q] reads them.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -208,24 +210,51 @@ def truncated(values, probs, eta, kappa=None):
                                 (values, probs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderConfiguration:
-    """Realized coupling constants, regenerable from (seed, site)."""
+    """Couplings values[i] at sites[i], regenerable from (seed, site).
+
+    `sites` is (m, d) int64 with rows rising strictly in lexicographic order,
+    `values` (m,) float64; cfg[q] reads a site tuple or a (..., d) array.
+    """
 
     seed: int
-    values: dict = field(repr=False)
+    sites: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        sites = np.asarray(self.sites, dtype=np.int64)
+        sites = sites.reshape(0, 0) if sites.shape == (0,) else sites
+        # raveled indices in a box order points as C order does, which is
+        # lexicographic.  The box holds the origin (so it exists for m = 0)
+        # and a border layer around the sites, where a lookup clips every
+        # point outside the box: such a point matches no site.
+        lo = sites.min(axis=0, initial=0) - 1
+        shape = tuple(sites.max(axis=0, initial=0) - lo + 2)
+        keys = (np.ravel_multi_index((sites - lo).T, shape) if sites.size
+                else np.zeros(len(sites), dtype=np.intp))
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
+            raise ValueError("sites must be distinct")
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != keys.shape:
+            raise ValueError("need one value per site")
+        object.__setattr__(self, "sites", sites[order])
+        object.__setattr__(self, "values", values[order])
+        object.__setattr__(self, "_index", (lo, shape, keys[order]))
 
     def __getitem__(self, site):
-        try:
-            return self.values[tuple(site)]
-        except KeyError:
-            raise MissingSiteError(f"site {site} was not sampled")
-
-    def __contains__(self, site):
-        return tuple(site) in self.values
-
-    def sites(self):
-        return self.values.keys()
+        q = np.asarray(site, dtype=np.int64)
+        rows = q.reshape(-1, q.shape[-1])
+        lo, shape, keys = self._index
+        wanted = np.ravel_multi_index((rows - lo).T, shape, mode="clip")
+        pos = np.searchsorted(keys, wanted)
+        found = np.append(keys, -1)[pos] == wanted
+        if not found.all():
+            missing = tuple(rows[~found][0].tolist())
+            raise MissingSiteError(f"site {missing} was not sampled")
+        out = self.values[pos].reshape(q.shape[:-1])
+        return float(out) if q.ndim == 1 else out
 
 
 def sample_configuration(seed, sites, dist):
@@ -235,14 +264,8 @@ def sample_configuration(seed, sites, dist):
     `sites` is a sequence of integer tuples or an (m, d) integer array;
     all m uniforms come from one vectorized Philox evaluation.
     """
-    coords = np.asarray(sites if isinstance(sites, np.ndarray) else list(sites),
-                        dtype=np.int64)
-    keys = list(map(tuple, coords.tolist()))
-    if len(set(keys)) != len(keys):
-        raise ValueError("sites must be distinct")
-    u = rng.uniforms_at(seed, rng.SITE_VALUES, coords)
-    values = dist.from_uniform(u).tolist()
-    return DisorderConfiguration(seed=int(seed), values=dict(zip(keys, values)))
+    u = rng.uniforms_at(seed, rng.SITE_VALUES, sites)
+    return DisorderConfiguration(int(seed), sites, dist.from_uniform(u))
 
 
 def site_matrix(profiles, grid):
@@ -269,13 +292,13 @@ def assemble_random_potential(cfg, profiles, grid, matrix=None):
     """
     if matrix is None:
         matrix = site_matrix(profiles, grid)
+    live = np.flatnonzero(np.diff(matrix.indptr))
+    sites = np.array([profiles[j].site for j in live], dtype=np.int64)
     omega = np.zeros(len(profiles))
-    for j, profile in enumerate(profiles):
-        if profile.site in cfg:
-            omega[j] = cfg[profile.site]
-        elif matrix.indptr[j + 1] > matrix.indptr[j]:
-            raise MissingProfileError(
-                f"no coupling sampled for contributing site {profile.site}")
+    try:
+        omega[live] = cfg[sites.reshape(live.size, grid.dimension)]
+    except MissingSiteError as exc:
+        raise MissingProfileError(f"contributing profile: {exc}") from exc
     out = matrix @ omega
     if out.size and out.min() < 0:
         raise ValueError("random potential must be nonnegative")
@@ -367,10 +390,7 @@ class PotentialModel:
             lo = grid.center[k] - grid.side / 2.0 - reach
             hi = grid.center[k] + grid.side / 2.0 + reach
             ranges.append(range(math.ceil(lo / g), math.floor(hi / g) + 1))
-        sites = [()]
-        for r in ranges:
-            sites = [s + (m,) for s in sites for m in r]
-        return sites
+        return list(itertools.product(*ranges))
 
     def profiles_for(self, grid):
         return [self.profile_for(s) for s in self.sites_for(grid)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iselab.grid import GridSpec
-from iselab.potentials import load_model
+from iselab.potentials import DisorderConfiguration, load_model
 
 
 @pytest.fixture
@@ -46,3 +46,18 @@ def _brute_force_cells(spec):
 def brute_force_cells():
     """Independent oracle for EventSpec.cells(): see _brute_force_cells."""
     return _brute_force_cells
+
+
+def _config_from(values):
+    """DisorderConfiguration with the couplings of a {site tuple: value} map.
+
+    The tests' sites are 2-D, so an empty map gives a (0, 2) site array.
+    """
+    sites = np.array(list(values), dtype=np.int64).reshape(-1, 2)
+    return DisorderConfiguration(0, sites, list(values.values()))
+
+
+@pytest.fixture(scope="session")
+def config_from():
+    """Build a configuration from a mapping: see _config_from."""
+    return _config_from

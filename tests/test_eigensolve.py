@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
@@ -272,3 +272,21 @@ class TestSolverFailures:
         monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
         with pytest.raises(SolverError):
             smallest_eigs(build_laplacian(grid), 3)
+
+    def test_window_solve_is_one_arpack_run_on_the_count_factor(
+            self, monkeypatch):
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs)
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+        grid = GridSpec(dimension=2, side=8.0, spacing=1.0,
+                        boundary="periodic")
+        monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
+        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
+        with pytest.raises(SolverError):
+            eigs_in_window(build_laplacian(grid), 1.0, 5.0)
+        assert len(calls) == 1
+        assert isinstance(calls[0]["OPinv"], LinearOperator)

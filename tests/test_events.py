@@ -12,26 +12,22 @@ from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            lifting_bound, min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
                            wilson_interval)
-from iselab.potentials import DisorderConfiguration
-
-
-def config_from(values):
-    return DisorderConfiguration(seed=0, values=dict(values))
 
 
 class TestEventIndicator:
-    def test_all_qualifying_sites(self):
+    def test_all_qualifying_sites(self, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         cfg = config_from({s: 1.0 for s in spec.required_sites()})
         assert event_A_indicator(cfg, spec)
 
-    def test_one_dead_cell(self):
+    def test_one_dead_cell(self, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         values = {s: 1.0 for s in spec.required_sites()}
         values[(1, -1)] = 0.0
         assert not event_A_indicator(config_from(values), spec)
 
-    def test_matches_brute_force_conjunction(self, brute_force_cells):
+    def test_matches_brute_force_conjunction(self, brute_force_cells,
+                                             config_from):
         gen = np.random.default_rng(1)
         # nine cells each; eta makes the event hold about half the time
         for spec in (EventSpec(dimension=2, l=1, L=2, eta=0.075, kappa=0.5),

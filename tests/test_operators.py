@@ -6,8 +6,8 @@ from iselab.operators import (IndicatorMask, assemble_background,
                               assemble_hamiltonian, assemble_interpolated,
                               assemble_test_perturbation, build_laplacian,
                               mask_from_balls)
-from iselab.potentials import (DisorderConfiguration, constant_potential,
-                               indicator_profile, zero_potential)
+from iselab.potentials import (constant_potential, indicator_profile,
+                               zero_potential)
 
 
 def dense_spectrum(op):
@@ -20,9 +20,8 @@ def grid6():
 
 
 class TestAssembly:
-    def test_trivial_hamiltonian_is_the_laplacian(self, grid6):
-        h = assemble_hamiltonian(grid6, zero_potential(),
-                                 DisorderConfiguration(0, {}), [])
+    def test_trivial_hamiltonian_is_the_laplacian(self, grid6, config_from):
+        h = assemble_hamiltonian(grid6, zero_potential(), config_from({}), [])
         assert (h.matrix != laplacian_matrix(grid6)).nnz == 0
 
     def test_constant_background_shifts_spectrum_exactly(self, grid6):
@@ -31,18 +30,19 @@ class TestAssembly:
         lap = dense_spectrum(build_laplacian(grid6))
         assert np.allclose(dense_spectrum(h), lap + v, atol=1e-12)
 
-    def test_single_bump_raises_ground_state_at_most_c(self, grid6):
+    def test_single_bump_raises_ground_state_at_most_c(self, grid6,
+                                                        config_from):
         fine = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         c = 3.0
         profiles = [indicator_profile((0, 0), c, 0.45)]
-        cfg = DisorderConfiguration(0, {(0, 0): 1.0})
+        cfg = config_from({(0, 0): 1.0})
         h = assemble_hamiltonian(fine, zero_potential(), cfg, profiles)
         ground = dense_spectrum(h)[0]
         assert 0.0 < ground <= c
 
-    def test_symmetry_and_pattern_stability(self, grid6):
-        cfg = DisorderConfiguration(0, {(0, 0): 0.7})
+    def test_symmetry_and_pattern_stability(self, grid6, config_from):
+        cfg = config_from({(0, 0): 0.7})
         profiles = [indicator_profile((0, 0), 1.0, 0.45)]
         lap = build_laplacian(grid6)
         h = assemble_hamiltonian(grid6, constant_potential(2.0), cfg, profiles)

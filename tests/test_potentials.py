@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 
@@ -10,8 +11,8 @@ from iselab import rng
 from iselab.errors import (MissingProfileError, MissingSiteError,
                            UnresolvableBallError)
 from iselab.grid import GridSpec
-from iselab.potentials import (DisorderConfiguration, assemble_random_potential,
-                               assemble_w, bernoulli, cone_profile,
+from iselab.potentials import (assemble_random_potential, assemble_w,
+                               bernoulli, cone_profile,
                                constant_potential, indicator_profile,
                                load_model, sample_configuration,
                                separable_square_potential, truncated,
@@ -74,7 +75,7 @@ class TestSeparableEvaluation:
 class TestDisorderDistributions:
     def test_bernoulli_one_is_degenerate(self):
         cfg = sample_configuration(1, [(0, 0), (1, 2)], bernoulli(1.0))
-        assert all(cfg[s] == 1.0 for s in cfg.sites())
+        assert np.all(cfg[cfg.sites] == 1.0)
 
     def test_same_seed_same_site_reproduces(self):
         d = uniform01()
@@ -98,19 +99,18 @@ class TestDisorderDistributions:
     def test_matches_the_per_site_stream(self):
         dist = truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)
         sites = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
-        want = {s: float(dist.from_uniform(
-                    rng.uniform_at(7, rng.SITE_VALUES, s))) for s in sites}
-        for given in (sites, np.array(sites)):
+        want = [float(dist.from_uniform(rng.uniform_at(7, rng.SITE_VALUES, s)))
+                for s in sites]
+        for given in (sites, np.array(sites), sites[::-1]):
             cfg = sample_configuration(7, given, dist)
-            assert cfg.values == want
-            assert all(type(c) is int for s in cfg.sites() for c in s)
-        assert sample_configuration(7, [], dist).values == {}
+            assert cfg.sites.dtype == np.int64 and cfg.values.dtype == float
+            assert np.array_equal(cfg.sites, sites)   # lexicographic rows
+            assert np.array_equal(cfg.values, want)
+        empty = sample_configuration(7, [], dist)
+        assert empty.sites.size == 0 and empty.values.size == 0
 
     def test_uniform_bulk_mean(self):
         sites = [(i, 0) for i in range(100_000)]
-        values = np.array([sample_configuration(2, sites[k:k + 1],
-                                                uniform01())[sites[k]]
-                           for k in range(0)])  # direct stream check instead
         cfg = sample_configuration(2, sites, uniform01())
         values = np.array([cfg[s] for s in sites])
         assert abs(values.mean() - 0.5) < 3 * 0.51 / math.sqrt(100_000)
@@ -135,32 +135,67 @@ class TestDisorderDistributions:
             dist = truncated([0.0, 1.5], [0.5, 0.5], eta=0.5)
             dist.from_uniform(np.array([0.9]))
 
-    def test_missing_site_lookup_raises(self):
-        cfg = DisorderConfiguration(seed=0, values={(0, 0): 1.0})
+    def test_missing_site_lookup_raises(self, config_from):
+        cfg = config_from({(0, 0): 1.0})
         with pytest.raises(MissingSiteError):
             cfg[(5, 5)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lookup_matches_the_per_site_stream(self, data):
+        d = data.draw(st.integers(1, 3))
+        coord = st.integers(-4, 4)
+        sites = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1,
+                                   max_size=30, unique=True))
+        given = data.draw(st.permutations(sites))
+        seed = data.draw(st.integers(0, 2 ** 63 - 1))
+        dist = uniform01()
+        want = {s: float(dist.from_uniform(
+                    rng.uniform_at(seed, rng.SITE_VALUES, s))) for s in sites}
+        cfg = sample_configuration(seed, np.array(given), dist)
+        assert [tuple(r) for r in cfg.sites.tolist()] == sorted(sites)
+        for s in sites:
+            got = cfg[s]
+            assert type(got) is float and got == want[s]
+        picks = data.draw(st.lists(st.sampled_from(sites), min_size=6,
+                                   max_size=6))
+        query = np.array(picks).reshape(2, 3, d)
+        assert np.array_equal(cfg[query],
+                              np.reshape([want[s] for s in picks], (2, 3)))
+        lo, hi = np.min(sites, axis=0), np.max(sites, axis=0)
+        holes = [s for s in itertools.product(
+                     *[range(a, b + 1) for a, b in zip(lo, hi)])
+                 if s not in want]
+        far = (int(hi[0]) + 50,) + tuple(lo[1:])
+        for absent in holes[:1] + [tuple(hi + 1), tuple(lo - 1), far]:
+            with pytest.raises(MissingSiteError):
+                cfg[absent]
+            with pytest.raises(MissingSiteError):
+                cfg[np.array([sites[0], absent])]
+        with pytest.raises(ValueError, match="distinct"):
+            sample_configuration(seed, np.array(sites + [given[0]]), dist)
+
 
 class TestFieldAssembly:
-    def test_zero_couplings_give_zero_field(self, grid8):
+    def test_zero_couplings_give_zero_field(self, grid8, config_from):
         profiles = [indicator_profile((0, 0), 1.0, 0.5)]
-        cfg = DisorderConfiguration(seed=0, values={(0, 0): 0.0})
+        cfg = config_from({(0, 0): 0.0})
         assert np.all(assemble_random_potential(cfg, profiles, grid8) == 0.0)
 
-    def test_single_indicator_site(self, grid8):
+    def test_single_indicator_site(self, grid8, config_from):
         c, delta = 2.0, 0.5
         profiles = [indicator_profile((0, 0), c, delta)]
-        cfg = DisorderConfiguration(seed=0, values={(0, 0): 1.0})
+        cfg = config_from({(0, 0): 1.0})
         field = assemble_random_potential(cfg, profiles, grid8)
         ball = grid8.nodes_within_ball((0.0, 0.0), delta)
         assert np.all(field[ball] == c)
         outside = np.setdiff1d(np.arange(grid8.num_points), ball)
         assert np.all(field[outside] == 0.0)
 
-    def test_overlapping_profiles_sum_nodewise(self, grid8):
+    def test_overlapping_profiles_sum_nodewise(self, grid8, config_from):
         p0 = indicator_profile((0, 0), 1.0, 0.5)
         p1 = cone_profile((0, 0), peak=2.0, radius=0.9, c=1.0, delta=0.4)
-        cfg = DisorderConfiguration(seed=0, values={(0, 0): 1.0})
+        cfg = config_from({(0, 0): 1.0})
         combined = assemble_random_potential(cfg, [p0, p1], grid8)
         nodes = grid8.nodes()
         want = p0.evaluate(nodes) + p1.evaluate(nodes)
@@ -181,14 +216,13 @@ class TestFieldAssembly:
         assert np.array_equal(assemble_random_potential(cfg, profiles, grid),
                               want)
 
-    def test_missing_profile_for_contributing_site(self, grid8):
-        cfg = DisorderConfiguration(seed=0, values={(0, 0): 1.0})
+    def test_missing_profile_for_contributing_site(self, grid8, config_from):
+        cfg = config_from({(0, 0): 1.0})
         profile = indicator_profile((0, 0), 1.0, 0.5)
         broken = [indicator_profile((5, 5), 1.0, 0.5)]
         with pytest.raises(MissingProfileError):
-            assemble_random_potential(
-                DisorderConfiguration(seed=0, values={(5, 5): 1.0}),
-                [profile], grid8)
+            assemble_random_potential(config_from({(5, 5): 1.0}), [profile],
+                                      grid8)
         # a far-away missing site that cannot touch the box is fine
         assemble_random_potential(cfg, [profile] + broken, grid8)
 
@@ -231,17 +265,15 @@ class TestFieldAssembly:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
            st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9))
-    def test_monotone_and_dominated_by_w(self, lows, highs):
+    def test_monotone_and_dominated_by_w(self, config_from, lows, highs):
         grid = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         sites = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         profiles = [indicator_profile(s, 1.0, 0.4) for s in sites]
         lo = {s: min(a, b) for s, a, b in zip(sites, lows, highs)}
         hi = {s: max(a, b) for s, a, b in zip(sites, lows, highs)}
-        f_lo = assemble_random_potential(
-            DisorderConfiguration(0, lo), profiles, grid)
-        f_hi = assemble_random_potential(
-            DisorderConfiguration(0, hi), profiles, grid)
+        f_lo = assemble_random_potential(config_from(lo), profiles, grid)
+        f_hi = assemble_random_potential(config_from(hi), profiles, grid)
         w = assemble_w(profiles, grid)
         assert np.all(f_lo <= f_hi + 1e-12)
         assert np.all(f_lo >= 0.0)

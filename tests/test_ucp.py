@@ -13,9 +13,8 @@ from iselab.operators import (IndicatorMask, assemble_background,
                               assemble_hamiltonian, assemble_interpolated,
                               assemble_test_perturbation, build_laplacian,
                               mask_from_balls)
-from iselab.potentials import (DisorderConfiguration, indicator_profile,
-                               load_model, sample_configuration,
-                               zero_potential)
+from iselab.potentials import (indicator_profile, load_model,
+                               sample_configuration, zero_potential)
 from iselab.reference import reference_model_spec
 from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
@@ -149,13 +148,14 @@ class TestEquidistributedSelection:
     def _profiles(self, sites, delta=0.45):
         return [indicator_profile(s, 1.0, delta) for s in sites]
 
-    def test_lexicographically_smallest_per_cell(self, brute_force_cells):
+    def test_lexicographically_smallest_per_cell(self, brute_force_cells,
+                                                 config_from):
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
         cells = brute_force_cells(spec)
         sites = [s for _, cell in cells for s in cell]
-        cfg = DisorderConfiguration(0, {s: 1.0 for s in sites})
+        cfg = config_from({s: 1.0 for s in sites})
         profiles = self._profiles([s for s in sites
                                    if max(abs(s[0]), abs(s[1])) <= 3])
         sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
@@ -167,7 +167,7 @@ class TestEquidistributedSelection:
         assert all(type(w) is int for center in want for w in center)
         assert mask.node_indices.size > 0
 
-    def test_matches_brute_force_choice(self, brute_force_cells):
+    def test_matches_brute_force_choice(self, brute_force_cells, config_from):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
         gen = np.random.default_rng(3)
@@ -180,7 +180,7 @@ class TestEquidistributedSelection:
             checked = 0
             for _ in range(20):
                 values = {s: float(gen.random()) for s in sites}
-                cfg = DisorderConfiguration(0, values)
+                cfg = config_from(values)
                 if not all(any(values[s] >= spec.eta for s in cell)
                            for _, cell in cells):
                     with pytest.raises(EventViolatedError):
@@ -195,31 +195,31 @@ class TestEquidistributedSelection:
                 checked += 1
             assert 0 < checked < 20
 
-    def test_event_violation_is_an_error(self):
+    def test_event_violation_is_an_error(self, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        cfg = DisorderConfiguration(0, {s: 0.0 for s in spec.required_sites()})
+        cfg = config_from({s: 0.0 for s in spec.required_sites()})
         with pytest.raises(EventViolatedError):
             equidistributed_from_event(cfg, spec, [], None)
 
 
 class TestLiftingExperiment:
-    def _setup(self, eta):
+    def _setup(self, config_from):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
         sites = list(spec.required_sites())
-        cfg = DisorderConfiguration(0, {s: 1.0 for s in sites})
+        cfg = config_from({s: 1.0 for s in sites})
         profiles = [indicator_profile(s, 1.0, 0.45) for s in sites]
         return grid, spec, cfg, profiles
 
-    def test_zero_eta_means_zero_lift(self):
-        grid, spec, cfg, profiles = self._setup(0.0)
+    def test_zero_eta_means_zero_lift(self, config_from):
+        grid, spec, cfg, profiles = self._setup(config_from)
         rec = lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
                                  b=-1.0, eta=0.0, c=1.0)
         assert abs(rec.observed_lift) <= TOL_EIG
 
-    def test_ground_state_lift_is_positive_with_sandwich(self):
-        grid, spec, cfg, profiles = self._setup(0.5)
+    def test_ground_state_lift_is_positive_with_sandwich(self, config_from):
+        grid, spec, cfg, profiles = self._setup(config_from)
         rec = lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
                                  b=-1.0, eta=0.5, c=1.0)
         assert rec.k0 == 1
@@ -230,8 +230,8 @@ class TestLiftingExperiment:
         assert rec.predicted_floor == pytest.approx(
             lifting_bound(3, 0.5, 1.0))
 
-    def test_builds_u_and_v0_once(self, monkeypatch):
-        grid, spec, cfg, profiles = self._setup(0.5)
+    def test_builds_u_and_v0_once(self, monkeypatch, config_from):
+        grid, spec, cfg, profiles = self._setup(config_from)
         calls = []
 
         def spy(module, name):
@@ -250,12 +250,12 @@ class TestLiftingExperiment:
                            b=-1.0, eta=0.5, c=1.0)
         assert sorted(calls) == ["background_diagonal", "site_matrix"]
 
-    def test_understated_profile_breaks_the_sandwich(self):
-        grid, spec, _, _ = self._setup(0.5)
+    def test_understated_profile_breaks_the_sandwich(self, config_from):
+        grid, spec, _, _ = self._setup(config_from)
         sites = list(spec.required_sites())
         # every coupling 0.6 is in the event; the profiles are 0.5 on
         # their balls, so V_omega = 0.3 there
-        cfg = DisorderConfiguration(0, {s: 0.6 for s in sites})
+        cfg = config_from({s: 0.6 for s in sites})
         truthful = [indicator_profile(s, 0.5, 0.45) for s in sites]
         rec = lifting_experiment(grid, zero_potential(), cfg, spec, truthful,
                                  b=-1.0, eta=0.5, c=0.5)
