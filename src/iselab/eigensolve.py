@@ -3,7 +3,9 @@
 The spectral primitive is `count_below(op, sigma)`: by Sylvester's law of
 inertia the negative pivots of a sparse LDL^T of H - sigma I number exactly
 the eigenvalues below sigma.  Whether a window holds spectrum is a
-difference of two counts and needs no eigensolve.  A query that must
+difference of two counts and needs no eigensolve, and a sorted grid of
+energies (`counts_below`) is counted only where a Weyl bracket and the
+count's monotonicity leave an energy open.  A query that must
 report eigenvalues counts first and then makes one solve with exactly that
 many: dense up to DENSE_CUTOFF nodes where eigenpairs are enumerated,
 ARPACK otherwise.  Both shift-invert queries, the lowest eigenvalue above
@@ -184,6 +186,53 @@ def count_below(op, sigma):
     within the nudge above it.
     """
     return _trusted_ldlt(_matrix(op), sigma)[1]
+
+
+def counts_below(op, energies, weyl=None):
+    """[count_below(op, e) for e in energies], from as few counts as exact.
+
+    `energies` are sorted.  count_below(op, E) = #{lambda < E*} for some E*
+    in [E, nudge(E)], so it is monotone along every stretch of the grid in
+    which each energy lies above the nudge of the one before; two counted
+    energies with the same count there fix every energy between them, and
+    the rest is bisected.  A grid break (a duplicate energy, a step below the
+    nudge) only starts a new stretch.
+
+    `weyl = (values, s)` brackets every count before any factorization, for
+    op = H0 + V with `values` the sorted spectrum of H0 and 0 <= V <= s node
+    by node: Weyl's lambda_j(H0) <= lambda_j(op) <= lambda_j(H0) + s puts
+    count_below(op, E) in [#{values < E - s - tol_gap},
+    #{values < nudge(E) + tol_gap}], and an energy whose bracket closes is
+    never counted.
+    """
+    mat = _matrix(op)
+    e = np.asarray(energies, dtype=float)
+    if np.any(np.diff(e) < 0):
+        raise ValueError("energies must be sorted")
+    if weyl is None:
+        lo, hi = np.zeros(e.size, dtype=int), np.full(e.size, mat.shape[0])
+    else:
+        values, s = weyl
+        lo = np.searchsorted(values, e - s - TOL_GAP)
+        hi = np.searchsorted(values, _nudge(e) + TOL_GAP)
+    breaks = np.flatnonzero(e[1:] <= _nudge(e[:-1])) + 1
+    for run in np.split(np.arange(e.size), breaks):
+        while True:
+            # the counts rise along the run: tighten each bracket by its
+            # neighbours' before choosing the next energy to count
+            lo[run] = np.maximum.accumulate(lo[run])
+            hi[run] = np.minimum.accumulate(hi[run][::-1])[::-1]
+            open_ = run[lo[run] < hi[run]]
+            if not open_.size:
+                break
+            j = open_[open_.size // 2]
+            count = count_below(mat, e[j])
+            if not lo[j] <= count <= hi[j]:
+                raise SolverError("count outside its bracket",
+                                  telemetry={"sigma": float(e[j]),
+                                             "count": count})
+            lo[j] = hi[j] = count
+    return lo.tolist()
 
 
 def eigs_below(op, threshold):

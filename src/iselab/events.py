@@ -15,6 +15,7 @@ tabulates them, and everything that reads the event reads that table.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,15 +61,23 @@ class EventSpec:
 
         Rows follow the centers l * (-m..m)^d and entries the offsets
         {-(l-1)/2 .. (l-1)/2}^d, both in lexicographic order, so the middle
-        entry l^d // 2 of a row is the cell's center.
+        entry l^d // 2 of a row is the cell's center.  Built once per spec
+        and shared, so it is read-only.
         """
-        m = (2 * self.L - 1) // (2 * self.l)
-        centers = self.l * _cube(m, self.dimension)
-        return centers[:, None, :] + _cube(self.l // 2, self.dimension)
+        return _cell_table(self)
 
     def required_sites(self):
         """All lattice sites of the cells, cell by cell, as int tuples."""
         return list(map(tuple, self.cells().reshape(-1, self.dimension).tolist()))
+
+
+@lru_cache(maxsize=64)
+def _cell_table(spec):
+    m = (2 * spec.L - 1) // (2 * spec.l)
+    centers = spec.l * _cube(m, spec.dimension)
+    table = centers[:, None, :] + _cube(spec.l // 2, spec.dimension)
+    table.flags.writeable = False
+    return table
 
 
 def _cube(r, d):
@@ -164,8 +173,7 @@ def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
     every trial draws from one counter-based stream in turn, so the chunk
     size, which only bounds memory, does not change the estimate.
     """
-    m = cell_count(spec.dimension, spec.L, spec.l)
-    sites_per_cell = spec.l ** spec.dimension
+    m, sites_per_cell = spec.cells().shape[:2]
     gen = rng.stream(seed, rng.EVENT_TRIALS, (0,))
     hits = 0
     done = 0

@@ -42,14 +42,14 @@ import numpy as np
 
 from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
-                         min_eig_above)
+                         counts_below, min_eig_above)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      select_scale, wilson_interval)
 from .grid import GridSpec
 from .operators import assemble_schrodinger, background_diagonal
-from .potentials import (assemble_random_potential, load_model,
-                         sample_configuration, site_matrix)
+from .potentials import (assemble_random_potential, live_profiles,
+                         load_model, sample_configuration, site_matrix)
 from .ucp import equidistributed_from_choice
 
 
@@ -78,17 +78,28 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", values=None):
     return a, b
 
 
+def coupling_envelope(matrix):
+    """s with 0 <= U @ omega <= s node-wise for every omega in [0, 1]^m, or None.
+
+    s is the largest row sum of U (`matrix`); None when U has a negative
+    entry, so V_omega has no such envelope.
+    """
+    if matrix.nnz and matrix.data.min() < 0:
+        return None
+    return float(np.asarray(matrix.sum(axis=1)).max(initial=0.0))
+
+
 def certified_lower_count(values, matrix, b):
     """#{lambda(H_omega) < b - tol_eig} for every omega in [0, 1]^m, or None.
 
     `values` is the background spectrum, `matrix` U.  Weyl, with V_omega in
-    [0, s] node-wise and s the largest row sum of U, keeps the background's
-    count k when its k-th eigenvalue plus s stays tol_gap below b - tol_eig.
-    None (refused) when U has a negative entry or s does not fit.
+    [0, s] node-wise (coupling_envelope), keeps the background's count k
+    when its k-th eigenvalue plus s stays tol_gap below b - tol_eig.  None
+    (refused) when U has a negative entry or s does not fit.
     """
-    if matrix.nnz and matrix.data.min() < 0:
+    s = coupling_envelope(matrix)
+    if s is None:
         return None
-    s = float(np.asarray(matrix.sum(axis=1)).max(initial=0.0))
     k = int(np.searchsorted(values, b - TOL_EIG))
     if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
         return None
@@ -153,8 +164,9 @@ def box_sites(model, grid, event_spec=None):
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
-    `sites` is box_sites(model, grid, event_spec), and `site_matrix` is
-    U = site_matrix(profiles, grid), so that V_omega = U @ omega.  b and
+    `sites` is box_sites(model, grid, event_spec), `site_matrix` is
+    U = site_matrix(profiles, grid), so that V_omega = U @ omega, and `live`
+    is live_profiles(profiles, grid, U), the couplings U reads.  b and
     width are those of the window [b, b + width); counting-function runs
     leave them unset.  `certified_below` is certified_lower_count at b, or
     None where the trials must count below the window themselves.
@@ -165,6 +177,7 @@ class TrialContext:
     sites: np.ndarray = field(repr=False)
     profiles: tuple = field(repr=False)
     site_matrix: object = field(repr=False)
+    live: tuple = field(repr=False)
     v0_nodes: np.ndarray = field(repr=False)
     event_spec: EventSpec = None
     b: float = None
@@ -181,13 +194,14 @@ class TrialContext:
             values = background_spectrum(grid, model.background).values
         below = None if b is None else certified_lower_count(values, matrix, b)
         return cls(model, grid, sites, profiles, matrix,
+                   live_profiles(profiles, grid, matrix),
                    background_diagonal(grid, model.background),
                    event_spec, b, width, below)
 
     def potential(self, cfg):
         """V_omega = U @ omega at the nodes."""
         return assemble_random_potential(cfg, self.profiles, self.grid,
-                                         self.site_matrix)
+                                         self.site_matrix, self.live)
 
     def hamiltonian(self, cfg):
         """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
@@ -422,7 +436,13 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
                  points_per_unit=9, boundary="periodic", dimension=2):
     """Trial-averaged normalized counting function and its double-log slope.
 
-    N(E) counts the eigenvalues <= E exactly, by one count per energy.
+    N(E) counts the eigenvalues <= E exactly (count_below at each energy),
+    but factorizes H_omega only where two exact layers leave it open
+    (eigensolve.counts_below).  A per-box Weyl bracket: V_omega lies in
+    [0, s] node-wise (coupling_envelope), so the background spectrum bounds
+    every trial's count from both sides, and an energy where both ends
+    agree is not counted.  Monotone bisection over the sorted grid: two
+    counted energies with the same count fix every energy between them.
     This is a diagnostic only: the slope statistic is reported where
     N(E) - N(E0) lies in (0, 1) and no limit claim is attached.
     """
@@ -434,12 +454,15 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     ctx = TrialContext.build(model, GridSpec(
         dimension=dimension, side=float(L), spacing=1.0 / points_per_unit,
         boundary=boundary))
+    s = coupling_envelope(ctx.site_matrix)
+    weyl = None if s is None else (
+        background_spectrum(ctx.grid, model.background).values, s)
     counts = np.zeros(len(E_grid))
     for t in range(trials):
         trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
         h = ctx.hamiltonian(
             sample_configuration(trial_seed, ctx.sites, model.disorder))
-        counts += [count_below(h, e) for e in E_grid]
+        counts += counts_below(h, E_grid, weyl)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
     n_ref = float(np.interp(reference_energy, E_grid, counting)) \

@@ -285,18 +285,28 @@ def site_matrix(profiles, grid):
                               indptr), shape=(grid.num_points, len(profiles)))
 
 
-def assemble_random_potential(cfg, profiles, grid, matrix=None):
+def live_profiles(profiles, grid, matrix):
+    """(live, sites): the columns of U = `matrix` with a node in the box, and
+    the (k, d) int64 array of their profiles' sites."""
+    live = np.flatnonzero(np.diff(matrix.indptr))
+    sites = np.array([profiles[j].site for j in live], dtype=np.int64)
+    return live, sites.reshape(live.size, grid.dimension)
+
+
+def assemble_random_potential(cfg, profiles, grid, matrix=None, live=None):
     """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid.
 
-    `matrix` is site_matrix(profiles, grid), built here when not given.
+    `matrix` is site_matrix(profiles, grid) and `live` is
+    live_profiles(profiles, grid, matrix), each built here when not given.
     """
     if matrix is None:
         matrix = site_matrix(profiles, grid)
-    live = np.flatnonzero(np.diff(matrix.indptr))
-    sites = np.array([profiles[j].site for j in live], dtype=np.int64)
+    if live is None:
+        live = live_profiles(profiles, grid, matrix)
+    columns, sites = live
     omega = np.zeros(len(profiles))
     try:
-        omega[live] = cfg[sites.reshape(live.size, grid.dimension)]
+        omega[columns] = cfg[sites]
     except MissingSiteError as exc:
         raise MissingProfileError(f"contributing profile: {exc}") from exc
     out = matrix @ omega

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iselab import eigensolve, ise, rng
 from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
@@ -430,6 +432,112 @@ class TestIDS:
             diff = n - rec.counting[0]
             if not 0.0 < diff < 1.0:
                 assert stat is None
+
+
+# the free model and `ids` input of the benchmark's diagnostics workload
+FREE_MODEL = {"G": 1.0, "V0": {"kind": "zero"},
+              "single_site": {"kind": "ball_indicator", "c": 1.0,
+                              "delta": 0.25},
+              "disorder": {"kind": "uniform01", "eta": 0.5, "kappa": 0.5}}
+DISORDER_KINDS = (
+    {"kind": "uniform01", "eta": 0.5, "kappa": 0.5},
+    {"kind": "bernoulli", "p": 1e-12, "eta": 0.5},
+    {"kind": "bernoulli", "p": 0.5, "eta": 0.5},
+    {"kind": "truncated", "values": [0.0, 0.5, 1.0],
+     "probs": [0.3, 0.4, 0.3], "eta": 0.5},
+)
+
+
+def per_energy_counts(h, energies, weyl=None):
+    return [count_below(h, e) for e in energies]
+
+
+class TestCountsOnGrid:
+    """eigensolve.counts_below, the Weyl bracket and the grid bisection."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_one_count_per_energy(self, data):
+        spec = {"G": 1.0,
+                "V0": data.draw(st.sampled_from((
+                    {"kind": "zero"},
+                    {"kind": "separable_square", "amplitude": 20.0}))),
+                "single_site": data.draw(st.sampled_from((
+                    {"kind": "ball_indicator", "c": 1.0, "delta": 0.45},
+                    {"kind": "cone", "c": 2.0, "delta": 0.25,
+                     "radius": 0.7}))),
+                "disorder": data.draw(st.sampled_from(DISORDER_KINDS))}
+        model = load_model(spec)
+        grid = GridSpec(dimension=2, side=float(data.draw(st.integers(2, 3))),
+                        spacing=1.0 / data.draw(st.integers(4, 6)),
+                        boundary=data.draw(st.sampled_from(
+                            ("periodic", "dirichlet", "neumann"))))
+        ctx = TrialContext.build(model, grid)
+        h = ctx.hamiltonian(sample_configuration(
+            data.draw(st.integers(0, 2 ** 32)), ctx.sites, model.disorder))
+        values = background_spectrum(grid, model.background).values
+        s = ise.coupling_envelope(ctx.site_matrix)
+        top = float(values[min(40, values.size - 1)]) + s
+        # energies on background eigenvalues (where H_omega = H0 they sit on
+        # its spectrum), anywhere in the range, duplicated, or a step below
+        # the nudge above another
+        energy = st.one_of(st.sampled_from(values[:41].tolist()),
+                           st.floats(float(values[0]) - 1.0, top + 1.0))
+        energies = data.draw(st.lists(energy, min_size=1, max_size=12))
+        for e in list(energies):
+            kind = data.draw(st.sampled_from(("keep", "duplicate", "close")))
+            if kind == "duplicate":
+                energies.append(e)
+            elif kind == "close":
+                energies.append(e + data.draw(st.integers(1, 99)) * TOL_EIG)
+        energies.sort()
+        want = per_energy_counts(h, energies)
+        assert eigensolve.counts_below(h, energies, (values, s)) == want
+        assert eigensolve.counts_below(h, energies) == want
+
+    def test_weyl_bracket_holds_and_closes(self):
+        model = load_model(FREE_MODEL)
+        ctx = TrialContext.build(model, GridSpec(
+            dimension=2, side=3.0, spacing=1.0 / 9, boundary="periodic"))
+        values = background_spectrum(ctx.grid, model.background).values
+        s = ise.coupling_envelope(ctx.site_matrix)
+        assert s == pytest.approx(1.0)   # disjoint unit balls
+        h = ctx.hamiltonian(sample_configuration(7, ctx.sites, model.disorder))
+        closed = 0
+        for e in np.linspace(0.0, 6.0, 25):
+            n = count_below(h, e)
+            lo = np.searchsorted(values, e - s - eigensolve.TOL_GAP)
+            hi = np.searchsorted(values, eigensolve._nudge(e)
+                                 + eigensolve.TOL_GAP)
+            assert lo <= n <= hi
+            closed += lo == hi
+        assert closed > 0
+
+    def test_unsorted_energies_rejected(self):
+        with pytest.raises(ValueError):
+            eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0])
+
+    def test_ids_makes_at_most_half_the_per_energy_counts(self, monkeypatch):
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        def ids(L):
+            return ids_estimate(FREE_MODEL, L, list(np.linspace(0, 6, 25)),
+                                trials=3, seed=20260824, reference_energy=0.0)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        got = [ids(L) for L in (3.0, 4.0)]
+        fewest = len(factorizations)
+        factorizations.clear()
+        monkeypatch.setattr(ise, "counts_below", per_energy_counts)
+        want = [ids(L) for L in (3.0, 4.0)]
+        assert got == want
+        assert len(factorizations) >= 2 * 3 * 25
+        assert fewest <= len(factorizations) // 2
 
 
 class TestReferencePlanShape:

@@ -112,14 +112,14 @@ class TestDisorderDistributions:
     def test_uniform_bulk_mean(self):
         sites = [(i, 0) for i in range(100_000)]
         cfg = sample_configuration(2, sites, uniform01())
-        values = np.array([cfg[s] for s in sites])
+        values = cfg[np.array(sites)]
         assert abs(values.mean() - 0.5) < 3 * 0.51 / math.sqrt(100_000)
 
     def test_empirical_threshold_mass_meets_kappa(self):
         dist = truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)
         sites = [(i, 1) for i in range(100_000)]
         cfg = sample_configuration(4, sites, dist)
-        frequency = np.mean([cfg[s] >= dist.eta for s in sites])
+        frequency = np.mean(cfg[np.array(sites)] >= dist.eta)
         assert frequency >= dist.kappa - 5e-3
 
     def test_truncated_kappa_is_the_mass_above_eta(self):
