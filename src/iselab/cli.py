@@ -213,24 +213,24 @@ def cmd_ucp(args):
                                args.seed, args.attempts)
     profiles = model.profiles_for(grid)
     _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    window = background_eigs_below(grid, model.background, args.energy)
-    if window.count == 0:
+    values, basis = background_eigs_below(grid, model.background, args.energy)
+    if values.size == 0:
         raise ValueError("no eigenvalues below the requested energy")
     v_inf = args.v_inf
     if v_inf is None:
         v_inf = float(np.max(np.abs(model.background.evaluate(grid.nodes()))))
-    vectors = random_subspace_vectors(window.vectors, args.count, args.seed)
+    vectors = random_subspace_vectors(basis, args.count, args.seed)
     samples = [FitSample(delta=model.ball_radius, l=float(args.l),
                          v_inf=v_inf, energy=args.energy,
                          ratio=mass_ratio(v, mask)) for v in vectors]
     fitted, per_sample = fit_ucp_constant(samples)
     print(f"fitted constant N = {fitted:.6g} over {len(samples)} samples "
-          f"(subspace dim {window.count})")
+          f"(subspace dim {values.size})")
     return EXIT_OK, {"ucp.json": {
         "fitted_constant": fitted,
         "per_sample_constants": per_sample,
         "ratios": [s.ratio for s in samples],
-        "subspace_dimension": window.count,
+        "subspace_dimension": values.size,
         "v_inf": v_inf,
     }}
 

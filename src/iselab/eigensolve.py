@@ -1,19 +1,19 @@
 """Symmetric eigenvalue counts, and at most one eigensolve per query.
 
-The spectral primitive is `count_below(op, sigma)`: by Sylvester's law of
+The spectral primitive is `count_below(mat, sigma)`: by Sylvester's law of
 inertia the negative pivots of a sparse LDL^T of H - sigma I number exactly
 the eigenvalues below sigma.  Whether a window holds spectrum is a
 difference of two counts and needs no eigensolve, and a sorted grid of
 energies (`counts_below`) is counted only where a Weyl bracket and the
-count's monotonicity leave an energy open.  A query that must
-report eigenvalues counts first and then makes one solve with exactly that
-many: dense up to DENSE_CUTOFF nodes where eigenpairs are enumerated,
-ARPACK otherwise.  Both shift-invert queries, the lowest eigenvalue above
-an energy (`min_eig_above`) and the eigenvalues of a large window
-(`eigs_in_window`), are one ARPACK run on the trusted LDL^T of the count,
-not on a pivoted LU of its own.  Every returned pair is residual-checked
-against tol_eig, and failures surface as SolverError with telemetry
-instead of silently truncated results.
+count's monotonicity leave an energy open.  A query that must report
+eigenvalues counts first and then makes one shift-invert solve for exactly
+that many: the lowest eigenvalue above an energy (`min_eig_above`) and the
+eigenvalues of a window (`eigs_in_window`) are each one ARPACK run on the
+trusted LDL^T of the count, not on a pivoted LU of its own.  Queries take
+the SciPy sparse matrix that `operators` assembles.  A window solve must
+return exactly the counted eigenvalues, background eigenpairs are
+residual-checked against tol_eig, and failures surface as SolverError with
+telemetry instead of silently truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
@@ -25,23 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import SolverError
 from .grid import _lap1d
-from .operators import (SparseSymmetricOperator, assemble_background,
-                        assemble_interpolated)
+from .operators import assemble_background, assemble_interpolated
 
 TOL_EIG = 1e-8
 TOL_GAP = 1e-6
-DENSE_CUTOFF = 4096
-
-
-def _matrix(op):
-    if isinstance(op, SparseSymmetricOperator):
-        return op.matrix
-    return sparse.csr_matrix(op)
 
 
 def start_vector(n):
@@ -52,35 +43,6 @@ def start_vector(n):
     reruns.
     """
     return np.random.Generator(np.random.Philox(key=0x1ab0)).standard_normal(n)
-
-
-@dataclass
-class SpectralWindowResult:
-    values: np.ndarray
-    vectors: np.ndarray = field(repr=False)
-    residuals: np.ndarray
-    method: str
-    k_used: int
-
-    @property
-    def count(self):
-        return int(self.values.size)
-
-
-def _check_residuals(mat, values, vectors, method, k_used):
-    if values.size == 0:
-        return SpectralWindowResult(values, vectors, np.empty(0), method, k_used)
-    res = np.linalg.norm(mat @ vectors - vectors * values[None, :], axis=0)
-    bad = res > TOL_EIG * (np.abs(values) + 1.0)
-    if bad.any():
-        raise SolverError(
-            "residual bound violated",
-            telemetry={"method": method, "k": k_used,
-                       "worst_residual": float(res.max())},
-        )
-    order = np.argsort(values, kind="stable")
-    return SpectralWindowResult(values[order], vectors[:, order], res[order],
-                                method, k_used)
 
 
 @dataclass(frozen=True)
@@ -127,15 +89,21 @@ def background_spectrum(grid, v0):
 
 
 def background_eigs_below(grid, v0, threshold):
-    """Eigenpairs of H_{0,L} below threshold - tol_eig, from the 1D factors.
+    """(values, vectors) of H_{0,L} below threshold - tol_eig, sorted.
 
-    The Kronecker vectors are residual-checked against the assembled H_{0,L}.
+    They come from the 1D factors, and the Kronecker vectors are
+    residual-checked against the assembled H_{0,L}.
     """
     spectrum = background_spectrum(grid, v0)
     count = int(np.searchsorted(spectrum.values, threshold - TOL_EIG))
-    return _check_residuals(assemble_background(grid, v0).matrix,
-                            spectrum.values[:count], spectrum.vectors(count),
-                            "separable", count)
+    values, vectors = spectrum.values[:count], spectrum.vectors(count)
+    res = np.linalg.norm(assemble_background(grid, v0) @ vectors
+                         - vectors * values[None, :], axis=0)
+    if np.any(res > TOL_EIG * (np.abs(values) + 1.0)):
+        raise SolverError("residual bound violated",
+                          telemetry={"method": "separable", "k": count,
+                                     "worst_residual": float(res.max())})
+    return values, vectors
 
 
 def _nudge(sigma):
@@ -178,20 +146,20 @@ def _trusted_ldlt(mat, sigma):
                       telemetry={"sigma": sigma})
 
 
-def count_below(op, sigma):
+def count_below(mat, sigma):
     """Exact number of eigenvalues below sigma, from one sparse LDL^T.
 
     An untrusted factor moves sigma up by one nudge, so an eigenvalue at
-    sigma counts as below (count_below(op, E) = #{lambda <= E}), as may one
+    sigma counts as below (count_below(mat, E) = #{lambda <= E}), as may one
     within the nudge above it.
     """
-    return _trusted_ldlt(_matrix(op), sigma)[1]
+    return _trusted_ldlt(mat, sigma)[1]
 
 
-def counts_below(op, energies, weyl=None):
-    """[count_below(op, e) for e in energies], from as few counts as exact.
+def counts_below(mat, energies, weyl=None):
+    """[count_below(mat, e) for e in energies], from as few counts as exact.
 
-    `energies` are sorted.  count_below(op, E) = #{lambda < E*} for some E*
+    `energies` are sorted.  count_below(mat, E) = #{lambda < E*} for some E*
     in [E, nudge(E)], so it is monotone along every stretch of the grid in
     which each energy lies above the nudge of the one before; two counted
     energies with the same count there fix every energy between them, and
@@ -199,13 +167,12 @@ def counts_below(op, energies, weyl=None):
     nudge) only starts a new stretch.
 
     `weyl = (values, s)` brackets every count before any factorization, for
-    op = H0 + V with `values` the sorted spectrum of H0 and 0 <= V <= s node
-    by node: Weyl's lambda_j(H0) <= lambda_j(op) <= lambda_j(H0) + s puts
-    count_below(op, E) in [#{values < E - s - tol_gap},
+    mat = H0 + V with `values` the sorted spectrum of H0 and 0 <= V <= s node
+    by node: Weyl's lambda_j(H0) <= lambda_j(mat) <= lambda_j(H0) + s puts
+    count_below(mat, E) in [#{values < E - s - tol_gap},
     #{values < nudge(E) + tol_gap}], and an energy whose bracket closes is
     never counted.
     """
-    mat = _matrix(op)
     e = np.asarray(energies, dtype=float)
     if np.any(np.diff(e) < 0):
         raise ValueError("energies must be sorted")
@@ -235,11 +202,6 @@ def counts_below(op, energies, weyl=None):
     return lo.tolist()
 
 
-def eigs_below(op, threshold):
-    """All eigenpairs with value < threshold - tol_eig: a count, then one solve."""
-    return smallest_eigs(op, count_below(op, threshold - TOL_EIG))
-
-
 def _ldlt_shift_invert(mat, sigma, k, which="LM"):
     """eigsh near sigma, (H - sigma I)^-1 applied by _trusted_ldlt's factor."""
     lu, _, sigma = _trusted_ldlt(mat, sigma)
@@ -253,14 +215,14 @@ def _ldlt_shift_invert(mat, sigma, k, which="LM"):
                           telemetry={"sigma": sigma, "k": k})
 
 
-def min_eig_above(op, b):
+def min_eig_above(mat, b):
     """Smallest eigenvalue classified as >= b (values within tol_eig count).
 
     In shift-invert mode "LA" selects the largest 1 / (lambda - sigma), which
     is the eigenvalue closest above sigma = b - tol_eig; when none lies
     above, ARPACK returns one below sigma instead.
     """
-    values, _ = _ldlt_shift_invert(_matrix(op), b - TOL_EIG, 1, "LA")
+    values, _ = _ldlt_shift_invert(mat, b - TOL_EIG, 1, "LA")
     if values[0] < b - TOL_EIG:
         raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
     return float(values[0])
@@ -274,48 +236,27 @@ def lowest_in_spectrum_above(values, b):
     return below + 1, float(values[below])
 
 
-def eigs_in_window(op, a, b):
+def eigs_in_window(mat, a, b):
     """All eigenvalues in (a + tol_gap, b - tol_gap), sorted ascending.
 
-    The window is counted first; only a nonempty one is solved, for exactly
-    that many eigenvalues around its center.
+    The window is counted first; only a nonempty one is solved, by one
+    shift-invert at its centre for exactly the k counted eigenvalues: the
+    window is symmetric about that centre, so the k nearest to it are the k
+    inside.  A solve that returns any other number inside is a SolverError.
     """
     if b <= a:
         raise ValueError("need a < b")
-    mat = _matrix(op)
     lo, hi = a + TOL_GAP, b - TOL_GAP
     k = count_below(mat, hi) - count_below(mat, lo)
     if k == 0:
         return np.empty(0)
-    if mat.shape[0] <= DENSE_CUTOFF:
-        values = eigh(mat.toarray(), eigvals_only=True)
-    else:
-        values = np.sort(_ldlt_shift_invert(mat, 0.5 * (a + b), k)[0])
-    return values[(values > lo) & (values < hi)]
-
-
-def smallest_eigs(op, k):
-    """The k smallest eigenpairs (all n when k >= n)."""
-    mat = _matrix(op)
-    n = mat.shape[0]
-    k = min(k, n)
-    method = "dense" if n <= DENSE_CUTOFF else "iterative"
-    if k == 0:
-        values, vectors = np.empty(0), np.empty((n, 0))
-    elif method == "dense":
-        # evx (bisection, inverse iteration) and evr cost the same here, but
-        # pick different bases inside degenerate eigenspaces; evx keeps the
-        # seeded continuation-constant fit of the acceptance suite stable
-        values, vectors = eigh(mat.toarray(), subset_by_index=[0, k - 1],
-                               driver="evx")
-    else:
-        try:
-            values, vectors = eigsh(mat, k=min(k, n - 1), which="SA",
-                                    v0=start_vector(n))
-        except RuntimeError as exc:  # ARPACK non-convergence
-            raise SolverError(f"iterative solver failed: {exc}",
-                              telemetry={"k": k, "which": "SA"})
-    return _check_residuals(mat, values, vectors, method, k)
+    values = _ldlt_shift_invert(mat, 0.5 * (a + b), k)[0]
+    values = np.sort(values[(values > lo) & (values < hi)])
+    if values.size != k:
+        raise SolverError("window solve disagrees with its count",
+                          telemetry={"a": a, "b": b, "count": k,
+                                     "solved": int(values.size)})
+    return values
 
 
 T_GRID_RULE = "t_grid must rise strictly in [0, 1] by <= 0.05"

@@ -2,7 +2,9 @@
 
 All potentials enter as diagonal multiplication operators, so the
 matrix-level ordering H0 <= H0 + eta*c*chi_S <= H_omega <= H0 + W is exact
-whenever the corresponding nodewise inequalities hold.
+whenever the corresponding nodewise inequalities hold.  Every assemble_*
+returns the SciPy CSR matrix it builds, which the spectral queries of
+`eigensolve` take as it is.
 """
 
 from dataclasses import dataclass, field
@@ -13,17 +15,6 @@ from scipy import sparse
 from .errors import IselabError
 from .grid import laplacian_matrix
 from .potentials import assemble_random_potential, assemble_w
-
-
-@dataclass(frozen=True)
-class SparseSymmetricOperator:
-    """Assembled symmetric operator."""
-
-    matrix: object = field(repr=False)   # scipy CSR
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 @dataclass(frozen=True)
@@ -55,20 +46,9 @@ def mask_from_balls(grid, balls):
     return IndicatorMask(np.concatenate(pieces))
 
 
-def _wrap(matrix):
-    matrix = sparse.csr_matrix(matrix)
-    matrix.sum_duplicates()
-    return SparseSymmetricOperator(matrix)
-
-
-def build_laplacian(grid):
-    """Discrete -Laplacian with the grid's boundary condition."""
-    return _wrap(laplacian_matrix(grid))
-
-
 def assemble_schrodinger(grid, diagonal):
     """-Laplacian + diag(diagonal): the step every assemble_* ends with."""
-    return _wrap(laplacian_matrix(grid) + sparse.diags(diagonal))
+    return laplacian_matrix(grid) + sparse.diags(diagonal)
 
 
 def background_diagonal(grid, v0):

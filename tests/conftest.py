@@ -61,3 +61,14 @@ def _config_from(values):
 def config_from():
     """Build a configuration from a mapping: see _config_from."""
     return _config_from
+
+
+def _dense_eigvals(mat):
+    """All eigenvalues of a sparse symmetric matrix, sorted, by dense LAPACK."""
+    return np.sort(np.linalg.eigvalsh(mat.toarray()))
+
+
+@pytest.fixture(scope="session")
+def dense_eigvals():
+    """Dense oracle for a matrix's spectrum: see _dense_eigvals."""
+    return _dense_eigvals

@@ -111,8 +111,8 @@ class TestExitCodes:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
-    def test_window_missed_by_the_t_grid_is_assertion_failure(self, tmp_path,
-                                                               capsys):
+    def test_window_missed_by_the_t_grid_is_assertion_failure(
+            self, tmp_path, capsys, dense_eigvals):
         # indicator bumps with c = 5 on sites -1..1; the lowest branch
         # crosses the window between the sampled t = 0 and t = 0.05
         from iselab.grid import GridSpec
@@ -126,9 +126,9 @@ class TestExitCodes:
         model = load_model(spec)
         grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
                         boundary="periodic")
-        a, b = (np.linalg.eigvalsh(assemble_interpolated(
-                    grid, model.background, t, model.profiles_for(grid))
-                    .matrix.toarray())[0] for t in (0.01, 0.04))
+        a, b = (dense_eigvals(assemble_interpolated(
+                    grid, model.background, t, model.profiles_for(grid)))[0]
+                for t in (0.01, 0.04))
         code = main(["gap", "--model", str(path), "--L", "2",
                      "--points-per-unit", "3", "--a", repr(float(a)),
                      "--b", repr(float(b))])
@@ -143,17 +143,13 @@ class TestExitCodes:
         from iselab.reference import reference_model_spec
 
         calls = []
+        real = eigensolve.eigs_in_window
 
-        def spy(name):
-            real = getattr(eigensolve, name)
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return counted
-
-        for name in ("smallest_eigs", "eigs_in_window"):
-            monkeypatch.setattr(eigensolve, name, spy(name))
+        monkeypatch.setattr(eigensolve, "eigs_in_window", spy)
         path = tmp_path / "reference.json"
         path.write_text(json.dumps(reference_model_spec()))
         assert main(["lift", "--model", str(path), "--L", "3", "--hint", "36",

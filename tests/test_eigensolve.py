@@ -7,12 +7,11 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
-                               background_spectrum, count_below, eigs_below,
-                               eigs_in_window, min_eig_above, smallest_eigs,
-                               track_family)
+                               background_spectrum, count_below,
+                               eigs_in_window, min_eig_above, track_family)
 from iselab.errors import SolverError
-from iselab.grid import GridSpec, laplacian_eigenvalues
-from iselab.operators import assemble_background, build_laplacian
+from iselab.grid import GridSpec, laplacian_eigenvalues, laplacian_matrix
+from iselab.operators import assemble_background
 from iselab.potentials import (constant_potential, indicator_profile,
                                separable_square_potential, zero_potential)
 
@@ -25,42 +24,36 @@ def free4():
 class TestEigsBelow:
     def test_exactly_the_kernel_below_first_excited(self, free4):
         # periodic spectrum starts 0, then 4 sin^2(pi/4) = 2
-        res = eigs_below(build_laplacian(free4), 1.0)
-        assert res.count == 1
-        assert abs(res.values[0]) < 1e-12
+        values, _ = background_eigs_below(free4, zero_potential(), 1.0)
+        assert values.size == 1
+        assert abs(values[0]) < 1e-12
 
     def test_empty_below_the_spectrum(self, free4):
-        assert eigs_below(build_laplacian(free4), -0.5).count == 0
+        values, _ = background_eigs_below(free4, zero_potential(), -0.5)
+        assert values.size == 0
 
     def test_shift_equivariance(self, free4):
         v = 3.0
-        base = eigs_below(build_laplacian(free4), 2.5)
-        shifted = eigs_below(
-            assemble_background(free4, constant_potential(v)), 2.5 + v)
-        assert base.count == shifted.count
-        assert np.allclose(base.values + v, shifted.values, atol=1e-10)
+        base, _ = background_eigs_below(free4, zero_potential(), 2.5)
+        shifted, _ = background_eigs_below(free4, constant_potential(v),
+                                           2.5 + v)
+        assert base.size == shifted.size
+        assert np.allclose(base + v, shifted, atol=1e-10)
 
     def test_values_sorted_and_residuals_small(self, free4):
-        res = eigs_below(build_laplacian(free4), 5.0)
-        assert np.all(np.diff(res.values) >= 0)
-        assert np.all(res.residuals <= TOL_EIG * (np.abs(res.values) + 1))
-
-    def test_iterative_path_matches_dense(self, monkeypatch):
-        grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
-                        boundary="periodic")
-        op = assemble_background(grid, separable_square_potential(5.0))
-        dense = eigs_below(op, 9.0)
-        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
-        iterative = eigs_below(op, 9.0)
-        assert iterative.method == "iterative"
-        assert dense.count == iterative.count
-        assert np.allclose(dense.values, iterative.values, atol=1e-7)
+        values, vectors = background_eigs_below(free4, zero_potential(), 5.0)
+        residuals = np.linalg.norm(
+            laplacian_matrix(free4) @ vectors - vectors * values, axis=0)
+        assert np.all(np.diff(values) >= 0)
+        assert np.all(residuals <= TOL_EIG * (np.abs(values) + 1))
+        norms = np.linalg.norm(vectors, axis=0)
+        assert np.allclose(norms, 1.0, atol=1e-12)
 
 
 class TestCountBelow:
     def test_shift_near_an_eigenvalue_counts_exactly(self, free4):
         # periodic spectrum: 0 once, then 2 four times
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert count_below(op, -1e-12) == 0
         assert count_below(op, 1e-12) == 1
 
@@ -75,7 +68,7 @@ class TestCountBelow:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(eigensolve, "splu", spy)
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert count_below(op, 1e-12) == 1
         assert len(factorizations) == 1
         assert count_below(op, 0.0) == 1
@@ -97,7 +90,7 @@ class TestCountBelow:
                         boundary=boundary)
         n = grid.num_points
         diagonal = np.random.default_rng(seed).uniform(-amplitude, amplitude, n)
-        mat = build_laplacian(grid).matrix + sparse.diags(diagonal)
+        mat = laplacian_matrix(grid) + sparse.diags(diagonal)
         values = np.linalg.eigvalsh(mat.toarray())
         j = index % n
         if near:
@@ -120,18 +113,18 @@ class TestCountBelow:
 
 class TestLowestAbove:
     def test_spectrum_bottom(self, free4):
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert count_below(op, -1.0 - TOL_EIG) + 1 == 1
         assert min_eig_above(op, -1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_first_excited_level(self, free4):
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert min_eig_above(op, 1.0) == pytest.approx(2.0, abs=1e-10)
         assert count_below(op, 1.0 - TOL_EIG) + 1 == 2   # k0
 
     def test_shift_equivariance(self, free4):
         v = 2.5
-        base = build_laplacian(free4)
+        base = laplacian_matrix(free4)
         shifted = assemble_background(free4, constant_potential(v))
         assert count_below(base, 1.0 - TOL_EIG) == \
             count_below(shifted, 1.0 + v - TOL_EIG)
@@ -139,42 +132,41 @@ class TestLowestAbove:
             min_eig_above(base, 1.0) + v, abs=1e-10)
 
     def test_eigenvalue_at_b_counts_as_above(self, free4):
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert min_eig_above(op, 0.0) == pytest.approx(0.0, abs=1e-12)
         assert count_below(op, 0.0 - TOL_EIG) == 0
 
-    def test_min_eig_above_iterative_agrees_with_dense(self):
+    def test_min_eig_above_iterative_agrees_with_dense(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
                         boundary="periodic")
         op = assemble_background(grid, separable_square_potential(5.0))
-        values = np.linalg.eigvalsh(op.matrix.toarray())
+        values = dense_eigvals(op)
         want = values[values >= 6.0 - TOL_EIG][0]
         assert min_eig_above(op, 6.0) == pytest.approx(want, abs=1e-7)
 
     def test_no_eigenvalue_above_raises(self, free4):
-        op = build_laplacian(free4)
+        op = laplacian_matrix(free4)
         assert count_below(op, 1e9) == free4.num_points
         with pytest.raises(SolverError):
             min_eig_above(op, 1e9)
 
 
 class TestWindows:
-    def test_window_enumeration_matches_closed_form(self, monkeypatch):
+    def test_window_enumeration_matches_closed_form(self):
         grid = GridSpec(dimension=2, side=8.0, spacing=1.0,
                         boundary="periodic")
         want = laplacian_eigenvalues(grid)
         want = want[(want > 1.0 + 1e-6) & (want < 5.0 - 1e-6)]
-        dense = eigs_in_window(build_laplacian(grid), 1.0, 5.0)
-        assert np.allclose(dense, want, atol=1e-10)
-        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
-        iterative = eigs_in_window(build_laplacian(grid), 1.0, 5.0)
-        assert np.allclose(iterative, want, atol=1e-7)
+        got = eigs_in_window(laplacian_matrix(grid), 1.0, 5.0)
+        assert np.allclose(got, want, atol=1e-10)
 
-    def test_smallest_eigs_sorted_unit_vectors(self, free4):
-        res = smallest_eigs(build_laplacian(free4), 5)
-        assert np.all(np.diff(res.values) >= 0)
-        norms = np.linalg.norm(res.vectors, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12)
+    def test_whole_spectrum_window_is_a_solver_error(self, free4):
+        # all 16 eigenvalues lie in the window, but one shift-invert run
+        # returns at most n - 1 of them: the count check must catch it
+        mat = laplacian_matrix(free4)
+        assert count_below(mat, 1000.0) - count_below(mat, -1.0) == 16
+        with pytest.raises(SolverError):
+            eigs_in_window(mat, -1.0, 1000.0)
 
 
 class TestTrackFamily:
@@ -217,11 +209,12 @@ class TestBackgroundSpectrum:
     @pytest.mark.parametrize("kind", sorted(BACKGROUNDS))
     @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_dense_diagonalization(self, kind, boundary, d):
+    def test_matches_dense_diagonalization(self, kind, boundary, d,
+                                           dense_eigvals):
         grid = GridSpec(dimension=d, side=2.0, spacing=0.2 if d == 2 else 1 / 3,
                         boundary=boundary, center=(0.3,) + (-0.7,) * (d - 1))
         v0 = BACKGROUNDS[kind]
-        want = np.linalg.eigvalsh(assemble_background(grid, v0).matrix.toarray())
+        want = dense_eigvals(assemble_background(grid, v0))
         got = background_spectrum(grid, v0).values
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
@@ -231,19 +224,21 @@ class TestBackgroundSpectrum:
         grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
                         boundary=boundary, center=(0.5, 0.0))
         v0 = separable_square_potential(40.0)
+        mat = assemble_background(grid, v0)
+        all_values, all_vectors = np.linalg.eigh(mat.toarray())
         for threshold in (30.0, 60.0):
-            kron = background_eigs_below(grid, v0, threshold)
-            dense = eigs_below(assemble_background(grid, v0), threshold)
-            assert kron.method == "separable"
-            assert kron.count == dense.count > 0
-            assert np.allclose(kron.values, dense.values, atol=1e-9)
-            p_kron = kron.vectors @ kron.vectors.T
-            p_dense = dense.vectors @ dense.vectors.T
+            values, vectors = background_eigs_below(grid, v0, threshold)
+            k = count_below(mat, threshold - TOL_EIG)
+            assert values.size == k > 0
+            assert np.allclose(values, all_values[:k], atol=1e-9)
+            p_kron = vectors @ vectors.T
+            p_dense = all_vectors[:, :k] @ all_vectors[:, :k].T
             assert np.max(np.abs(p_kron - p_dense)) <= 1e-8
 
     def test_empty_below_the_spectrum(self, free4):
-        res = background_eigs_below(free4, zero_potential(), -0.5)
-        assert res.count == 0
+        values, vectors = background_eigs_below(free4, zero_potential(), -0.5)
+        assert values.size == 0
+        assert vectors.shape == (free4.num_points, 0)
 
 
 class TestSolverFailures:
@@ -258,20 +253,8 @@ class TestSolverFailures:
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", broken)
         with pytest.raises(TypeError):
-            min_eig_above(build_laplacian(grid), 1.0)
+            min_eig_above(laplacian_matrix(grid), 1.0)
         assert len(calls) == 1
-
-    def test_arpack_failure_in_smallest_eigs_is_a_solver_error(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0),
-                                      np.empty((0, 0)))
-
-        grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
-                        boundary="periodic")
-        monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
-        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
-        with pytest.raises(SolverError):
-            smallest_eigs(build_laplacian(grid), 3)
 
     def test_window_solve_is_one_arpack_run_on_the_count_factor(
             self, monkeypatch):
@@ -285,8 +268,7 @@ class TestSolverFailures:
         grid = GridSpec(dimension=2, side=8.0, spacing=1.0,
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
-        monkeypatch.setattr(eigensolve, "DENSE_CUTOFF", 16)
         with pytest.raises(SolverError):
-            eigs_in_window(build_laplacian(grid), 1.0, 5.0)
+            eigs_in_window(laplacian_matrix(grid), 1.0, 5.0)
         assert len(calls) == 1
         assert isinstance(calls[0]["OPinv"], LinearOperator)

@@ -39,16 +39,16 @@ class TestBandEdge:
         with pytest.raises(GapNotFoundError):
             band_edge_of_background(grid, zero_potential(), hint=-1.0)
 
-    def test_gap_endpoints_match_dense_diagonalization(self, gapped_model):
+    def test_gap_endpoints_match_dense_diagonalization(self, gapped_model,
+                                                       dense_eigvals):
         from iselab.operators import assemble_background
         for boundary in ("periodic", "dirichlet", "neumann"):
             grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
                             boundary=boundary)
             a, b = band_edge_of_background(grid, gapped_model.background,
                                            hint=REFERENCE_GAP_HINT)
-            vals = np.linalg.eigvalsh(
-                assemble_background(grid, gapped_model.background)
-                .matrix.toarray())
+            vals = dense_eigvals(
+                assemble_background(grid, gapped_model.background))
             below = vals[vals < REFERENCE_GAP_HINT]
             above = vals[vals >= REFERENCE_GAP_HINT]
             assert a == pytest.approx(below.max(), abs=1e-9)
@@ -171,7 +171,7 @@ class TestTrialContext:
                                                   ctx.width, seed)
                 record = run_ise_trial(ctx, seed)
                 assert_records_match(record, want)
-                assert (ctx.hamiltonian(cfg).matrix != h.matrix).nnz == 0
+                assert (ctx.hamiltonian(cfg) != h).nnz == 0
                 events += bool(want["event"])
                 certified[ctx.grid.side] += record.lift_certified
             assert events >= 1

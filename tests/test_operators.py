@@ -4,14 +4,9 @@ import pytest
 from iselab.grid import Ball, GridSpec, laplacian_matrix
 from iselab.operators import (IndicatorMask, assemble_background,
                               assemble_hamiltonian, assemble_interpolated,
-                              assemble_test_perturbation, build_laplacian,
-                              mask_from_balls)
+                              assemble_test_perturbation, mask_from_balls)
 from iselab.potentials import (constant_potential, indicator_profile,
                                zero_potential)
-
-
-def dense_spectrum(op):
-    return np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
 
 
 @pytest.fixture
@@ -22,33 +17,35 @@ def grid6():
 class TestAssembly:
     def test_trivial_hamiltonian_is_the_laplacian(self, grid6, config_from):
         h = assemble_hamiltonian(grid6, zero_potential(), config_from({}), [])
-        assert (h.matrix != laplacian_matrix(grid6)).nnz == 0
+        assert (h != laplacian_matrix(grid6)).nnz == 0
 
-    def test_constant_background_shifts_spectrum_exactly(self, grid6):
+    def test_constant_background_shifts_spectrum_exactly(self, grid6,
+                                                         dense_eigvals):
         v = 7.25
         h = assemble_background(grid6, constant_potential(v))
-        lap = dense_spectrum(build_laplacian(grid6))
-        assert np.allclose(dense_spectrum(h), lap + v, atol=1e-12)
+        lap = dense_eigvals(laplacian_matrix(grid6))
+        assert np.allclose(dense_eigvals(h), lap + v, atol=1e-12)
 
     def test_single_bump_raises_ground_state_at_most_c(self, grid6,
-                                                        config_from):
+                                                        config_from,
+                                                        dense_eigvals):
         fine = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         c = 3.0
         profiles = [indicator_profile((0, 0), c, 0.45)]
         cfg = config_from({(0, 0): 1.0})
         h = assemble_hamiltonian(fine, zero_potential(), cfg, profiles)
-        ground = dense_spectrum(h)[0]
+        ground = dense_eigvals(h)[0]
         assert 0.0 < ground <= c
 
     def test_symmetry_and_pattern_stability(self, grid6, config_from):
         cfg = config_from({(0, 0): 0.7})
         profiles = [indicator_profile((0, 0), 1.0, 0.45)]
-        lap = build_laplacian(grid6)
+        lap = laplacian_matrix(grid6)
         h = assemble_hamiltonian(grid6, constant_potential(2.0), cfg, profiles)
-        assert (h.matrix != h.matrix.T).nnz == 0
-        assert np.array_equal(lap.matrix.indices, h.matrix.indices)
-        assert np.array_equal(lap.matrix.indptr, h.matrix.indptr)
+        assert (h != h.T).nnz == 0
+        assert np.array_equal(lap.indices, h.indices)
+        assert np.array_equal(lap.indptr, h.indptr)
 
 
 class TestInterpolatedFamily:
@@ -57,20 +54,20 @@ class TestInterpolatedFamily:
         v0 = constant_potential(1.0)
         t0 = assemble_interpolated(grid6, v0, 0.0, profiles)
         h0 = assemble_background(grid6, v0)
-        assert (t0.matrix != h0.matrix).nnz == 0
+        assert (t0 != h0).nnz == 0
 
     def test_t_outside_unit_interval_rejected(self, grid6):
         with pytest.raises(ValueError):
             assemble_interpolated(grid6, zero_potential(), 1.5, [])
 
-    def test_eigenvalues_nondecreasing_in_t(self):
+    def test_eigenvalues_nondecreasing_in_t(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
                         boundary="periodic")
         profiles = [indicator_profile((i, j), 1.0, 0.45)
                     for i in (-2, 0, 2) for j in (-2, 0, 2)]
         prev = None
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            vals = dense_spectrum(
+            vals = dense_eigvals(
                 assemble_interpolated(grid, zero_potential(), t, profiles))
             if prev is not None:
                 assert np.all(vals >= prev - 1e-10)
@@ -82,21 +79,22 @@ class TestTestPerturbation:
         mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 1.2)])
         hp = assemble_test_perturbation(grid6, zero_potential(), mask, 0.0)
         h0 = assemble_background(grid6, zero_potential())
-        assert (hp.matrix != h0.matrix).nnz == 0
+        assert (hp != h0).nnz == 0
 
-    def test_full_mask_is_a_uniform_shift(self, grid6):
+    def test_full_mask_is_a_uniform_shift(self, grid6, dense_eigvals):
         mask = IndicatorMask(np.arange(grid6.num_points))
         amp = 0.5
         hp = assemble_test_perturbation(grid6, zero_potential(), mask, amp)
         h0 = assemble_background(grid6, zero_potential())
-        assert np.allclose(dense_spectrum(hp), dense_spectrum(h0) + amp,
+        assert np.allclose(dense_eigvals(hp), dense_eigvals(h0) + amp,
                            atol=1e-12)
 
-    def test_single_ball_between_background_and_shift(self, grid6):
+    def test_single_ball_between_background_and_shift(self, grid6,
+                                                      dense_eigvals):
         amp = 0.8
         mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 1.2)])
-        lo = dense_spectrum(assemble_background(grid6, zero_potential()))
-        mid = dense_spectrum(
+        lo = dense_eigvals(assemble_background(grid6, zero_potential()))
+        mid = dense_eigvals(
             assemble_test_perturbation(grid6, zero_potential(), mask, amp))
         assert np.all(lo - 1e-12 <= mid)
         assert np.all(mid <= lo + amp + 1e-12)

@@ -6,13 +6,12 @@ import pytest
 
 from iselab import operators, potentials, rng, ucp
 from iselab.errors import EventViolatedError
-from iselab.eigensolve import TOL_EIG, TOL_GAP, smallest_eigs
+from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
 from iselab.grid import Ball, GridSpec
 from iselab.operators import (IndicatorMask, assemble_background,
                               assemble_hamiltonian, assemble_interpolated,
-                              assemble_test_perturbation, build_laplacian,
-                              mask_from_balls)
+                              assemble_test_perturbation, mask_from_balls)
 from iselab.potentials import (indicator_profile, load_model,
                                sample_configuration, zero_potential)
 from iselab.reference import reference_model_spec
@@ -33,10 +32,6 @@ FREE_MODEL = {
     "single_site": {"kind": "ball_indicator", "c": 1.0, "delta": 0.25},
     "disorder": {"kind": "uniform01", "eta": 0.5, "kappa": 0.5},
 }
-
-
-def dense_spectrum(op):
-    return np.linalg.eigvalsh(op.matrix.toarray())
 
 
 class TestTheoreticalBound:
@@ -84,8 +79,8 @@ class TestMassRatio:
             pytest.approx(1.0)
 
     def test_eigenfunction_against_direct_summation(self, grid6):
-        res = smallest_eigs(build_laplacian(grid6), 3)
-        phi = res.vectors[:, 1]   # first excited level
+        _, vectors = background_eigs_below(grid6, zero_potential(), 2.0)
+        phi = vectors[:, 1]   # first excited level
         mask = mask_from_balls(grid6, [Ball((0.7, -0.7), 0.6)])
         direct = float(np.sum(phi[mask.node_indices] ** 2) / np.sum(phi ** 2))
         assert mass_ratio(phi, mask) == pytest.approx(direct, rel=1e-12)
@@ -271,7 +266,8 @@ class TestLiftingExperiment:
         {"kind": "ball_indicator", "c": 1.0, "delta": 0.45},
         {"kind": "cone", "c": 1.0, "delta": 0.3, "radius": 0.45},
     ])
-    def test_node_order_orders_the_dense_spectra(self, single_site):
+    def test_node_order_orders_the_dense_spectra(self, single_site,
+                                                 dense_eigvals):
         spec_json = reference_model_spec()
         spec_json["single_site"] = single_site
         model = load_model(spec_json)
@@ -284,8 +280,8 @@ class TestLiftingExperiment:
                        set(spec.required_sites()))
         v0 = model.background
         amplitude = model.disorder.eta * model.coupling_floor
-        low = dense_spectrum(assemble_background(grid, v0))
-        top = dense_spectrum(assemble_interpolated(grid, v0, 1.0, profiles))
+        low = dense_eigvals(assemble_background(grid, v0))
+        top = dense_eigvals(assemble_interpolated(grid, v0, 1.0, profiles))
         checked = 0
         for t in range(6):
             cfg = sample_configuration(
@@ -298,24 +294,24 @@ class TestLiftingExperiment:
             if not rec.sandwich_ok:
                 continue
             _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-            chain = [low, dense_spectrum(assemble_test_perturbation(
+            chain = [low, dense_eigvals(assemble_test_perturbation(
                          grid, v0, mask, amplitude)),
-                     dense_spectrum(assemble_hamiltonian(grid, v0, cfg,
-                                                         profiles)), top]
+                     dense_eigvals(assemble_hamiltonian(grid, v0, cfg,
+                                                        profiles)), top]
             for lo, hi in zip(chain, chain[1:]):
                 assert np.all(lo <= hi + 1e-9 * (np.abs(hi) + 1.0))
             checked += 1
         assert checked >= 4
 
 
-def missed_window_setup():
+def missed_window_setup(dense_eigvals):
     """Free 6 x 6 box with c = 5 indicator bumps on sites -1..1, and the
     window (lambda_0(H0 + 0.01 W), lambda_0(H0 + 0.04 W))."""
     grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
                     boundary="periodic")
     profiles = [indicator_profile((i, j), 5.0, 0.45)
                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    window = tuple(float(dense_spectrum(assemble_interpolated(
+    window = tuple(float(dense_eigvals(assemble_interpolated(
         grid, zero_potential(), t, profiles))[0]) for t in (0.01, 0.04))
     return grid, profiles, window
 
@@ -343,13 +339,13 @@ class TestGapHypothesis:
             verify_gap_hypothesis(grid, zero_potential(), [], (4.1, 5.9),
                                   [0.0, 0.5, 1.0])
 
-    def test_window_missed_by_the_grid_fails(self):
+    def test_window_missed_by_the_grid_fails(self, dense_eigvals):
         # the lowest branch crosses (lambda_0(t = 0.01), lambda_0(t = 0.04))
         # between the sampled t = 0 and t = 0.05
-        grid, profiles, window = missed_window_setup()
+        grid, profiles, window = missed_window_setup(dense_eigvals)
         t_grid = [i / 20 for i in range(21)]
         for t in t_grid:
-            values = dense_spectrum(assemble_interpolated(
+            values = dense_eigvals(assemble_interpolated(
                 grid, zero_potential(), t, profiles))
             assert not np.any((values > window[0]) & (values < window[1]))
         report = verify_gap_hypothesis(grid, zero_potential(), profiles,
@@ -365,13 +361,14 @@ class TestGapHypothesis:
         (FREE_MODEL, [(0.2, 9.6), (20.0, 35.9), (0.05, 0.08), (9.7, 9.8),
                       (19.3, 30.0), (36.01, 40.0)]),
     ])
-    def test_crossings_match_a_fine_scan(self, spec_json, windows):
+    def test_crossings_match_a_fine_scan(self, spec_json, windows,
+                                         dense_eigvals):
         model = load_model(spec_json)
         grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 6,
                         boundary="periodic")
         profiles = model.profiles_for(grid)
         # row i holds the sorted spectrum at t_i, column j one branch
-        scan = np.array([dense_spectrum(assemble_interpolated(
+        scan = np.array([dense_eigvals(assemble_interpolated(
             grid, model.background, t, profiles))
             for t in np.linspace(0.0, 1.0, 401)])
         crossings = []
@@ -384,7 +381,8 @@ class TestGapHypothesis:
             crossings.append(report.crossings)
         assert crossings.count(0) == 2 and min(crossings[2:]) >= 1
 
-    def test_matches_dense_scan_for_gapped_background(self, gapped_model):
+    def test_matches_dense_scan_for_gapped_background(self, gapped_model,
+                                                      dense_eigvals):
         grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
                         boundary="periodic")
         profiles = gapped_model.profiles_for(grid)
@@ -395,6 +393,6 @@ class TestGapHypothesis:
         for t in t_grid:
             op = assemble_interpolated(grid, gapped_model.background, t,
                                        profiles)
-            vals = np.linalg.eigvalsh(op.matrix.toarray())
+            vals = dense_eigvals(op)
             dense_hit = np.any((vals > 28.0 + 1e-6) & (vals < 46.0 - 1e-6))
             assert dense_hit == any(ti == t for ti, _ in report.intrusions)
