@@ -160,6 +160,14 @@ class TestWindows:
         got = eigs_in_window(laplacian_matrix(grid), 1.0, 5.0)
         assert np.allclose(got, want, atol=1e-10)
 
+    def test_smallest_eigs_sorted_unit_vectors(self, free4):
+        # the five smallest periodic levels: 0 once, then 2 four times
+        values, vectors = background_eigs_below(free4, zero_potential(), 3.0)
+        assert values.size == 5
+        assert np.all(np.diff(values) >= 0)
+        norms = np.linalg.norm(vectors, axis=0)
+        assert np.allclose(norms, 1.0, atol=1e-12)
+
     def test_whole_spectrum_window_is_a_solver_error(self, free4):
         # all 16 eigenvalues lie in the window, but one shift-invert run
         # returns at most n - 1 of them: the count check must catch it
