@@ -10,8 +10,8 @@ eigenvalues counts first and then makes one shift-invert solve for exactly
 that many: the lowest eigenvalue above an energy (`min_eig_above`) and the
 eigenvalues of a window (`eigs_in_window`) are each one ARPACK run on the
 trusted LDL^T of the count, not on a pivoted LU of its own.  Queries take
-the SciPy sparse matrix that `operators` assembles.  A window solve must
-return exactly the counted eigenvalues, background eigenpairs are
+the SciPy sparse matrix that `grid.assemble_schrodinger` builds.  A window
+solve must return exactly the counted eigenvalues, background eigenpairs are
 residual-checked against tol_eig, and failures surface as SolverError with
 telemetry instead of silently truncated results.
 
@@ -28,8 +28,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import SolverError
-from .grid import _lap1d
-from .operators import assemble_background, assemble_interpolated
+from .grid import _lap1d, assemble_schrodinger
 
 TOL_EIG = 1e-8
 TOL_GAP = 1e-6
@@ -97,8 +96,8 @@ def background_eigs_below(grid, v0, threshold):
     spectrum = background_spectrum(grid, v0)
     count = int(np.searchsorted(spectrum.values, threshold - TOL_EIG))
     values, vectors = spectrum.values[:count], spectrum.vectors(count)
-    res = np.linalg.norm(assemble_background(grid, v0) @ vectors
-                         - vectors * values[None, :], axis=0)
+    h0 = assemble_schrodinger(grid, v0.evaluate(grid.nodes()))
+    res = np.linalg.norm(h0 @ vectors - vectors * values[None, :], axis=0)
     if np.any(res > TOL_EIG * (np.abs(values) + 1.0)):
         raise SolverError("residual bound violated",
                           telemetry={"method": "separable", "k": count,
@@ -237,21 +236,25 @@ def lowest_in_spectrum_above(values, b):
 
 
 def eigs_in_window(mat, a, b):
-    """All eigenvalues in (a + tol_gap, b - tol_gap), sorted ascending.
+    """Eigenvalues between a + tol_gap and b - tol_gap, sorted ascending.
 
     The window is counted first; only a nonempty one is solved, by one
     shift-invert at its centre for exactly the k counted eigenvalues: the
     window is symmetric about that centre, so the k nearest to it are the k
-    inside.  A solve that returns any other number inside is a SolverError.
+    inside.  A level on an edge (or within the nudge above it) counts as
+    below that edge, as in count_below: outside the lower, inside the upper.
+    The solve keeps the values in [s_lo, s_hi), the shifts both counts
+    used, and one that returns any other number of them is a SolverError.
     """
     if b <= a:
         raise ValueError("need a < b")
-    lo, hi = a + TOL_GAP, b - TOL_GAP
-    k = count_below(mat, hi) - count_below(mat, lo)
+    (_, below_lo, s_lo), (_, below_hi, s_hi) = (
+        _trusted_ldlt(mat, e) for e in (a + TOL_GAP, b - TOL_GAP))
+    k = below_hi - below_lo
     if k == 0:
         return np.empty(0)
     values = _ldlt_shift_invert(mat, 0.5 * (a + b), k)[0]
-    values = np.sort(values[(values > lo) & (values < hi)])
+    values = np.sort(values[(values >= s_lo) & (values < s_hi)])
     if values.size != k:
         raise SolverError("window solve disagrees with its count",
                           telemetry={"a": a, "b": b, "count": k,
@@ -271,13 +274,3 @@ def check_t_grid(t_grid):
         raise ValueError(T_GRID_RULE)
     return t_grid
 
-
-def track_family(grid, v0, profiles, t_grid, window):
-    """Eigenvalues of H0 + t W inside the window, for each t."""
-    t_grid = check_t_grid(t_grid)
-    a, b = window
-    out = []
-    for t in t_grid:
-        op = assemble_interpolated(grid, v0, t, profiles)
-        out.append(eigs_in_window(op, a, b))
-    return out

@@ -1,4 +1,4 @@
-"""Boxes, balls and the finite-difference Laplacian.
+"""Boxes, ball node sets, the finite-difference Laplacian and box Hamiltonians.
 
 The open hypercube of side L centered at x is discretized with n = L/h
 cell-centered nodes per axis, so every node lies strictly inside the box
@@ -111,19 +111,6 @@ class GridSpec:
         return np.sort(idx[dist2 < radius * radius])
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Open Euclidean ball."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-
 def _lap1d(n, h, boundary):
     """1D (2+1)-point Laplacian block, exact rational entries over h^2."""
     main = 2.0 * np.ones(n)
@@ -157,6 +144,11 @@ def laplacian_matrix(grid):
         total = term if total is None else total + term
     total.sum_duplicates()
     return sparse.csr_matrix(total)
+
+
+def assemble_schrodinger(grid, diagonal):
+    """-Laplacian + diag(diagonal), the CSR matrix of every box Hamiltonian."""
+    return laplacian_matrix(grid) + sparse.diags(diagonal)
 
 
 def laplacian_eigenvalues_1d(n, h, boundary):

@@ -46,8 +46,7 @@ from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      select_scale, wilson_interval)
-from .grid import GridSpec
-from .operators import assemble_schrodinger, background_diagonal
+from .grid import GridSpec, assemble_schrodinger
 from .potentials import (assemble_random_potential, live_profiles,
                          load_model, sample_configuration, site_matrix)
 from .ucp import equidistributed_from_choice
@@ -195,7 +194,7 @@ class TrialContext:
         below = None if b is None else certified_lower_count(values, matrix, b)
         return cls(model, grid, sites, profiles, matrix,
                    live_profiles(profiles, grid, matrix),
-                   background_diagonal(grid, model.background),
+                   model.background.evaluate(grid.nodes()),
                    event_spec, b, width, below)
 
     def potential(self, cfg):
@@ -204,7 +203,7 @@ class TrialContext:
                                          self.site_matrix, self.live)
 
     def hamiltonian(self, cfg):
-        """H_omega, the operator assemble_hamiltonian builds, from U @ omega."""
+        """H_omega = -Laplacian + V0 + V_omega, with V_omega = U @ omega."""
         return assemble_schrodinger(self.grid,
                                     self.v0_nodes + self.potential(cfg))
 
@@ -214,19 +213,20 @@ def event_lift(model, grid, spec, b, width, choice):
     """The good event's test operator for one per-cell choice: (S, lift, top).
 
     H_pert = H0 + eta c chi_S, S the union of the balls of the chosen sites
-    (`choice` holds one int tuple per cell, as cell_choice picks them); lift
-    is H_pert's lowest eigenvalue at or above b (min_eig_above) minus b, and
-    top = count_below(H_pert, b + width).  It depends on omega only through
+    (`choice` holds one int tuple per cell, as cell_choice picks them),
+    returned as its sorted node indices; lift is H_pert's lowest eigenvalue
+    at or above b (min_eig_above) minus b, and top = count_below(H_pert,
+    b + width).  It depends on omega only through
     the choice, and every argument hashes by value, also after pickling, so
     each process (the serial one, or each pool worker) solves it once per
     box size and choice.
     """
     _, mask = equidistributed_from_choice(spec, choice,
                                           model.profiles_for(grid), grid)
-    v_test = (model.disorder.eta * model.coupling_floor
-              * mask.indicator(grid.num_points))
+    v_test = np.zeros(grid.num_points)
+    v_test[mask] = model.disorder.eta * model.coupling_floor
     h_pert = assemble_schrodinger(
-        grid, background_diagonal(grid, model.background) + v_test)
+        grid, model.background.evaluate(grid.nodes()) + v_test)
     return mask, min_eig_above(h_pert, b) - b, count_below(h_pert, b + width)
 
 
@@ -276,7 +276,7 @@ def run_ise_trial(ctx, seed):
             amplitude = ctx.model.disorder.eta * ctx.model.coupling_floor
             result.lift_certified = bool(
                 ctx.certified_below is not None and top == ctx.certified_below
-                and np.all(v_omega[mask.node_indices] >= amplitude))
+                and np.all(v_omega[mask] >= amplitude))
     try:
         if result.lift_certified:
             result.update(window_count=0, outcome=True)
@@ -449,8 +449,8 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     if isinstance(model, dict):
         model = load_model(model)
     E_grid = list(E_grid)
-    if E_grid != sorted(E_grid):
-        raise ValueError("E_grid must be sorted")
+    if trials < 1 or not E_grid or E_grid != sorted(E_grid):
+        raise ValueError("need trials >= 1 and a nonempty, sorted E_grid")
     ctx = TrialContext.build(model, GridSpec(
         dimension=dimension, side=float(L), spacing=1.0 / points_per_unit,
         boundary=boundary))
@@ -465,8 +465,7 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
         counts += counts_below(h, E_grid, weyl)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
-    n_ref = float(np.interp(reference_energy, E_grid, counting)) \
-        if E_grid else 0.0
+    n_ref = float(np.interp(reference_energy, E_grid, counting))
     # use the counting value at the reference energy itself when sampled
     ref_count = None
     for e, c in zip(E_grid, counting):

@@ -315,11 +315,6 @@ def assemble_random_potential(cfg, profiles, grid, matrix=None, live=None):
     return out
 
 
-def assemble_w(profiles, grid):
-    """Nodewise envelope W = sum_j u_j (all couplings at 1)."""
-    return site_matrix(profiles, grid) @ np.ones(len(profiles))
-
-
 @dataclass(frozen=True)
 class SingleSiteReport:
     ok: bool

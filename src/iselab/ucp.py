@@ -4,6 +4,9 @@ constant fitting, and the eigenvalue-lifting and gap experiments.
 The continuum bound is (delta/l)^(N (1 + l^{4/3} |V|_inf^{2/3} + l sqrt(E+)))
 for spectral-subspace functions up to energy E; here the L^2 masses become
 node-counting sums, so the h^d factors cancel in the ratio.
+
+Every operator is grid.assemble_schrodinger of V0 at the nodes plus eta c on
+a sorted node-index mask, U @ omega or t W: its order is node-wise order.
 """
 
 import math
@@ -14,13 +17,11 @@ import numpy as np
 from . import rng
 from .errors import EventViolatedError, IselabError
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, check_t_grid,
-                         count_below, lowest_in_spectrum_above, min_eig_above,
-                         track_family)
+                         count_below, eigs_in_window, lowest_in_spectrum_above,
+                         min_eig_above)
 from .events import (EquidistributedSequence, cell_choice, cell_hits,
                      lifting_bound)
-from .grid import Ball
-from .operators import (assemble_interpolated, assemble_schrodinger,
-                        background_diagonal, mask_from_balls)
+from .grid import assemble_schrodinger
 from .potentials import assemble_random_potential, site_matrix
 
 
@@ -55,12 +56,12 @@ def ucp_log_bound(params):
 
 
 def mass_ratio(phi, mask):
-    """Fraction of the squared node mass of phi carried by the mask."""
+    """Fraction of the squared node mass of phi on the node indices `mask`."""
     phi = np.asarray(phi, dtype=float)
     total = float(np.sum(phi * phi))
     if total <= 0.0:
         raise ValueError("mass ratio of the zero vector is undefined")
-    return float(np.sum(phi[mask.node_indices] ** 2)) / total
+    return float(np.sum(phi[mask] ** 2)) / total
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,13 @@ def equidistributed_from_event(cfg, spec, profiles, grid):
 
 
 def equidistributed_from_choice(spec, chosen, profiles, grid):
-    """(sequence, mask) of the balls of `chosen`, row i a site of cell i."""
+    """(sequence, mask) of the balls of `chosen`, row i a site of cell i;
+    the mask is the sorted node indices of their union."""
     table = spec.cells()
     centers = table[:, table.shape[1] // 2].tolist()
     by_site = {p.site: p for p in profiles}
     points = {}
-    balls = []
+    pieces = []
     delta = None
     for center, site in zip(map(tuple, centers), map(tuple, chosen)):
         profile = by_site.get(site)
@@ -136,11 +138,14 @@ def equidistributed_from_choice(spec, chosen, profiles, grid):
             continue
         delta = profile.ball_radius if delta is None else min(delta, profile.ball_radius)
         points[center] = profile.ball_center
-        balls.append(Ball(profile.ball_center, profile.ball_radius))
+        pieces.append(grid.nodes_within_ball(profile.ball_center,
+                                             profile.ball_radius))
     if delta is None:
         raise IselabError("no profile available for any selected site")
+    mask = np.unique(np.concatenate(pieces))
+    if not mask.size:
+        raise IselabError("indicator mask is empty: no ball meets the grid")
     sequence = EquidistributedSequence(cell_side=spec.l, radius=delta, points=points)
-    mask = mask_from_balls(grid, balls)
     return sequence, mask
 
 
@@ -178,15 +183,17 @@ def lifting_experiment(grid, v0, cfg, spec, profiles, b, eta, c):
     share -Laplacian + V0, so the order holds iff eta c chi_S <= V_omega <= W
     node by node (up to the 1e-12 verify_single_site_bound allows, which Weyl
     bounds), and min-max then orders the eigenvalues at every index.  V0 at
-    the nodes and U = site_matrix(profiles, grid) are built once and serve
-    both the operators and the check.
+    the nodes and U = site_matrix(profiles, grid) are built once; both
+    solved operators are grid.assemble_schrodinger of V0 plus eta c on the
+    mask or U @ omega, and the check compares those same node arrays.
     """
     if eta * c < 0:
         raise ValueError("amplitude must be nonnegative")
     sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    v0_nodes = background_diagonal(grid, v0)
+    v0_nodes = v0.evaluate(grid.nodes())
     matrix = site_matrix(profiles, grid)
-    v_test = eta * c * mask.indicator(grid.num_points)
+    v_test = np.zeros(grid.num_points)
+    v_test[mask] = eta * c
     v_rand = assemble_random_potential(cfg, profiles, grid, matrix)
 
     k0, lam0 = lowest_in_spectrum_above(background_spectrum(grid, v0).values, b)
@@ -225,18 +232,21 @@ def verify_gap_hypothesis(grid, v0, profiles, window, t_grid):
     W >= 0, so each eigenvalue branch never falls in t and enters the window
     (edges moved in by tol_gap) iff lambda_j(H0 + W) > a and lambda_j(H0) < b.
     `crossings` = #{lambda(H0) < b} - #{lambda(H0 + W) < a} counts them, and
-    only a window with crossings is sampled on t_grid, to list intrusions.
+    only a window with crossings is sampled on t_grid, to list intrusions
+    (eigs_in_window of H0 + t W, V0 at the nodes and W = U @ 1 built once).
     """
     a, b = window
     if b <= a:
         raise ValueError("need a < b")
     t_grid = check_t_grid(t_grid)
+    v0_nodes = v0.evaluate(grid.nodes())
+    w = site_matrix(profiles, grid) @ np.ones(len(profiles))
     spectrum0 = background_spectrum(grid, v0).values
     crossings = int(np.searchsorted(spectrum0, b - TOL_GAP)) - count_below(
-        assemble_interpolated(grid, v0, 1.0, profiles), a + TOL_GAP)
-    per_t = track_family(grid, v0, profiles, t_grid if crossings else (),
-                         window)
-    intrusions = tuple((t, float(v)) for t, vals in zip(t_grid, per_t)
-                       for v in vals)
+        assemble_schrodinger(grid, v0_nodes + w), a + TOL_GAP)
+    intrusions = tuple(
+        (t, float(v)) for t in (t_grid if crossings else ())
+        for v in eigs_in_window(assemble_schrodinger(grid, v0_nodes + t * w),
+                                a, b))
     return GapReport(ok=crossings == 0, window=tuple(window), t_grid=t_grid,
                      intrusions=intrusions, crossings=crossings)

@@ -22,13 +22,11 @@ from iselab.events import (EventSpec, build_ledger, event_A_indicator,
                            exact_event_log_failure, exact_event_probability,
                            min_scale_for_probability,
                            monte_carlo_event_probability, select_scale)
-from iselab.grid import (Ball, GridSpec, laplacian_eigenvalues,
+from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
                          laplacian_matrix)
 from iselab.ise import estimate_ise_probability
-from iselab.operators import (assemble_background, assemble_hamiltonian,
-                              assemble_interpolated,
-                              assemble_test_perturbation, mask_from_balls)
-from iselab.potentials import load_model, sample_configuration
+from iselab.potentials import (assemble_random_potential, load_model,
+                               sample_configuration, site_matrix)
 from iselab.reference import (LIFTING_BOX, LIFTING_SCALES, REFERENCE_SEED,
                               reference_plan)
 from iselab.ucp import (FitSample, equidistributed_from_event,
@@ -97,8 +95,10 @@ class TestEigenvalueSandwich:
         profiles = model.profiles_for(grid)
         sites = sorted(set(model.sites_for(grid)) |
                        set(spec.required_sites()))
-        h0 = assemble_background(grid, model.background)
-        h_full = assemble_interpolated(grid, model.background, 1.0, profiles)
+        v0_nodes = model.background.evaluate(grid.nodes())
+        h0 = assemble_schrodinger(grid, v0_nodes)
+        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+        h_full = assemble_schrodinger(grid, v0_nodes + w)
         k = 10
         base = dense_eigvals(h0)[:k]
         top = dense_eigvals(h_full)[:k]
@@ -112,8 +112,8 @@ class TestEigenvalueSandwich:
         for t in range(100):
             seed = rng.derive_seed(7, rng.TRIAL_STREAM, (0, t))
             cfg = sample_configuration(seed, sites, model.disorder)
-            h_rand = assemble_hamiltonian(grid, model.background, cfg,
-                                          profiles)
+            v_omega = assemble_random_potential(cfg, profiles, grid)
+            h_rand = assemble_schrodinger(grid, v0_nodes + v_omega)
             rand = dense_eigvals(h_rand)[:k]
             if not (leq(base, rand) and leq(rand, top)):
                 violations += 1
@@ -121,8 +121,9 @@ class TestEigenvalueSandwich:
             if event_A_indicator(cfg, spec):
                 _, mask = equidistributed_from_event(cfg, spec, profiles,
                                                      grid)
-                h_mid = assemble_test_perturbation(grid, model.background,
-                                                   mask, amplitude)
+                v_test = np.zeros(grid.num_points)
+                v_test[mask] = amplitude
+                h_mid = assemble_schrodinger(grid, v0_nodes + v_test)
                 mid = dense_eigvals(h_mid)[:k]
                 middle_checked += 1
                 if not (leq(base, mid) and leq(mid, rand)):
@@ -148,8 +149,9 @@ class TestDiscretizationSpectra:
                         boundary="periodic")
         model = load_model(SWEEP_MODEL)
         cfg = sample_configuration(11, model.sites_for(grid), model.disorder)
-        op = assemble_hamiltonian(grid, model.background, cfg,
-                                  model.profiles_for(grid))
+        op = assemble_schrodinger(
+            grid, model.background.evaluate(grid.nodes())
+            + assemble_random_potential(cfg, model.profiles_for(grid), grid))
         dense = dense_eigvals(op)
         dense = dense[(dense > -1.0 + TOL_GAP) & (dense < 3.0 - TOL_GAP)]
         iterative = eigs_in_window(op, -1.0, 3.0)
@@ -201,7 +203,7 @@ class TestEigenvalueLifting:
             assert k >= 1
             _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1],
                           driver="evx")
-            mask = mask_from_balls(grid, [Ball((0.0, 0.0), 0.45)])
+            mask = grid.nodes_within_ball((0.0, 0.0), 0.45)
             for v in random_subspace_vectors(low, 8, seed=l):
                 samples.append(FitSample(delta=0.45, l=float(l), v_inf=0.0,
                                          energy=4.0,
@@ -319,8 +321,9 @@ class TestConditionalCertainty:
             for rec in certified[:5]:
                 cfg = sample_configuration(rec["seed"], sites, model.disorder)
                 assert event_A_indicator(cfg, spec)
-                h = assemble_hamiltonian(grid, model.background, cfg,
-                                         profiles)
+                h = assemble_schrodinger(
+                    grid, model.background.evaluate(grid.nodes())
+                    + assemble_random_potential(cfg, profiles, grid))
                 assert count_below(h, per.band_edge + per.window_width) == \
                     count_below(h, per.band_edge - TOL_EIG), \
                     f"L={per.L}: certified trial {rec['seed']} has spectrum " \

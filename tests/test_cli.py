@@ -74,6 +74,22 @@ class TestExitCodes:
     def test_empty_scale_window_is_input_error(self, capsys):
         assert main(["scale", "--L", "6", "--alpha", "0.4"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"),
+                                             ("--e-steps", "0")])
+    def test_empty_ids_average_is_input_error(self, model_file, tmp_path,
+                                              capsys, flag, value):
+        # no trial or no energy leaves nothing to average: no artifact
+        argv = {"--trials": "2", "--e-steps": "5", flag: value}
+        out = tmp_path / "art"
+        code = main(["ids", "--model", model_file, "--L", "3",
+                     "--points-per-unit", "6", "--e-min", "0.0",
+                     "--e-max", "4.0", "--seed", "1", "--e0", "0.0",
+                     "--out", str(out)]
+                    + [x for kv in argv.items() for x in kv])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("input error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps", ["0", "1", "20"])
     def test_t_grid_too_coarse_is_input_error(self, model_file, capsys, steps):
         code = main(["gap", "--model", model_file, "--L", "2",
@@ -115,9 +131,8 @@ class TestExitCodes:
             self, tmp_path, capsys, dense_eigvals):
         # indicator bumps with c = 5 on sites -1..1; the lowest branch
         # crosses the window between the sampled t = 0 and t = 0.05
-        from iselab.grid import GridSpec
-        from iselab.operators import assemble_interpolated
-        from iselab.potentials import load_model
+        from iselab.grid import GridSpec, assemble_schrodinger
+        from iselab.potentials import load_model, site_matrix
 
         spec = dict(ZERO_MODEL, single_site={"kind": "ball_indicator",
                                              "c": 5.0, "delta": 0.45})
@@ -126,8 +141,10 @@ class TestExitCodes:
         model = load_model(spec)
         grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
                         boundary="periodic")
-        a, b = (dense_eigvals(assemble_interpolated(
-                    grid, model.background, t, model.profiles_for(grid)))[0]
+        profiles = model.profiles_for(grid)
+        v0_nodes = model.background.evaluate(grid.nodes())
+        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+        a, b = (dense_eigvals(assemble_schrodinger(grid, v0_nodes + t * w))[0]
                 for t in (0.01, 0.04))
         code = main(["gap", "--model", str(path), "--L", "2",
                      "--points-per-unit", "3", "--a", repr(float(a)),

@@ -8,12 +8,18 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
                                background_spectrum, count_below,
-                               eigs_in_window, min_eig_above, track_family)
+                               eigs_in_window, min_eig_above)
 from iselab.errors import SolverError
-from iselab.grid import GridSpec, laplacian_eigenvalues, laplacian_matrix
-from iselab.operators import assemble_background
+from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
+                         laplacian_matrix)
 from iselab.potentials import (constant_potential, indicator_profile,
                                separable_square_potential, zero_potential)
+from iselab.ucp import verify_gap_hypothesis
+
+
+def background(grid, v0):
+    """H0 = -Laplacian + V0 at the nodes."""
+    return assemble_schrodinger(grid, v0.evaluate(grid.nodes()))
 
 
 @pytest.fixture
@@ -125,7 +131,7 @@ class TestLowestAbove:
     def test_shift_equivariance(self, free4):
         v = 2.5
         base = laplacian_matrix(free4)
-        shifted = assemble_background(free4, constant_potential(v))
+        shifted = background(free4, constant_potential(v))
         assert count_below(base, 1.0 - TOL_EIG) == \
             count_below(shifted, 1.0 + v - TOL_EIG)
         assert min_eig_above(shifted, 1.0 + v) == pytest.approx(
@@ -139,7 +145,7 @@ class TestLowestAbove:
     def test_min_eig_above_iterative_agrees_with_dense(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
                         boundary="periodic")
-        op = assemble_background(grid, separable_square_potential(5.0))
+        op = background(grid, separable_square_potential(5.0))
         values = dense_eigvals(op)
         want = values[values >= 6.0 - TOL_EIG][0]
         assert min_eig_above(op, 6.0) == pytest.approx(want, abs=1e-7)
@@ -176,16 +182,31 @@ class TestWindows:
         with pytest.raises(SolverError):
             eigs_in_window(mat, -1.0, 1000.0)
 
+    def test_level_on_the_upper_edge_counts_inside(self, free4):
+        # b - tol_gap lands on the level 2 (four copies): count_below counts
+        # the level as below that edge, and the solve keeps all of it
+        mat = laplacian_matrix(free4)
+        got = eigs_in_window(mat, -1.0, 2.0 + 1e-6)
+        assert got.size == count_below(mat, 2.0) - count_below(mat, -1.0) == 5
+        assert np.allclose(got, [0.0, 2.0, 2.0, 2.0, 2.0], atol=1e-10)
+
+
+def window_levels(grid, profiles, t_grid, window):
+    """Window eigenvalues of H0 + t W (zero V0) at each t, as the gap
+    report lists its intrusions."""
+    report = verify_gap_hypothesis(grid, zero_potential(), profiles, window,
+                                   t_grid)
+    return [np.array([v for s, v in report.intrusions if s == t])
+            for t in report.t_grid]
+
 
 class TestTrackFamily:
     def test_no_perturbation_is_t_independent(self, free4):
-        per_t = track_family(free4, zero_potential(), [], [0.0, 0.05, 0.1],
-                             (1.0, 3.0))
+        per_t = window_levels(free4, [], [0.0, 0.05, 0.1], (1.0, 3.0))
         assert all(np.allclose(v, per_t[0]) for v in per_t[1:])
 
     def test_window_below_spectrum_is_empty(self, free4):
-        per_t = track_family(free4, zero_potential(), [], [0.0, 0.05],
-                             (-3.0, -1.0))
+        per_t = window_levels(free4, [], [0.0, 0.05], (-3.0, -1.0))
         assert all(v.size == 0 for v in per_t)
 
     def test_curves_nondecreasing_in_t(self):
@@ -194,8 +215,7 @@ class TestTrackFamily:
         profiles = [indicator_profile((i, j), 1.0, 0.45)
                     for i in (-1, 0, 1) for j in (-1, 0, 1)]
         t_grid = [0.0, 0.02, 0.04, 0.06]
-        per_t = track_family(grid, zero_potential(), profiles, t_grid,
-                             (-1.0, 3.0))
+        per_t = window_levels(grid, profiles, t_grid, (-1.0, 3.0))
         counts = {v.size for v in per_t}
         assert len(counts) == 1
         stacked = np.vstack(per_t)
@@ -203,7 +223,7 @@ class TestTrackFamily:
 
     def test_unsorted_t_grid_rejected(self, free4):
         with pytest.raises(ValueError):
-            track_family(free4, zero_potential(), [], [0.5, 0.2], (0, 1))
+            window_levels(free4, [], [0.5, 0.2], (0, 1))
 
 
 BACKGROUNDS = {
@@ -222,7 +242,7 @@ class TestBackgroundSpectrum:
         grid = GridSpec(dimension=d, side=2.0, spacing=0.2 if d == 2 else 1 / 3,
                         boundary=boundary, center=(0.3,) + (-0.7,) * (d - 1))
         v0 = BACKGROUNDS[kind]
-        want = dense_eigvals(assemble_background(grid, v0))
+        want = dense_eigvals(background(grid, v0))
         got = background_spectrum(grid, v0).values
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
@@ -232,7 +252,7 @@ class TestBackgroundSpectrum:
         grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
                         boundary=boundary, center=(0.5, 0.0))
         v0 = separable_square_potential(40.0)
-        mat = assemble_background(grid, v0)
+        mat = background(grid, v0)
         all_values, all_vectors = np.linalg.eigh(mat.toarray())
         for threshold in (30.0, 60.0):
             values, vectors = background_eigs_below(grid, v0, threshold)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from iselab.errors import MemoryBudgetError
 from iselab.events import EventSpec
-from iselab.grid import (Ball, GridSpec, laplacian_eigenvalues,
+from iselab.grid import (GridSpec, laplacian_eigenvalues,
                          laplacian_eigenvalues_1d, laplacian_matrix)
 
 
@@ -45,13 +45,6 @@ class TestGridSpec:
         want = {i for i, p in enumerate(nodes)
                 if np.linalg.norm(p - np.array(center)) < radius}
         assert got == want
-
-
-class TestBallAndCube:
-    def test_ball_requires_positive_radius(self):
-        with pytest.raises(ValueError):
-            Ball((0.0, 0.0), 0.0)
-
 
 
 class TestLaplacian:

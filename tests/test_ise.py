@@ -13,10 +13,9 @@ from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
 from iselab.errors import GapNotFoundError
 from iselab.events import (EventSpec, cell_choice, cell_hits,
                            event_A_indicator, select_scale)
-from iselab.grid import GridSpec, laplacian_eigenvalues
+from iselab.grid import GridSpec, assemble_schrodinger, laplacian_eigenvalues
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
-from iselab.operators import assemble_hamiltonian, assemble_test_perturbation
 from iselab.potentials import (PotentialModel, load_model,
                                sample_configuration, zero_potential)
 from iselab.reference import (REFERENCE_ALPHA, REFERENCE_GAP_HINT,
@@ -41,14 +40,13 @@ class TestBandEdge:
 
     def test_gap_endpoints_match_dense_diagonalization(self, gapped_model,
                                                        dense_eigvals):
-        from iselab.operators import assemble_background
         for boundary in ("periodic", "dirichlet", "neumann"):
             grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
                             boundary=boundary)
             a, b = band_edge_of_background(grid, gapped_model.background,
                                            hint=REFERENCE_GAP_HINT)
-            vals = dense_eigvals(
-                assemble_background(grid, gapped_model.background))
+            vals = dense_eigvals(assemble_schrodinger(
+                grid, gapped_model.background.evaluate(grid.nodes())))
             below = vals[vals < REFERENCE_GAP_HINT]
             above = vals[vals >= REFERENCE_GAP_HINT]
             assert a == pytest.approx(below.max(), abs=1e-9)
@@ -104,11 +102,20 @@ class TestSingleTrial:
 
 
 def public_path_record(model, grid, spec, b, width, seed):
-    """One trial rebuilt from the public assembly and counting calls."""
+    """One trial rebuilt from the public assembly and counting calls.
+
+    V_omega is summed profile by profile here, not read from U @ omega.
+    """
     sites = sorted(set(model.sites_for(grid)) | set(spec.required_sites()))
     cfg = sample_configuration(seed, sites, model.disorder)
     profiles = model.profiles_for(grid)
-    h = assemble_hamiltonian(grid, model.background, cfg, profiles)
+    v0_nodes = model.background.evaluate(grid.nodes())
+    v_omega = np.zeros(grid.num_points)
+    for p in profiles:
+        idx = grid.nodes_within_ball(p.ball_center, p.support_radius)
+        if idx.size:
+            v_omega[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
+    h = assemble_schrodinger(grid, v0_nodes + v_omega)
     below = count_below(h, b - TOL_EIG)
     count = count_below(h, b + width) - below
     record = {"seed": seed, "valid": True, "outcome": count == 0,
@@ -118,9 +125,9 @@ def public_path_record(model, grid, spec, b, width, seed):
               "event": event_A_indicator(cfg, spec), "observed_lift": None}
     if record["event"]:
         _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-        h_pert = assemble_test_perturbation(
-            grid, model.background, mask,
-            model.disorder.eta * model.coupling_floor)
+        v_test = np.zeros(grid.num_points)
+        v_test[mask] = model.disorder.eta * model.coupling_floor
+        h_pert = assemble_schrodinger(grid, v0_nodes + v_test)
         record["observed_lift"] = min_eig_above(h_pert, b) - b
     return record, cfg, h
 

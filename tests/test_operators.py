@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from iselab.grid import Ball, GridSpec, laplacian_matrix
-from iselab.operators import (IndicatorMask, assemble_background,
-                              assemble_hamiltonian, assemble_interpolated,
-                              assemble_test_perturbation, mask_from_balls)
-from iselab.potentials import (constant_potential, indicator_profile,
-                               zero_potential)
+from iselab.eigensolve import check_t_grid
+from iselab.errors import IselabError
+from iselab.events import EventSpec
+from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
+from iselab.potentials import (assemble_random_potential, constant_potential,
+                               indicator_profile, site_matrix, zero_potential)
+from iselab.ucp import equidistributed_from_choice
 
 
 @pytest.fixture
@@ -14,15 +15,33 @@ def grid6():
     return GridSpec(dimension=2, side=6.0, spacing=1.0, boundary="periodic")
 
 
+def background(grid, v0):
+    """H0 = -Laplacian + V0 at the nodes."""
+    return assemble_schrodinger(grid, v0.evaluate(grid.nodes()))
+
+
+def envelope(profiles, grid):
+    """W = U @ 1, every coupling at 1."""
+    return site_matrix(profiles, grid) @ np.ones(len(profiles))
+
+
+def indicator(grid, center, radius):
+    chi = np.zeros(grid.num_points)
+    chi[grid.nodes_within_ball(center, radius)] = 1.0
+    return chi
+
+
 class TestAssembly:
     def test_trivial_hamiltonian_is_the_laplacian(self, grid6, config_from):
-        h = assemble_hamiltonian(grid6, zero_potential(), config_from({}), [])
+        v_omega = assemble_random_potential(config_from({}), [], grid6)
+        h = assemble_schrodinger(
+            grid6, zero_potential().evaluate(grid6.nodes()) + v_omega)
         assert (h != laplacian_matrix(grid6)).nnz == 0
 
     def test_constant_background_shifts_spectrum_exactly(self, grid6,
                                                          dense_eigvals):
         v = 7.25
-        h = assemble_background(grid6, constant_potential(v))
+        h = background(grid6, constant_potential(v))
         lap = dense_eigvals(laplacian_matrix(grid6))
         assert np.allclose(dense_eigvals(h), lap + v, atol=1e-12)
 
@@ -34,7 +53,9 @@ class TestAssembly:
         c = 3.0
         profiles = [indicator_profile((0, 0), c, 0.45)]
         cfg = config_from({(0, 0): 1.0})
-        h = assemble_hamiltonian(fine, zero_potential(), cfg, profiles)
+        h = assemble_schrodinger(
+            fine, zero_potential().evaluate(fine.nodes())
+            + assemble_random_potential(cfg, profiles, fine))
         ground = dense_eigvals(h)[0]
         assert 0.0 < ground <= c
 
@@ -42,7 +63,9 @@ class TestAssembly:
         cfg = config_from({(0, 0): 0.7})
         profiles = [indicator_profile((0, 0), 1.0, 0.45)]
         lap = laplacian_matrix(grid6)
-        h = assemble_hamiltonian(grid6, constant_potential(2.0), cfg, profiles)
+        h = assemble_schrodinger(
+            grid6, constant_potential(2.0).evaluate(grid6.nodes())
+            + assemble_random_potential(cfg, profiles, grid6))
         assert (h != h.T).nnz == 0
         assert np.array_equal(lap.indices, h.indices)
         assert np.array_equal(lap.indptr, h.indptr)
@@ -52,23 +75,25 @@ class TestInterpolatedFamily:
     def test_endpoints(self, grid6):
         profiles = [indicator_profile((0, 0), 1.0, 0.45)]
         v0 = constant_potential(1.0)
-        t0 = assemble_interpolated(grid6, v0, 0.0, profiles)
-        h0 = assemble_background(grid6, v0)
+        t0 = assemble_schrodinger(grid6, v0.evaluate(grid6.nodes())
+                                  + 0.0 * envelope(profiles, grid6))
+        h0 = background(grid6, v0)
         assert (t0 != h0).nnz == 0
 
-    def test_t_outside_unit_interval_rejected(self, grid6):
+    def test_t_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            assemble_interpolated(grid6, zero_potential(), 1.5, [])
+            check_t_grid([1.5])
 
     def test_eigenvalues_nondecreasing_in_t(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
                         boundary="periodic")
         profiles = [indicator_profile((i, j), 1.0, 0.45)
                     for i in (-2, 0, 2) for j in (-2, 0, 2)]
+        v0_nodes = zero_potential().evaluate(grid.nodes())
+        w = envelope(profiles, grid)
         prev = None
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            vals = dense_eigvals(
-                assemble_interpolated(grid, zero_potential(), t, profiles))
+            vals = dense_eigvals(assemble_schrodinger(grid, v0_nodes + t * w))
             if prev is not None:
                 assert np.all(vals >= prev - 1e-10)
             prev = vals
@@ -76,29 +101,37 @@ class TestInterpolatedFamily:
 
 class TestTestPerturbation:
     def test_zero_amplitude_is_background(self, grid6):
-        mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 1.2)])
-        hp = assemble_test_perturbation(grid6, zero_potential(), mask, 0.0)
-        h0 = assemble_background(grid6, zero_potential())
+        chi = indicator(grid6, (0.0, 0.0), 1.2)
+        v0_nodes = zero_potential().evaluate(grid6.nodes())
+        hp = assemble_schrodinger(grid6, v0_nodes + 0.0 * chi)
+        h0 = background(grid6, zero_potential())
         assert (hp != h0).nnz == 0
 
     def test_full_mask_is_a_uniform_shift(self, grid6, dense_eigvals):
-        mask = IndicatorMask(np.arange(grid6.num_points))
         amp = 0.5
-        hp = assemble_test_perturbation(grid6, zero_potential(), mask, amp)
-        h0 = assemble_background(grid6, zero_potential())
+        v0_nodes = zero_potential().evaluate(grid6.nodes())
+        hp = assemble_schrodinger(grid6,
+                                  v0_nodes + amp * np.ones(grid6.num_points))
+        h0 = background(grid6, zero_potential())
         assert np.allclose(dense_eigvals(hp), dense_eigvals(h0) + amp,
                            atol=1e-12)
 
     def test_single_ball_between_background_and_shift(self, grid6,
                                                       dense_eigvals):
         amp = 0.8
-        mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 1.2)])
-        lo = dense_eigvals(assemble_background(grid6, zero_potential()))
-        mid = dense_eigvals(
-            assemble_test_perturbation(grid6, zero_potential(), mask, amp))
+        chi = indicator(grid6, (0.0, 0.0), 1.2)
+        v0_nodes = zero_potential().evaluate(grid6.nodes())
+        lo = dense_eigvals(background(grid6, zero_potential()))
+        mid = dense_eigvals(assemble_schrodinger(grid6, v0_nodes + amp * chi))
         assert np.all(lo - 1e-12 <= mid)
         assert np.all(mid <= lo + amp + 1e-12)
 
-    def test_empty_mask_rejected(self, grid6):
-        with pytest.raises(Exception):
-            mask_from_balls(grid6, [Ball((100.0, 100.0), 0.2)])
+    def test_empty_mask_rejected(self):
+        # every chosen ball lies far outside the box: the mask has no node
+        far = GridSpec(dimension=2, side=6.0, spacing=1.0,
+                       boundary="periodic", center=(100.0, 100.0))
+        spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
+        chosen = spec.cells()[:, 0].tolist()
+        profiles = [indicator_profile(tuple(s), 1.0, 0.2) for s in chosen]
+        with pytest.raises(IselabError, match="mask is empty"):
+            equidistributed_from_choice(spec, chosen, profiles, far)

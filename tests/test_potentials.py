@@ -11,12 +11,12 @@ from iselab import rng
 from iselab.errors import (MissingProfileError, MissingSiteError,
                            UnresolvableBallError)
 from iselab.grid import GridSpec
-from iselab.potentials import (assemble_random_potential, assemble_w,
-                               bernoulli, cone_profile,
-                               constant_potential, indicator_profile,
-                               load_model, sample_configuration,
-                               separable_square_potential, truncated,
-                               uniform01, verify_single_site_bound,
+from iselab.potentials import (assemble_random_potential, bernoulli,
+                               cone_profile, constant_potential,
+                               indicator_profile, load_model,
+                               sample_configuration,
+                               separable_square_potential, site_matrix,
+                               truncated, uniform01, verify_single_site_bound,
                                zero_potential)
 
 
@@ -245,7 +245,7 @@ class TestFieldAssembly:
     def test_w_is_c_on_disjoint_ball_union(self, grid8):
         profiles = [indicator_profile((0, 0), 1.5, 0.3),
                     indicator_profile((1, 1), 1.5, 0.3)]
-        w = assemble_w(profiles, grid8)
+        w = site_matrix(profiles, grid8) @ np.ones(len(profiles))
         union = np.concatenate([
             grid8.nodes_within_ball((0.0, 0.0), 0.3),
             grid8.nodes_within_ball((1.0, 1.0), 0.3)])
@@ -257,7 +257,8 @@ class TestFieldAssembly:
                         boundary="periodic")
         sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
         profiles = [indicator_profile(s, 1.0, 0.4) for s in sites]
-        w = assemble_w(profiles, grid).reshape(16, 16)
+        w = (site_matrix(profiles, grid) @ np.ones(len(profiles))).reshape(
+            16, 16)
         # one full period = 4 nodes; interior rows repeat under the shift
         assert np.allclose(w[4:12, :], w[8:16, :][[i - 4 for i in range(4, 12)]])
         assert np.allclose(w[:, 2:6], w[:, 6:10])
@@ -274,7 +275,7 @@ class TestFieldAssembly:
         hi = {s: max(a, b) for s, a, b in zip(sites, lows, highs)}
         f_lo = assemble_random_potential(config_from(lo), profiles, grid)
         f_hi = assemble_random_potential(config_from(hi), profiles, grid)
-        w = assemble_w(profiles, grid)
+        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
         assert np.all(f_lo <= f_hi + 1e-12)
         assert np.all(f_lo >= 0.0)
         assert np.all(f_hi <= w + 1e-12)

@@ -4,16 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from iselab import operators, potentials, rng, ucp
+from iselab import potentials, rng, ucp
 from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
-from iselab.grid import Ball, GridSpec
-from iselab.operators import (IndicatorMask, assemble_background,
-                              assemble_hamiltonian, assemble_interpolated,
-                              assemble_test_perturbation, mask_from_balls)
-from iselab.potentials import (indicator_profile, load_model,
-                               sample_configuration, zero_potential)
+from iselab.grid import GridSpec, assemble_schrodinger
+from iselab.potentials import (assemble_random_potential, indicator_profile,
+                               load_model, sample_configuration, site_matrix,
+                               zero_potential)
 from iselab.reference import reference_model_spec
 from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
@@ -24,6 +22,13 @@ from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
 @pytest.fixture
 def grid6():
     return GridSpec(dimension=2, side=6.0, spacing=0.125, boundary="periodic")
+
+
+def family(grid, v0, profiles):
+    """t -> H0 + t W, from V0 at the nodes and W = U @ 1."""
+    v0_nodes = v0.evaluate(grid.nodes())
+    w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+    return lambda t: assemble_schrodinger(grid, v0_nodes + t * w)
 
 
 FREE_MODEL = {
@@ -67,13 +72,13 @@ class TestTheoreticalBound:
 
 class TestMassRatio:
     def test_constant_vector_counts_nodes(self, grid6):
-        mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 0.5)])
+        mask = grid6.nodes_within_ball((0.0, 0.0), 0.5)
         phi = np.ones(grid6.num_points)
         assert mass_ratio(phi, mask) == pytest.approx(
-            mask.node_indices.size / grid6.num_points)
+            mask.size / grid6.num_points)
 
     def test_full_mask_is_unity(self, grid6):
-        mask = IndicatorMask(np.arange(grid6.num_points))
+        mask = np.arange(grid6.num_points)
         gen = np.random.default_rng(0)
         assert mass_ratio(gen.normal(size=grid6.num_points), mask) == \
             pytest.approx(1.0)
@@ -81,24 +86,23 @@ class TestMassRatio:
     def test_eigenfunction_against_direct_summation(self, grid6):
         _, vectors = background_eigs_below(grid6, zero_potential(), 2.0)
         phi = vectors[:, 1]   # first excited level
-        mask = mask_from_balls(grid6, [Ball((0.7, -0.7), 0.6)])
-        direct = float(np.sum(phi[mask.node_indices] ** 2) / np.sum(phi ** 2))
+        mask = grid6.nodes_within_ball((0.7, -0.7), 0.6)
+        direct = float(np.sum(phi[mask] ** 2) / np.sum(phi ** 2))
         assert mass_ratio(phi, mask) == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_and_additive_over_disjoint_masks(self, grid6):
         gen = np.random.default_rng(1)
         phi = gen.normal(size=grid6.num_points)
-        small = mask_from_balls(grid6, [Ball((0.0, 0.0), 0.4)])
-        big = mask_from_balls(grid6, [Ball((0.0, 0.0), 0.8)])
-        far = mask_from_balls(grid6, [Ball((2.0, 2.0), 0.4)])
-        both = mask_from_balls(grid6, [Ball((0.0, 0.0), 0.4),
-                                       Ball((2.0, 2.0), 0.4)])
+        small = grid6.nodes_within_ball((0.0, 0.0), 0.4)
+        big = grid6.nodes_within_ball((0.0, 0.0), 0.8)
+        far = grid6.nodes_within_ball((2.0, 2.0), 0.4)
+        both = np.unique(np.concatenate([small, far]))
         assert mass_ratio(phi, big) >= mass_ratio(phi, small)
         assert mass_ratio(phi, both) == pytest.approx(
             mass_ratio(phi, small) + mass_ratio(phi, far), rel=1e-12)
 
     def test_zero_vector_rejected(self, grid6):
-        mask = mask_from_balls(grid6, [Ball((0.0, 0.0), 0.4)])
+        mask = grid6.nodes_within_ball((0.0, 0.0), 0.4)
         with pytest.raises(ValueError):
             mass_ratio(np.zeros(grid6.num_points), mask)
 
@@ -160,7 +164,7 @@ class TestEquidistributedSelection:
                 if max(abs(w) for w in min(cell)) <= 3}
         assert sequence.points == want
         assert all(type(w) is int for center in want for w in center)
-        assert mask.node_indices.size > 0
+        assert mask.size > 0
 
     def test_matches_brute_force_choice(self, brute_force_cells, config_from):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
@@ -237,13 +241,13 @@ class TestLiftingExperiment:
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
 
+        # V0 at the nodes is v0.evaluate(grid.nodes())
         for module, name in ((ucp, "site_matrix"), (potentials, "site_matrix"),
-                             (ucp, "background_diagonal"),
-                             (operators, "background_diagonal")):
+                             (potentials.PeriodicPotential, "evaluate")):
             spy(module, name)
         lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
                            b=-1.0, eta=0.5, c=1.0)
-        assert sorted(calls) == ["background_diagonal", "site_matrix"]
+        assert sorted(calls) == ["evaluate", "site_matrix"]
 
     def test_understated_profile_breaks_the_sandwich(self, config_from):
         grid, spec, _, _ = self._setup(config_from)
@@ -280,8 +284,9 @@ class TestLiftingExperiment:
                        set(spec.required_sites()))
         v0 = model.background
         amplitude = model.disorder.eta * model.coupling_floor
-        low = dense_eigvals(assemble_background(grid, v0))
-        top = dense_eigvals(assemble_interpolated(grid, v0, 1.0, profiles))
+        v0_nodes = v0.evaluate(grid.nodes())
+        low = dense_eigvals(assemble_schrodinger(grid, v0_nodes))
+        top = dense_eigvals(family(grid, v0, profiles)(1.0))
         checked = 0
         for t in range(6):
             cfg = sample_configuration(
@@ -294,10 +299,12 @@ class TestLiftingExperiment:
             if not rec.sandwich_ok:
                 continue
             _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-            chain = [low, dense_eigvals(assemble_test_perturbation(
-                         grid, v0, mask, amplitude)),
-                     dense_eigvals(assemble_hamiltonian(grid, v0, cfg,
-                                                        profiles)), top]
+            v_test = np.zeros(grid.num_points)
+            v_test[mask] = amplitude
+            v_omega = assemble_random_potential(cfg, profiles, grid)
+            chain = [low] + [
+                dense_eigvals(assemble_schrodinger(grid, v0_nodes + v))
+                for v in (v_test, v_omega)] + [top]
             for lo, hi in zip(chain, chain[1:]):
                 assert np.all(lo <= hi + 1e-9 * (np.abs(hi) + 1.0))
             checked += 1
@@ -311,8 +318,8 @@ def missed_window_setup(dense_eigvals):
                     boundary="periodic")
     profiles = [indicator_profile((i, j), 5.0, 0.45)
                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    window = tuple(float(dense_eigvals(assemble_interpolated(
-        grid, zero_potential(), t, profiles))[0]) for t in (0.01, 0.04))
+    h_t = family(grid, zero_potential(), profiles)
+    window = tuple(float(dense_eigvals(h_t(t))[0]) for t in (0.01, 0.04))
     return grid, profiles, window
 
 
@@ -344,9 +351,9 @@ class TestGapHypothesis:
         # between the sampled t = 0 and t = 0.05
         grid, profiles, window = missed_window_setup(dense_eigvals)
         t_grid = [i / 20 for i in range(21)]
+        h_t = family(grid, zero_potential(), profiles)
         for t in t_grid:
-            values = dense_eigvals(assemble_interpolated(
-                grid, zero_potential(), t, profiles))
+            values = dense_eigvals(h_t(t))
             assert not np.any((values > window[0]) & (values < window[1]))
         report = verify_gap_hypothesis(grid, zero_potential(), profiles,
                                        window, t_grid)
@@ -368,9 +375,9 @@ class TestGapHypothesis:
                         boundary="periodic")
         profiles = model.profiles_for(grid)
         # row i holds the sorted spectrum at t_i, column j one branch
-        scan = np.array([dense_eigvals(assemble_interpolated(
-            grid, model.background, t, profiles))
-            for t in np.linspace(0.0, 1.0, 401)])
+        h_t = family(grid, model.background, profiles)
+        scan = np.array([dense_eigvals(h_t(t))
+                         for t in np.linspace(0.0, 1.0, 401)])
         crossings = []
         for a, b in windows:
             inside = (scan > a + TOL_GAP) & (scan < b - TOL_GAP)
@@ -389,10 +396,8 @@ class TestGapHypothesis:
         t_grid = [i * 0.05 for i in range(21)]
         report = verify_gap_hypothesis(grid, gapped_model.background,
                                        profiles, (28.0, 46.0), t_grid)
-        from iselab.operators import assemble_interpolated
+        h_t = family(grid, gapped_model.background, profiles)
         for t in t_grid:
-            op = assemble_interpolated(grid, gapped_model.background, t,
-                                       profiles)
-            vals = dense_eigvals(op)
+            vals = dense_eigvals(h_t(t))
             dense_hit = np.any((vals > 28.0 + 1e-6) & (vals < 46.0 - 1e-6))
             assert dense_hit == any(ti == t for ti, _ in report.intrusions)
