@@ -29,7 +29,7 @@ from .errors import (EventViolatedError, GapNotFoundError, IselabError,
 from .eigensolve import T_GRID_RULE, background_eigs_below
 from .events import (EventSpec, build_ledger, event_A_indicator,
                      exact_event_probability, monte_carlo_event_probability,
-                     select_scale)
+                     scale_window)
 from .grid import GridSpec
 from .ise import (ExperimentPlan, band_edge_of_background, box_sites,
                   estimate_ise_probability, ids_estimate)
@@ -150,8 +150,7 @@ def cmd_event_prob(args):
 
 
 def cmd_scale(args):
-    l = select_scale(args.L, args.alpha)
-    x = (args.alpha * math.log(args.L)) ** (2.0 / 3.0)
+    l, x = scale_window(args.L, args.alpha)
     print(f"l = {l} (window ({x / 2:.12g}, {x:.12g}])")
     data = {"l": l, "window": [x / 2, x], "L": args.L, "alpha": args.alpha}
     code = EXIT_OK

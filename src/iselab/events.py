@@ -14,6 +14,7 @@ tabulates them, and everything that reads the event reads that table.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -126,24 +127,23 @@ def exact_event_probability(spec):
     return math.exp(log_p)
 
 
-def _log_minus_log_p(spec):
-    """ln(-ln P[A]) = ln M + ln(-ln(1 - (1-kappa)^{l^d})), or -inf.
+def _event_logs(spec):
+    """(a, ln M, z): a = ln (1-kappa)^(l^d), the log cell count and
+    z = ln(-ln P[A]) = ln M + ln(-ln(1 - e^a)), or -inf.
 
     Working with the log of the magnitude keeps the huge-integer cell
     count M out of float arithmetic entirely.
     """
     a = _cell_failure_log(spec.l, spec.dimension, spec.kappa)
-    if a == -math.inf:
-        return -math.inf
     log_m = math.log(cell_count(spec.dimension, spec.L, spec.l))
     if a < -700:
-        # -ln(1 - e^a) = e^a to double precision
-        return log_m + a
-    return log_m + math.log(-math.log1p(-math.exp(a)))
+        # -ln(1 - e^a) = e^a to double precision, and -inf at a = -inf
+        return a, log_m, log_m + a
+    return a, log_m, log_m + math.log(-math.log1p(-math.exp(a)))
 
 
 def exact_event_log_probability(spec):
-    z = _log_minus_log_p(spec)
+    z = _event_logs(spec)[2]
     if z == -math.inf:
         return 0.0
     if z > 709.0:   # P[A] underflows to exactly 0
@@ -153,14 +153,10 @@ def exact_event_log_probability(spec):
 
 def exact_event_log_failure(spec):
     """ln(1 - P[A]), meaningful even when P[A] rounds to 1."""
-    a = _cell_failure_log(spec.l, spec.dimension, spec.kappa)
-    if a == -math.inf:
-        return -math.inf
-    log_m = math.log(cell_count(spec.dimension, spec.L, spec.l))
+    a, log_m, z = _event_logs(spec)
     if a < -700 or log_m + a < -700:
         # 1 - (1-g)^M = M g (1 + O(M g)); the correction is far below ulp
         return log_m + a
-    z = log_m + math.log(-math.log1p(-math.exp(a)))   # ln(-ln P[A])
     if z > math.log(745.0):   # P[A] ~ 0; the failure is certain
         return 0.0
     return math.log(-math.expm1(-math.exp(z)))
@@ -198,8 +194,8 @@ def wilson_interval(successes, trials):
     return p, max(0.0, center - half), min(1.0, center + half)
 
 
-def select_scale(L, alpha):
-    """Largest odd integer l with x/2 < l <= x, where x = (alpha ln L)^(2/3)."""
+def scale_window(L, alpha):
+    """(l, x): x = (alpha ln L)^(2/3) and the largest odd integer l in (x/2, x]."""
     if not 0 < alpha:
         raise ValueError("alpha must be positive")
     if L < 2:
@@ -212,7 +208,12 @@ def select_scale(L, alpha):
         raise ScaleWindowError(
             f"no odd integer in ({x / 2.0:.6g}, {x:.6g}] for L={L}, alpha={alpha}"
         )
-    return l
+    return l, x
+
+
+def select_scale(L, alpha):
+    """Largest odd integer l with x/2 < l <= x, where x = (alpha ln L)^(2/3)."""
+    return scale_window(L, alpha)[0]
 
 
 def lifting_bound(l, eta, c):
@@ -267,52 +268,41 @@ class BoundLedger:
         }
 
 
-def build_ledger(dimension, L, alpha, q, kappa, eta, c):
-    """Evaluate the whole inequality chain at the selected scale.
+_HOLDS = {"<": operator.lt, "<=": operator.le}
 
-    Verdict true means: on top of the per-cell and union bounds holding at
-    the selected l, the scale-free sufficient conditions hold, so the
-    chain guarantees P[A] >= 1 - L^(-q) and a lift of at least L^(-alpha).
+
+def _ledger_table(d, L, alpha, q, kappa, eta, c):
+    """(l, lines, quantities) of the inequality chain at the selected scale.
+
+    Each line is a (name, lhs, relation, rhs) tuple, in ledger order, and
+    holds iff _HOLDS[relation](lhs, rhs).  Raises ScaleWindowError if the
+    scale window is empty and ValueError if eta * c <= 0.
     """
-    d = dimension
-    l = select_scale(L, alpha)   # raises ScaleWindowError if the window is empty
+    l, x = scale_window(L, alpha)
     ln_l = math.log(L)
-    x = (alpha * ln_l) ** (2.0 / 3.0)
     a_cell = _cell_failure_log(l, d, kappa)
     m = cell_count(d, L, l)
     log_m = math.log(m)
     log_two_l_d = d * (math.log(2.0) + ln_l)
     log_target = -q * ln_l
-
-    # left side of the asymptotic sufficiency condition; +inf when kappa = 1
-    if kappa >= 1.0:
-        sufficient_lhs = math.inf
-    else:
-        sufficient_lhs = (-math.log1p(-kappa) / 2 ** d) * alpha ** (2 * d / 3.0) \
-            * ln_l ** ((2 * d - 3) / 3.0)
-    sufficient_rhs = (q + d) + d * math.log(2.0)
-
+    # the asymptotic sufficiency condition; have = +inf at kappa = 1
+    needed = (q + d) + d * math.log(2.0)
+    have = math.inf if kappa >= 1.0 else (-math.log1p(-kappa) / 2 ** d) \
+        * alpha ** (2 * d / 3.0) * ln_l ** ((2 * d - 3) / 3.0)
     log_eta_c = math.log(eta * c)
-    lines = [
-        LedgerLine("scale_window_lower", x / 2.0, float(l), "<", x / 2.0 < l),
-        LedgerLine("scale_window_upper", float(l), x, "<=", l <= x),
-        LedgerLine("ln_L_at_least_one", 1.0, ln_l, "<=", ln_l >= 1.0),
-        LedgerLine("per_cell_failure_vs_target", a_cell,
-                   -log_two_l_d + log_target, "<=",
-                   a_cell <= -log_two_l_d + log_target),
-        LedgerLine("sufficient_large_L", sufficient_rhs, sufficient_lhs, "<=",
-                   sufficient_lhs >= sufficient_rhs),
-        LedgerLine("cell_count_vs_doubled_box", log_m, log_two_l_d, "<=",
-                   log_m <= log_two_l_d),
-        LedgerLine("union_bound_vs_target", log_m + a_cell, log_target, "<=",
-                   log_m + a_cell <= log_target),
-        LedgerLine("lifting_at_selected_scale", float(l) ** 1.4,
-                   log_eta_c + alpha * ln_l, "<=",
-                   float(l) ** 1.4 <= log_eta_c + alpha * ln_l),
-        LedgerLine("lifting_scale_free", (alpha * ln_l) ** (14.0 / 15.0),
-                   log_eta_c + alpha * ln_l, "<=",
-                   (alpha * ln_l) ** (14.0 / 15.0) <= log_eta_c + alpha * ln_l),
-    ]
+    lift_exponent = float(l) ** 1.4
+    lift_room = log_eta_c + alpha * ln_l
+    lines = (
+        ("scale_window_lower", x / 2.0, "<", float(l)),
+        ("scale_window_upper", float(l), "<=", x),
+        ("ln_L_at_least_one", 1.0, "<=", ln_l),
+        ("per_cell_failure_vs_target", a_cell, "<=", -log_two_l_d + log_target),
+        ("sufficient_large_L", needed, "<=", have),
+        ("cell_count_vs_doubled_box", log_m, "<=", log_two_l_d),
+        ("union_bound_vs_target", log_m + a_cell, "<=", log_target),
+        ("lifting_at_selected_scale", lift_exponent, "<=", lift_room),
+        ("lifting_scale_free", (alpha * ln_l) ** (14.0 / 15.0), "<=", lift_room),
+    )
     quantities = {
         "x": x,
         "l": l,
@@ -321,21 +311,36 @@ def build_ledger(dimension, L, alpha, q, kappa, eta, c):
         "cell_count": m if m < 10 ** 15 else None,
         "log_union_bound": log_m + a_cell,
         "log_target_failure": log_target,
-        "log_lifting_floor": log_eta_c - float(l) ** 1.4,
+        "log_lifting_floor": log_eta_c - lift_exponent,
         "log_target_lift": -alpha * ln_l,
     }
-    verdict = all(line.holds for line in lines)
+    return l, lines, quantities
+
+
+def build_ledger(dimension, L, alpha, q, kappa, eta, c):
+    """Evaluate the whole inequality chain at the selected scale.
+
+    Verdict true means: on top of the per-cell and union bounds holding at
+    the selected l, the scale-free sufficient conditions hold, so the
+    chain guarantees P[A] >= 1 - L^(-q) and a lift of at least L^(-alpha).
+    """
+    l, table, quantities = _ledger_table(dimension, L, alpha, q, kappa, eta, c)
+    lines = tuple(LedgerLine(name, lhs, rhs, rel, _HOLDS[rel](lhs, rhs))
+                  for name, lhs, rel, rhs in table)
     return BoundLedger(
-        dimension=d, L=L, alpha=alpha, q=q, kappa=kappa, eta=eta, c=c, l=l,
-        lines=tuple(lines), quantities=quantities, verdict=verdict,
+        dimension=dimension, L=L, alpha=alpha, q=q, kappa=kappa, eta=eta, c=c,
+        l=l, lines=lines, quantities=quantities,
+        verdict=all(line.holds for line in lines),
     )
 
 
 def ledger_verdict(dimension, L, alpha, q, kappa, eta, c):
+    """The ledger's verdict, read from the same table without the report."""
     try:
-        return build_ledger(dimension, L, alpha, q, kappa, eta, c).verdict
+        table = _ledger_table(dimension, L, alpha, q, kappa, eta, c)[1]
     except ScaleWindowError:
         return False
+    return all(_HOLDS[rel](lhs, rhs) for _, lhs, rel, rhs in table)
 
 
 def min_scale_for_probability(dimension, alpha, q, kappa, eta, c,
@@ -343,7 +348,9 @@ def min_scale_for_probability(dimension, alpha, q, kappa, eta, c,
     """Smallest L with a true ledger verdict.
 
     'scan' walks L upward one integer at a time; 'bisect' brackets by
-    doubling and then binary-searches.  Both return the exact integer.
+    doubling and then binary-searches.  'bisect' assumes the verdict is
+    monotone in L, true on every L from the smallest one up to the bracket;
+    where it is, both return the same exact integer.
     """
     def verdict(L):
         return ledger_verdict(dimension, L, alpha, q, kappa, eta, c)

@@ -465,14 +465,11 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
         counts += counts_below(h, E_grid, weyl)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
-    n_ref = float(np.interp(reference_energy, E_grid, counting))
-    # use the counting value at the reference energy itself when sampled
-    ref_count = None
-    for e, c in zip(E_grid, counting):
-        if abs(e - reference_energy) < 1e-12:
-            ref_count = c
-    if ref_count is None:
-        ref_count = n_ref
+    # the count at the last grid energy within 1e-12 of E0, else interpolated
+    at_ref = [c for e, c in zip(E_grid, counting)
+              if abs(e - reference_energy) < 1e-12]
+    ref_count = at_ref[-1] if at_ref else float(
+        np.interp(reference_energy, E_grid, counting))
     stats = []
     for e, c in zip(E_grid, counting):
         diff = c - ref_count

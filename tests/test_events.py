@@ -9,7 +9,8 @@ from iselab.errors import ScaleWindowError, SearchBudgetError
 from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            cell_count, event_A_indicator,
                            exact_event_log_failure, exact_event_probability,
-                           lifting_bound, min_scale_for_probability,
+                           ledger_verdict, lifting_bound,
+                           min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
                            wilson_interval)
 
@@ -235,6 +236,49 @@ class TestLedger:
         scan = min_scale_for_probability(3, strategy="scan", **params)
         bisect = min_scale_for_probability(3, strategy="bisect", **params)
         assert scan == bisect
+
+    def test_verdict_monotone_up_to_the_doubling_bracket(self):
+        # bisect returns the scan result only if the verdict stays true
+        # from there up to the first doubling 3 * 2^k with a true verdict
+        params = dict(alpha=0.95, q=0.1, kappa=0.99, eta=0.5, c=1.0)
+        scan = min_scale_for_probability(3, strategy="scan", **params)
+        bracket = 3
+        while not ledger_verdict(3, bracket, **params):
+            bracket *= 2
+        assert (scan, bracket) == (21369, 24576)
+        assert all(ledger_verdict(3, L, **params)
+                   for L in range(scan, bracket + 1))
+
+    def test_verdict_keeps_its_input_errors(self):
+        with pytest.raises(ValueError):
+            ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.0, c=1.0)
+        with pytest.raises(ValueError):
+            ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.5, c=-1.0)
+        # select_scale(6, 0.4) has an empty window
+        assert ledger_verdict(2, 6, 0.4, 1.0, kappa=0.5, eta=0.5,
+                              c=1.0) is False
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.sampled_from([2, 3]),
+           L=st.integers(2, 10 ** 30),
+           alpha=st.floats(0.05, 3.0),
+           q=st.floats(0.01, 3.0),
+           kappa=st.floats(0.01, 1.0),
+           eta=st.floats(0.01, 2.0),
+           c=st.floats(0.01, 10.0))
+    def test_lines_and_verdict_read_one_table(self, d, L, alpha, q, kappa,
+                                               eta, c):
+        relations = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b}
+        verdict = ledger_verdict(d, L, alpha, q, kappa, eta, c)
+        try:
+            ledger = build_ledger(d, L, alpha, q, kappa, eta, c)
+        except ScaleWindowError:
+            assert verdict is False
+            return
+        assert len(ledger.lines) == 9
+        for line in ledger.lines:
+            assert line.holds == relations[line.relation](line.lhs, line.rhs)
+        assert verdict == ledger.verdict
 
     def test_min_scale_monotone_in_q(self):
         base = dict(alpha=0.95, kappa=0.99, eta=0.5, c=1.0,
