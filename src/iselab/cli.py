@@ -114,8 +114,8 @@ def _run(args):
 
 
 def _grid(args):
-    return GridSpec(dimension=args.d, side=float(args.L),
-                    spacing=1.0 / args.points_per_unit, boundary=args.boundary)
+    return GridSpec.per_unit(args.d, args.L, args.points_per_unit,
+                             args.boundary)
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def cmd_lift(args):
     grid = _grid(args)
     _, b = band_edge_of_background(grid, model.background, hint=args.hint,
                                    mode=args.mode)
-    profiles = model.profiles_for(grid)
+    box = model.box(grid)
     records = []
     for l in (int(s) for s in args.scales.split(",")):
         spec = EventSpec(dimension=args.d, l=l, L=int(args.L),
@@ -190,8 +190,7 @@ def cmd_lift(args):
         cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
                                    args.seed, args.attempts)
         records.append(lifting_experiment(
-            grid, model.background, cfg, spec, profiles, b,
-            model.disorder.eta, model.coupling_floor))
+            box, cfg, spec, b, model.disorder.eta, model.coupling_floor))
     for r in records:
         print(f"l={r.l}: observed lift {r.observed_lift:.6e} "
               f"(floor {r.predicted_floor:.6e}, sandwich "
@@ -237,12 +236,11 @@ def cmd_ucp(args):
 def cmd_gap(args):
     model = load_model(args.model)
     grid = _grid(args)
-    profiles = model.profiles_for(grid)
     if args.t_steps < 2:   # a grid from t = 0 to t = 1 needs both ends
         raise ValueError(T_GRID_RULE)
     t_grid = [i / (args.t_steps - 1) for i in range(args.t_steps)]
-    report = verify_gap_hypothesis(grid, model.background, profiles,
-                                   (args.a, args.b), t_grid)
+    report = verify_gap_hypothesis(model.box(grid), (args.a, args.b),
+                                   t_grid)
     if report.ok:
         print(f"window ({args.a:g}, {args.b:g}) stays spectrum-free for "
               "every t in [0, 1]")

@@ -22,6 +22,7 @@ operator per axis (`background_spectrum`).
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -68,12 +69,15 @@ class BackgroundSpectrum:
         return out
 
 
+@lru_cache(maxsize=16)
 def background_spectrum(grid, v0):
     """Exact spectrum of H_{0,L} = -Laplacian + V0 without a d-dimensional solve.
 
     Per axis k this diagonalizes the n x n operator
     _lap1d + diag(axis term at grid.axis_coords(k)), the same block that
-    laplacian_matrix sums, so the Kronecker sum is H_{0,L} itself.
+    laplacian_matrix sums, so the Kronecker sum is H_{0,L} itself.  It is
+    memoized per (grid, v0), as laplacian_matrix is per grid, and its arrays
+    are read-only, so no caller can change what the next one reads.
     """
     block = _lap1d(grid.points_per_side, grid.spacing, grid.boundary).toarray()
     total = np.array([float(v0.offset)])
@@ -84,7 +88,10 @@ def background_spectrum(grid, v0):
         total = np.add.outer(total, values).ravel()
         axis_vectors.append(vectors)
     order = np.argsort(total, kind="stable")
-    return BackgroundSpectrum(total[order], order, tuple(axis_vectors))
+    spectrum = BackgroundSpectrum(total[order], order, tuple(axis_vectors))
+    for array in (spectrum.values, order, *axis_vectors):
+        array.flags.writeable = False
+    return spectrum
 
 
 def background_eigs_below(grid, v0, threshold):

@@ -56,6 +56,14 @@ class GridSpec:
                 f"grid has {n}^{self.dimension} points, budget is {MAX_POINTS}"
             )
 
+    @classmethod
+    def per_unit(cls, dimension, side, points_per_unit, boundary="periodic"):
+        """The box of side `side` at `points_per_unit` nodes per unit."""
+        if points_per_unit < 1:
+            raise ValueError("points_per_unit must be at least 1")
+        return cls(dimension=dimension, side=float(side),
+                   spacing=1.0 / points_per_unit, boundary=boundary)
+
     @property
     def points_per_side(self):
         return int(round(self.side / self.spacing))

@@ -1,25 +1,26 @@
 """Monte Carlo estimation of the no-spectrum-in-window probability, and
 the finite-volume counting-function diagnostic.
 
-Everything the trials at one box size share (grid, site coordinates,
-profiles, the site-to-node matrix U, V0 at the nodes and the certified
-lower count) is built once into a TrialContext.  A trial is one vectorized
-draw of the couplings omega, V_omega = U @ omega, one lookup of omega over
-the good event's cells, and at most one count at the top of the window (a
-second only when the window holds spectrum, for the borderline flag).
+Everything the trials at one box size share is built once into a
+TrialContext: the box's node data (potentials.Box: V0 at the nodes and the
+site-to-node matrix U of the live profiles), the sites a trial draws, the
+window and the certified lower count.  A trial is one vectorized draw of
+the couplings omega, V_omega = U @ omega, one lookup of omega over the good
+event's cells, and at most one count at the top of the window (a second
+only when the window holds spectrum, for the borderline flag).
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
 trials are distributed over worker processes.
 
 The count below the window needs no factorization where operator order
 settles it.  Couplings lie in [0, 1] and U >= 0, so 0 <= V_omega <= s node
-by node, s the largest row sum of U, and Weyl's monotonicity gives
-lambda_j(H0) <= lambda_j(H_omega) <= lambda_j(H0) + s.  With k background
-eigenvalues below b - tol_eig, the largest of them lambda_k(H0), and
-lambda_k(H0) + s < b - tol_eig - tol_gap, every H_omega has exactly k
-eigenvalues below b - tol_eig.  The certificate is refused, and the trial
-counts at b - tol_eig as well, when U has a negative entry or s does not
-fit below the gap; each per-L entry records which held.
+by node, s the largest entry of W = U @ 1 (Box.envelope), and Weyl's
+monotonicity gives lambda_j(H0) <= lambda_j(H_omega) <= lambda_j(H0) + s.
+With k background eigenvalues below b - tol_eig, the largest of them
+lambda_k(H0), and lambda_k(H0) + s < b - tol_eig - tol_gap, every H_omega
+has exactly k eigenvalues below b - tol_eig.  The certificate is refused,
+and the trial counts at b - tol_eig as well, when U has a negative entry or
+s does not fit below the gap; each per-L entry records which held.
 
 On the good event the paper's test perturbation clears the window, and so
 does the code: the test operator H_pert = H0 + eta c chi_S depends on omega
@@ -47,23 +48,21 @@ from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      select_scale, wilson_interval)
 from .grid import GridSpec, assemble_schrodinger
-from .potentials import (assemble_random_potential, live_profiles,
-                         load_model, sample_configuration, site_matrix)
+from .potentials import Box, load_model, sample_configuration
 from .ucp import equidistributed_from_choice
 
 
-def band_edge_of_background(grid, v0, hint=None, mode="gap", values=None):
+def band_edge_of_background(grid, v0, hint=None, mode="gap"):
     """Locate (a, b) for the background box operator.
 
     mode 'bottom' returns (-inf, smallest eigenvalue); mode 'gap' finds
     the spectral gap of H_{0,L} containing the hinted energy and returns
     its endpoints, b being the infimum of the spectrum above the gap, which
-    must be wider than 10 tol_gap.  Both read the exact background spectrum
-    (`values` if the caller has it).
+    must be wider than 10 tol_gap.  Both read the exact background spectrum.
     """
     if mode != "bottom" and hint is None:
         raise ValueError("gap mode needs an energy hint")
-    values = background_spectrum(grid, v0).values if values is None else values
+    values = background_spectrum(grid, v0).values
     if mode == "bottom":
         return -math.inf, float(values[0])
     split = int(np.searchsorted(values, hint))
@@ -77,28 +76,18 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap", values=None):
     return a, b
 
 
-def coupling_envelope(matrix):
-    """s with 0 <= U @ omega <= s node-wise for every omega in [0, 1]^m, or None.
-
-    s is the largest row sum of U (`matrix`); None when U has a negative
-    entry, so V_omega has no such envelope.
-    """
-    if matrix.nnz and matrix.data.min() < 0:
-        return None
-    return float(np.asarray(matrix.sum(axis=1)).max(initial=0.0))
-
-
-def certified_lower_count(values, matrix, b):
+def certified_lower_count(box, b):
     """#{lambda(H_omega) < b - tol_eig} for every omega in [0, 1]^m, or None.
 
-    `values` is the background spectrum, `matrix` U.  Weyl, with V_omega in
-    [0, s] node-wise (coupling_envelope), keeps the background's count k
-    when its k-th eigenvalue plus s stays tol_gap below b - tol_eig.  None
-    (refused) when U has a negative entry or s does not fit.
+    Weyl, with V_omega in [0, s] node-wise (s = box.envelope), keeps the
+    background's count k when its k-th eigenvalue plus s stays tol_gap below
+    b - tol_eig.  None (refused) when U has a negative entry or s does not
+    fit.
     """
-    s = coupling_envelope(matrix)
+    s = box.envelope
     if s is None:
         return None
+    values = box.spectrum.values
     k = int(np.searchsorted(values, b - TOL_EIG))
     if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
         return None
@@ -122,6 +111,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         ls = tuple(self.L_values)
@@ -163,49 +154,26 @@ def box_sites(model, grid, event_spec=None):
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
-    `sites` is box_sites(model, grid, event_spec), `site_matrix` is
-    U = site_matrix(profiles, grid), so that V_omega = U @ omega, and `live`
-    is live_profiles(profiles, grid, U), the couplings U reads.  b and
-    width are those of the window [b, b + width); counting-function runs
-    leave them unset.  `certified_below` is certified_lower_count at b, or
-    None where the trials must count below the window themselves.
+    `box` is the box's node data (potentials.Box), `sites`
+    box_sites(model, grid, event_spec), and the window is [b, b + width).
+    `event_spec` is None where the scale window is empty.  `certified_below`
+    is certified_lower_count at b, or None where the trials must count below
+    the window themselves.
     """
 
     model: object
-    grid: GridSpec
+    box: Box
     sites: np.ndarray = field(repr=False)
-    profiles: tuple = field(repr=False)
-    site_matrix: object = field(repr=False)
-    live: tuple = field(repr=False)
-    v0_nodes: np.ndarray = field(repr=False)
-    event_spec: EventSpec = None
-    b: float = None
-    width: float = None
-    certified_below: int = None
+    event_spec: EventSpec
+    b: float
+    width: float
+    certified_below: int
 
     @classmethod
-    def build(cls, model, grid, event_spec=None, b=None, width=None,
-              values=None):
-        profiles = tuple(model.profiles_for(grid))
-        sites = box_sites(model, grid, event_spec)
-        matrix = site_matrix(profiles, grid)
-        if b is not None and values is None:
-            values = background_spectrum(grid, model.background).values
-        below = None if b is None else certified_lower_count(values, matrix, b)
-        return cls(model, grid, sites, profiles, matrix,
-                   live_profiles(profiles, grid, matrix),
-                   model.background.evaluate(grid.nodes()),
-                   event_spec, b, width, below)
-
-    def potential(self, cfg):
-        """V_omega = U @ omega at the nodes."""
-        return assemble_random_potential(cfg, self.profiles, self.grid,
-                                         self.site_matrix, self.live)
-
-    def hamiltonian(self, cfg):
-        """H_omega = -Laplacian + V0 + V_omega, with V_omega = U @ omega."""
-        return assemble_schrodinger(self.grid,
-                                    self.v0_nodes + self.potential(cfg))
+    def build(cls, model, grid, event_spec, b, width):
+        box = model.box(grid)
+        return cls(model, box, box_sites(model, grid, event_spec),
+                   event_spec, b, width, certified_lower_count(box, b))
 
 
 @lru_cache(maxsize=16)
@@ -255,12 +223,12 @@ def run_ise_trial(ctx, seed):
     certified one where it holds, so the trial factorizes only at b + width
     (and at b + width - tol_eig when the window holds spectrum).
     """
-    b, width, spec = ctx.b, ctx.width, ctx.event_spec
+    box, b, width, spec = ctx.box, ctx.b, ctx.width, ctx.event_spec
     cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
     result = TrialRecord(seed=seed, valid=True, outcome=None,
                          window_count=None, borderline=False, event=None,
                          observed_lift=None)
-    v_omega = ctx.potential(cfg)   # >= 0 node by node, or it raises
+    v_omega = box.potential(cfg)   # >= 0 node by node, or it raises
     in_event, lift, lift_error = None, None, None
     if spec is not None:
         table, hits = cell_hits(cfg, spec)
@@ -268,7 +236,7 @@ def run_ise_trial(ctx, seed):
     if in_event:
         choice = tuple(map(tuple, cell_choice(table, hits).tolist()))
         try:
-            mask, lift, top = event_lift(ctx.model, ctx.grid, spec, b, width,
+            mask, lift, top = event_lift(ctx.model, box.grid, spec, b, width,
                                          choice)
         except (SolverError, IselabError) as exc:
             lift_error = str(exc)
@@ -281,7 +249,7 @@ def run_ise_trial(ctx, seed):
         if result.lift_certified:
             result.update(window_count=0, outcome=True)
         else:
-            h_rand = assemble_schrodinger(ctx.grid, ctx.v0_nodes + v_omega)
+            h_rand = box.hamiltonian(v_omega)
             below = ctx.certified_below
             if below is None:
                 below = count_below(h_rand, b - TOL_EIG)
@@ -320,19 +288,11 @@ class ISEPerL:
     trial_records: tuple = field(repr=False)
 
     def to_json(self):
-        return {
-            "L": self.L, "l": self.l, "band_edge": self.band_edge,
-            "gap_lower": None if math.isinf(self.gap_lower) else self.gap_lower,
-            "window_width": self.window_width,
-            "lower_count_certified": self.lower_count_certified,
-            "trials": self.trials, "valid": self.valid,
-            "successes": self.successes, "borderline": self.borderline,
-            "event_count": self.event_count,
-            "lift_certified": self.lift_certified,
-            "p_hat": self.p_hat, "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
-            "ledger": None if self.ledger is None else self.ledger.to_json(),
-            "trial_records": [dict(r) for r in self.trial_records],
-        }
+        return dict(
+            self.__dict__,
+            gap_lower=None if math.isinf(self.gap_lower) else self.gap_lower,
+            ledger=None if self.ledger is None else self.ledger.to_json(),
+            trial_records=[dict(r) for r in self.trial_records])
 
 
 @dataclass(frozen=True)
@@ -370,13 +330,11 @@ def estimate_ise_probability(plan, dimension=2):
           if plan.workers > 1 else nullcontext()) as pool:
         run = map if pool is None else partial(pool.map, chunksize=4)
         for L_index, L in enumerate(plan.L_values):
-            grid = GridSpec(dimension=dimension, side=float(L),
-                            spacing=1.0 / plan.points_per_unit,
-                            boundary=plan.boundary)
-            values = background_spectrum(grid, model.background).values
+            grid = GridSpec.per_unit(dimension, L, plan.points_per_unit,
+                                     plan.boundary)
             a, b = band_edge_of_background(
                 grid, model.background, hint=plan.band_edge_hint,
-                mode=plan.band_edge_mode, values=values)
+                mode=plan.band_edge_mode)
             try:
                 l = select_scale(L, plan.alpha)
                 event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
@@ -387,7 +345,7 @@ def estimate_ise_probability(plan, dimension=2):
             except ScaleWindowError:
                 l, event_spec, ledger = None, None, None
             ctx = TrialContext.build(model, grid, event_spec, b,
-                                     float(L) ** (-plan.alpha), values)
+                                     float(L) ** (-plan.alpha))
             seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
                                      (L_index, t))
                      for t in range(plan.trials)]
@@ -425,11 +383,7 @@ class IDSRecord:
     reference_energy: float
 
     def to_json(self):
-        return {"energies": list(self.energies),
-                "counting": list(self.counting),
-                "double_log": list(self.double_log),
-                "reference_energy": self.reference_energy,
-                "truncated": False}
+        return dict(self.__dict__, truncated=False)
 
 
 def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
@@ -439,7 +393,7 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     N(E) counts the eigenvalues <= E exactly (count_below at each energy),
     but factorizes H_omega only where two exact layers leave it open
     (eigensolve.counts_below).  A per-box Weyl bracket: V_omega lies in
-    [0, s] node-wise (coupling_envelope), so the background spectrum bounds
+    [0, s] node-wise (Box.envelope), so the background spectrum bounds
     every trial's count from both sides, and an energy where both ends
     agree is not counted.  Monotone bisection over the sorted grid: two
     counted energies with the same count fix every energy between them.
@@ -451,18 +405,18 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     E_grid = list(E_grid)
     if trials < 1 or not E_grid or E_grid != sorted(E_grid):
         raise ValueError("need trials >= 1 and a nonempty, sorted E_grid")
-    ctx = TrialContext.build(model, GridSpec(
-        dimension=dimension, side=float(L), spacing=1.0 / points_per_unit,
-        boundary=boundary))
-    s = coupling_envelope(ctx.site_matrix)
-    weyl = None if s is None else (
-        background_spectrum(ctx.grid, model.background).values, s)
+    grid = GridSpec.per_unit(dimension, L, points_per_unit, boundary)
+    box = model.box(grid)
+    s = box.envelope
+    weyl = None if s is None else (box.spectrum.values, s)
     counts = np.zeros(len(E_grid))
     for t in range(trials):
+        # a coupling's value depends only on (seed, site), so drawing the
+        # live sites alone gives the same V_omega
         trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
-        h = ctx.hamiltonian(
-            sample_configuration(trial_seed, ctx.sites, model.disorder))
-        counts += counts_below(h, E_grid, weyl)
+        cfg = sample_configuration(trial_seed, box.sites, model.disorder)
+        counts += counts_below(box.hamiltonian(box.potential(cfg)), E_grid,
+                               weyl)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
     # the count at the last grid energy within 1e-12 of E0, else interpolated

@@ -17,7 +17,9 @@ import numpy as np
 from scipy import sparse
 
 from . import rng
+from .eigensolve import background_spectrum
 from .errors import MissingProfileError, MissingSiteError, UnresolvableBallError
+from .grid import assemble_schrodinger
 
 MIN_POINTS_ACROSS_BALL = 4
 
@@ -285,34 +287,74 @@ def site_matrix(profiles, grid):
                               indptr), shape=(grid.num_points, len(profiles)))
 
 
-def live_profiles(profiles, grid, matrix):
-    """(live, sites): the columns of U = `matrix` with a node in the box, and
-    the (k, d) int64 array of their profiles' sites."""
-    live = np.flatnonzero(np.diff(matrix.indptr))
-    sites = np.array([profiles[j].site for j in live], dtype=np.int64)
-    return live, sites.reshape(live.size, grid.dimension)
+def assemble_random_potential(cfg, profiles, grid):
+    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid."""
+    return Box.build(grid, zero_potential(), profiles).potential(cfg)
 
 
-def assemble_random_potential(cfg, profiles, grid, matrix=None, live=None):
-    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid.
+@dataclass(frozen=True, eq=False)
+class Box:
+    """One box's node data, shared by every operator on it.
 
-    `matrix` is site_matrix(profiles, grid) and `live` is
-    live_profiles(profiles, grid, matrix), each built here when not given.
+    Each operator of the chain H0 <= H0 + eta c chi_S <= H_omega <= H0 + W is
+    -Laplacian + V0 plus a node diagonal (`hamiltonian`).  `v0` is V0 at the
+    nodes, `matrix` U = site_matrix(profiles, grid) kept to its live columns
+    (those with a node in the box) and `sites` their sites, so V_omega =
+    U @ omega (`potential`).  W = U @ 1 and its envelope are read from U, so
+    a pickled box ships no second node array to each pool worker.
     """
-    if matrix is None:
+
+    grid: object
+    background: PeriodicPotential
+    v0: np.ndarray = field(repr=False)
+    matrix: object = field(repr=False)
+    sites: np.ndarray = field(repr=False)
+    profiles: tuple = field(repr=False)
+
+    @classmethod
+    def build(cls, grid, background, profiles):
+        # a dead column adds nothing to U @ omega: dropping it leaves every
+        # node's sum, and the order of its terms, unchanged
+        profiles = tuple(profiles)
         matrix = site_matrix(profiles, grid)
-    if live is None:
-        live = live_profiles(profiles, grid, matrix)
-    columns, sites = live
-    omega = np.zeros(len(profiles))
-    try:
-        omega[columns] = cfg[sites]
-    except MissingSiteError as exc:
-        raise MissingProfileError(f"contributing profile: {exc}") from exc
-    out = matrix @ omega
-    if out.size and out.min() < 0:
-        raise ValueError("random potential must be nonnegative")
-    return out
+        live = np.flatnonzero(np.diff(matrix.indptr))
+        sites = np.array([profiles[j].site for j in live], dtype=np.int64)
+        return cls(grid, background, background.evaluate(grid.nodes()),
+                   matrix[:, live], sites.reshape(live.size, grid.dimension),
+                   profiles)
+
+    @property
+    def w(self):
+        """W = U @ 1, the potential with every coupling at 1."""
+        return self.matrix @ np.ones(self.matrix.shape[1])
+
+    @property
+    def envelope(self):
+        """s = max W, so 0 <= U @ omega <= s for omega in [0, 1]^m; None when
+        U has a negative entry, so V_omega has no such envelope."""
+        if self.matrix.nnz and self.matrix.data.min() < 0:
+            return None
+        return float(self.w.max(initial=0.0))
+
+    @property
+    def spectrum(self):
+        """The background spectrum, memoized per (grid, background)."""
+        return background_spectrum(self.grid, self.background)
+
+    def potential(self, cfg):
+        """V_omega = U @ omega at the nodes; >= 0, or it raises."""
+        try:
+            omega = cfg[self.sites]
+        except MissingSiteError as exc:
+            raise MissingProfileError(f"contributing profile: {exc}") from exc
+        out = self.matrix @ omega
+        if out.size and out.min() < 0:
+            raise ValueError("random potential must be nonnegative")
+        return out
+
+    def hamiltonian(self, diagonal):
+        """-Laplacian + V0 + diag(diagonal)."""
+        return assemble_schrodinger(self.grid, self.v0 + diagonal)
 
 
 @dataclass(frozen=True)
@@ -399,6 +441,10 @@ class PotentialModel:
 
     def profiles_for(self, grid):
         return [self.profile_for(s) for s in self.sites_for(grid)]
+
+    def box(self, grid):
+        """Box.build of this model's background and profiles on the grid."""
+        return Box.build(grid, self.background, self.profiles_for(grid))
 
 
 def load_model(spec):

@@ -5,8 +5,9 @@ The continuum bound is (delta/l)^(N (1 + l^{4/3} |V|_inf^{2/3} + l sqrt(E+)))
 for spectral-subspace functions up to energy E; here the L^2 masses become
 node-counting sums, so the h^d factors cancel in the ratio.
 
-Every operator is grid.assemble_schrodinger of V0 at the nodes plus eta c on
-a sorted node-index mask, U @ omega or t W: its order is node-wise order.
+Every operator is a box's hamiltonian (potentials.Box): V0 at the nodes plus
+eta c on a sorted node-index mask, U @ omega or t W, so its order is
+node-wise order.
 """
 
 import math
@@ -16,13 +17,11 @@ import numpy as np
 
 from . import rng
 from .errors import EventViolatedError, IselabError
-from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, check_t_grid,
-                         count_below, eigs_in_window, lowest_in_spectrum_above,
+from .eigensolve import (TOL_EIG, TOL_GAP, check_t_grid, count_below,
+                         eigs_in_window, lowest_in_spectrum_above,
                          min_eig_above)
 from .events import (EquidistributedSequence, cell_choice, cell_hits,
                      lifting_bound)
-from .grid import assemble_schrodinger
-from .potentials import assemble_random_potential, site_matrix
 
 
 @dataclass(frozen=True)
@@ -175,39 +174,36 @@ class LiftingRecord:
         return [getattr(self, k) for k in self.CSV_COLUMNS]
 
 
-def lifting_experiment(grid, v0, cfg, spec, profiles, b, eta, c):
+def lifting_experiment(box, cfg, spec, b, eta, c):
     """Lift of the lowest eigenvalue above b under the test perturbation.
 
     Also records the eigenvalue of the full random operator and certifies
     H0 <= H0 + eta c chi_S <= H_omega <= H0 + W with no eigensolve: all four
     share -Laplacian + V0, so the order holds iff eta c chi_S <= V_omega <= W
     node by node (up to the 1e-12 verify_single_site_bound allows, which Weyl
-    bounds), and min-max then orders the eigenvalues at every index.  V0 at
-    the nodes and U = site_matrix(profiles, grid) are built once; both
-    solved operators are grid.assemble_schrodinger of V0 plus eta c on the
-    mask or U @ omega, and the check compares those same node arrays.
+    bounds), and min-max then orders the eigenvalues at every index.  Both
+    solved operators are box.hamiltonian of eta c on the mask or U @ omega,
+    and the check compares those same node arrays.
     """
     if eta * c < 0:
         raise ValueError("amplitude must be nonnegative")
-    sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-    v0_nodes = v0.evaluate(grid.nodes())
-    matrix = site_matrix(profiles, grid)
-    v_test = np.zeros(grid.num_points)
+    sequence, mask = equidistributed_from_event(cfg, spec, box.profiles,
+                                                box.grid)
+    v_test = np.zeros(box.grid.num_points)
     v_test[mask] = eta * c
-    v_rand = assemble_random_potential(cfg, profiles, grid, matrix)
+    v_rand = box.potential(cfg)
 
-    k0, lam0 = lowest_in_spectrum_above(background_spectrum(grid, v0).values, b)
-    lam_pert = min_eig_above(assemble_schrodinger(grid, v0_nodes + v_test), b)
-    lam_rand = min_eig_above(assemble_schrodinger(grid, v0_nodes + v_rand), b)
-    sandwich_ok = bool(
-        np.all(v_test <= v_rand + 1e-12)
-        and np.all(v_rand <= matrix @ np.ones(len(profiles)) + 1e-12))
+    k0, lam0 = lowest_in_spectrum_above(box.spectrum.values, b)
+    lam_pert = min_eig_above(box.hamiltonian(v_test), b)
+    lam_rand = min_eig_above(box.hamiltonian(v_rand), b)
+    sandwich_ok = bool(np.all(v_test <= v_rand + 1e-12)
+                       and np.all(v_rand <= box.w + 1e-12))
 
     observed = lam_pert - lam0
     if observed < -TOL_EIG:
         raise IselabError(f"observed lift {observed} is meaningfully negative")
     return LiftingRecord(
-        l=spec.l, L=grid.side, eta=eta, c=c, delta=sequence.radius, k0=k0,
+        l=spec.l, L=box.grid.side, eta=eta, c=c, delta=sequence.radius, k0=k0,
         base_eigenvalue=lam0, perturbed_eigenvalue=lam_pert,
         random_eigenvalue=lam_rand, observed_lift=observed,
         predicted_floor=lifting_bound(spec.l, eta, c), sandwich_ok=sandwich_ok,
@@ -226,27 +222,24 @@ class GapReport:
         return dict(self.__dict__)
 
 
-def verify_gap_hypothesis(grid, v0, profiles, window, t_grid):
+def verify_gap_hypothesis(box, window, t_grid):
     """Certify (a, b) free of the spectrum of H0 + t W for every t in [0, 1].
 
     W >= 0, so each eigenvalue branch never falls in t and enters the window
     (edges moved in by tol_gap) iff lambda_j(H0 + W) > a and lambda_j(H0) < b.
     `crossings` = #{lambda(H0) < b} - #{lambda(H0 + W) < a} counts them, and
     only a window with crossings is sampled on t_grid, to list intrusions
-    (eigs_in_window of H0 + t W, V0 at the nodes and W = U @ 1 built once).
+    (eigs_in_window of H0 + t W, all on the one box).
     """
     a, b = window
     if b <= a:
         raise ValueError("need a < b")
     t_grid = check_t_grid(t_grid)
-    v0_nodes = v0.evaluate(grid.nodes())
-    w = site_matrix(profiles, grid) @ np.ones(len(profiles))
-    spectrum0 = background_spectrum(grid, v0).values
-    crossings = int(np.searchsorted(spectrum0, b - TOL_GAP)) - count_below(
-        assemble_schrodinger(grid, v0_nodes + w), a + TOL_GAP)
+    w = box.w
+    below_b = int(np.searchsorted(box.spectrum.values, b - TOL_GAP))
+    crossings = below_b - count_below(box.hamiltonian(w), a + TOL_GAP)
     intrusions = tuple(
         (t, float(v)) for t in (t_grid if crossings else ())
-        for v in eigs_in_window(assemble_schrodinger(grid, v0_nodes + t * w),
-                                a, b))
+        for v in eigs_in_window(box.hamiltonian(t * w), a, b))
     return GapReport(ok=crossings == 0, window=tuple(window), t_grid=t_grid,
                      intrusions=intrusions, crossings=crossings)

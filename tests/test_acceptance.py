@@ -168,7 +168,7 @@ class TestEigenvalueLifting:
         model = load_model(LIFT_MODEL)
         grid = GridSpec(dimension=2, side=float(LIFTING_BOX), spacing=0.125,
                         boundary="periodic")
-        profiles = model.profiles_for(grid)
+        box = model.box(grid)
         b = 0.0   # background is the free operator; its box spectrum
                   # starts at zero under periodic boundary conditions
         for trial_seed in range(5):
@@ -181,8 +181,8 @@ class TestEigenvalueLifting:
                                set(spec.required_sites()))
                 cfg = _event_configuration(model, spec, sites,
                                            REFERENCE_SEED + trial_seed, 200)
-                rec = lifting_experiment(grid, model.background, cfg, spec,
-                                         profiles, b, model.disorder.eta,
+                rec = lifting_experiment(box, cfg, spec, b,
+                                         model.disorder.eta,
                                          model.coupling_floor)
                 assert rec.sandwich_ok
                 assert rec.observed_lift > 10 * TOL_EIG

@@ -99,6 +99,37 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             "input error: t_grid must rise strictly in [0, 1] by <= 0.05")
 
+    @pytest.mark.parametrize("subcommand", ["bands", "ids"])
+    def test_zero_points_per_unit_is_input_error(self, model_file, capsys,
+                                                 subcommand):
+        argv = {"bands": ["--mode", "bottom"],
+                "ids": ["--e-min", "0", "--e-max", "4", "--seed", "1",
+                        "--e0", "0"]}[subcommand]
+        code = main([subcommand, "--model", model_file, "--L", "3",
+                     "--points-per-unit", "0"] + argv)
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: points_per_unit must be at least 1")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("points_per_unit", 0, "points_per_unit must be at least 1"),
+        ("workers", -3, "need at least one worker"),
+    ])
+    def test_bad_plan_field_is_input_error(self, plan_file, tmp_path, capsys,
+                                           field, value, message):
+        plan = json.loads(Path(plan_file).read_text())
+        plan[field] = value
+        Path(plan_file).write_text(json.dumps(plan))
+        out = tmp_path / "art"
+        assert main(["ise", "--plan", plan_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == f"input error: {message}"
+        assert not out.exists()
+
+    def test_negative_workers_flag_is_input_error(self, plan_file, capsys):
+        assert main(["ise", "--plan", plan_file, "--workers", "-3"]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: need at least one worker")
+
     def test_failing_ledger_is_assertion_failure(self, capsys):
         code = main(["scale", "--L", "5000", "--alpha", "0.9", "--q", "1.0",
                      "--kappa", "0.5"])
@@ -174,6 +205,31 @@ class TestExitCodes:
         assert main(["gap", "--model", str(path), "--L", "2", "--a", "28",
                      "--b", "46", "--t-steps", "41"]) == 0
         assert calls == []
+
+    def test_lift_builds_one_box(self, tmp_path, monkeypatch, capsys):
+        # every scale of `lift` reads one box: U is built once (one
+        # evaluation per profile) and the background spectrum computed once
+        from iselab import eigensolve, potentials
+        from iselab.grid import GridSpec
+        from iselab.reference import reference_model_spec
+
+        calls = []
+        real = potentials.SingleSiteProfile.evaluate
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(reference_model_spec()))
+        profiles = potentials.load_model(str(path)).profiles_for(
+            GridSpec(dimension=2, side=3.0, spacing=1.0 / 9))
+        eigensolve.background_spectrum.cache_clear()
+        monkeypatch.setattr(potentials.SingleSiteProfile, "evaluate", spy)
+        assert main(["lift", "--model", str(path), "--L", "3", "--hint", "36",
+                     "--scales", "1,3", "--seed", "20260824"]) == 0
+        assert len(calls) == len(profiles) > 0
+        assert eigensolve.background_spectrum.cache_info().misses == 1
 
     def test_window_intrusion_is_assertion_failure(self, model_file, capsys):
         # the free box operator has an eigenvalue inside (1, 3)

@@ -12,7 +12,7 @@ from iselab.eigensolve import (TOL_EIG, background_eigs_below,
 from iselab.errors import SolverError
 from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
                          laplacian_matrix)
-from iselab.potentials import (constant_potential, indicator_profile,
+from iselab.potentials import (Box, constant_potential, indicator_profile,
                                separable_square_potential, zero_potential)
 from iselab.ucp import verify_gap_hypothesis
 
@@ -194,8 +194,8 @@ class TestWindows:
 def window_levels(grid, profiles, t_grid, window):
     """Window eigenvalues of H0 + t W (zero V0) at each t, as the gap
     report lists its intrusions."""
-    report = verify_gap_hypothesis(grid, zero_potential(), profiles, window,
-                                   t_grid)
+    report = verify_gap_hypothesis(Box.build(grid, zero_potential(), profiles),
+                                   window, t_grid)
     return [np.array([v for s, v in report.intrusions if s == t])
             for t in report.t_grid]
 
@@ -262,6 +262,17 @@ class TestBackgroundSpectrum:
             p_kron = vectors @ vectors.T
             p_dense = all_vectors[:, :k] @ all_vectors[:, :k].T
             assert np.max(np.abs(p_kron - p_dense)) <= 1e-8
+
+    def test_memoized_spectrum_is_read_only(self, free4):
+        spectrum = background_spectrum(free4, zero_potential())
+        assert background_spectrum(free4, zero_potential()) is spectrum
+        for array in (spectrum.values, spectrum.order,
+                      *spectrum.axis_vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1.0
+        values, _ = background_eigs_below(free4, zero_potential(), 3.0)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
     def test_empty_below_the_spectrum(self, free4):
         values, vectors = background_eigs_below(free4, zero_potential(), -0.5)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iselab import eigensolve, ise, rng
-from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
-                               min_eig_above)
+from iselab.eigensolve import TOL_EIG, count_below, min_eig_above
 from iselab.errors import GapNotFoundError
 from iselab.events import (EventSpec, cell_choice, cell_hits,
                            event_A_indicator, select_scale)
@@ -67,8 +66,8 @@ class TestBandEdge:
 def box_context(model_spec, L, alpha, b=0.0, points_per_unit=8):
     grid = GridSpec(dimension=2, side=float(L), spacing=1.0 / points_per_unit,
                     boundary="periodic")
-    return TrialContext.build(load_model(model_spec), grid, b=b,
-                              width=float(L) ** (-alpha))
+    return TrialContext.build(load_model(model_spec), grid, None, b,
+                              float(L) ** (-alpha))
 
 
 class TestSingleTrial:
@@ -171,16 +170,17 @@ class TestTrialContext:
         # trials are, and the public path counts their H_omega instead
         certified = {}
         for ctx, seeds in (reference_context, reference_box(8)):
-            events = certified[ctx.grid.side] = 0
+            box = ctx.box
+            events = certified[box.grid.side] = 0
             for seed in seeds:
-                want, cfg, h = public_path_record(ctx.model, ctx.grid,
+                want, cfg, h = public_path_record(ctx.model, box.grid,
                                                   ctx.event_spec, ctx.b,
                                                   ctx.width, seed)
                 record = run_ise_trial(ctx, seed)
                 assert_records_match(record, want)
-                assert (ctx.hamiltonian(cfg) != h).nnz == 0
+                assert (box.hamiltonian(box.potential(cfg)) != h).nnz == 0
                 events += bool(want["event"])
-                certified[ctx.grid.side] += record.lift_certified
+                certified[box.grid.side] += record.lift_certified
             assert events >= 1
         assert certified[6.0] == 0 and certified[8.0] >= 1
 
@@ -212,7 +212,7 @@ class TestLowerCountCertificate:
 
     def assert_public_path(self, ctx, seeds):
         for seed in seeds:
-            want, _, _ = public_path_record(ctx.model, ctx.grid,
+            want, _, _ = public_path_record(ctx.model, ctx.box.grid,
                                             ctx.event_spec, ctx.b,
                                             ctx.width, seed)
             assert run_ise_trial(ctx, seed) == want
@@ -220,8 +220,7 @@ class TestLowerCountCertificate:
     def test_reference_gap_is_certified(self):
         ctx = self.context(reference_model_spec(), "gap")
         # s = 1 against a gap about 20 wide: the count is the background's
-        below = int(np.sum(background_spectrum(ctx.grid, ctx.model.background)
-                           .values < ctx.b))
+        below = int(np.sum(ctx.box.spectrum.values < ctx.b))
         assert ctx.certified_below == below > 0
 
     def test_bottom_mode_certifies_trivially(self):
@@ -248,20 +247,24 @@ class TestLowerCountCertificate:
             assert per_L[0]["lower_count_certified"] is certified
 
     def test_one_background_spectrum_per_box_size(self, monkeypatch):
-        calls = []
-        real = ise.background_spectrum
+        # background_spectrum is memoized: each box size computes it once,
+        # and every later read (band edge, certificate) is a cache hit.
+        # Each computation builds one 1D block, n = 9 L nodes per side.
+        sides = []
+        real = eigensolve._lap1d
 
-        def spy(*args, **kwargs):
-            calls.append(args[0].side)
-            return real(*args, **kwargs)
+        def spy(n, h, boundary):
+            sides.append(n)
+            return real(n, h, boundary)
 
-        monkeypatch.setattr(ise, "background_spectrum", spy)
+        eigensolve.background_spectrum.cache_clear()
+        monkeypatch.setattr(eigensolve, "_lap1d", spy)
         plan = ExperimentPlan(
             model=reference_model_spec(), L_values=(4, self.L),
             alpha=REFERENCE_ALPHA, q=1.0, trials=1,
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         estimate_ise_probability(plan)
-        assert calls == [4.0, float(self.L)]
+        assert sides == [9 * 4, 9 * self.L]
 
     def test_certified_trial_factorizes_once(self, monkeypatch):
         factorizations = []
@@ -300,11 +303,12 @@ class TestLiftCertificate:
     def test_overclaimed_floor_takes_the_counted_path(self):
         ctx, seeds = reference_box(6, trials=12)
         model = OverclaimingModel(**vars(ctx.model))
-        ctx = TrialContext.build(model, ctx.grid, ctx.event_spec, ctx.b,
+        grid = ctx.box.grid
+        ctx = TrialContext.build(model, grid, ctx.event_spec, ctx.b,
                                  ctx.width)
         lifted, failed = 0, 0
         for seed in seeds:
-            want, _, _ = public_path_record(model, ctx.grid, ctx.event_spec,
+            want, _, _ = public_path_record(model, grid, ctx.event_spec,
                                             ctx.b, ctx.width, seed)
             record = run_ise_trial(ctx, seed)
             assert_records_match(record, want)
@@ -316,7 +320,7 @@ class TestLiftCertificate:
                     sample_configuration(seed, ctx.sites, model.disorder),
                     ctx.event_spec)
                 choice = tuple(map(tuple, cell_choice(cells, hits).tolist()))
-                top = ise.event_lift(model, ctx.grid, ctx.event_spec, ctx.b,
+                top = ise.event_lift(model, grid, ctx.event_spec, ctx.b,
                                      ctx.width, choice)[2]
                 lifted += top == ctx.certified_below
                 failed += not record["outcome"]
@@ -362,6 +366,10 @@ class TestPlan:
         with pytest.raises(ValueError):
             ExperimentPlan(model={}, L_values=(3, 6), alpha=1.5, q=1.0,
                            trials=4, master_seed=0)
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="worker"):
+                ExperimentPlan(model={}, L_values=(3, 6), alpha=0.5, q=1.0,
+                               trials=4, master_seed=0, workers=workers)
 
     def test_from_json_round_trip(self):
         spec = {"model": reference_model_spec(), "L_values": [6, 9],
@@ -479,11 +487,11 @@ class TestCountsOnGrid:
                         spacing=1.0 / data.draw(st.integers(4, 6)),
                         boundary=data.draw(st.sampled_from(
                             ("periodic", "dirichlet", "neumann"))))
-        ctx = TrialContext.build(model, grid)
-        h = ctx.hamiltonian(sample_configuration(
-            data.draw(st.integers(0, 2 ** 32)), ctx.sites, model.disorder))
-        values = background_spectrum(grid, model.background).values
-        s = ise.coupling_envelope(ctx.site_matrix)
+        box = model.box(grid)
+        h = box.hamiltonian(box.potential(sample_configuration(
+            data.draw(st.integers(0, 2 ** 32)), box.sites, model.disorder)))
+        values = box.spectrum.values
+        s = box.envelope
         top = float(values[min(40, values.size - 1)]) + s
         # energies on background eigenvalues (where H_omega = H0 they sit on
         # its spectrum), anywhere in the range, duplicated, or a step below
@@ -504,12 +512,13 @@ class TestCountsOnGrid:
 
     def test_weyl_bracket_holds_and_closes(self):
         model = load_model(FREE_MODEL)
-        ctx = TrialContext.build(model, GridSpec(
-            dimension=2, side=3.0, spacing=1.0 / 9, boundary="periodic"))
-        values = background_spectrum(ctx.grid, model.background).values
-        s = ise.coupling_envelope(ctx.site_matrix)
+        box = model.box(GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
+                                 boundary="periodic"))
+        values = box.spectrum.values
+        s = box.envelope
         assert s == pytest.approx(1.0)   # disjoint unit balls
-        h = ctx.hamiltonian(sample_configuration(7, ctx.sites, model.disorder))
+        h = box.hamiltonian(box.potential(
+            sample_configuration(7, box.sites, model.disorder)))
         closed = 0
         for e in np.linspace(0.0, 6.0, 25):
             n = count_below(h, e)

@@ -11,7 +11,7 @@ from iselab import rng
 from iselab.errors import (MissingProfileError, MissingSiteError,
                            UnresolvableBallError)
 from iselab.grid import GridSpec
-from iselab.potentials import (assemble_random_potential, bernoulli,
+from iselab.potentials import (Box, assemble_random_potential, bernoulli,
                                cone_profile, constant_potential,
                                indicator_profile, load_model,
                                sample_configuration,
@@ -215,6 +215,11 @@ class TestFieldAssembly:
                 want[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
         assert np.array_equal(assemble_random_potential(cfg, profiles, grid),
                               want)
+        # the box keeps U's live columns only: the columns of the sites -2
+        # on axis 0 hold no node of this off-centre box
+        box = Box.build(grid, zero_potential(), profiles)
+        assert box.matrix.shape[1] < len(profiles)
+        assert np.array_equal(box.potential(cfg), want)
 
     def test_missing_profile_for_contributing_site(self, grid8, config_from):
         cfg = config_from({(0, 0): 1.0})

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from iselab import potentials, rng, ucp
+from iselab import potentials, rng
 from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
 from iselab.grid import GridSpec, assemble_schrodinger
-from iselab.potentials import (assemble_random_potential, indicator_profile,
-                               load_model, sample_configuration, site_matrix,
+from iselab.potentials import (Box, assemble_random_potential,
+                               indicator_profile, load_model,
+                               sample_configuration, site_matrix,
                                zero_potential)
 from iselab.reference import reference_model_spec
 from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
@@ -213,14 +214,14 @@ class TestLiftingExperiment:
 
     def test_zero_eta_means_zero_lift(self, config_from):
         grid, spec, cfg, profiles = self._setup(config_from)
-        rec = lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
-                                 b=-1.0, eta=0.0, c=1.0)
+        rec = lifting_experiment(Box.build(grid, zero_potential(), profiles),
+                                 cfg, spec, b=-1.0, eta=0.0, c=1.0)
         assert abs(rec.observed_lift) <= TOL_EIG
 
     def test_ground_state_lift_is_positive_with_sandwich(self, config_from):
         grid, spec, cfg, profiles = self._setup(config_from)
-        rec = lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
-                                 b=-1.0, eta=0.5, c=1.0)
+        rec = lifting_experiment(Box.build(grid, zero_potential(), profiles),
+                                 cfg, spec, b=-1.0, eta=0.5, c=1.0)
         assert rec.k0 == 1
         assert rec.observed_lift > 10 * TOL_EIG
         assert rec.observed_lift <= 0.5 + TOL_EIG
@@ -233,21 +234,24 @@ class TestLiftingExperiment:
         grid, spec, cfg, profiles = self._setup(config_from)
         calls = []
 
-        def spy(module, name):
-            real = getattr(module, name)
+        def spy(cls):
+            real = cls.evaluate
 
             def counted(*args, **kwargs):
-                calls.append(name)
+                calls.append(cls.__name__)
                 return real(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(cls, "evaluate", counted)
 
-        # V0 at the nodes is v0.evaluate(grid.nodes())
-        for module, name in ((ucp, "site_matrix"), (potentials, "site_matrix"),
-                             (potentials.PeriodicPotential, "evaluate")):
-            spy(module, name)
-        lifting_experiment(grid, zero_potential(), cfg, spec, profiles,
-                           b=-1.0, eta=0.5, c=1.0)
-        assert sorted(calls) == ["evaluate", "site_matrix"]
+        # U evaluates each profile once on its support nodes, and V0 at the
+        # nodes is one v0.evaluate(grid.nodes()); two lifts read one box
+        spy(potentials.SingleSiteProfile)
+        spy(potentials.PeriodicPotential)
+        box = Box.build(grid, zero_potential(), profiles)
+        for eta in (0.5, 0.25):
+            lifting_experiment(box, cfg, spec, b=-1.0, eta=eta, c=1.0)
+        assert calls.count("SingleSiteProfile") == len(profiles)
+        assert calls.count("PeriodicPotential") == 1
+        assert len(calls) == len(profiles) + 1
 
     def test_understated_profile_breaks_the_sandwich(self, config_from):
         grid, spec, _, _ = self._setup(config_from)
@@ -256,14 +260,15 @@ class TestLiftingExperiment:
         # their balls, so V_omega = 0.3 there
         cfg = config_from({s: 0.6 for s in sites})
         truthful = [indicator_profile(s, 0.5, 0.45) for s in sites]
-        rec = lifting_experiment(grid, zero_potential(), cfg, spec, truthful,
-                                 b=-1.0, eta=0.5, c=0.5)
+        rec = lifting_experiment(Box.build(grid, zero_potential(), truthful),
+                                 cfg, spec, b=-1.0, eta=0.5, c=0.5)
         assert rec.sandwich_ok
         # the same bumps claiming c = 1: eta c = 0.5 exceeds V_omega = 0.3
         understated = [dataclasses.replace(p, lower_bound=1.0)
                        for p in truthful]
-        rec = lifting_experiment(grid, zero_potential(), cfg, spec,
-                                 understated, b=-1.0, eta=0.5, c=1.0)
+        rec = lifting_experiment(
+            Box.build(grid, zero_potential(), understated), cfg, spec,
+            b=-1.0, eta=0.5, c=1.0)
         assert not rec.sandwich_ok
 
     @pytest.mark.parametrize("single_site", [
@@ -294,7 +299,7 @@ class TestLiftingExperiment:
                 model.disorder)
             if not event_A_indicator(cfg, spec):
                 continue
-            rec = lifting_experiment(grid, v0, cfg, spec, profiles, 0.0,
+            rec = lifting_experiment(model.box(grid), cfg, spec, 0.0,
                                      model.disorder.eta, model.coupling_floor)
             if not rec.sandwich_ok:
                 continue
@@ -327,14 +332,14 @@ class TestGapHypothesis:
     def test_trivial_gap_without_perturbation(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
-        report = verify_gap_hypothesis(grid, zero_potential(), [],
+        report = verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
                                        (4.1, 5.9), [0.0])
         assert report.ok
 
     def test_detects_background_eigenvalue_in_window(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
-        report = verify_gap_hypothesis(grid, zero_potential(), [],
+        report = verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
                                        (1.0, 3.0), [0.0])
         assert not report.ok
         assert report.intrusions[0][0] == 0.0
@@ -343,8 +348,8 @@ class TestGapHypothesis:
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
         with pytest.raises(ValueError):
-            verify_gap_hypothesis(grid, zero_potential(), [], (4.1, 5.9),
-                                  [0.0, 0.5, 1.0])
+            verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
+                                  (4.1, 5.9), [0.0, 0.5, 1.0])
 
     def test_window_missed_by_the_grid_fails(self, dense_eigvals):
         # the lowest branch crosses (lambda_0(t = 0.01), lambda_0(t = 0.04))
@@ -355,8 +360,8 @@ class TestGapHypothesis:
         for t in t_grid:
             values = dense_eigvals(h_t(t))
             assert not np.any((values > window[0]) & (values < window[1]))
-        report = verify_gap_hypothesis(grid, zero_potential(), profiles,
-                                       window, t_grid)
+        report = verify_gap_hypothesis(
+            Box.build(grid, zero_potential(), profiles), window, t_grid)
         assert not report.ok
         assert report.crossings == 1
         assert report.intrusions == ()
@@ -381,8 +386,8 @@ class TestGapHypothesis:
         crossings = []
         for a, b in windows:
             inside = (scan > a + TOL_GAP) & (scan < b - TOL_GAP)
-            report = verify_gap_hypothesis(grid, model.background, profiles,
-                                           (a, b), [i / 20 for i in range(21)])
+            report = verify_gap_hypothesis(model.box(grid), (a, b),
+                                           [i / 20 for i in range(21)])
             assert report.crossings == int(np.sum(inside.any(axis=0)))
             assert report.ok == (report.crossings == 0)
             crossings.append(report.crossings)
@@ -394,8 +399,8 @@ class TestGapHypothesis:
                         boundary="periodic")
         profiles = gapped_model.profiles_for(grid)
         t_grid = [i * 0.05 for i in range(21)]
-        report = verify_gap_hypothesis(grid, gapped_model.background,
-                                       profiles, (28.0, 46.0), t_grid)
+        report = verify_gap_hypothesis(gapped_model.box(grid), (28.0, 46.0),
+                                       t_grid)
         h_t = family(grid, gapped_model.background, profiles)
         for t in t_grid:
             vals = dense_eigvals(h_t(t))
