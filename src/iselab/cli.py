@@ -168,6 +168,8 @@ def cmd_scale(args):
 
 def _event_configuration(model, spec, sites, seed, attempts):
     """First seeded configuration lying in the good event."""
+    if attempts < 1:
+        raise ValueError("need at least one attempt")
     for attempt in range(attempts):
         child = rng.derive_seed(seed, rng.EVENT_TRIALS, (spec.l, attempt))
         cfg = sample_configuration(child, sites, model.disorder)
@@ -210,7 +212,8 @@ def cmd_ucp(args):
     cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
                                args.seed, args.attempts)
     profiles = model.profiles_for(grid)
-    _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
+    _, mask = equidistributed_from_event(cfg, spec, profiles, grid,
+                                         model.period)
     values, basis = background_eigs_below(grid, model.background, args.energy)
     if values.size == 0:
         raise ValueError("no eigenvalues below the requested energy")

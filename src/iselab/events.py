@@ -276,8 +276,11 @@ def _ledger_table(d, L, alpha, q, kappa, eta, c):
 
     Each line is a (name, lhs, relation, rhs) tuple, in ledger order, and
     holds iff _HOLDS[relation](lhs, rhs).  Raises ScaleWindowError if the
-    scale window is empty and ValueError if eta * c <= 0.
+    scale window is empty and ValueError if kappa lies outside (0, 1]
+    or eta * c <= 0.
     """
+    if not 0 < kappa <= 1:
+        raise ValueError("kappa must lie in (0, 1]")
     l, x = scale_window(L, alpha)
     ln_l = math.log(L)
     a_cell = _cell_failure_log(l, d, kappa)

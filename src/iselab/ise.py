@@ -189,8 +189,8 @@ def event_lift(model, grid, spec, b, width, choice):
     each process (the serial one, or each pool worker) solves it once per
     box size and choice.
     """
-    _, mask = equidistributed_from_choice(spec, choice,
-                                          model.profiles_for(grid), grid)
+    _, mask = equidistributed_from_choice(
+        spec, choice, model.profiles_for(grid), grid, model.period)
     v_test = np.zeros(grid.num_points)
     v_test[mask] = model.disorder.eta * model.coupling_floor
     h_pert = assemble_schrodinger(

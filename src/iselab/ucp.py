@@ -106,23 +106,25 @@ def random_subspace_vectors(vectors, count, seed):
     return out
 
 
-def equidistributed_from_event(cfg, spec, profiles, grid):
+def equidistributed_from_event(cfg, spec, profiles, grid, period=1.0):
     """Pick one qualifying site per cell and build the ball-union mask.
 
     The per-cell choice is the lexicographically smallest site of J(omega)
     in the cell, the first qualifying entry of its row of spec.cells(), so
-    the selection is deterministic.
+    the selection is deterministic.  `period` is the lattice spacing G.
     """
     table, hits = cell_hits(cfg, spec)
     if not hits.any(axis=1).all():
         raise EventViolatedError("configuration is not in the event")
     return equidistributed_from_choice(
-        spec, cell_choice(table, hits).tolist(), profiles, grid)
+        spec, cell_choice(table, hits).tolist(), profiles, grid, period)
 
 
-def equidistributed_from_choice(spec, chosen, profiles, grid):
+def equidistributed_from_choice(spec, chosen, profiles, grid, period=1.0):
     """(sequence, mask) of the balls of `chosen`, row i a site of cell i;
-    the mask is the sorted node indices of their union."""
+    the mask is the sorted node indices of their union.  The sequence is in
+    physical units: the cells' centres and side times the lattice spacing
+    G = `period`, as the balls' centres G * site are."""
     table = spec.cells()
     centers = table[:, table.shape[1] // 2].tolist()
     by_site = {p.site: p for p in profiles}
@@ -136,7 +138,7 @@ def equidistributed_from_choice(spec, chosen, profiles, grid):
             # inside the box; their cells are still covered by the event
             continue
         delta = profile.ball_radius if delta is None else min(delta, profile.ball_radius)
-        points[center] = profile.ball_center
+        points[tuple(period * x for x in center)] = profile.ball_center
         pieces.append(grid.nodes_within_ball(profile.ball_center,
                                              profile.ball_radius))
     if delta is None:
@@ -144,7 +146,8 @@ def equidistributed_from_choice(spec, chosen, profiles, grid):
     mask = np.unique(np.concatenate(pieces))
     if not mask.size:
         raise IselabError("indicator mask is empty: no ball meets the grid")
-    sequence = EquidistributedSequence(cell_side=spec.l, radius=delta, points=points)
+    sequence = EquidistributedSequence(cell_side=period * spec.l,
+                                       radius=delta, points=points)
     return sequence, mask
 
 
@@ -187,8 +190,8 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
     """
     if eta * c < 0:
         raise ValueError("amplitude must be nonnegative")
-    sequence, mask = equidistributed_from_event(cfg, spec, box.profiles,
-                                                box.grid)
+    sequence, mask = equidistributed_from_event(
+        cfg, spec, box.profiles, box.grid, box.background.period)
     v_test = np.zeros(box.grid.num_points)
     v_test[mask] = eta * c
     v_rand = box.potential(cfg)

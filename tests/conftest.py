@@ -1,10 +1,28 @@
+import dataclasses
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from iselab.grid import GridSpec
+from iselab.ise import ExperimentPlan
 from iselab.potentials import DisorderConfiguration, load_model
+
+# the shipped models and plan, found from this file rather than the CWD
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def shipped(name):
+    """A fresh copy of models/<name>.json, free for the caller to edit."""
+    return json.loads((MODELS / f"{name}.json").read_text())
+
+
+def reference_plan(**overrides):
+    """The shipped reference plan, with `trials` or `workers` overridden."""
+    return dataclasses.replace(
+        ExperimentPlan.from_json(shipped("reference_plan")), **overrides)
 
 
 @pytest.fixture
@@ -21,8 +39,7 @@ def fine_grid():
 
 @pytest.fixture
 def gapped_model():
-    from iselab.reference import reference_model_spec
-    return load_model(reference_model_spec())
+    return load_model(shipped("reference_gapped"))
 
 
 def _brute_force_cells(spec):

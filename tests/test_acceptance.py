@@ -27,11 +27,13 @@ from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
 from iselab.ise import estimate_ise_probability
 from iselab.potentials import (assemble_random_potential, load_model,
                                sample_configuration, site_matrix)
-from iselab.reference import (LIFTING_BOX, LIFTING_SCALES, REFERENCE_SEED,
-                              reference_plan)
 from iselab.ucp import (FitSample, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors)
+
+from conftest import reference_plan, shipped
+
+REFERENCE_SEED = reference_plan().master_seed
 
 SWEEP_MODEL = {
     "G": 1.0,
@@ -47,11 +49,15 @@ LIFT_MODEL = {
     "disorder": {"kind": "truncated", "values": [0.0, 0.5, 1.0],
                  "probs": [0.004, 0.83, 0.166], "eta": 0.5},
 }
+# Scales for the lifting sweep: one ball per cell of side l, on a box
+# large enough that the l = 5 decomposition is nondegenerate.
+LIFTING_SCALES = (1, 3, 5)
+LIFTING_BOX = 5
 
 
 @pytest.fixture(scope="module")
 def reference_report():
-    plan = reference_plan(trials=200, workers=2)
+    plan = reference_plan(workers=2)
     t0 = time.perf_counter()
     report = estimate_ise_probability(plan)
     return report, time.perf_counter() - t0
@@ -344,10 +350,8 @@ class TestWorkerDeterminism:
     trials are spread over worker processes."""
 
     def test_data_sections_identical_across_worker_counts(self, tmp_path):
-        plan = {"model": json.load(open("models/reference_gapped.json")),
-                "L_values": [6, 9, 12], "alpha": 0.6, "q": 1.0, "trials": 6,
-                "seed": REFERENCE_SEED, "band_edge": {"mode": "gap",
-                                                      "hint": 36.0}}
+        plan = shipped("reference_plan")
+        plan["trials"] = 6
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps(plan))
         payloads, csvs = [], []

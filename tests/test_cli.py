@@ -6,6 +6,10 @@ import pytest
 
 from iselab.cli import main
 
+from conftest import MODELS, shipped
+
+REFERENCE_MODEL = str(MODELS / "reference_gapped.json")
+
 ZERO_MODEL = {
     "G": 1.0,
     "V0": {"kind": "zero"},
@@ -130,6 +134,39 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             "input error: need at least one worker")
 
+    @pytest.mark.parametrize("kappa", ["0", "-0.5", "1.5"])
+    def test_impossible_kappa_is_input_error(self, tmp_path, capsys, kappa):
+        # kappa = P[omega >= eta] lies in (0, 1]; no ledger verdict outside
+        out = tmp_path / "art"
+        code = main(["scale", "--L", "2981", "--alpha", "1.0", "--q", "0.2",
+                     "--kappa", kappa, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: kappa must lie in (0, 1]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("attempts", ["0", "-3"])
+    @pytest.mark.parametrize("subcommand", ["lift", "ucp"])
+    def test_no_event_attempt_is_input_error(self, capsys, subcommand,
+                                             attempts):
+        argv = {"lift": ["--hint", "36", "--scales", "1"],
+                "ucp": ["--l", "1", "--energy", "30"]}[subcommand]
+        code = main([subcommand, "--model", REFERENCE_MODEL, "--L", "3",
+                     "--seed", "1", "--attempts", attempts] + argv)
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: need at least one attempt")
+
+    def test_lift_runs_at_lattice_spacing_two(self, tmp_path, capsys):
+        # the balls sit at G * site, and so do the cells they must fit
+        spec = shipped("reference_gapped")
+        spec["G"] = 2.0
+        path = tmp_path / "g2.json"
+        path.write_text(json.dumps(spec))
+        assert main(["lift", "--model", str(path), "--L", "4", "--hint", "36",
+                     "--scales", "1,3", "--seed", "1"]) == 0
+        assert "sandwich ok" in capsys.readouterr().out
+
     def test_failing_ledger_is_assertion_failure(self, capsys):
         code = main(["scale", "--L", "5000", "--alpha", "0.9", "--q", "1.0",
                      "--kappa", "0.5"])
@@ -184,11 +221,9 @@ class TestExitCodes:
         assert capsys.readouterr().out.startswith(
             "1 eigenvalue branch(es) cross the window; 0 intrusion(s)")
 
-    def test_verdicts_solve_no_eigenpairs(self, tmp_path, monkeypatch,
-                                          capsys):
+    def test_verdicts_solve_no_eigenpairs(self, monkeypatch, capsys):
         # the lift and gap calls of the benchmark's first diagnostics input
         from iselab import eigensolve
-        from iselab.reference import reference_model_spec
 
         calls = []
         real = eigensolve.eigs_in_window
@@ -198,20 +233,18 @@ class TestExitCodes:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(eigensolve, "eigs_in_window", spy)
-        path = tmp_path / "reference.json"
-        path.write_text(json.dumps(reference_model_spec()))
-        assert main(["lift", "--model", str(path), "--L", "3", "--hint", "36",
-                     "--scales", "1,3", "--seed", "20260824"]) == 0
-        assert main(["gap", "--model", str(path), "--L", "2", "--a", "28",
-                     "--b", "46", "--t-steps", "41"]) == 0
+        assert main(["lift", "--model", REFERENCE_MODEL, "--L", "3",
+                     "--hint", "36", "--scales", "1,3",
+                     "--seed", "20260824"]) == 0
+        assert main(["gap", "--model", REFERENCE_MODEL, "--L", "2",
+                     "--a", "28", "--b", "46", "--t-steps", "41"]) == 0
         assert calls == []
 
-    def test_lift_builds_one_box(self, tmp_path, monkeypatch, capsys):
+    def test_lift_builds_one_box(self, monkeypatch, capsys):
         # every scale of `lift` reads one box: U is built once (one
         # evaluation per profile) and the background spectrum computed once
         from iselab import eigensolve, potentials
         from iselab.grid import GridSpec
-        from iselab.reference import reference_model_spec
 
         calls = []
         real = potentials.SingleSiteProfile.evaluate
@@ -220,14 +253,13 @@ class TestExitCodes:
             calls.append(1)
             return real(*args, **kwargs)
 
-        path = tmp_path / "reference.json"
-        path.write_text(json.dumps(reference_model_spec()))
-        profiles = potentials.load_model(str(path)).profiles_for(
+        profiles = potentials.load_model(REFERENCE_MODEL).profiles_for(
             GridSpec(dimension=2, side=3.0, spacing=1.0 / 9))
         eigensolve.background_spectrum.cache_clear()
         monkeypatch.setattr(potentials.SingleSiteProfile, "evaluate", spy)
-        assert main(["lift", "--model", str(path), "--L", "3", "--hint", "36",
-                     "--scales", "1,3", "--seed", "20260824"]) == 0
+        assert main(["lift", "--model", REFERENCE_MODEL, "--L", "3",
+                     "--hint", "36", "--scales", "1,3",
+                     "--seed", "20260824"]) == 0
         assert len(calls) == len(profiles) > 0
         assert eigensolve.background_spectrum.cache_info().misses == 1
 
@@ -316,9 +348,6 @@ class TestArtifacts:
         assert (out / "ids.svg").read_text().startswith("<svg")
 
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
 def grid_params(model, L, **extra):
     return {"model": model, "L": L, "d": 2, "points_per_unit": 6,
             "boundary": "periodic", **extra}
@@ -386,7 +415,7 @@ class TestManifest:
     def test_content_hash_is_pinned(self, plan_file, tmp_path, monkeypatch,
                                     capsys):
         # the hash covers the version, the subcommand and the params only
-        monkeypatch.chdir(REPO_ROOT)
+        monkeypatch.chdir(MODELS.parent)
         out = tmp_path / "art"
         assert main(["bands", "--model", "models/free_uniform.json",
                      "--L", "3", "--points-per-unit", "6", "--mode", "bottom",

@@ -254,6 +254,15 @@ class TestLedger:
             ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.0, c=1.0)
         with pytest.raises(ValueError):
             ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.5, c=-1.0)
+        # kappa = P[omega >= eta] must lie in (0, 1], also where the scale
+        # window is empty
+        for kappa in (0.0, -0.5, 1.5):
+            for L, alpha in ((10 ** 6, 0.5), (6, 0.4)):
+                with pytest.raises(ValueError, match="kappa"):
+                    ledger_verdict(2, L, alpha, 1.0, kappa=kappa, eta=0.5,
+                                   c=1.0)
+            with pytest.raises(ValueError, match="kappa"):
+                build_ledger(2, 10 ** 6, 0.5, 1.0, kappa, 0.5, 1.0)
         # select_scale(6, 0.4) has an empty window
         assert ledger_verdict(2, 6, 0.4, 1.0, kappa=0.5, eta=0.5,
                               c=1.0) is False

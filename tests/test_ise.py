@@ -17,10 +17,14 @@ from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
 from iselab.potentials import (PotentialModel, load_model,
                                sample_configuration, zero_potential)
-from iselab.reference import (REFERENCE_ALPHA, REFERENCE_GAP_HINT,
-                              REFERENCE_SEED, reference_model_spec,
-                              reference_plan)
 from iselab.ucp import equidistributed_from_event
+
+from conftest import reference_plan, shipped
+
+PLAN = reference_plan()
+REFERENCE_ALPHA = PLAN.alpha
+REFERENCE_GAP_HINT = PLAN.band_edge_hint
+REFERENCE_SEED = PLAN.master_seed
 
 
 def bernoulli_model(p):
@@ -133,7 +137,7 @@ def public_path_record(model, grid, spec, b, width, seed):
 
 def reference_box(L, trials=8):
     """(context, seeds) of the reference plan's first box size, here at L."""
-    model = load_model(reference_model_spec())
+    model = load_model(PLAN.model)
     grid = GridSpec(dimension=2, side=float(L), spacing=1.0 / 9,
                     boundary="periodic")
     _, b = band_edge_of_background(grid, model.background,
@@ -218,18 +222,18 @@ class TestLowerCountCertificate:
             assert run_ise_trial(ctx, seed) == want
 
     def test_reference_gap_is_certified(self):
-        ctx = self.context(reference_model_spec(), "gap")
+        ctx = self.context(shipped("reference_gapped"), "gap")
         # s = 1 against a gap about 20 wide: the count is the background's
         below = int(np.sum(ctx.box.spectrum.values < ctx.b))
         assert ctx.certified_below == below > 0
 
     def test_bottom_mode_certifies_trivially(self):
-        ctx = self.context(reference_model_spec(), "bottom")
+        ctx = self.context(shipped("reference_gapped"), "bottom")
         assert ctx.certified_below == 0
         self.assert_public_path(ctx, self.seeds(4))
 
     def test_coupling_larger_than_the_gap_is_refused(self):
-        spec = reference_model_spec()
+        spec = shipped("reference_gapped")
         spec["single_site"]["c"] = 40.0
         ctx = self.context(spec, "gap")
         assert ctx.certified_below is None
@@ -237,7 +241,7 @@ class TestLowerCountCertificate:
 
     def test_estimate_records_the_certificate(self):
         for c, certified in ((1.0, True), (40.0, False)):
-            spec = reference_model_spec()
+            spec = shipped("reference_gapped")
             spec["single_site"]["c"] = c
             plan = ExperimentPlan(
                 model=spec, L_values=(self.L,), alpha=REFERENCE_ALPHA, q=1.0,
@@ -260,7 +264,7 @@ class TestLowerCountCertificate:
         eigensolve.background_spectrum.cache_clear()
         monkeypatch.setattr(eigensolve, "_lap1d", spy)
         plan = ExperimentPlan(
-            model=reference_model_spec(), L_values=(4, self.L),
+            model=shipped("reference_gapped"), L_values=(4, self.L),
             alpha=REFERENCE_ALPHA, q=1.0, trials=1,
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         estimate_ise_probability(plan)
@@ -274,7 +278,7 @@ class TestLowerCountCertificate:
             factorizations.append(1)
             return real_splu(*args, **kwargs)
 
-        ctx = self.context(reference_model_spec(), "gap")
+        ctx = self.context(shipped("reference_gapped"), "gap")
         # the event lift is solved once per box size; warm it up so that
         # only H_omega's factorizations are counted below
         for seed in self.seeds(8):
@@ -342,7 +346,7 @@ class TestLiftCertificate:
         monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
         plan = ExperimentPlan(
-            model=reference_model_spec(), L_values=(8,),
+            model=shipped("reference_gapped"), L_values=(8,),
             alpha=REFERENCE_ALPHA, q=1.0, trials=10,
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         per = estimate_ise_probability(plan).per_L[0]
@@ -372,7 +376,7 @@ class TestPlan:
                                trials=4, master_seed=0, workers=workers)
 
     def test_from_json_round_trip(self):
-        spec = {"model": reference_model_spec(), "L_values": [6, 9],
+        spec = {"model": shipped("reference_gapped"), "L_values": [6, 9],
                 "alpha": 0.6, "q": 1.0, "trials": 3, "seed": 11}
         plan = ExperimentPlan.from_json(spec)
         assert plan.L_values == (6, 9)
@@ -450,10 +454,7 @@ class TestIDS:
 
 
 # the free model and `ids` input of the benchmark's diagnostics workload
-FREE_MODEL = {"G": 1.0, "V0": {"kind": "zero"},
-              "single_site": {"kind": "ball_indicator", "c": 1.0,
-                              "delta": 0.25},
-              "disorder": {"kind": "uniform01", "eta": 0.5, "kappa": 0.5}}
+FREE_MODEL = shipped("free_uniform")
 DISORDER_KINDS = (
     {"kind": "uniform01", "eta": 0.5, "kappa": 0.5},
     {"kind": "bernoulli", "p": 1e-12, "eta": 0.5},
@@ -564,3 +565,8 @@ class TestReferencePlanShape:
         assert plan.trials == 200
         model = load_model(plan.model)
         assert model.disorder.kappa >= 0.99
+
+    def test_plan_runs_the_reference_model(self):
+        # the README's bands, lift and gap examples run reference_gapped.json
+        assert shipped("reference_plan")["model"] == \
+            shipped("reference_gapped")

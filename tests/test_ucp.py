@@ -13,11 +13,14 @@ from iselab.potentials import (Box, assemble_random_potential,
                                indicator_profile, load_model,
                                sample_configuration, site_matrix,
                                zero_potential)
-from iselab.reference import reference_model_spec
-from iselab.ucp import (FitSample, UCPBoundParams, equidistributed_from_event,
+from iselab.ucp import (FitSample, UCPBoundParams,
+                        equidistributed_from_choice,
+                        equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors, ucp_theoretical_bound,
                         verify_gap_hypothesis)
+
+from conftest import shipped
 
 
 @pytest.fixture
@@ -30,14 +33,6 @@ def family(grid, v0, profiles):
     v0_nodes = v0.evaluate(grid.nodes())
     w = site_matrix(profiles, grid) @ np.ones(len(profiles))
     return lambda t: assemble_schrodinger(grid, v0_nodes + t * w)
-
-
-FREE_MODEL = {
-    "G": 1.0,
-    "V0": {"kind": "zero"},
-    "single_site": {"kind": "ball_indicator", "c": 1.0, "delta": 0.25},
-    "disorder": {"kind": "uniform01", "eta": 0.5, "kappa": 0.5},
-}
 
 
 class TestTheoreticalBound:
@@ -201,6 +196,26 @@ class TestEquidistributedSelection:
         with pytest.raises(EventViolatedError):
             equidistributed_from_event(cfg, spec, [], None)
 
+    def test_cells_scale_with_the_lattice_spacing(self):
+        # at G = 2 cell j has centre 2 j and side 2 l, as ball j has centre
+        # 2 j: a ball of radius 0.9 fits its cell, one of radius G/2 does not
+        grid = GridSpec(dimension=2, side=8.0, spacing=0.25,
+                        boundary="periodic")
+        spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
+        chosen = spec.cells()[:, 0].tolist()
+
+        def balls(delta):
+            return [indicator_profile(s, 1.0, delta, period=2.0)
+                    for s in chosen]
+
+        sequence, mask = equidistributed_from_choice(spec, chosen, balls(0.9),
+                                                     grid, period=2.0)
+        assert sequence.cell_side == 2.0 and mask.size > 0
+        assert sequence.points[(-2.0, -2.0)] == (-2.0, -2.0)
+        with pytest.raises(ValueError, match="radius"):
+            equidistributed_from_choice(spec, chosen, balls(1.0), grid,
+                                        period=2.0)
+
 
 class TestLiftingExperiment:
     def _setup(self, config_from):
@@ -277,7 +292,7 @@ class TestLiftingExperiment:
     ])
     def test_node_order_orders_the_dense_spectra(self, single_site,
                                                  dense_eigvals):
-        spec_json = reference_model_spec()
+        spec_json = shipped("reference_gapped")
         spec_json["single_site"] = single_site
         model = load_model(spec_json)
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0 / 3,
@@ -368,10 +383,12 @@ class TestGapHypothesis:
         assert report.to_json()["crossings"] == 1
 
     @pytest.mark.parametrize("spec_json, windows", [
-        (reference_model_spec(), [(28.8, 49.9), (24.0, 25.6), (23.5, 23.9),
-                                  (26.0, 28.5), (28.5, 30.0), (50.0, 50.5)]),
-        (FREE_MODEL, [(0.2, 9.6), (20.0, 35.9), (0.05, 0.08), (9.7, 9.8),
-                      (19.3, 30.0), (36.01, 40.0)]),
+        (shipped("reference_gapped"),
+         [(28.8, 49.9), (24.0, 25.6), (23.5, 23.9), (26.0, 28.5),
+          (28.5, 30.0), (50.0, 50.5)]),
+        (shipped("free_uniform"),
+         [(0.2, 9.6), (20.0, 35.9), (0.05, 0.08), (9.7, 9.8),
+          (19.3, 30.0), (36.01, 40.0)]),
     ])
     def test_crossings_match_a_fine_scan(self, spec_json, windows,
                                          dense_eigvals):
