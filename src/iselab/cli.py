@@ -273,7 +273,7 @@ def cmd_ise(args):
         print(f"L={p.L}: p_hat={p.p_hat:.4f} "
               f"ci=({p.ci_lo:.4f},{p.ci_hi:.4f}) valid={p.valid} "
               f"events={p.event_count} lift_certified={p.lift_certified} "
-              f"ledger={verdict}")
+              f"floor_certified={p.floor_certified} ledger={verdict}")
     return EXIT_OK, {
         "ise.json": report.to_json(),
         "ise.csv": (report.CSV_COLUMNS, report.csv_rows()),

@@ -126,9 +126,10 @@ def _inertia(mat, sigma):
     a pivot within it (sigma at an eigenvalue), or rounding beyond
     tol_eig (1 + |sigma|), rejects the factor.
     """
-    shifted = (mat - sigma * sparse.identity(mat.shape[0], format="csr")).tocsc()
+    shifted = mat - sigma * sparse.identity(mat.shape[0], format="csr")
     try:
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+        # H - sigma I is symmetric, so its CSR arrays are those of its CSC
+        lu = splu(shifted.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                   options={"SymmetricMode": True})
     except RuntimeError:  # SuperLU: factor is exactly singular
         return None
@@ -136,7 +137,9 @@ def _inertia(mat, sigma):
         return None  # an exactly zero diagonal pivot forced a row exchange
     pivots = lu.U.diagonal()
     size, eps = np.abs(pivots), np.finfo(float).eps
-    noise = 64 * eps * max(abs(shifted).sum(axis=0).max(), size.max())
+    column_sums = np.bincount(shifted.indices, np.abs(shifted.data),
+                              minlength=shifted.shape[1])
+    noise = 64 * eps * max(column_sums.max(), size.max())
     if size.min() <= noise or eps * size.max() > TOL_EIG * (1.0 + abs(sigma)):
         return None
     return lu, int(np.count_nonzero(pivots < 0))

@@ -167,8 +167,11 @@ def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
 
     Returns (p_hat, wilson_lo, wilson_hi).  Deterministic for a fixed seed:
     every trial draws from one counter-based stream in turn, so the chunk
-    size, which only bounds memory, does not change the estimate.
+    size, which only bounds memory, does not change the estimate.  At
+    kappa >= 1 every draw u < kappa, so every trial hits and none is drawn.
     """
+    if spec.kappa >= 1:
+        return wilson_interval(trials, trials)
     m, sites_per_cell = spec.cells().shape[:2]
     gen = rng.stream(seed, rng.EVENT_TRIALS, (0,))
     hits = 0

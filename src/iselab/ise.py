@@ -6,8 +6,9 @@ TrialContext: the box's node data (potentials.Box: V0 at the nodes and the
 site-to-node matrix U of the live profiles), the sites a trial draws, the
 window and the certified lower count.  A trial is one vectorized draw of
 the couplings omega, V_omega = U @ omega, one lookup of omega over the good
-event's cells, and at most one count at the top of the window (a second
-only when the window holds spectrum, for the borderline flag).
+event's cells, and at most one count at the top of the window (none when
+the floor decides the trial, a second only when the window holds spectrum,
+for the borderline flag).
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
 trials are distributed over worker processes.
@@ -22,15 +23,25 @@ has exactly k eigenvalues below b - tol_eig.  The certificate is refused,
 and the trial counts at b - tol_eig as well, when U has a negative entry or
 s does not fit below the gap; each per-L entry records which held.
 
-On the good event the paper's test perturbation clears the window, and so
-does the code: the test operator H_pert = H0 + eta c chi_S depends on omega
-only through each cell's chosen site, so its lift and its count at
-b + width are solved once per box size and choice (event_lift, memoized in
-each process).  When V_omega >= eta c chi_S node by node, H_omega >= H_pert,
-and when H_pert has the certified k eigenvalues below b + width, min-max
-leaves H_omega's window empty: the trial is decided with no factorization
-of H_omega.  Each per-L entry counts these trials in `lift_certified`;
-every other trial counts as above.
+A trial may clear the window by operator order alone.  Couplings are >= 0
+and so is U, so when every omega_j >= eta, V_omega >= eta W node by node and
+H_omega >= H_floor = H0 + eta W, one operator per box size.  When H_floor
+has the certified k eigenvalues below b + width, min-max leaves H_omega's
+window empty.  window_floor counts H_floor once per process and box size
+(memoized by value, as a pickled context is a new object in each pool
+chunk), and a trial whose V_omega >= eta W node by node is decided with no
+factorization of H_omega.  Rounding V0 + x is monotone in x, so the order
+of the two node arrays is that of the diagonals factorized.  Each per-L
+entry counts these trials in `floor_certified`, and in `lift_certified`
+those of them in the good event; every other trial counts as above.  The
+floor is refused for the whole box size when its count differs from the
+certified one, or no count is certified.
+
+On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
+depends on omega only through each cell's chosen site, so its lift above b
+is solved once per box size and choice (event_lift, memoized in each
+process) and recorded as the trial's observed lift.  That solve is a
+trial's longest task, so a pool maps each box size's event trials first.
 """
 
 import math
@@ -46,7 +57,7 @@ from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
                          counts_below, min_eig_above)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
-                     select_scale, wilson_interval)
+                     event_A_indicator, select_scale, wilson_interval)
 from .grid import GridSpec, assemble_schrodinger
 from .potentials import Box, load_model, sample_configuration
 from .ucp import equidistributed_from_choice
@@ -177,17 +188,15 @@ class TrialContext:
 
 
 @lru_cache(maxsize=16)
-def event_lift(model, grid, spec, b, width, choice):
-    """The good event's test operator for one per-cell choice: (S, lift, top).
+def event_lift(model, grid, spec, b, choice):
+    """The good event's test operator's lift above b for one per-cell choice.
 
     H_pert = H0 + eta c chi_S, S the union of the balls of the chosen sites
-    (`choice` holds one int tuple per cell, as cell_choice picks them),
-    returned as its sorted node indices; lift is H_pert's lowest eigenvalue
-    at or above b (min_eig_above) minus b, and top = count_below(H_pert,
-    b + width).  It depends on omega only through
-    the choice, and every argument hashes by value, also after pickling, so
-    each process (the serial one, or each pool worker) solves it once per
-    box size and choice.
+    (`choice` holds one int tuple per cell, as cell_choice picks them); the
+    lift is H_pert's lowest eigenvalue at or above b (min_eig_above) minus
+    b.  It depends on omega only through the choice, and every argument
+    hashes by value, also after pickling, so each process (the serial one,
+    or each pool worker) solves it once per box size and choice.
     """
     _, mask = equidistributed_from_choice(
         spec, choice, model.profiles_for(grid), grid, model.period)
@@ -195,17 +204,61 @@ def event_lift(model, grid, spec, b, width, choice):
     v_test[mask] = model.disorder.eta * model.coupling_floor
     h_pert = assemble_schrodinger(
         grid, model.background.evaluate(grid.nodes()) + v_test)
-    return mask, min_eig_above(h_pert, b) - b, count_below(h_pert, b + width)
+    return min_eig_above(h_pert, b) - b
+
+
+_floors = {}
+
+
+def window_floor(ctx):
+    """(eta W, clears): the context's floor, and whether it clears the window.
+
+    H_floor = H0 + eta W (W = U @ 1) is below every H_omega whose couplings
+    are all >= eta.  `clears` holds when H_floor has exactly the certified
+    count below b + width, so such an H_omega has an empty window; it is
+    false when no count is certified, or H_floor cannot be counted.  The
+    floor is built and counted once per process and box size: the memo is
+    keyed by value, and the context's box is reused.
+    """
+    key = (ctx.model, ctx.box.grid, ctx.b, ctx.width)
+    if key not in _floors:
+        floor = ctx.model.disorder.eta * ctx.box.w
+        floor.flags.writeable = False
+        try:
+            # an int count never equals a certified count of None
+            clears = count_below(ctx.box.hamiltonian(floor),
+                                 ctx.b + ctx.width) == ctx.certified_below
+        except SolverError:
+            clears = False
+        if len(_floors) >= 16:   # bounded as event_lift's memo, oldest out
+            del _floors[next(iter(_floors))]
+        _floors[key] = floor, clears
+    return _floors[key]
+
+
+window_floor.cache_clear = _floors.clear
+
+
+def is_event_trial(ctx, seed):
+    """Whether the trial of this seed lies in the good event."""
+    return ctx.event_spec is not None and event_A_indicator(
+        sample_configuration(seed, ctx.sites, ctx.model.disorder),
+        ctx.event_spec)
 
 
 class TrialRecord(dict):
     """A trial's data, and beside it how the verdict was reached.
 
-    The items are the record ise.json stores; `lift_certified` is not one of
+    The items are the record ise.json stores; `floor_certified` is not one of
     them, so a record is the same whichever path decided it.
     """
 
-    lift_certified = False
+    floor_certified = False
+
+    @property
+    def lift_certified(self):
+        """An event trial decided without factorizing H_omega."""
+        return self.floor_certified and bool(self.get("event"))
 
 
 def run_ise_trial(ctx, seed):
@@ -215,13 +268,13 @@ def run_ise_trial(ctx, seed):
     (values within tol_eig below b count), a borderline flag (the window
     holds spectrum only within tol_eig of its upper edge), and, when the
     configuration lies in the good event, the observed lift of the test
-    perturbation above b (event_lift).  The record's `lift_certified` says
-    whether that lift settled the verdict: V_omega >= eta c chi_S node by
-    node gives H_omega >= H_pert, so when H_pert has the certified count
-    below b + width, min-max leaves H_omega's window empty and H_omega is not
-    factorized.  Otherwise the count below b - tol_eig is the context's
-    certified one where it holds, so the trial factorizes only at b + width
-    (and at b + width - tol_eig when the window holds spectrum).
+    perturbation above b (event_lift).  The record's `floor_certified` says
+    whether the floor settled the verdict: V_omega >= eta W node by node
+    gives H_omega >= H_floor, so when H_floor clears the window (window_floor)
+    H_omega's window is empty and H_omega is not factorized.  Otherwise the
+    count below b - tol_eig is the context's certified one where it holds,
+    so the trial factorizes only at b + width (and at b + width - tol_eig
+    when the window holds spectrum).
     """
     box, b, width, spec = ctx.box, ctx.b, ctx.width, ctx.event_spec
     cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
@@ -229,6 +282,8 @@ def run_ise_trial(ctx, seed):
                          window_count=None, borderline=False, event=None,
                          observed_lift=None)
     v_omega = box.potential(cfg)   # >= 0 node by node, or it raises
+    floor, clears = window_floor(ctx)
+    result.floor_certified = clears and bool(np.all(v_omega >= floor))
     in_event, lift, lift_error = None, None, None
     if spec is not None:
         table, hits = cell_hits(cfg, spec)
@@ -236,17 +291,11 @@ def run_ise_trial(ctx, seed):
     if in_event:
         choice = tuple(map(tuple, cell_choice(table, hits).tolist()))
         try:
-            mask, lift, top = event_lift(ctx.model, box.grid, spec, b, width,
-                                         choice)
+            lift = event_lift(ctx.model, box.grid, spec, b, choice)
         except (SolverError, IselabError) as exc:
             lift_error = str(exc)
-        else:
-            amplitude = ctx.model.disorder.eta * ctx.model.coupling_floor
-            result.lift_certified = bool(
-                ctx.certified_below is not None and top == ctx.certified_below
-                and np.all(v_omega[mask] >= amplitude))
     try:
-        if result.lift_certified:
+        if result.floor_certified:
             result.update(window_count=0, outcome=True)
         else:
             h_rand = box.hamiltonian(v_omega)
@@ -281,6 +330,7 @@ class ISEPerL:
     borderline: int
     event_count: int
     lift_certified: int
+    floor_certified: int
     p_hat: float
     ci_lo: float
     ci_hi: float
@@ -349,7 +399,15 @@ def estimate_ise_probability(plan, dimension=2):
             seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
                                      (L_index, t))
                      for t in range(plan.trials)]
-            records = list(run(partial(run_ise_trial, ctx), seeds))
+            order = list(range(plan.trials))
+            if pool is not None:
+                # an event trial solves the lift, a worker's longest task:
+                # map the event trials first, so none is met last
+                order.sort(key=lambda t: not is_event_trial(ctx, seeds[t]))
+            records = [None] * plan.trials
+            for t, record in zip(order, run(partial(run_ise_trial, ctx),
+                                            [seeds[t] for t in order])):
+                records[t] = record
             valid = [r for r in records if r["valid"]]
             if not valid:
                 raise SolverError(f"all trials invalid at L={L}")
@@ -363,6 +421,7 @@ def estimate_ise_probability(plan, dimension=2):
                 borderline=sum(1 for r in valid if r["borderline"]),
                 event_count=sum(1 for r in valid if r.get("event")),
                 lift_certified=sum(r.lift_certified for r in records),
+                floor_certified=sum(r.floor_certified for r in records),
                 p_hat=p_hat, ci_lo=lo, ci_hi=hi, ledger=ledger,
                 trial_records=tuple(records),
             ))

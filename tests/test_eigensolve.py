@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
 
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
@@ -13,8 +13,11 @@ from iselab.errors import SolverError
 from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
                          laplacian_matrix)
 from iselab.potentials import (Box, constant_potential, indicator_profile,
+                               load_model, sample_configuration,
                                separable_square_potential, zero_potential)
 from iselab.ucp import verify_gap_hypothesis
+
+from conftest import shipped
 
 
 def background(grid, v0):
@@ -115,6 +118,49 @@ class TestCountBelow:
             # an untrusted factor: the count is taken at the nudged shift
             sigma = eigensolve._nudge(sigma)
         assert count == int(np.sum(values < sigma))
+
+    def test_factor_in_place_matches_the_copying_path(self):
+        # _inertia factors H - sigma I through its CSR arrays read as CSC,
+        # and takes the noise scale from them; the former path copied
+        # both into new matrices.  Reference and benchmark operators, at
+        # the reference edges and the benchmark's energies.
+        def copying_inertia(mat, sigma):
+            shifted = (mat - sigma * sparse.identity(mat.shape[0],
+                                                     format="csr")).tocsc()
+            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+            pivots = lu.U.diagonal()
+            size, eps = np.abs(pivots), np.finfo(float).eps
+            noise = 64 * eps * max(abs(shifted).sum(axis=0).max(), size.max())
+            trusted = (np.array_equal(lu.perm_r, lu.perm_c)
+                       and size.min() > noise
+                       and eps * size.max() <= TOL_EIG * (1.0 + abs(sigma)))
+            return lu, int(np.count_nonzero(pivots < 0)), trusted
+
+        reference, free = (load_model(shipped(name)) for name in
+                           ("reference_gapped", "free_uniform"))
+        cases = [(reference, L, [26.72, 36.0, 46.6976, 47.1]) for L in (6, 10)]
+        cases += [(free, L, [0.0, 0.25, 3.0, 6.0]) for L in (3, 4)]
+        checked = 0
+        for model, L, energies in cases:
+            box = model.box(GridSpec.per_unit(2, L, 9, "periodic"))
+            cfg = sample_configuration(7, box.sites, model.disorder)
+            for mat in (box.hamiltonian(np.zeros(box.grid.num_points)),
+                        box.hamiltonian(box.potential(cfg))):
+                assert mat.format == "csr"
+                for sigma in energies:
+                    lu, count, trusted = copying_inertia(mat, sigma)
+                    factor = eigensolve._inertia(mat, sigma)
+                    assert (factor is not None) == trusted
+                    if factor is None:
+                        continue
+                    assert factor[1] == count
+                    for got, want in ((factor[0].U.diagonal(),
+                                       lu.U.diagonal()),
+                                      (factor[0].perm_c, lu.perm_c)):
+                        assert np.array_equal(got, want)
+                    checked += 1
+        assert checked >= 28
 
 
 class TestLowestAbove:

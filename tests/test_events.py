@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iselab import events
 from iselab.errors import ScaleWindowError, SearchBudgetError
 from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            cell_count, event_A_indicator,
@@ -83,6 +84,16 @@ class TestExactProbability:
             b = monte_carlo_event_probability(spec, 5_000, seed=3,
                                               chunk=chunk)
             assert a == b, chunk
+
+    def test_monte_carlo_at_certain_cells_draws_nothing(self, monkeypatch):
+        # u < kappa = 1 for every uniform u in [0, 1): each trial hits
+        spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=1.0)
+        monkeypatch.setattr(events.rng, "stream", None)
+        for trials in (1, 100_000):
+            assert monte_carlo_event_probability(spec, trials, seed=5) == \
+                wilson_interval(trials, trials)
+        with pytest.raises(ValueError):
+            monte_carlo_event_probability(spec, 0, seed=5)
 
     def test_union_bound_dominates_exact_failure(self):
         for kappa in (0.1, 0.5, 0.9):

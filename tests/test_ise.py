@@ -1,21 +1,22 @@
+import dataclasses
 import json
 import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iselab import eigensolve, ise, rng
 from iselab.eigensolve import TOL_EIG, count_below, min_eig_above
-from iselab.errors import GapNotFoundError
+from iselab.errors import GapNotFoundError, SolverError
 from iselab.events import (EventSpec, cell_choice, cell_hits,
                            event_A_indicator, select_scale)
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_eigenvalues
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
-from iselab.potentials import (PotentialModel, load_model,
+from iselab.potentials import (DisorderDistribution, load_model,
                                sample_configuration, zero_potential)
 from iselab.ucp import equidistributed_from_event
 
@@ -169,13 +170,14 @@ class TestTrialContext:
         return reference_box(self.L)
 
     def test_trial_equals_the_public_path(self, reference_context):
-        # the lift is about 0.2995: below w = 6^-0.6 ~ 0.341, so no L = 6
-        # trial is certified; above w = 8^-0.6 ~ 0.287, so L = 8 event
-        # trials are, and the public path counts their H_omega instead
-        certified = {}
+        # H0 + eta W lifts the band bottom by about 0.2995: below
+        # w = 6^-0.6 ~ 0.341, so the L = 6 floor is refused and no trial is
+        # certified; above w = 8^-0.6 ~ 0.287, so L = 8 trials with every
+        # coupling >= eta are, and the public path counts their H_omega
+        certified, floored = {}, {}
         for ctx, seeds in (reference_context, reference_box(8)):
             box = ctx.box
-            events = certified[box.grid.side] = 0
+            events = certified[box.grid.side] = floored[box.grid.side] = 0
             for seed in seeds:
                 want, cfg, h = public_path_record(ctx.model, box.grid,
                                                   ctx.event_spec, ctx.b,
@@ -185,8 +187,10 @@ class TestTrialContext:
                 assert (box.hamiltonian(box.potential(cfg)) != h).nnz == 0
                 events += bool(want["event"])
                 certified[box.grid.side] += record.lift_certified
+                floored[box.grid.side] += record.floor_certified
             assert events >= 1
-        assert certified[6.0] == 0 and certified[8.0] >= 1
+        assert certified[6.0] == floored[6.0] == 0
+        assert floored[8.0] > certified[8.0] >= 1
 
     def test_pickled_context_gives_the_same_records(self, reference_context):
         ctx, seeds = reference_context
@@ -294,41 +298,35 @@ class TestLowerCountCertificate:
         assert True in outcomes and False in outcomes
 
 
-class OverclaimingModel(PotentialModel):
-    """The reference model's bumps, which are c = 1 on their balls, with a
-    claimed floor of 2: eta c chi_S then lies above V_omega."""
+def overclaimed_floor(ctx, eta=1.0):
+    """The context with eta raised to 1 in its model and its event.
 
-    @property
-    def coupling_floor(self):
-        return 2.0 * self.site_params[0]
+    Under the reference three-point law only one coupling in six reaches
+    1, so H0 + eta W lies above almost every H_omega.
+    """
+    disorder = dataclasses.replace(ctx.model.disorder, eta=eta, kappa=0.166)
+    model = dataclasses.replace(ctx.model, disorder=disorder)
+    spec = dataclasses.replace(ctx.event_spec, eta=eta, kappa=0.166)
+    return TrialContext.build(model, ctx.box.grid, spec, ctx.b, ctx.width)
 
 
 class TestLiftCertificate:
     def test_overclaimed_floor_takes_the_counted_path(self):
+        # at L = 6 the floor H0 + W clears the window, so only the node-wise
+        # check V_omega >= eta W sends these trials to their own count
         ctx, seeds = reference_box(6, trials=12)
-        model = OverclaimingModel(**vars(ctx.model))
-        grid = ctx.box.grid
-        ctx = TrialContext.build(model, grid, ctx.event_spec, ctx.b,
-                                 ctx.width)
-        lifted, failed = 0, 0
+        ctx = overclaimed_floor(ctx)
+        assert ise.window_floor(ctx)[1]
+        failed = 0
         for seed in seeds:
-            want, _, _ = public_path_record(model, grid, ctx.event_spec,
-                                            ctx.b, ctx.width, seed)
+            want, _, _ = public_path_record(ctx.model, ctx.box.grid,
+                                            ctx.event_spec, ctx.b, ctx.width,
+                                            seed)
             record = run_ise_trial(ctx, seed)
             assert_records_match(record, want)
-            assert not record.lift_certified
-            if record["event"]:
-                # the doubled test operator clears the window, so only the
-                # node-wise check V_omega >= eta c chi_S refuses the lift
-                cells, hits = cell_hits(
-                    sample_configuration(seed, ctx.sites, model.disorder),
-                    ctx.event_spec)
-                choice = tuple(map(tuple, cell_choice(cells, hits).tolist()))
-                top = ise.event_lift(model, grid, ctx.event_spec, ctx.b,
-                                     ctx.width, choice)[2]
-                lifted += top == ctx.certified_below
-                failed += not record["outcome"]
-        assert lifted >= 1 and failed >= 1
+            assert not record.floor_certified
+            failed += not record["outcome"]
+        assert failed >= 1
 
     def test_one_lift_solve_per_box_size(self, monkeypatch):
         solves, factorizations = [], []
@@ -343,6 +341,7 @@ class TestLiftCertificate:
             return real_splu(*args, **kwargs)
 
         ise.event_lift.cache_clear()
+        ise.window_floor.cache_clear()
         monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
         plan = ExperimentPlan(
@@ -351,12 +350,128 @@ class TestLiftCertificate:
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         per = estimate_ise_probability(plan).per_L[0]
         assert per.event_count >= 2 and per.lift_certified >= 2
+        assert per.floor_certified > per.lift_certified
         assert len(solves) == 1
-        # the lift's factor and its count at b + w, then H_omega's counts
-        # on every trial the lift did not settle
-        counted = [r for r in per.trial_records if not r.lift_certified]
+        # the lift's factor and the floor's count, then H_omega's counts on
+        # every trial the floor did not settle
+        counted = [r for r in per.trial_records if not r.floor_certified]
+        assert counted
         assert len(factorizations) == 2 + sum(
             1 if r["outcome"] else 2 for r in counted)
+
+
+class TestFloorCertificate:
+    @settings(max_examples=30, deadline=None)
+    @given(eta=st.floats(0.05, 0.95), width=st.floats(0.01, 3.0),
+           data=st.data())
+    def test_floor_count_bounds_the_dense_count(self, dense_eigvals, eta,
+                                                width, data):
+        # omega_j >= eta on every site gives V_omega >= eta W node by node,
+        # so by min-max no H_omega has more eigenvalues below b + width
+        # than H0 + eta W; where the floor clears the window, none is in it
+        model = dataclasses.replace(
+            load_model(shipped("reference_gapped")),
+            disorder=DisorderDistribution("uniform01", eta,
+                                          min(0.5, 1.0 - eta)))
+        grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 9,
+                        boundary="periodic")
+        _, b = band_edge_of_background(grid, model.background,
+                                       hint=REFERENCE_GAP_HINT)
+        ctx = TrialContext.build(model, grid, None, b, width)
+        box = ctx.box
+        floor, clears = ise.window_floor(ctx)
+        omega = data.draw(st.lists(st.floats(eta, 1.0), min_size=len(box.sites),
+                                   max_size=len(box.sites)))
+        v_omega = box.matrix @ np.array(omega)
+        assume(np.all(v_omega >= floor))
+        top = b + width
+        count = np.sum(dense_eigvals(box.hamiltonian(v_omega)) < top)
+        assert count <= np.sum(dense_eigvals(box.hamiltonian(floor)) < top)
+        if clears:
+            assert count == ctx.certified_below
+
+    def test_refused_floor_counts_every_trial(self):
+        # at L = 6 the floor H0 + W / 2 has two eigenvalues more than the
+        # certified 36 below b + w: every trial counts its own H_omega
+        ctx, seeds = reference_box(6)
+        assert ctx.certified_below == 36
+        assert not ise.window_floor(ctx)[1]
+        assert not any(run_ise_trial(ctx, s).floor_certified for s in seeds)
+
+    def test_floor_is_counted_once_per_box_size(self, monkeypatch):
+        ctx, _ = reference_box(8)
+        counts = []
+        real = ise.count_below
+
+        def spy(*args):
+            counts.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ise, "count_below", spy)
+        ise.window_floor.cache_clear()
+        floor = ise.window_floor(ctx)
+        # a pickled context is a new object, and still finds the floor
+        assert ise.window_floor(pickle.loads(pickle.dumps(ctx))) is floor
+        assert len(counts) == 1 and floor[1]
+
+    def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
+        ctx, _ = reference_box(8)
+
+        def fail(*args):
+            raise SolverError("no trusted LDL^T factor")
+
+        monkeypatch.setattr(ise, "count_below", fail)
+        ise.window_floor.cache_clear()
+        try:
+            assert not ise.window_floor(ctx)[1]
+        finally:
+            ise.window_floor.cache_clear()
+
+    def test_floor_decided_trial_factorizes_nothing(self, monkeypatch):
+        ctx, seeds = reference_box(8)
+        for seed in seeds:   # warm the lift and the floor
+            run_ise_trial(ctx, seed)
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        decided = 0
+        for seed in seeds:
+            factorizations.clear()
+            record = run_ise_trial(ctx, seed)
+            if record.floor_certified:
+                assert not factorizations
+                assert (record["window_count"], record["outcome"],
+                        record["borderline"]) == (0, True, False)
+                decided += 1
+            else:
+                assert factorizations
+        assert 1 <= decided < len(seeds)
+
+    def test_pool_maps_event_trials_first(self, monkeypatch):
+        mapped = []
+
+        class SerialPool(ise.ProcessPoolExecutor):
+            def map(self, fn, seeds, chunksize=1):
+                mapped.append(list(seeds))
+                return map(fn, mapped[-1])
+
+        monkeypatch.setattr(ise, "ProcessPoolExecutor", SerialPool)
+        plan = reference_plan(L_values=(8,), trials=12)
+        serial = estimate_ise_probability(plan).per_L[0]
+        pooled = estimate_ise_probability(
+            dataclasses.replace(plan, workers=2)).per_L[0]
+        assert pooled.trial_records == serial.trial_records
+        flags = [r["event"] for r in serial.trial_records]
+        seeds = [r["seed"] for r in serial.trial_records]
+        assert True in flags and False in flags
+        events = [s for s, f in zip(seeds, flags) if f]
+        others = [s for s, f in zip(seeds, flags) if not f]
+        assert mapped == [events + others]
 
 
 class TestPlan:
