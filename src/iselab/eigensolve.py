@@ -4,8 +4,11 @@ The spectral primitive is `count_below(mat, sigma)`: by Sylvester's law of
 inertia the negative pivots of a sparse LDL^T of H - sigma I number exactly
 the eigenvalues below sigma.  Whether a window holds spectrum is a
 difference of two counts and needs no eigensolve, and a sorted grid of
-energies (`counts_below`) is counted only where a Weyl bracket and the
-count's monotonicity leave an energy open.  A query that must report
+energies (`counts_below`) is counted only where an eigenvalue enclosure and
+the count's monotonicity leave an energy open.  The enclosure
+(`enclosure`) of H0 + V with 0 <= V <= s is Weyl's, tightened from above
+by Rayleigh-Ritz and from below by Lehmann's bound on the background
+eigenvectors; it needs no factorization.  A query that must report
 eigenvalues counts first and then makes one shift-invert solve for exactly
 that many: the lowest eigenvalue above an energy (`min_eig_above`) and the
 eigenvalues of a window (`eigs_in_window`) are each one ARPACK run on the
@@ -165,7 +168,61 @@ def count_below(mat, sigma):
     return _trusted_ldlt(mat, sigma)[1]
 
 
-def counts_below(mat, energies, weyl=None):
+def enclosure(mat, spectrum, s, top):
+    """(lower, upper), both sorted, with lower_j <= lambda_j(mat) <= upper_j.
+
+    For mat = H0 + V with `spectrum` the background spectrum of H0 and
+    0 <= V <= s node by node.  Weyl gives values_j <= lambda_j <=
+    values_j + s for every j.  The levels that can decide a count below
+    `top` are the J0 = #{values < nudge(top) + tol_gap} lowest; they are
+    tightened with the background eigenvectors X of the first J >= J0
+    levels (orthonormal, from the separable spectrum):
+
+    - Rayleigh-Ritz (min-max, any orthonormal X): lambda_j <= theta_j,
+      the eigenvalues of X^T mat X.
+    - Lehmann, when a background gap wider than s follows some
+      J in [J0, 2 J0]: by Weyl exactly J eigenvalues of mat lie below rho,
+      the midpoint of (values_J + s, values_{J+1}), and none within
+      d = (gap - s) / 2 of it.  Rayleigh-Ritz for (mat - rho)^-1 on the
+      span of R = (mat - rho) X gives the pencil (X^T R, R^T R), whose
+      eigenvalues tau_1 <= ... bound lambda_{J+1-i} >= rho + 1 / tau_i for
+      every tau_i < 0.  It is skipped when R^T R is too ill-conditioned
+      for tol_gap: 64 eps (||mat - rho||_1 / d)^2 > tol_gap.
+
+    lower is a running max and upper a suffix min, so both stay sorted.
+    """
+    values = spectrum.values
+    lower, upper = values.copy(), values + s
+    j0 = int(np.searchsorted(values, _nudge(top) + TOL_GAP))
+    if j0:
+        stop = min(2 * j0, values.size - 1)
+        wide = np.flatnonzero(np.diff(values[j0 - 1:stop + 1]) > s)
+        j = j0 + int(wide[0]) if wide.size else j0
+        x = spectrum.vectors(j)
+        if np.abs(x.T @ x - np.eye(j)).max() > 1e-12:
+            raise SolverError("background eigenvectors are not orthonormal",
+                              telemetry={"k": j})
+        rho = d = 0.0
+        if wide.size:
+            rho = 0.5 * (values[j - 1] + s + values[j])
+            d = 0.5 * (values[j] - values[j - 1] - s)
+        r = mat @ x - rho * x
+        a0 = x.T @ r
+        a0 = 0.5 * (a0 + a0.T)
+        upper[:j] = np.minimum(upper[:j], np.linalg.eigvalsh(a0) + rho)
+        norm = abs(mat).sum(axis=0).max() + abs(rho)
+        if d and 64 * np.finfo(float).eps * (norm / d) ** 2 <= TOL_GAP:
+            c = np.linalg.cholesky(r.T @ r)
+            tau = np.linalg.eigvalsh(
+                np.linalg.solve(c, np.linalg.solve(c, a0).T))
+            bound = np.full(j, -np.inf)
+            bound[tau < 0] = rho + 1.0 / tau[tau < 0]
+            lower[:j] = np.maximum(lower[:j], bound[::-1])
+    return (np.maximum.accumulate(lower),
+            np.minimum.accumulate(upper[::-1])[::-1])
+
+
+def counts_below(mat, energies, bounds=None):
     """[count_below(mat, e) for e in energies], from as few counts as exact.
 
     `energies` are sorted.  count_below(mat, E) = #{lambda < E*} for some E*
@@ -175,22 +232,21 @@ def counts_below(mat, energies, weyl=None):
     the rest is bisected.  A grid break (a duplicate energy, a step below the
     nudge) only starts a new stretch.
 
-    `weyl = (values, s)` brackets every count before any factorization, for
-    mat = H0 + V with `values` the sorted spectrum of H0 and 0 <= V <= s node
-    by node: Weyl's lambda_j(H0) <= lambda_j(mat) <= lambda_j(H0) + s puts
-    count_below(mat, E) in [#{values < E - s - tol_gap},
-    #{values < nudge(E) + tol_gap}], and an energy whose bracket closes is
-    never counted.
+    `bounds = (lower, upper)`, sorted with lower_j <= lambda_j(mat) <=
+    upper_j (`enclosure`, or Weyl's (values, values + s)), brackets every
+    count before any factorization: count_below(mat, E) lies in
+    [#{upper < E - tol_gap}, #{lower < nudge(E) + tol_gap}], and an energy
+    whose bracket closes is never counted.
     """
     e = np.asarray(energies, dtype=float)
     if np.any(np.diff(e) < 0):
         raise ValueError("energies must be sorted")
-    if weyl is None:
+    if bounds is None:
         lo, hi = np.zeros(e.size, dtype=int), np.full(e.size, mat.shape[0])
     else:
-        values, s = weyl
-        lo = np.searchsorted(values, e - s - TOL_GAP)
-        hi = np.searchsorted(values, _nudge(e) + TOL_GAP)
+        lower, upper = bounds
+        lo = np.searchsorted(upper, e - TOL_GAP)
+        hi = np.searchsorted(lower, _nudge(e) + TOL_GAP)
     breaks = np.flatnonzero(e[1:] <= _nudge(e[:-1])) + 1
     for run in np.split(np.arange(e.size), breaks):
         while True:
@@ -206,7 +262,9 @@ def counts_below(mat, energies, weyl=None):
             if not lo[j] <= count <= hi[j]:
                 raise SolverError("count outside its bracket",
                                   telemetry={"sigma": float(e[j]),
-                                             "count": count})
+                                             "count": count,
+                                             "lo": int(lo[j]),
+                                             "hi": int(hi[j])})
             lo[j] = hi[j] = count
     return lo.tolist()
 

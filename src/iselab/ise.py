@@ -54,7 +54,7 @@ import numpy as np
 
 from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
-                         counts_below, min_eig_above)
+                         counts_below, enclosure, min_eig_above)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      event_A_indicator, select_scale, wilson_interval)
@@ -451,11 +451,13 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
 
     N(E) counts the eigenvalues <= E exactly (count_below at each energy),
     but factorizes H_omega only where two exact layers leave it open
-    (eigensolve.counts_below).  A per-box Weyl bracket: V_omega lies in
-    [0, s] node-wise (Box.envelope), so the background spectrum bounds
-    every trial's count from both sides, and an energy where both ends
-    agree is not counted.  Monotone bisection over the sorted grid: two
-    counted energies with the same count fix every energy between them.
+    (eigensolve.counts_below).  A per-trial eigenvalue enclosure: V_omega
+    lies in [0, s] node-wise (Box.envelope), so eigensolve.enclosure bounds
+    each eigenvalue of H_omega from both sides (Weyl, tightened by
+    Rayleigh-Ritz and Lehmann bounds on the background eigenvectors), and
+    an energy whose count both ends fix is not counted.  Monotone bisection
+    over the sorted grid: two counted energies with the same count fix
+    every energy between them.
     This is a diagnostic only: the slope statistic is reported where
     N(E) - N(E0) lies in (0, 1) and no limit claim is attached.
     """
@@ -467,15 +469,16 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     grid = GridSpec.per_unit(dimension, L, points_per_unit, boundary)
     box = model.box(grid)
     s = box.envelope
-    weyl = None if s is None else (box.spectrum.values, s)
     counts = np.zeros(len(E_grid))
     for t in range(trials):
         # a coupling's value depends only on (seed, site), so drawing the
         # live sites alone gives the same V_omega
         trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
         cfg = sample_configuration(trial_seed, box.sites, model.disorder)
-        counts += counts_below(box.hamiltonian(box.potential(cfg)), E_grid,
-                               weyl)
+        h = box.hamiltonian(box.potential(cfg))
+        bounds = None if s is None else enclosure(h, box.spectrum, s,
+                                                  E_grid[-1])
+        counts += counts_below(h, E_grid, bounds)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
     # the count at the last grid energy within 1e-12 of E0, else interpolated

@@ -4,7 +4,7 @@ No plotting dependency: the charts are diff-able text artifacts, so the
 same report always serializes to the same bytes.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 25, 45, 55
@@ -24,7 +24,8 @@ class SvgCanvas:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
+            f'font-family="sans-serif" font-size="15">'
+            f'{escape(title, quote=False)}</text>',
         ]
 
     def line(self, x1, y1, x2, y2, color="black", width=1.0, dash=None):
@@ -41,7 +42,7 @@ class SvgCanvas:
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
             f'font-family="sans-serif" font-size="{size}" '
-            f'fill="{color}">{escape(s)}</text>')
+            f'fill="{color}">{escape(s, quote=False)}</text>')
 
     def polyline(self, points, color="black", width=1.0, dash=None):
         pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
@@ -69,7 +70,7 @@ class _Axes:
             f'<text x="18" y="{(y0 + y1) / 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 18 {(y0 + y1) / 2})">'
-            f'{escape(y_label)}</text>')
+            f'{escape(y_label, quote=False)}</text>')
 
     def px(self, x):
         f = (x - self.x_lo) / (self.x_hi - self.x_lo)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +57,20 @@ class TestPrintedValues:
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
+
+    def test_import_loads_no_network_or_xml_module(self):
+        # SVG text is escaped with html.escape; xml.sax.saxutils would pull
+        # in urllib.request, http.client and ssl on every start
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+        code = ("import sys, iselab.cli\n"
+                "for name in ('ssl', 'urllib.request', 'http.client', "
+                "'xml.sax'):\n"
+                "    if name in sys.modules: print(name)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.split() == []
 
 
 class TestExitCodes:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from iselab import eigensolve, ise, rng
-from iselab.eigensolve import TOL_EIG, count_below, min_eig_above
+from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
 from iselab.errors import GapNotFoundError, SolverError
 from iselab.events import (EventSpec, cell_choice, cell_hits,
                            event_A_indicator, select_scale)
@@ -579,12 +580,12 @@ DISORDER_KINDS = (
 )
 
 
-def per_energy_counts(h, energies, weyl=None):
+def per_energy_counts(h, energies, bounds=None):
     return [count_below(h, e) for e in energies]
 
 
 class TestCountsOnGrid:
-    """eigensolve.counts_below, the Weyl bracket and the grid bisection."""
+    """eigensolve.counts_below, its eigenvalue bracket and the bisection."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -623,7 +624,10 @@ class TestCountsOnGrid:
                 energies.append(e + data.draw(st.integers(1, 99)) * TOL_EIG)
         energies.sort()
         want = per_energy_counts(h, energies)
-        assert eigensolve.counts_below(h, energies, (values, s)) == want
+        weyl = (values, values + s)
+        assert eigensolve.counts_below(h, energies, weyl) == want
+        bounds = enclosure(h, box.spectrum, s, energies[-1])
+        assert eigensolve.counts_below(h, energies, bounds) == want
         assert eigensolve.counts_below(h, energies) == want
 
     def test_weyl_bracket_holds_and_closes(self):
@@ -649,7 +653,17 @@ class TestCountsOnGrid:
         with pytest.raises(ValueError):
             eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0])
 
-    def test_ids_makes_at_most_half_the_per_energy_counts(self, monkeypatch):
+    def test_bracket_that_misses_the_count_raises(self):
+        h = sparse.csr_matrix(np.diag([0.0, 1.0, 2.0]))
+        # two eigenvalues lie below 1.5, but the open bracket is [0, 1]
+        lower, upper = np.array([0.0, 5.0, 6.0]), np.full(3, 9.0)
+        with pytest.raises(SolverError) as err:
+            eigensolve.counts_below(h, [1.5], (lower, upper))
+        assert err.value.telemetry == {"sigma": 1.5, "count": 2,
+                                       "lo": 0, "hi": 1}
+
+    def test_ids_makes_at_most_a_tenth_of_the_per_energy_counts(
+            self, monkeypatch):
         factorizations = []
         real_splu = eigensolve.splu
 
@@ -669,7 +683,52 @@ class TestCountsOnGrid:
         want = [ids(L) for L in (3.0, 4.0)]
         assert got == want
         assert len(factorizations) >= 2 * 3 * 25
-        assert fewest <= len(factorizations) // 2
+        assert fewest <= len(factorizations) // 10
+
+
+class TestEnclosure:
+    """eigensolve.enclosure against the dense spectrum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_brackets_the_dense_spectrum(self, data):
+        spec = {"G": 1.0,
+                "V0": data.draw(st.sampled_from((
+                    {"kind": "zero"},
+                    {"kind": "separable_square", "amplitude": 20.0},
+                    {"kind": "separable_square", "amplitude": 40.0}))),
+                "single_site": data.draw(st.sampled_from((
+                    {"kind": "ball_indicator", "c": 1.0, "delta": 0.45},
+                    {"kind": "ball_indicator", "c": 1.0, "delta": 0.25},
+                    {"kind": "cone", "c": 2.0, "delta": 0.25,
+                     "radius": 0.7}))),
+                "disorder": data.draw(st.sampled_from(DISORDER_KINDS))}
+        model = load_model(spec)
+        # at most 400 nodes: side 2 to 4, 5 to 9 points per unit
+        side, per_unit = data.draw(st.sampled_from(
+            [(2, p) for p in range(5, 10)] + [(3, 5), (3, 6), (4, 5)]))
+        grid = GridSpec(dimension=2, side=float(side), spacing=1.0 / per_unit,
+                        boundary=data.draw(st.sampled_from(
+                            ("periodic", "dirichlet", "neumann"))))
+        box = model.box(grid)
+        h = box.hamiltonian(box.potential(sample_configuration(
+            data.draw(st.integers(0, 2 ** 32)), box.sites, model.disorder)))
+        values, s = box.spectrum.values, box.envelope
+        top = data.draw(st.floats(float(values[0]), float(values[-1])))
+        if data.draw(st.booleans()):
+            lower, upper = enclosure(h, box.spectrum, s, top)
+            assume(np.any(lower > values))      # Lehmann tightened a level
+        else:
+            # 0 <= V <= s' for any s' >= s; past the spectrum's width no
+            # background gap is wider than s', so only Rayleigh-Ritz applies
+            wide = s + float(values[-1] - values[0])
+            lower, upper = enclosure(h, box.spectrum, wide, top)
+            assert np.array_equal(lower, values)
+        exact = np.linalg.eigvalsh(h.toarray())
+        slack = 1e-9 * (1.0 + np.abs(exact))
+        assert np.all(lower <= exact + slack)
+        assert np.all(exact <= upper + slack)
+        assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) >= 0)
 
 
 class TestReferencePlanShape:
