@@ -219,11 +219,11 @@ def select_scale(L, alpha):
     return scale_window(L, alpha)[0]
 
 
-def lifting_bound(l, eta, c):
-    """Guaranteed lift eta * c * exp(-l^(7/5)) of the lowest eigenvalue above b."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    return eta * c * math.exp(-float(l) ** 1.4)
+def lifting_bound(side, eta, c):
+    """Guaranteed lift eta * c * exp(-side^(7/5)) for cells of side G l."""
+    if side <= 0:
+        raise ValueError("the cell side must be positive")
+    return eta * c * math.exp(-float(side) ** 1.4)
 
 
 @dataclass(frozen=True)

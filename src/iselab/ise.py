@@ -1,14 +1,13 @@
 """Monte Carlo estimation of the no-spectrum-in-window probability, and
 the finite-volume counting-function diagnostic.
 
-Everything the trials at one box size share is built once into a
-TrialContext: the box's node data (potentials.Box: V0 at the nodes and the
-site-to-node matrix U of the live profiles), the sites a trial draws, the
-window and the certified lower count.  A trial is one vectorized draw of
-the couplings omega, V_omega = U @ omega, one lookup of omega over the good
-event's cells, and at most one count at the top of the window (none when
-the floor decides the trial, a second only when the window holds spectrum,
-for the borderline flag).
+Everything the trials at one box size share is one TrialContext, keyed by
+value and deriving the box's node data (potentials.Box: V0 at the nodes and
+U of the live profiles), the sites a trial draws and the certified lower
+count.  A trial is one vectorized draw of the couplings omega, V_omega =
+U @ omega, one lookup of omega over the good event's cells, and at most one
+count at the top of the window (none when the floor decides the trial, a
+second only when the window holds spectrum, for the borderline flag).
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
 trials are distributed over worker processes.
@@ -28,8 +27,8 @@ and so is U, so when every omega_j >= eta, V_omega >= eta W node by node and
 H_omega >= H_floor = H0 + eta W, one operator per box size.  When H_floor
 has the certified k eigenvalues below b + width, min-max leaves H_omega's
 window empty.  window_floor counts H_floor once per process and box size
-(memoized by value, as a pickled context is a new object in each pool
-chunk), and a trial whose V_omega >= eta W node by node is decided with no
+(an lru_cache on the context, which a pickled copy in each pool chunk
+hits), and a trial whose V_omega >= eta W node by node is decided with no
 factorization of H_omega.  Rounding V0 + x is monotone in x, so the order
 of the two node arrays is that of the diagonals factorized.  Each per-L
 entry counts these trials in `floor_certified`, and in `lift_certified`
@@ -39,8 +38,8 @@ certified one, or no count is certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
 depends on omega only through each cell's chosen site, so its lift above b
-is solved once per box size and choice (event_lift, memoized in each
-process) and recorded as the trial's observed lift.  That solve is a
+is solved on the context's box once per process, box size and choice
+(event_lift) and recorded as the trial's observed lift.  That solve is a
 trial's longest task, so a pool maps each box size's event trials first.
 """
 
@@ -54,13 +53,13 @@ import numpy as np
 
 from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
-                         counts_below, enclosure, min_eig_above)
+                         counts_below, enclosure)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      event_A_indicator, select_scale, wilson_interval)
-from .grid import GridSpec, assemble_schrodinger
+from .grid import GridSpec
 from .potentials import Box, load_model, sample_configuration
-from .ucp import equidistributed_from_choice
+from .ucp import equidistributed_from_choice, perturbed_eigenvalue
 
 
 def band_edge_of_background(grid, v0, hint=None, mode="gap"):
@@ -126,6 +125,8 @@ class ExperimentPlan:
             raise ValueError("need at least one worker")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
+        if self.band_edge_mode not in ("gap", "bottom"):
+            raise ValueError(f"unknown band_edge mode {self.band_edge_mode!r}")
         ls = tuple(self.L_values)
         if not ls:
             raise ValueError("L_values must name at least one box size")
@@ -161,82 +162,71 @@ def box_sites(model, grid, event_spec=None):
     return np.unique(np.concatenate(sites), axis=0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
-    `box` is the box's node data (potentials.Box), `sites`
-    box_sites(model, grid, event_spec), and the window is [b, b + width).
-    `event_spec` is None where the scale window is empty.  `certified_below`
-    is certified_lower_count at b, or None where the trials must count below
-    the window themselves.
+    A value compared and hashed on (model, grid, event_spec, b, width), also
+    after pickling, so window_floor and event_lift memoize on it.  The window
+    is [b, b + width); `event_spec` is None where the scale window is empty.
+    Derived: `box` (potentials.Box), `sites` box_sites(...), and
+    `certified_below` certified_lower_count at b, or None.
     """
 
     model: object
-    box: Box
-    sites: np.ndarray = field(repr=False)
+    grid: GridSpec
     event_spec: EventSpec
     b: float
     width: float
-    certified_below: int
+    box: Box = field(init=False, compare=False, repr=False)
+    sites: np.ndarray = field(init=False, compare=False, repr=False)
+    certified_below: int = field(init=False, compare=False, repr=False)
 
-    @classmethod
-    def build(cls, model, grid, event_spec, b, width):
-        box = model.box(grid)
-        return cls(model, box, box_sites(model, grid, event_spec),
-                   event_spec, b, width, certified_lower_count(box, b))
+    def __post_init__(self):
+        # frozen: the derived fields go straight into the instance dict
+        box = self.model.box(self.grid)
+        self.__dict__.update(
+            box=box, sites=box_sites(self.model, self.grid, self.event_spec),
+            certified_below=certified_lower_count(box, self.b))
 
 
 @lru_cache(maxsize=16)
-def event_lift(model, grid, spec, b, choice):
+def event_lift(ctx, choice):
     """The good event's test operator's lift above b for one per-cell choice.
 
-    H_pert = H0 + eta c chi_S, S the union of the balls of the chosen sites
-    (`choice` holds one int tuple per cell, as cell_choice picks them); the
-    lift is H_pert's lowest eigenvalue at or above b (min_eig_above) minus
-    b.  It depends on omega only through the choice, and every argument
-    hashes by value, also after pickling, so each process (the serial one,
-    or each pool worker) solves it once per box size and choice.
+    H_pert = H0 + eta c chi_S on the context's box, S the union of the balls
+    of the chosen sites (one int tuple per cell, as cell_choice picks them);
+    the lift is H_pert's lowest eigenvalue at or above b minus b.  It depends
+    on omega only through the choice, so each process (the serial one, or
+    each pool worker) solves it once per box size and choice.
     """
-    _, mask = equidistributed_from_choice(
-        spec, choice, model.profiles_for(grid), grid, model.period)
-    v_test = np.zeros(grid.num_points)
-    v_test[mask] = model.disorder.eta * model.coupling_floor
-    h_pert = assemble_schrodinger(
-        grid, model.background.evaluate(grid.nodes()) + v_test)
-    return min_eig_above(h_pert, b) - b
+    box, model = ctx.box, ctx.model
+    _, mask = equidistributed_from_choice(ctx.event_spec, choice,
+                                          box.profiles, box.grid, model.period)
+    _, lam = perturbed_eigenvalue(
+        box, mask, model.disorder.eta * model.coupling_floor, ctx.b)
+    return lam - ctx.b
 
 
-_floors = {}
-
-
+@lru_cache(maxsize=16)
 def window_floor(ctx):
     """(eta W, clears): the context's floor, and whether it clears the window.
 
     H_floor = H0 + eta W (W = U @ 1) is below every H_omega whose couplings
     are all >= eta.  `clears` holds when H_floor has exactly the certified
     count below b + width, so such an H_omega has an empty window; it is
-    false when no count is certified, or H_floor cannot be counted.  The
-    floor is built and counted once per process and box size: the memo is
-    keyed by value, and the context's box is reused.
+    false when no count is certified, or H_floor cannot be counted.  Each
+    process builds and counts the floor once per box size.
     """
-    key = (ctx.model, ctx.box.grid, ctx.b, ctx.width)
-    if key not in _floors:
-        floor = ctx.model.disorder.eta * ctx.box.w
-        floor.flags.writeable = False
-        try:
-            # an int count never equals a certified count of None
-            clears = count_below(ctx.box.hamiltonian(floor),
-                                 ctx.b + ctx.width) == ctx.certified_below
-        except SolverError:
-            clears = False
-        if len(_floors) >= 16:   # bounded as event_lift's memo, oldest out
-            del _floors[next(iter(_floors))]
-        _floors[key] = floor, clears
-    return _floors[key]
-
-
-window_floor.cache_clear = _floors.clear
+    floor = ctx.model.disorder.eta * ctx.box.w
+    floor.flags.writeable = False
+    try:
+        # an int count never equals a certified count of None
+        clears = count_below(ctx.box.hamiltonian(floor),
+                             ctx.b + ctx.width) == ctx.certified_below
+    except SolverError:
+        clears = False
+    return floor, clears
 
 
 def is_event_trial(ctx, seed):
@@ -291,8 +281,8 @@ def run_ise_trial(ctx, seed):
     if in_event:
         choice = tuple(map(tuple, cell_choice(table, hits).tolist()))
         try:
-            lift = event_lift(ctx.model, box.grid, spec, b, choice)
-        except (SolverError, IselabError) as exc:
+            lift = event_lift(ctx, choice)
+        except IselabError as exc:
             lift_error = str(exc)
     try:
         if result.floor_certified:
@@ -394,8 +384,8 @@ def estimate_ise_probability(plan, dimension=2):
                                       model.coupling_floor)
             except ScaleWindowError:
                 l, event_spec, ledger = None, None, None
-            ctx = TrialContext.build(model, grid, event_spec, b,
-                                     float(L) ** (-plan.alpha))
+            ctx = TrialContext(model, grid, event_spec, b,
+                               float(L) ** (-plan.alpha))
             seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
                                      (L_index, t))
                      for t in range(plan.trials)]

@@ -151,6 +151,14 @@ def equidistributed_from_choice(spec, chosen, profiles, grid, period=1.0):
     return sequence, mask
 
 
+def perturbed_eigenvalue(box, mask, amplitude, b):
+    """(v_test, lambda): v_test is `amplitude` on the node indices `mask`,
+    lambda the lowest eigenvalue at or above b of box.hamiltonian(v_test)."""
+    v_test = np.zeros(box.grid.num_points)
+    v_test[mask] = amplitude
+    return v_test, min_eig_above(box.hamiltonian(v_test), b)
+
+
 @dataclass(frozen=True)
 class LiftingRecord:
     l: int
@@ -192,12 +200,10 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
         raise ValueError("amplitude must be nonnegative")
     sequence, mask = equidistributed_from_event(
         cfg, spec, box.profiles, box.grid, box.background.period)
-    v_test = np.zeros(box.grid.num_points)
-    v_test[mask] = eta * c
     v_rand = box.potential(cfg)
 
     k0, lam0 = lowest_in_spectrum_above(box.spectrum.values, b)
-    lam_pert = min_eig_above(box.hamiltonian(v_test), b)
+    v_test, lam_pert = perturbed_eigenvalue(box, mask, eta * c, b)
     lam_rand = min_eig_above(box.hamiltonian(v_rand), b)
     sandwich_ok = bool(np.all(v_test <= v_rand + 1e-12)
                        and np.all(v_rand <= box.w + 1e-12))
@@ -209,7 +215,8 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
         l=spec.l, L=box.grid.side, eta=eta, c=c, delta=sequence.radius, k0=k0,
         base_eigenvalue=lam0, perturbed_eigenvalue=lam_pert,
         random_eigenvalue=lam_rand, observed_lift=observed,
-        predicted_floor=lifting_bound(spec.l, eta, c), sandwich_ok=sandwich_ok,
+        predicted_floor=lifting_bound(sequence.cell_side, eta, c),
+        sandwich_ok=sandwich_ok,
     )
 
 

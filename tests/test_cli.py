@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from iselab.cli import main
+from iselab.events import lifting_bound
 
 from conftest import MODELS, shipped
 
@@ -135,6 +136,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value, message", [
         ("points_per_unit", 0, "points_per_unit must be at least 1"),
         ("workers", -3, "need at least one worker"),
+        # a typo once ran gap mode silently
+        ("band_edge", {"mode": "botom", "hint": 36},
+         "unknown band_edge mode 'botom'"),
     ])
     def test_bad_plan_field_is_input_error(self, plan_file, tmp_path, capsys,
                                            field, value, message):
@@ -175,14 +179,22 @@ class TestExitCodes:
             "input error: need at least one attempt")
 
     def test_lift_runs_at_lattice_spacing_two(self, tmp_path, capsys):
-        # the balls sit at G * site, and so do the cells they must fit
+        # the balls sit at G * site, and so do the cells they must fit; the
+        # floor is the bound at the cells' physical side G l
         spec = shipped("reference_gapped")
         spec["G"] = 2.0
         path = tmp_path / "g2.json"
         path.write_text(json.dumps(spec))
+        out = tmp_path / "art"
         assert main(["lift", "--model", str(path), "--L", "4", "--hint", "36",
-                     "--scales", "1,3", "--seed", "1"]) == 0
+                     "--scales", "1,3", "--seed", "1", "--out", str(out)]) == 0
         assert "sandwich ok" in capsys.readouterr().out
+        records = read_artifact(out / "lift.json")[1]
+        assert [r["l"] for r in records] == [1, 3]
+        for r in records:
+            assert r["predicted_floor"] == lifting_bound(2.0 * r["l"], 0.5,
+                                                         1.0)
+            assert r["observed_lift"] >= r["predicted_floor"] > 0
 
     def test_failing_ledger_is_assertion_failure(self, capsys):
         code = main(["scale", "--L", "5000", "--alpha", "0.9", "--q", "1.0",

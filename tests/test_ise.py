@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import pickle
@@ -21,7 +22,7 @@ from iselab.potentials import (DisorderDistribution, load_model,
                                sample_configuration, zero_potential)
 from iselab.ucp import equidistributed_from_event
 
-from conftest import reference_plan, shipped
+from conftest import MODELS, reference_plan, shipped
 
 PLAN = reference_plan()
 REFERENCE_ALPHA = PLAN.alpha
@@ -72,8 +73,8 @@ class TestBandEdge:
 def box_context(model_spec, L, alpha, b=0.0, points_per_unit=8):
     grid = GridSpec(dimension=2, side=float(L), spacing=1.0 / points_per_unit,
                     boundary="periodic")
-    return TrialContext.build(load_model(model_spec), grid, None, b,
-                              float(L) ** (-alpha))
+    return TrialContext(load_model(model_spec), grid, None, b,
+                        float(L) ** (-alpha))
 
 
 class TestSingleTrial:
@@ -146,8 +147,7 @@ def reference_box(L, trials=8):
                                    hint=REFERENCE_GAP_HINT)
     spec = EventSpec(dimension=2, l=select_scale(L, REFERENCE_ALPHA), L=L,
                      eta=model.disorder.eta, kappa=model.disorder.kappa)
-    ctx = TrialContext.build(model, grid, spec, b,
-                             float(L) ** (-REFERENCE_ALPHA))
+    ctx = TrialContext(model, grid, spec, b, float(L) ** (-REFERENCE_ALPHA))
     seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
              for t in range(trials)]
     return ctx, seeds
@@ -200,6 +200,59 @@ class TestTrialContext:
             [run_ise_trial(ctx, s) for s in seeds[:4]]
 
 
+def small_context_inputs():
+    """(model, grid, event_spec, b, width) of a 2 x 2 reference box, each
+    built afresh."""
+    model = load_model(shipped("reference_gapped"))
+    grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 9,
+                    boundary="periodic")
+    _, b = band_edge_of_background(grid, model.background,
+                                   hint=REFERENCE_GAP_HINT)
+    spec = EventSpec(dimension=2, l=1, L=2, eta=model.disorder.eta,
+                     kappa=model.disorder.kappa)
+    return model, grid, spec, b, 2.0 ** (-REFERENCE_ALPHA)
+
+
+class TestContextValue:
+    def test_equal_inputs_give_equal_contexts(self):
+        ctx, twin = (TrialContext(*small_context_inputs()) for _ in range(2))
+        assert ctx is not twin
+        for other in (twin, pickle.loads(pickle.dumps(twin))):
+            assert other == ctx and hash(other) == hash(ctx)
+
+    def test_each_field_keys_the_floor_and_the_lift(self):
+        model, grid, spec, b, width = small_context_inputs()
+        variants = {
+            "model": dataclasses.replace(
+                model, disorder=dataclasses.replace(model.disorder,
+                                                    eta=0.25)),
+            "grid": dataclasses.replace(grid, spacing=1.0 / 8),
+            "event_spec": dataclasses.replace(spec, kappa=0.5),
+            "b": b + 0.5,
+            "width": 2.0 * width,
+        }
+        ctx = TrialContext(model, grid, spec, b, width)
+        choice = tuple(map(tuple, spec.cells()[:, 0].tolist()))
+        ise.window_floor.cache_clear()
+        ise.event_lift.cache_clear()
+        try:
+            ise.window_floor(ctx)
+            ise.event_lift(ctx, choice)
+            for name, value in variants.items():
+                other = dataclasses.replace(ctx, **{name: value})
+                assert other != ctx, name
+                floors = ise.window_floor.cache_info().misses
+                lifts = ise.event_lift.cache_info().misses
+                ise.window_floor(other)
+                ise.event_lift(other, choice)
+                # a context that differs in one field is a new key
+                assert ise.window_floor.cache_info().misses == floors + 1, name
+                assert ise.event_lift.cache_info().misses == lifts + 1, name
+        finally:
+            ise.window_floor.cache_clear()
+            ise.event_lift.cache_clear()
+
+
 class TestLowerCountCertificate:
     L = 6
 
@@ -212,8 +265,8 @@ class TestLowerCountCertificate:
         event = EventSpec(dimension=2, l=select_scale(self.L, REFERENCE_ALPHA),
                           L=self.L, eta=model.disorder.eta,
                           kappa=model.disorder.kappa)
-        return TrialContext.build(model, grid, event, b,
-                                  float(self.L) ** (-REFERENCE_ALPHA))
+        return TrialContext(model, grid, event, b,
+                            float(self.L) ** (-REFERENCE_ALPHA))
 
     def seeds(self, count):
         return [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
@@ -308,7 +361,7 @@ def overclaimed_floor(ctx, eta=1.0):
     disorder = dataclasses.replace(ctx.model.disorder, eta=eta, kappa=0.166)
     model = dataclasses.replace(ctx.model, disorder=disorder)
     spec = dataclasses.replace(ctx.event_spec, eta=eta, kappa=0.166)
-    return TrialContext.build(model, ctx.box.grid, spec, ctx.b, ctx.width)
+    return TrialContext(model, ctx.grid, spec, ctx.b, ctx.width)
 
 
 class TestLiftCertificate:
@@ -378,7 +431,7 @@ class TestFloorCertificate:
                         boundary="periodic")
         _, b = band_edge_of_background(grid, model.background,
                                        hint=REFERENCE_GAP_HINT)
-        ctx = TrialContext.build(model, grid, None, b, width)
+        ctx = TrialContext(model, grid, None, b, width)
         box = ctx.box
         floor, clears = ise.window_floor(ctx)
         omega = data.draw(st.lists(st.floats(eta, 1.0), min_size=len(box.sites),
@@ -490,6 +543,23 @@ class TestPlan:
             with pytest.raises(ValueError, match="worker"):
                 ExperimentPlan(model={}, L_values=(3, 6), alpha=0.5, q=1.0,
                                trials=4, master_seed=0, workers=workers)
+        with pytest.raises(ValueError, match="band_edge mode 'botom'"):
+            ExperimentPlan(model={}, L_values=(3, 6), alpha=0.5, q=1.0,
+                           trials=4, master_seed=0, band_edge_mode="botom")
+
+    def test_benchmark_restates_the_shipped_plan(self):
+        # perfbench/workloads.py spells out the reference models and plan
+        # fields; they must not drift from models/
+        path = MODELS.parent / "perfbench" / "workloads.py"
+        loader = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(workloads)
+        assert workloads.REFERENCE_MODEL == shipped("reference_gapped")
+        assert workloads.FREE_MODEL == shipped("free_uniform")
+        plan = workloads._plan(0, [6], 1)
+        for name in ("model", "alpha", "q", "points_per_unit", "boundary",
+                     "band_edge"):
+            assert plan[name] == shipped("reference_plan")[name], name
 
     def test_from_json_round_trip(self):
         spec = {"model": shipped("reference_gapped"), "L_values": [6, 9],
