@@ -31,10 +31,10 @@ from .events import (EventSpec, build_ledger, event_A_indicator,
                      exact_event_probability, monte_carlo_event_probability,
                      scale_window)
 from .grid import GridSpec
-from .ise import (ExperimentPlan, band_edge_of_background, box_sites,
+from .ise import (BAND_EDGE_MODES, ExperimentPlan, band_edge_of_background,
                   estimate_ise_probability, ids_estimate)
 from .plotting import ids_curve_svg, ise_trend_svg
-from .potentials import load_model, sample_configuration
+from .potentials import DisorderConfiguration, load_model
 from .ucp import (FitSample, LiftingRecord, equidistributed_from_event,
                   fit_ucp_constant, lifting_experiment, mass_ratio,
                   random_subspace_vectors, verify_gap_hypothesis)
@@ -166,13 +166,13 @@ def cmd_scale(args):
     return code, {"scale.json": data}
 
 
-def _event_configuration(model, spec, sites, seed, attempts):
+def _event_configuration(model, spec, seed, attempts):
     """First seeded configuration lying in the good event."""
     if attempts < 1:
         raise ValueError("need at least one attempt")
     for attempt in range(attempts):
         child = rng.derive_seed(seed, rng.EVENT_TRIALS, (spec.l, attempt))
-        cfg = sample_configuration(child, sites, model.disorder)
+        cfg = DisorderConfiguration(child, model.disorder)
         if event_A_indicator(cfg, spec):
             return cfg
     raise SearchBudgetError(
@@ -189,8 +189,7 @@ def cmd_lift(args):
     for l in (int(s) for s in args.scales.split(",")):
         spec = EventSpec(dimension=args.d, l=l, L=int(args.L),
                          eta=model.disorder.eta, kappa=model.disorder.kappa)
-        cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
-                                   args.seed, args.attempts)
+        cfg = _event_configuration(model, spec, args.seed, args.attempts)
         records.append(lifting_experiment(
             box, cfg, spec, b, model.disorder.eta, model.coupling_floor))
     for r in records:
@@ -209,8 +208,7 @@ def cmd_ucp(args):
     grid = _grid(args)
     spec = EventSpec(dimension=args.d, l=args.l, L=int(args.L),
                      eta=model.disorder.eta, kappa=model.disorder.kappa)
-    cfg = _event_configuration(model, spec, box_sites(model, grid, spec),
-                               args.seed, args.attempts)
+    cfg = _event_configuration(model, spec, args.seed, args.attempts)
     profiles = model.profiles_for(grid)
     _, mask = equidistributed_from_event(cfg, spec, profiles, grid,
                                          model.period)
@@ -336,7 +334,7 @@ def build_parser():
             "locate a spectral gap or band edge of the background operator")
     _add_grid_flags(p)
     p.add_argument("--hint", type=float, help="energy near the target gap")
-    p.add_argument("--mode", default="gap", choices=("gap", "bottom"))
+    p.add_argument("--mode", default="gap", choices=BAND_EDGE_MODES)
 
     p = add("event-prob", cmd_event_prob,
             "exact and Monte Carlo probability of the good-configuration event")
@@ -362,7 +360,7 @@ def build_parser():
             "eigenvalue-lifting sweep conditioned on the good event")
     _add_grid_flags(p)
     p.add_argument("--hint", type=float)
-    p.add_argument("--mode", default="gap", choices=("gap", "bottom"))
+    p.add_argument("--mode", default="gap", choices=BAND_EDGE_MODES)
     p.add_argument("--scales", default="1,3,5",
                    help="comma-separated cell sides")
     p.add_argument("--seed", type=int, required=True)

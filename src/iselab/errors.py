@@ -13,14 +13,6 @@ class UnresolvableBallError(IselabError):
     """Ball radius too small for the grid spacing (delta/h < 4)."""
 
 
-class MissingProfileError(IselabError):
-    """A site contributing to the box has no single-site profile."""
-
-
-class MissingSiteError(IselabError):
-    """A required disorder value was not sampled."""
-
-
 class ScaleWindowError(IselabError):
     """The scale window (x/2, x] contains no odd integer."""
 

@@ -67,10 +67,6 @@ class EventSpec:
         """
         return _cell_table(self)
 
-    def required_sites(self):
-        """All lattice sites of the cells, cell by cell, as int tuples."""
-        return list(map(tuple, self.cells().reshape(-1, self.dimension).tolist()))
-
 
 @lru_cache(maxsize=64)
 def _cell_table(spec):

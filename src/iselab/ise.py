@@ -3,11 +3,12 @@ the finite-volume counting-function diagnostic.
 
 Everything the trials at one box size share is one TrialContext, keyed by
 value and deriving the box's node data (potentials.Box: V0 at the nodes and
-U of the live profiles), the sites a trial draws and the certified lower
-count.  A trial is one vectorized draw of the couplings omega, V_omega =
-U @ omega, one lookup of omega over the good event's cells, and at most one
-count at the top of the window (none when the floor decides the trial, a
-second only when the window holds spectrum, for the borderline flag).
+U of the live profiles) and the certified lower count.  A trial's couplings
+omega are its seed and the model's law (potentials.DisorderConfiguration),
+drawn where they are read: at the box's live sites for V_omega = U @ omega,
+and at the good event's cells.  Then comes at most one count at the top of
+the window (none when the floor decides the trial, a second only when the
+window holds spectrum, for the borderline flag).
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
 trials are distributed over worker processes.
@@ -58,8 +59,10 @@ from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
                      event_A_indicator, select_scale, wilson_interval)
 from .grid import GridSpec
-from .potentials import Box, load_model, sample_configuration
+from .potentials import Box, DisorderConfiguration, load_model
 from .ucp import equidistributed_from_choice, perturbed_eigenvalue
+
+BAND_EDGE_MODES = ("gap", "bottom")
 
 
 def band_edge_of_background(grid, v0, hint=None, mode="gap"):
@@ -69,7 +72,10 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap"):
     the spectral gap of H_{0,L} containing the hinted energy and returns
     its endpoints, b being the infimum of the spectrum above the gap, which
     must be wider than 10 tol_gap.  Both read the exact background spectrum.
+    Any other mode (see BAND_EDGE_MODES) is a ValueError.
     """
+    if mode not in BAND_EDGE_MODES:
+        raise ValueError(f"unknown band_edge mode {mode!r}")
     if mode != "bottom" and hint is None:
         raise ValueError("gap mode needs an energy hint")
     values = background_spectrum(grid, v0).values
@@ -125,7 +131,7 @@ class ExperimentPlan:
             raise ValueError("need at least one worker")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.band_edge_mode not in ("gap", "bottom"):
+        if self.band_edge_mode not in BAND_EDGE_MODES:
             raise ValueError(f"unknown band_edge mode {self.band_edge_mode!r}")
         ls = tuple(self.L_values)
         if not ls:
@@ -151,17 +157,6 @@ class ExperimentPlan:
         )
 
 
-def box_sites(model, grid, event_spec=None):
-    """The profile lattice of the box and the event's cell sites.
-
-    A sorted (m, d) int64 array: every coupling a trial on this box draws.
-    """
-    sites = [np.array(model.sites_for(grid), dtype=np.int64)]
-    if event_spec is not None:
-        sites.append(event_spec.cells().reshape(-1, grid.dimension))
-    return np.unique(np.concatenate(sites), axis=0)
-
-
 @dataclass(frozen=True)
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
@@ -169,8 +164,8 @@ class TrialContext:
     A value compared and hashed on (model, grid, event_spec, b, width), also
     after pickling, so window_floor and event_lift memoize on it.  The window
     is [b, b + width); `event_spec` is None where the scale window is empty.
-    Derived: `box` (potentials.Box), `sites` box_sites(...), and
-    `certified_below` certified_lower_count at b, or None.
+    Derived: `box` (potentials.Box) and `certified_below`
+    certified_lower_count at b, or None.
     """
 
     model: object
@@ -179,15 +174,13 @@ class TrialContext:
     b: float
     width: float
     box: Box = field(init=False, compare=False, repr=False)
-    sites: np.ndarray = field(init=False, compare=False, repr=False)
     certified_below: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # frozen: the derived fields go straight into the instance dict
         box = self.model.box(self.grid)
-        self.__dict__.update(
-            box=box, sites=box_sites(self.model, self.grid, self.event_spec),
-            certified_below=certified_lower_count(box, self.b))
+        self.__dict__.update(box=box,
+                             certified_below=certified_lower_count(box, self.b))
 
 
 @lru_cache(maxsize=16)
@@ -232,7 +225,7 @@ def window_floor(ctx):
 def is_event_trial(ctx, seed):
     """Whether the trial of this seed lies in the good event."""
     return ctx.event_spec is not None and event_A_indicator(
-        sample_configuration(seed, ctx.sites, ctx.model.disorder),
+        DisorderConfiguration(seed, ctx.model.disorder),
         ctx.event_spec)
 
 
@@ -267,7 +260,7 @@ def run_ise_trial(ctx, seed):
     when the window holds spectrum).
     """
     box, b, width, spec = ctx.box, ctx.b, ctx.width, ctx.event_spec
-    cfg = sample_configuration(seed, ctx.sites, ctx.model.disorder)
+    cfg = DisorderConfiguration(seed, ctx.model.disorder)
     result = TrialRecord(seed=seed, valid=True, outcome=None,
                          window_count=None, borderline=False, event=None,
                          observed_lift=None)
@@ -461,10 +454,9 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     s = box.envelope
     counts = np.zeros(len(E_grid))
     for t in range(trials):
-        # a coupling's value depends only on (seed, site), so drawing the
-        # live sites alone gives the same V_omega
-        trial_seed = rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t))
-        cfg = sample_configuration(trial_seed, box.sites, model.disorder)
+        # box.potential draws the couplings of the box's live sites only
+        cfg = DisorderConfiguration(
+            rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t)), model.disorder)
         h = box.hamiltonian(box.potential(cfg))
         bounds = None if s is None else enclosure(h, box.spectrum, s,
                                                   E_grid[-1])

@@ -3,8 +3,9 @@
 A potential model bundles a periodic background V0, a lattice of
 nonnegative single-site profiles u_j carrying a ball lower bound
 c * indicator(B_delta(x_j)) <= u_j, and the distribution of the coupling
-constants omega_j with its threshold pair (eta, kappa).  Couplings are a
-sorted (m, d) site array and the aligned value array; cfg[q] reads them.
+constants omega_j with its threshold pair (eta, kappa).  A configuration
+is its seed and its law: cfg[q] draws omega_j from the counter-based stream
+at whatever sites q names, so no caller chooses its sites in advance.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from scipy import sparse
 
 from . import rng
 from .eigensolve import background_spectrum
-from .errors import MissingProfileError, MissingSiteError, UnresolvableBallError
+from .errors import UnresolvableBallError
 from .grid import assemble_schrodinger
 
 MIN_POINTS_ACROSS_BALL = 4
@@ -146,7 +147,11 @@ def cone_profile(site, peak, radius, c, delta, period=1.0):
 
 @dataclass(frozen=True)
 class DisorderDistribution:
-    """Distribution of a single coupling constant, supported in [0, 1]."""
+    """Distribution of a single coupling constant, supported in [0, 1].
+
+    Every certificate reads couplings in [0, 1], so a law with mass outside
+    it (or a Bernoulli p outside it) is refused when it is built.
+    """
 
     kind: str
     eta: float
@@ -154,12 +159,22 @@ class DisorderDistribution:
     params: tuple = ()
 
     def __post_init__(self):
+        if self.kind == "bernoulli":
+            if not 0 <= self.params[0] <= 1:
+                raise ValueError("bernoulli p must lie in [0, 1]")
+        elif self.kind == "truncated":
+            values, probs = self.params
+            if not all(0 <= v <= 1 for v in values):
+                raise ValueError("coupling values must lie in [0, 1]")
+            if abs(sum(probs) - 1.0) > 1e-12 or min(probs) < 0:
+                raise ValueError("probs must be a probability vector")
+        elif self.kind != "uniform01":
+            raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must lie in (0, 1]")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
-        mass = self.exact_threshold_mass()
-        if mass is not None and mass + 1e-12 < self.kappa:
+        if self.exact_threshold_mass() + 1e-12 < self.kappa:
             raise ValueError("P[omega >= eta] < kappa for this distribution")
 
     def from_uniform(self, u):
@@ -170,28 +185,22 @@ class DisorderDistribution:
         elif self.kind == "bernoulli":
             (p,) = self.params
             value = (u < p).astype(float)
-        elif self.kind == "truncated":
+        else:
             values, probs = self.params
             edges = np.cumsum(probs)
             idx = np.searchsorted(edges, u, side="right")
             value = np.asarray(values, dtype=float)[np.minimum(idx, len(values) - 1)]
-        else:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if value.size and (value.min() < 0.0 or value.max() > 1.0):
-            raise ValueError("sampled coupling outside [0, 1]")
         return value if value.shape else float(value)
 
     def exact_threshold_mass(self):
-        """Exact P[omega >= eta] when available, else None."""
+        """Exact P[omega >= eta]."""
         if self.kind == "uniform01":
             return max(0.0, 1.0 - self.eta) if self.eta <= 1 else 0.0
         if self.kind == "bernoulli":
             (p,) = self.params
             return p if self.eta <= 1 else 0.0
-        if self.kind == "truncated":
-            values, probs = self.params
-            return float(sum(p for v, p in zip(values, probs) if v >= self.eta))
-        return None
+        values, probs = self.params
+        return float(sum(p for v, p in zip(values, probs) if v >= self.eta))
 
 
 def uniform01(eta=0.5, kappa=0.5):
@@ -205,69 +214,30 @@ def bernoulli(p, eta=0.5, kappa=None):
 def truncated(values, probs, eta, kappa=None):
     values = tuple(float(v) for v in values)
     probs = tuple(float(p) for p in probs)
-    if abs(sum(probs) - 1.0) > 1e-12 or min(probs) < 0:
-        raise ValueError("probs must be a probability vector")
     mass = sum(p for v, p in zip(values, probs) if v >= eta)
     return DisorderDistribution("truncated", eta, mass if kappa is None else kappa,
                                 (values, probs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DisorderConfiguration:
-    """Couplings values[i] at sites[i], regenerable from (seed, site).
+    """The couplings of one draw on all of Z^d: omega_j for every site j.
 
-    `sites` is (m, d) int64 with rows rising strictly in lexicographic order,
-    `values` (m,) float64; cfg[q] reads a site tuple or a (..., d) array.
+    cfg[q] draws dist.from_uniform of the SITE_VALUES uniform at (seed, j)
+    for a site tuple q (a float) or every row j of a (..., d) integer array
+    (an array of shape q.shape[:-1]), in one vectorized Philox evaluation.
+    A value depends only on (seed, site), never on which sites are read
+    together or in what order.
     """
 
     seed: int
-    sites: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=np.int64)
-        sites = sites.reshape(0, 0) if sites.shape == (0,) else sites
-        # raveled indices in a box order points as C order does, which is
-        # lexicographic.  The box holds the origin (so it exists for m = 0)
-        # and a border layer around the sites, where a lookup clips every
-        # point outside the box: such a point matches no site.
-        lo = sites.min(axis=0, initial=0) - 1
-        shape = tuple(sites.max(axis=0, initial=0) - lo + 2)
-        keys = (np.ravel_multi_index((sites - lo).T, shape) if sites.size
-                else np.zeros(len(sites), dtype=np.intp))
-        order = np.argsort(keys)
-        if np.any(np.diff(keys[order]) == 0):
-            raise ValueError("sites must be distinct")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != keys.shape:
-            raise ValueError("need one value per site")
-        object.__setattr__(self, "sites", sites[order])
-        object.__setattr__(self, "values", values[order])
-        object.__setattr__(self, "_index", (lo, shape, keys[order]))
+    dist: DisorderDistribution
 
     def __getitem__(self, site):
         q = np.asarray(site, dtype=np.int64)
-        rows = q.reshape(-1, q.shape[-1])
-        lo, shape, keys = self._index
-        wanted = np.ravel_multi_index((rows - lo).T, shape, mode="clip")
-        pos = np.searchsorted(keys, wanted)
-        found = np.append(keys, -1)[pos] == wanted
-        if not found.all():
-            missing = tuple(rows[~found][0].tolist())
-            raise MissingSiteError(f"site {missing} was not sampled")
-        out = self.values[pos].reshape(q.shape[:-1])
-        return float(out) if q.ndim == 1 else out
-
-
-def sample_configuration(seed, sites, dist):
-    """Sample omega_j for every site from the counter-based stream.
-
-    Each value depends only on (seed, site), never on enumeration order.
-    `sites` is a sequence of integer tuples or an (m, d) integer array;
-    all m uniforms come from one vectorized Philox evaluation.
-    """
-    u = rng.uniforms_at(seed, rng.SITE_VALUES, sites)
-    return DisorderConfiguration(int(seed), sites, dist.from_uniform(u))
+        u = rng.uniforms_at(self.seed, rng.SITE_VALUES,
+                            q.reshape(-1, q.shape[-1]))
+        return self.dist.from_uniform(u.reshape(q.shape[:-1]))
 
 
 def site_matrix(profiles, grid):
@@ -343,11 +313,7 @@ class Box:
 
     def potential(self, cfg):
         """V_omega = U @ omega at the nodes; >= 0, or it raises."""
-        try:
-            omega = cfg[self.sites]
-        except MissingSiteError as exc:
-            raise MissingProfileError(f"contributing profile: {exc}") from exc
-        out = self.matrix @ omega
+        out = self.matrix @ cfg[self.sites]
         if out.size and out.min() < 0:
             raise ValueError("random potential must be nonnegative")
         return out

@@ -8,7 +8,7 @@ import pytest
 
 from iselab.grid import GridSpec
 from iselab.ise import ExperimentPlan
-from iselab.potentials import DisorderConfiguration, load_model
+from iselab.potentials import load_model
 
 # the shipped models and plan, found from this file rather than the CWD
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -65,19 +65,28 @@ def brute_force_cells():
     return _brute_force_cells
 
 
-def _config_from(values):
-    """DisorderConfiguration with the couplings of a {site tuple: value} map.
+class PlantedConfiguration:
+    """Couplings planted from a {site tuple: value} map.
 
-    The tests' sites are 2-D, so an empty map gives a (0, 2) site array.
+    Reads like potentials.DisorderConfiguration: cfg[q] takes a site tuple
+    (a float) or a (..., d) integer array (an array of shape q.shape[:-1]).
+    A site the map does not plant raises KeyError.
     """
-    sites = np.array(list(values), dtype=np.int64).reshape(-1, 2)
-    return DisorderConfiguration(0, sites, list(values.values()))
+
+    def __init__(self, values):
+        self.values = {tuple(map(int, s)): float(v) for s, v in values.items()}
+
+    def __getitem__(self, site):
+        q = np.asarray(site, dtype=np.int64)
+        rows = map(tuple, q.reshape(-1, q.shape[-1]).tolist())
+        out = np.array([self.values[r] for r in rows], dtype=float)
+        return float(out[0]) if q.ndim == 1 else out.reshape(q.shape[:-1])
 
 
 @pytest.fixture(scope="session")
 def config_from():
-    """Build a configuration from a mapping: see _config_from."""
-    return _config_from
+    """Build a configuration from a mapping: see PlantedConfiguration."""
+    return PlantedConfiguration
 
 
 def _dense_eigvals(mat):

@@ -25,8 +25,9 @@ from iselab.events import (EventSpec, build_ledger, event_A_indicator,
 from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
                          laplacian_matrix)
 from iselab.ise import estimate_ise_probability
-from iselab.potentials import (assemble_random_potential, load_model,
-                               sample_configuration, site_matrix)
+from iselab.potentials import (DisorderConfiguration,
+                               assemble_random_potential, load_model,
+                               site_matrix)
 from iselab.ucp import (FitSample, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors)
@@ -99,8 +100,6 @@ class TestEigenvalueSandwich:
         spec = EventSpec(dimension=2, l=3, L=4, eta=model.disorder.eta,
                          kappa=model.disorder.kappa)
         profiles = model.profiles_for(grid)
-        sites = sorted(set(model.sites_for(grid)) |
-                       set(spec.required_sites()))
         v0_nodes = model.background.evaluate(grid.nodes())
         h0 = assemble_schrodinger(grid, v0_nodes)
         w = site_matrix(profiles, grid) @ np.ones(len(profiles))
@@ -117,7 +116,7 @@ class TestEigenvalueSandwich:
 
         for t in range(100):
             seed = rng.derive_seed(7, rng.TRIAL_STREAM, (0, t))
-            cfg = sample_configuration(seed, sites, model.disorder)
+            cfg = DisorderConfiguration(seed, model.disorder)
             v_omega = assemble_random_potential(cfg, profiles, grid)
             h_rand = assemble_schrodinger(grid, v0_nodes + v_omega)
             rand = dense_eigvals(h_rand)[:k]
@@ -154,7 +153,7 @@ class TestDiscretizationSpectra:
         grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
                         boundary="periodic")
         model = load_model(SWEEP_MODEL)
-        cfg = sample_configuration(11, model.sites_for(grid), model.disorder)
+        cfg = DisorderConfiguration(11, model.disorder)
         op = assemble_schrodinger(
             grid, model.background.evaluate(grid.nodes())
             + assemble_random_potential(cfg, model.profiles_for(grid), grid))
@@ -183,9 +182,7 @@ class TestEigenvalueLifting:
                 spec = EventSpec(dimension=2, l=l, L=LIFTING_BOX,
                                  eta=model.disorder.eta,
                                  kappa=model.disorder.kappa)
-                sites = sorted(set(model.sites_for(grid)) |
-                               set(spec.required_sites()))
-                cfg = _event_configuration(model, spec, sites,
+                cfg = _event_configuration(model, spec,
                                            REFERENCE_SEED + trial_seed, 200)
                 rec = lifting_experiment(box, cfg, spec, b,
                                          model.disorder.eta,
@@ -321,11 +318,9 @@ class TestConditionalCertainty:
             spec = EventSpec(dimension=2, l=per.l, L=per.L,
                              eta=model.disorder.eta,
                              kappa=model.disorder.kappa)
-            sites = sorted(set(model.sites_for(grid)) |
-                           set(spec.required_sites()))
             profiles = model.profiles_for(grid)
             for rec in certified[:5]:
-                cfg = sample_configuration(rec["seed"], sites, model.disorder)
+                cfg = DisorderConfiguration(rec["seed"], model.disorder)
                 assert event_A_indicator(cfg, spec)
                 h = assemble_schrodinger(
                     grid, model.background.evaluate(grid.nodes())

@@ -150,6 +150,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == f"input error: {message}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_coupling_law_outside_unit_interval_is_input_error(
+            self, tmp_path, capsys, seed):
+        # mass 1e-9 at omega = 2: every seed is refused at load, also one
+        # whose draws never land there
+        plan = shipped("reference_plan")
+        plan.update(L_values=[6], trials=5)
+        plan["model"]["disorder"] = {
+            "kind": "truncated", "values": [0, 0.5, 1, 2],
+            "probs": [0.004, 0.83, 0.165999999, 1e-9], "eta": 0.5}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        out = tmp_path / "art"
+        argv = ["ise", "--plan", str(path), "--out", str(out)]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: coupling values must lie in [0, 1]")
+        assert not out.exists()
+
     def test_negative_workers_flag_is_input_error(self, plan_file, capsys):
         assert main(["ise", "--plan", plan_file, "--workers", "-3"]) == 1
         assert capsys.readouterr().err.strip() == (

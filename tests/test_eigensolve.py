@@ -12,9 +12,10 @@ from iselab.eigensolve import (TOL_EIG, background_eigs_below,
 from iselab.errors import SolverError
 from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
                          laplacian_matrix)
-from iselab.potentials import (Box, constant_potential, indicator_profile,
-                               load_model, sample_configuration,
-                               separable_square_potential, zero_potential)
+from iselab.potentials import (Box, DisorderConfiguration,
+                               constant_potential, indicator_profile,
+                               load_model, separable_square_potential,
+                               zero_potential)
 from iselab.ucp import verify_gap_hypothesis
 
 from conftest import shipped
@@ -144,7 +145,7 @@ class TestCountBelow:
         checked = 0
         for model, L, energies in cases:
             box = model.box(GridSpec.per_unit(2, L, 9, "periodic"))
-            cfg = sample_configuration(7, box.sites, model.disorder)
+            cfg = DisorderConfiguration(7, model.disorder)
             for mat in (box.hamiltonian(np.zeros(box.grid.num_points)),
                         box.hamiltonian(box.potential(cfg))):
                 assert mat.format == "csr"

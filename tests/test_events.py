@@ -17,14 +17,15 @@ from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
 
 
 class TestEventIndicator:
-    def test_all_qualifying_sites(self, config_from):
+    def test_all_qualifying_sites(self, brute_force_cells, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        cfg = config_from({s: 1.0 for s in spec.required_sites()})
+        cfg = config_from({s: 1.0 for _, cell in brute_force_cells(spec)
+                           for s in cell})
         assert event_A_indicator(cfg, spec)
 
-    def test_one_dead_cell(self, config_from):
+    def test_one_dead_cell(self, brute_force_cells, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        values = {s: 1.0 for s in spec.required_sites()}
+        values = {s: 1.0 for _, cell in brute_force_cells(spec) for s in cell}
         values[(1, -1)] = 0.0
         assert not event_A_indicator(config_from(values), spec)
 
@@ -141,7 +142,6 @@ class TestCellTable:
         assert rows == [sites for _, sites in want]
         flat = [s for row in rows for s in row]
         assert len(set(flat)) == len(flat)
-        assert spec.required_sites() == flat
 
 
 class TestCellCount:

@@ -18,8 +18,8 @@ from iselab.events import (EventSpec, cell_choice, cell_hits,
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_eigenvalues
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
-from iselab.potentials import (DisorderDistribution, load_model,
-                               sample_configuration, zero_potential)
+from iselab.potentials import (DisorderConfiguration, DisorderDistribution,
+                               load_model, zero_potential)
 from iselab.ucp import equidistributed_from_event
 
 from conftest import MODELS, reference_plan, shipped
@@ -43,6 +43,14 @@ class TestBandEdge:
                         boundary="periodic")
         with pytest.raises(GapNotFoundError):
             band_edge_of_background(grid, zero_potential(), hint=-1.0)
+
+    def test_unknown_mode_raises(self):
+        # a typo once ran gap mode silently
+        grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
+                        boundary="periodic")
+        with pytest.raises(ValueError, match="unknown band_edge mode 'botom'"):
+            band_edge_of_background(grid, zero_potential(), hint=1.0,
+                                    mode="botom")
 
     def test_gap_endpoints_match_dense_diagonalization(self, gapped_model,
                                                        dense_eigvals):
@@ -112,8 +120,7 @@ def public_path_record(model, grid, spec, b, width, seed):
 
     V_omega is summed profile by profile here, not read from U @ omega.
     """
-    sites = sorted(set(model.sites_for(grid)) | set(spec.required_sites()))
-    cfg = sample_configuration(seed, sites, model.disorder)
+    cfg = DisorderConfiguration(seed, model.disorder)
     profiles = model.profiles_for(grid)
     v0_nodes = model.background.evaluate(grid.nodes())
     v_omega = np.zeros(grid.num_points)
@@ -675,8 +682,8 @@ class TestCountsOnGrid:
                         boundary=data.draw(st.sampled_from(
                             ("periodic", "dirichlet", "neumann"))))
         box = model.box(grid)
-        h = box.hamiltonian(box.potential(sample_configuration(
-            data.draw(st.integers(0, 2 ** 32)), box.sites, model.disorder)))
+        h = box.hamiltonian(box.potential(DisorderConfiguration(
+            data.draw(st.integers(0, 2 ** 32)), model.disorder)))
         values = box.spectrum.values
         s = box.envelope
         top = float(values[min(40, values.size - 1)]) + s
@@ -708,7 +715,7 @@ class TestCountsOnGrid:
         s = box.envelope
         assert s == pytest.approx(1.0)   # disjoint unit balls
         h = box.hamiltonian(box.potential(
-            sample_configuration(7, box.sites, model.disorder)))
+            DisorderConfiguration(7, model.disorder)))
         closed = 0
         for e in np.linspace(0.0, 6.0, 25):
             n = count_below(h, e)
@@ -781,8 +788,8 @@ class TestEnclosure:
                         boundary=data.draw(st.sampled_from(
                             ("periodic", "dirichlet", "neumann"))))
         box = model.box(grid)
-        h = box.hamiltonian(box.potential(sample_configuration(
-            data.draw(st.integers(0, 2 ** 32)), box.sites, model.disorder)))
+        h = box.hamiltonian(box.potential(DisorderConfiguration(
+            data.draw(st.integers(0, 2 ** 32)), model.disorder)))
         values, s = box.spectrum.values, box.envelope
         top = data.draw(st.floats(float(values[0]), float(values[-1])))
         if data.draw(st.booleans()):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import pickle
 
@@ -8,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iselab import rng
-from iselab.errors import (MissingProfileError, MissingSiteError,
-                           UnresolvableBallError)
+from iselab.errors import UnresolvableBallError
 from iselab.grid import GridSpec
-from iselab.potentials import (Box, assemble_random_potential, bernoulli,
-                               cone_profile, constant_potential,
+from iselab.potentials import (Box, DisorderConfiguration,
+                               DisorderDistribution, assemble_random_potential,
+                               bernoulli, cone_profile, constant_potential,
                                indicator_profile, load_model,
-                               sample_configuration,
                                separable_square_potential, site_matrix,
                                truncated, uniform01, verify_single_site_bound,
                                zero_potential)
+
+
+# one law of each kind, every value a coupling can take drawn often
+LAWS = {"uniform01": uniform01(),
+        "bernoulli": bernoulli(0.3, kappa=0.3),
+        "truncated": truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)}
 
 
 @pytest.fixture
@@ -74,51 +78,44 @@ class TestSeparableEvaluation:
 
 class TestDisorderDistributions:
     def test_bernoulli_one_is_degenerate(self):
-        cfg = sample_configuration(1, [(0, 0), (1, 2)], bernoulli(1.0))
-        assert np.all(cfg[cfg.sites] == 1.0)
+        cfg = DisorderConfiguration(1, bernoulli(1.0))
+        assert np.all(cfg[np.array([(0, 0), (1, 2)])] == 1.0)
 
     def test_same_seed_same_site_reproduces(self):
         d = uniform01()
-        a = sample_configuration(5, [(2, -3)], d)[(2, -3)]
-        b = sample_configuration(5, [(2, -3)], d)[(2, -3)]
+        a = DisorderConfiguration(5, d)[(2, -3)]
+        b = DisorderConfiguration(5, d)[(2, -3)]
         assert a == b
 
     def test_sampling_is_enumeration_order_free(self):
-        d = uniform01()
+        cfg = DisorderConfiguration(3, uniform01())
         sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-        a = sample_configuration(3, sites, d)
-        b = sample_configuration(3, list(reversed(sites)), d)
-        assert all(a[s] == b[s] for s in sites)
-
-    def test_duplicate_sites_rejected(self):
-        for sites in ([(0, 1), (2, 3), (0, 1)],
-                      np.array([[0, 1], [2, 3], [0, 1]])):
-            with pytest.raises(ValueError, match="distinct"):
-                sample_configuration(1, sites, uniform01())
+        a = cfg[np.array(sites)]
+        b = cfg[np.array(sites[::-1])]
+        assert np.array_equal(a, b[::-1])
+        assert all(a[k] == cfg[s] for k, s in enumerate(sites))
 
     def test_matches_the_per_site_stream(self):
-        dist = truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)
+        dist = LAWS["truncated"]
         sites = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
         want = [float(dist.from_uniform(rng.uniform_at(7, rng.SITE_VALUES, s)))
                 for s in sites]
-        for given in (sites, np.array(sites), sites[::-1]):
-            cfg = sample_configuration(7, given, dist)
-            assert cfg.sites.dtype == np.int64 and cfg.values.dtype == float
-            assert np.array_equal(cfg.sites, sites)   # lexicographic rows
-            assert np.array_equal(cfg.values, want)
-        empty = sample_configuration(7, [], dist)
-        assert empty.sites.size == 0 and empty.values.size == 0
+        cfg = DisorderConfiguration(7, dist)
+        for given, order in ((sites, want), (np.array(sites), want),
+                             (sites[::-1], want[::-1])):
+            got = cfg[given]
+            assert got.dtype == float and np.array_equal(got, order)
+        assert cfg[np.empty((0, 2), dtype=np.int64)].shape == (0,)
 
     def test_uniform_bulk_mean(self):
         sites = [(i, 0) for i in range(100_000)]
-        cfg = sample_configuration(2, sites, uniform01())
-        values = cfg[np.array(sites)]
+        values = DisorderConfiguration(2, uniform01())[np.array(sites)]
         assert abs(values.mean() - 0.5) < 3 * 0.51 / math.sqrt(100_000)
 
     def test_empirical_threshold_mass_meets_kappa(self):
-        dist = truncated([0.0, 0.5, 1.0], [0.004, 0.83, 0.166], eta=0.5)
+        dist = LAWS["truncated"]
         sites = [(i, 1) for i in range(100_000)]
-        cfg = sample_configuration(4, sites, dist)
+        cfg = DisorderConfiguration(4, dist)
         frequency = np.mean(cfg[np.array(sites)] >= dist.eta)
         assert frequency >= dist.kappa - 5e-3
 
@@ -131,49 +128,66 @@ class TestDisorderDistributions:
             uniform01(eta=0.9, kappa=0.5)
 
     def test_values_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            dist = truncated([0.0, 1.5], [0.5, 0.5], eta=0.5)
-            dist.from_uniform(np.array([0.9]))
+        # refused when built: a draw need not land on the bad value, as
+        # with mass 1e-9 at 2.0
+        for values, probs in (([0.0, 1.5], [0.5, 0.5]), ([0, 2], [0.5, 0.5]),
+                              ([-0.5, 1.0], [0.5, 0.5]),
+                              ([0, 0.5, 1, 2], [0.004, 0.83, 0.165999999, 1e-9])):
+            with pytest.raises(ValueError, match="values must lie in"):
+                truncated(values, probs, eta=0.5)
+            with pytest.raises(ValueError, match="values must lie in"):
+                DisorderDistribution("truncated", 0.5, 0.5,
+                                     (tuple(values), tuple(probs)))
 
-    def test_missing_site_lookup_raises(self, config_from):
-        cfg = config_from({(0, 0): 1.0})
-        with pytest.raises(MissingSiteError):
+    def test_bernoulli_p_outside_unit_interval_rejected(self):
+        for p in (1.5, -0.5):
+            with pytest.raises(ValueError, match="bernoulli p"):
+                bernoulli(p, 0.5, 0.5)
+            with pytest.raises(ValueError, match="bernoulli p"):
+                bernoulli(p)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown distribution kind"):
+            DisorderDistribution("gaussian", 0.5, 0.5)
+
+    def test_planted_double_raises_on_an_unplanted_site(self, config_from):
+        cfg = config_from({(0, 0): 1.0, (1, 0): 0.5})
+        assert cfg[(1, 0)] == 0.5
+        assert np.array_equal(cfg[np.array([[[0, 0], [1, 0]]])], [[1.0, 0.5]])
+        with pytest.raises(KeyError):
             cfg[(5, 5)]
+        with pytest.raises(KeyError):
+            cfg[np.array([(0, 0), (5, 5)])]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_lookup_matches_the_per_site_stream(self, data):
-        d = data.draw(st.integers(1, 3))
-        coord = st.integers(-4, 4)
-        sites = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1,
-                                   max_size=30, unique=True))
-        given = data.draw(st.permutations(sites))
+        # any law, any seed, any shape; duplicate rows and far sites included
+        dist = LAWS[data.draw(st.sampled_from(sorted(LAWS)))]
         seed = data.draw(st.integers(0, 2 ** 63 - 1))
-        dist = uniform01()
-        want = {s: float(dist.from_uniform(
-                    rng.uniform_at(seed, rng.SITE_VALUES, s))) for s in sites}
-        cfg = sample_configuration(seed, np.array(given), dist)
-        assert [tuple(r) for r in cfg.sites.tolist()] == sorted(sites)
-        for s in sites:
-            got = cfg[s]
-            assert type(got) is float and got == want[s]
-        picks = data.draw(st.lists(st.sampled_from(sites), min_size=6,
-                                   max_size=6))
-        query = np.array(picks).reshape(2, 3, d)
-        assert np.array_equal(cfg[query],
-                              np.reshape([want[s] for s in picks], (2, 3)))
-        lo, hi = np.min(sites, axis=0), np.max(sites, axis=0)
-        holes = [s for s in itertools.product(
-                     *[range(a, b + 1) for a, b in zip(lo, hi)])
-                 if s not in want]
-        far = (int(hi[0]) + 50,) + tuple(lo[1:])
-        for absent in holes[:1] + [tuple(hi + 1), tuple(lo - 1), far]:
-            with pytest.raises(MissingSiteError):
-                cfg[absent]
-            with pytest.raises(MissingSiteError):
-                cfg[np.array([sites[0], absent])]
-        with pytest.raises(ValueError, match="distinct"):
-            sample_configuration(seed, np.array(sites + [given[0]]), dist)
+        d = data.draw(st.integers(1, 4))
+        coord = st.one_of(st.integers(-4, 4),
+                          st.integers(-2 ** 62, 2 ** 62))
+        site = st.tuples(*[coord] * d)
+        shape = data.draw(st.sampled_from([(), (None,), (None, None)]))
+        sizes = [data.draw(st.integers(1, 6)) for _ in shape]
+        count = int(np.prod(sizes))
+        rows = data.draw(st.lists(site, min_size=count, max_size=count))
+        if count > 1:
+            rows[-1] = rows[data.draw(st.integers(0, count - 2))]
+        q = np.array(rows, dtype=np.int64).reshape(tuple(sizes) + (d,))
+        want = [dist.from_uniform(rng.uniform_at(seed, rng.SITE_VALUES, r))
+                for r in rows]
+        cfg = DisorderConfiguration(seed, dist)
+        got = cfg[q]
+        if q.ndim == 1:
+            assert type(got) is float and got == want[0]
+            return
+        assert got.shape == q.shape[:-1]
+        assert np.array_equal(got.reshape(-1), want)
+        perm = np.array(data.draw(st.permutations(range(count))))
+        flat = q.reshape(-1, d)
+        assert np.array_equal(cfg[flat[perm]], np.asarray(want)[perm])
 
 
 class TestFieldAssembly:
@@ -207,7 +221,7 @@ class TestFieldAssembly:
         sites = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
         profiles = ([indicator_profile(s, 1.0, 0.45) for s in sites]
                     + [cone_profile(s, 2.0, 0.7, 1.0, 0.3) for s in sites])
-        cfg = sample_configuration(11, sites, uniform01())
+        cfg = DisorderConfiguration(11, uniform01())
         want = np.zeros(grid.num_points)
         for p in profiles:
             idx = grid.nodes_within_ball(p.ball_center, p.support_radius)
@@ -221,15 +235,16 @@ class TestFieldAssembly:
         assert box.matrix.shape[1] < len(profiles)
         assert np.array_equal(box.potential(cfg), want)
 
-    def test_missing_profile_for_contributing_site(self, grid8, config_from):
+    def test_profile_outside_the_box_reads_no_coupling(self, grid8,
+                                                         config_from):
+        # the double raises KeyError on (5, 5): its column holds no node of
+        # the box, so V_omega never reads that coupling
         cfg = config_from({(0, 0): 1.0})
         profile = indicator_profile((0, 0), 1.0, 0.5)
-        broken = [indicator_profile((5, 5), 1.0, 0.5)]
-        with pytest.raises(MissingProfileError):
-            assemble_random_potential(config_from({(5, 5): 1.0}), [profile],
-                                      grid8)
-        # a far-away missing site that cannot touch the box is fine
-        assemble_random_potential(cfg, [profile] + broken, grid8)
+        far = indicator_profile((5, 5), 1.0, 0.5)
+        assert np.array_equal(
+            assemble_random_potential(cfg, [profile, far], grid8),
+            assemble_random_potential(cfg, [profile], grid8))
 
     def test_models_and_profiles_pickle(self, grid8):
         model = load_model({

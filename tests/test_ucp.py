@@ -9,10 +9,9 @@ from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
 from iselab.grid import GridSpec, assemble_schrodinger
-from iselab.potentials import (Box, assemble_random_potential,
-                               indicator_profile, load_model,
-                               sample_configuration, site_matrix,
-                               zero_potential)
+from iselab.potentials import (Box, DisorderConfiguration,
+                               assemble_random_potential, indicator_profile,
+                               load_model, site_matrix, zero_potential)
 from iselab.ucp import (FitSample, UCPBoundParams,
                         equidistributed_from_choice,
                         equidistributed_from_event,
@@ -139,6 +138,11 @@ class TestConstantFit:
             assert np.linalg.norm(u) == pytest.approx(1.0)
 
 
+def event_sites(spec):
+    """Every site of the event's cells, cell by cell, as int tuples."""
+    return [tuple(s) for s in spec.cells().reshape(-1, spec.dimension).tolist()]
+
+
 class TestEquidistributedSelection:
     def _profiles(self, sites, delta=0.45):
         return [indicator_profile(s, 1.0, delta) for s in sites]
@@ -192,7 +196,7 @@ class TestEquidistributedSelection:
 
     def test_event_violation_is_an_error(self, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        cfg = config_from({s: 0.0 for s in spec.required_sites()})
+        cfg = config_from({s: 0.0 for s in event_sites(spec)})
         with pytest.raises(EventViolatedError):
             equidistributed_from_event(cfg, spec, [], None)
 
@@ -222,7 +226,7 @@ class TestLiftingExperiment:
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
-        sites = list(spec.required_sites())
+        sites = event_sites(spec)
         cfg = config_from({s: 1.0 for s in sites})
         profiles = [indicator_profile(s, 1.0, 0.45) for s in sites]
         return grid, spec, cfg, profiles
@@ -270,7 +274,7 @@ class TestLiftingExperiment:
 
     def test_understated_profile_breaks_the_sandwich(self, config_from):
         grid, spec, _, _ = self._setup(config_from)
-        sites = list(spec.required_sites())
+        sites = event_sites(spec)
         # every coupling 0.6 is in the event; the profiles are 0.5 on
         # their balls, so V_omega = 0.3 there
         cfg = config_from({s: 0.6 for s in sites})
@@ -300,8 +304,6 @@ class TestLiftingExperiment:
         spec = EventSpec(dimension=2, l=3, L=4, eta=model.disorder.eta,
                          kappa=model.disorder.kappa)
         profiles = model.profiles_for(grid)
-        sites = sorted(set(model.sites_for(grid)) |
-                       set(spec.required_sites()))
         v0 = model.background
         amplitude = model.disorder.eta * model.coupling_floor
         v0_nodes = v0.evaluate(grid.nodes())
@@ -309,9 +311,8 @@ class TestLiftingExperiment:
         top = dense_eigvals(family(grid, v0, profiles)(1.0))
         checked = 0
         for t in range(6):
-            cfg = sample_configuration(
-                rng.derive_seed(11, rng.TRIAL_STREAM, (0, t)), sites,
-                model.disorder)
+            cfg = DisorderConfiguration(
+                rng.derive_seed(11, rng.TRIAL_STREAM, (0, t)), model.disorder)
             if not event_A_indicator(cfg, spec):
                 continue
             rec = lifting_experiment(model.box(grid), cfg, spec, 0.0,
