@@ -147,17 +147,6 @@ def exact_event_log_probability(spec):
     return -math.exp(z)
 
 
-def exact_event_log_failure(spec):
-    """ln(1 - P[A]), meaningful even when P[A] rounds to 1."""
-    a, log_m, z = _event_logs(spec)
-    if a < -700 or log_m + a < -700:
-        # 1 - (1-g)^M = M g (1 + O(M g)); the correction is far below ulp
-        return log_m + a
-    if z > math.log(745.0):   # P[A] ~ 0; the failure is certain
-        return 0.0
-    return math.log(-math.expm1(-math.exp(z)))
-
-
 def monte_carlo_event_probability(spec, trials, seed, chunk=2048):
     """Estimate P[A] by direct simulation with exact threshold mass kappa.
 

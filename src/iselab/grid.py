@@ -157,26 +157,3 @@ def laplacian_matrix(grid):
 def assemble_schrodinger(grid, diagonal):
     """-Laplacian + diag(diagonal), the CSR matrix of every box Hamiltonian."""
     return laplacian_matrix(grid) + sparse.diags(diagonal)
-
-
-def laplacian_eigenvalues_1d(n, h, boundary):
-    """Closed-form 1D stencil spectrum (sorted for dirichlet/neumann)."""
-    if boundary == "dirichlet":
-        k = np.arange(1, n + 1)
-        return (4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2
-    if boundary == "periodic":
-        m = np.arange(n)
-        return (4.0 / h**2) * np.sin(np.pi * m / n) ** 2
-    if boundary == "neumann":
-        k = np.arange(n)
-        return (4.0 / h**2) * np.sin(np.pi * k / (2 * n)) ** 2
-    raise ValueError(boundary)
-
-
-def laplacian_eigenvalues(grid):
-    """Tensor-sum spectrum of the discrete Laplacian, sorted ascending."""
-    axis = laplacian_eigenvalues_1d(grid.points_per_side, grid.spacing, grid.boundary)
-    total = axis
-    for _ in range(grid.dimension - 1):
-        total = np.add.outer(total, axis).ravel()
-    return np.sort(total)

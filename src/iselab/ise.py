@@ -7,7 +7,7 @@ U of the live profiles) and the certified lower count.  A trial's couplings
 omega are its seed and the model's law (potentials.DisorderConfiguration),
 drawn where they are read: at the box's live sites for V_omega = U @ omega,
 and at the good event's cells.  Then comes at most one count at the top of
-the window (none when the floor decides the trial, a second only when the
+the window (none when a floor decides the trial, a second only when the
 window holds spectrum, for the borderline flag).
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
@@ -24,18 +24,25 @@ and the trial counts at b - tol_eig as well, when U has a negative entry or
 s does not fit below the gap; each per-L entry records which held.
 
 A trial may clear the window by operator order alone.  Couplings are >= 0
-and so is U, so when every omega_j >= eta, V_omega >= eta W node by node and
-H_omega >= H_floor = H0 + eta W, one operator per box size.  When H_floor
-has the certified k eigenvalues below b + width, min-max leaves H_omega's
-window empty.  window_floor counts H_floor once per process and box size
-(an lru_cache on the context, which a pickled copy in each pool chunk
-hits), and a trial whose V_omega >= eta W node by node is decided with no
-factorization of H_omega.  Rounding V0 + x is monotone in x, so the order
-of the two node arrays is that of the diagonals factorized.  Each per-L
-entry counts these trials in `floor_certified`, and in `lift_certified`
-those of them in the good event; every other trial counts as above.  The
-floor is refused for the whole box size when its count differs from the
-certified one, or no count is certified.
+and so is U, so with Z = {j : omega_j < eta} the trial has V_omega >=
+eta U (1 - e_Z) node by node, and H_omega lies above H0 plus that floor.
+When the floor has the certified k eigenvalues below b + width, min-max
+leaves H_omega's window empty.  window_floor counts one floor per process
+and box size (an lru_cache on the context, which a pickled copy in each
+pool chunk hits): the holed floor, every live site but j0 (the one nearest
+the box centre) at eta.  Where -Laplacian + V0 is exactly invariant under
+lattice translations (a periodic box, G / h whole and V0 equal to its roll
+by G / h nodes, bit for bit: Box.lattice_step), rolling the holed floor by
+(site_j - site_j0) G / h nodes permutes H0 plus it into a matrix of the same
+spectrum, so one count decides every trial with |Z| <= 1: Z empty compares
+V_omega with the holed floor, Z = {j} with its roll onto j.  Only where
+that is refused is the plain floor eta W counted, for Z empty.  Rounding
+V0 + x is monotone in x, so the order of the node arrays is that of the
+diagonals factorized.  Each per-L entry counts the trials so decided in
+`floor_certified`, and in `lift_certified` those of them in the good
+event; every other trial counts as above.  Both floors are refused for
+the whole box size when their counts differ from the certified one, and
+neither is counted when no count is certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
 depends on omega only through each cell's chosen site, so its lift above b
@@ -203,23 +210,61 @@ def event_lift(ctx, choice):
 
 @lru_cache(maxsize=16)
 def window_floor(ctx):
-    """(eta W, clears): the context's floor, and whether it clears the window.
+    """(floor, shifts): a floor that clears the window, or (None, None).
 
-    H_floor = H0 + eta W (W = U @ 1) is below every H_omega whose couplings
-    are all >= eta.  `clears` holds when H_floor has exactly the certified
-    count below b + width, so such an H_omega has an empty window; it is
-    false when no count is certified, or H_floor cannot be counted.  Each
-    process builds and counts the floor once per box size.
+    A floor F is a node array, shaped (n,) * d, whose H0 + diag(F) has
+    exactly the certified count below b + width; then every H_omega with
+    V_omega >= F node by node has an empty window.  Tried in turn, each
+    counted once per process and box size:
+    - the holed floor eta U (1 - e_j0), every live site but the one nearest
+      the box centre at eta, when Box.lattice_step finds the lattice
+      translations exact.  `shifts` then holds, per live site j, the node
+      roll (site_j - site_j0) G / h that carries the hole to j: a roll
+      fixes -Laplacian + V0, so the rolled floor has the same count.
+    - the plain floor eta W (W = U @ 1), with `shifts` None.
+    Refused, with nothing counted, when no lower count is certified.
     """
-    floor = ctx.model.disorder.eta * ctx.box.w
-    floor.flags.writeable = False
-    try:
-        # an int count never equals a certified count of None
-        clears = count_below(ctx.box.hamiltonian(floor),
-                             ctx.b + ctx.width) == ctx.certified_below
-    except SolverError:
-        clears = False
-    return floor, clears
+    if ctx.certified_below is None:
+        return None, None
+    box = ctx.box
+    holes = [None]
+    step = box.lattice_step
+    if step is not None and len(box.sites):
+        offset = box.sites * ctx.model.period - np.asarray(box.grid.center)
+        holes.insert(0, int(np.argmin(np.sum(offset ** 2, axis=1))))
+    for hole in holes:
+        couplings = np.ones(len(box.sites))
+        if hole is not None:
+            couplings[hole] = 0.0
+        floor = ctx.model.disorder.eta * (box.matrix @ couplings)
+        try:
+            clears = count_below(box.hamiltonian(floor),
+                                 ctx.b + ctx.width) == ctx.certified_below
+        except SolverError:
+            clears = False
+        if clears:
+            floor = floor.reshape((box.grid.points_per_side,)
+                                  * box.grid.dimension)
+            floor.flags.writeable = False
+            shifts = None if hole is None else \
+                (box.sites - box.sites[hole]) * step
+            return floor, shifts
+    return None, None
+
+
+def floor_certifies(ctx, omega, v_omega):
+    """Whether window_floor's floor lies below V_omega = U @ omega node by
+    node, its hole rolled onto the one site with omega_j < eta if there is
+    exactly one."""
+    floor, shifts = window_floor(ctx)
+    if floor is None:
+        return False
+    if shifts is not None:
+        low = np.flatnonzero(omega < ctx.model.disorder.eta)
+        if low.size == 1:
+            floor = np.roll(floor, tuple(shifts[low[0]]),
+                            axis=tuple(range(floor.ndim)))
+    return bool(np.all(v_omega.reshape(floor.shape) >= floor))
 
 
 def is_event_trial(ctx, seed):
@@ -252,9 +297,9 @@ def run_ise_trial(ctx, seed):
     holds spectrum only within tol_eig of its upper edge), and, when the
     configuration lies in the good event, the observed lift of the test
     perturbation above b (event_lift).  The record's `floor_certified` says
-    whether the floor settled the verdict: V_omega >= eta W node by node
-    gives H_omega >= H_floor, so when H_floor clears the window (window_floor)
-    H_omega's window is empty and H_omega is not factorized.  Otherwise the
+    whether a floor settled the verdict (floor_certifies): H_omega lies above
+    an operator that clears the window (window_floor), so H_omega's window is
+    empty and H_omega is not factorized.  Otherwise the
     count below b - tol_eig is the context's certified one where it holds,
     so the trial factorizes only at b + width (and at b + width - tol_eig
     when the window holds spectrum).
@@ -264,9 +309,9 @@ def run_ise_trial(ctx, seed):
     result = TrialRecord(seed=seed, valid=True, outcome=None,
                          window_count=None, borderline=False, event=None,
                          observed_lift=None)
-    v_omega = box.potential(cfg)   # >= 0 node by node, or it raises
-    floor, clears = window_floor(ctx)
-    result.floor_certified = clears and bool(np.all(v_omega >= floor))
+    omega = cfg[box.sites]
+    v_omega = box.potential_of(omega)   # >= 0 node by node, or it raises
+    result.floor_certified = floor_certifies(ctx, omega, v_omega)
     in_event, lift, lift_error = None, None, None
     if spec is not None:
         table, hits = cell_hits(cfg, spec)

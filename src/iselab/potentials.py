@@ -257,11 +257,6 @@ def site_matrix(profiles, grid):
                               indptr), shape=(grid.num_points, len(profiles)))
 
 
-def assemble_random_potential(cfg, profiles, grid):
-    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid."""
-    return Box.build(grid, zero_potential(), profiles).potential(cfg)
-
-
 @dataclass(frozen=True, eq=False)
 class Box:
     """One box's node data, shared by every operator on it.
@@ -307,13 +302,37 @@ class Box:
         return float(self.w.max(initial=0.0))
 
     @property
+    def lattice_step(self):
+        """Nodes per background period G when rolling the node arrays by
+        that many nodes along any axis leaves -Laplacian + V0 unchanged, bit
+        for bit; None otherwise.
+
+        That needs a periodic box, G / h a whole number, and V0 at the
+        nodes equal to its roll by G / h along every axis.
+        """
+        grid, period = self.grid, self.background.period
+        step = round(period / grid.spacing)
+        if (grid.boundary != "periodic" or step < 1
+                or abs(step * grid.spacing - period) > 1e-12 * period):
+            return None
+        v0 = self.v0.reshape((grid.points_per_side,) * grid.dimension)
+        if all(np.array_equal(np.roll(v0, step, axis=k), v0)
+               for k in range(grid.dimension)):
+            return step
+        return None
+
+    @property
     def spectrum(self):
         """The background spectrum, memoized per (grid, background)."""
         return background_spectrum(self.grid, self.background)
 
     def potential(self, cfg):
         """V_omega = U @ omega at the nodes; >= 0, or it raises."""
-        out = self.matrix @ cfg[self.sites]
+        return self.potential_of(cfg[self.sites])
+
+    def potential_of(self, omega):
+        """U @ omega for the couplings omega at `sites`; >= 0, or it raises."""
+        out = self.matrix @ omega
         if out.size and out.min() < 0:
             raise ValueError("random potential must be nonnegative")
         return out

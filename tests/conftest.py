@@ -1,14 +1,16 @@
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iselab.events import _event_logs
 from iselab.grid import GridSpec
 from iselab.ise import ExperimentPlan
-from iselab.potentials import load_model
+from iselab.potentials import Box, load_model, zero_potential
 
 # the shipped models and plan, found from this file rather than the CWD
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -23,6 +25,48 @@ def reference_plan(**overrides):
     """The shipped reference plan, with `trials` or `workers` overridden."""
     return dataclasses.replace(
         ExperimentPlan.from_json(shipped("reference_plan")), **overrides)
+
+
+# Test oracles: closed forms and helpers that only the tests read.
+
+def laplacian_eigenvalues_1d(n, h, boundary):
+    """Closed-form 1D stencil spectrum (sorted for dirichlet/neumann)."""
+    if boundary == "dirichlet":
+        k = np.arange(1, n + 1)
+        return (4.0 / h**2) * np.sin(np.pi * k / (2 * (n + 1))) ** 2
+    if boundary == "periodic":
+        m = np.arange(n)
+        return (4.0 / h**2) * np.sin(np.pi * m / n) ** 2
+    if boundary == "neumann":
+        k = np.arange(n)
+        return (4.0 / h**2) * np.sin(np.pi * k / (2 * n)) ** 2
+    raise ValueError(boundary)
+
+
+def laplacian_eigenvalues(grid):
+    """Tensor-sum spectrum of the discrete Laplacian, sorted ascending."""
+    axis = laplacian_eigenvalues_1d(grid.points_per_side, grid.spacing,
+                                    grid.boundary)
+    total = axis
+    for _ in range(grid.dimension - 1):
+        total = np.add.outer(total, axis).ravel()
+    return np.sort(total)
+
+
+def exact_event_log_failure(spec):
+    """ln(1 - P[A]), meaningful even when P[A] rounds to 1."""
+    a, log_m, z = _event_logs(spec)
+    if a < -700 or log_m + a < -700:
+        # 1 - (1-g)^M = M g (1 + O(M g)); the correction is far below ulp
+        return log_m + a
+    if z > math.log(745.0):   # P[A] ~ 0; the failure is certain
+        return 0.0
+    return math.log(-math.expm1(-math.exp(z)))
+
+
+def assemble_random_potential(cfg, profiles, grid):
+    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid."""
+    return Box.build(grid, zero_potential(), profiles).potential(cfg)
 
 
 @pytest.fixture

@@ -19,20 +19,17 @@ from iselab.cli import _event_configuration, main
 from iselab.eigensolve import TOL_EIG, TOL_GAP, count_below, eigs_in_window
 from iselab.errors import ScaleWindowError
 from iselab.events import (EventSpec, build_ledger, event_A_indicator,
-                           exact_event_log_failure, exact_event_probability,
-                           min_scale_for_probability,
+                           exact_event_probability, min_scale_for_probability,
                            monte_carlo_event_probability, select_scale)
-from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
-                         laplacian_matrix)
+from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.ise import estimate_ise_probability
-from iselab.potentials import (DisorderConfiguration,
-                               assemble_random_potential, load_model,
-                               site_matrix)
+from iselab.potentials import DisorderConfiguration, load_model, site_matrix
 from iselab.ucp import (FitSample, equidistributed_from_event,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors)
 
-from conftest import reference_plan, shipped
+from conftest import (assemble_random_potential, exact_event_log_failure,
+                      laplacian_eigenvalues, reference_plan, shipped)
 
 REFERENCE_SEED = reference_plan().master_seed
 

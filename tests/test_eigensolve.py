@@ -10,15 +10,14 @@ from iselab.eigensolve import (TOL_EIG, background_eigs_below,
                                background_spectrum, count_below,
                                eigs_in_window, min_eig_above)
 from iselab.errors import SolverError
-from iselab.grid import (GridSpec, assemble_schrodinger, laplacian_eigenvalues,
-                         laplacian_matrix)
+from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.potentials import (Box, DisorderConfiguration,
                                constant_potential, indicator_profile,
                                load_model, separable_square_potential,
                                zero_potential)
 from iselab.ucp import verify_gap_hypothesis
 
-from conftest import shipped
+from conftest import laplacian_eigenvalues, shipped
 
 
 def background(grid, v0):

@@ -9,11 +9,13 @@ from iselab import events
 from iselab.errors import ScaleWindowError, SearchBudgetError
 from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            cell_count, event_A_indicator,
-                           exact_event_log_failure, exact_event_probability,
+                           exact_event_probability,
                            ledger_verdict, lifting_bound,
                            min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
                            wilson_interval)
+
+from conftest import exact_event_log_failure
 
 
 class TestEventIndicator:

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from iselab.errors import MemoryBudgetError
 from iselab.events import EventSpec
-from iselab.grid import (GridSpec, laplacian_eigenvalues,
-                         laplacian_eigenvalues_1d, laplacian_matrix)
+from iselab.grid import GridSpec, laplacian_matrix
+
+from conftest import laplacian_eigenvalues, laplacian_eigenvalues_1d
 
 
 def strict_lattice_count(center, side):

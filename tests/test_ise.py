@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,14 +16,14 @@ from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
 from iselab.errors import GapNotFoundError, SolverError
 from iselab.events import (EventSpec, cell_choice, cell_hits,
                            event_A_indicator, select_scale)
-from iselab.grid import GridSpec, assemble_schrodinger, laplacian_eigenvalues
+from iselab.grid import GridSpec, assemble_schrodinger
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
 from iselab.potentials import (DisorderConfiguration, DisorderDistribution,
                                load_model, zero_potential)
 from iselab.ucp import equidistributed_from_event
 
-from conftest import MODELS, reference_plan, shipped
+from conftest import MODELS, laplacian_eigenvalues, reference_plan, shipped
 
 PLAN = reference_plan()
 REFERENCE_ALPHA = PLAN.alpha
@@ -115,12 +116,14 @@ class TestSingleTrial:
         assert out["outcome"]
 
 
-def public_path_record(model, grid, spec, b, width, seed):
+def public_path_record(model, grid, spec, b, width, seed, cfg=None):
     """One trial rebuilt from the public assembly and counting calls.
 
     V_omega is summed profile by profile here, not read from U @ omega.
+    The couplings are `cfg`, by default the seed's DisorderConfiguration.
     """
-    cfg = DisorderConfiguration(seed, model.disorder)
+    if cfg is None:
+        cfg = DisorderConfiguration(seed, model.disorder)
     profiles = model.profiles_for(grid)
     v0_nodes = model.background.evaluate(grid.nodes())
     v_omega = np.zeros(grid.num_points)
@@ -179,9 +182,10 @@ class TestTrialContext:
 
     def test_trial_equals_the_public_path(self, reference_context):
         # H0 + eta W lifts the band bottom by about 0.2995: below
-        # w = 6^-0.6 ~ 0.341, so the L = 6 floor is refused and no trial is
-        # certified; above w = 8^-0.6 ~ 0.287, so L = 8 trials with every
-        # coupling >= eta are, and the public path counts their H_omega
+        # w = 6^-0.6 ~ 0.341, so the L = 6 floors are refused and no trial
+        # is certified; above w = 8^-0.6 ~ 0.287, and so is the holed floor,
+        # so L = 8 trials with at most one coupling below eta are, and the
+        # public path counts their H_omega
         certified, floored = {}, {}
         for ctx, seeds in (reference_context, reference_box(8)):
             box = ctx.box
@@ -335,6 +339,27 @@ class TestLowerCountCertificate:
         estimate_ise_probability(plan)
         assert sides == [9 * 4, 9 * self.L]
 
+    def test_refused_lower_count_counts_no_floor(self, monkeypatch):
+        # no floor count can match a count that is not certified
+        spec = shipped("reference_gapped")
+        spec["single_site"]["c"] = 40.0
+        ctx = self.context(spec, "gap")
+        assert ctx.certified_below is None
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        ise.window_floor.cache_clear()
+        try:
+            assert ise.window_floor(ctx) == (None, None)
+        finally:
+            ise.window_floor.cache_clear()
+        assert not factorizations
+
     def test_certified_trial_factorizes_once(self, monkeypatch):
         factorizations = []
         real_splu = eigensolve.splu
@@ -373,11 +398,11 @@ def overclaimed_floor(ctx, eta=1.0):
 
 class TestLiftCertificate:
     def test_overclaimed_floor_takes_the_counted_path(self):
-        # at L = 6 the floor H0 + W clears the window, so only the node-wise
-        # check V_omega >= eta W sends these trials to their own count
+        # at L = 6 a floor with eta = 1 clears the window, so only the
+        # node-wise check against it sends these trials to their own count
         ctx, seeds = reference_box(6, trials=12)
         ctx = overclaimed_floor(ctx)
-        assert ise.window_floor(ctx)[1]
+        assert ise.window_floor(ctx)[0] is not None
         failed = 0
         for seed in seeds:
             want, _, _ = public_path_record(ctx.model, ctx.box.grid,
@@ -407,14 +432,15 @@ class TestLiftCertificate:
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
         plan = ExperimentPlan(
             model=shipped("reference_gapped"), L_values=(8,),
-            alpha=REFERENCE_ALPHA, q=1.0, trials=10,
+            alpha=REFERENCE_ALPHA, q=1.0, trials=24,
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         per = estimate_ise_probability(plan).per_L[0]
         assert per.event_count >= 2 and per.lift_certified >= 2
         assert per.floor_certified > per.lift_certified
         assert len(solves) == 1
-        # the lift's factor and the floor's count, then H_omega's counts on
-        # every trial the floor did not settle
+        # the lift's factor and the holed floor's count, then H_omega's
+        # counts on every trial the floor did not settle: at L = 8 the
+        # first trial with two couplings below eta is the 24th
         counted = [r for r in per.trial_records if not r.floor_certified]
         assert counted
         assert len(factorizations) == 2 + sum(
@@ -429,7 +455,8 @@ class TestFloorCertificate:
                                                 width, data):
         # omega_j >= eta on every site gives V_omega >= eta W node by node,
         # so by min-max no H_omega has more eigenvalues below b + width
-        # than H0 + eta W; where the floor clears the window, none is in it
+        # than H0 + eta W; where a floor clears the window (the holed one
+        # lies below eta W), none is in it
         model = dataclasses.replace(
             load_model(shipped("reference_gapped")),
             disorder=DisorderDistribution("uniform01", eta,
@@ -440,7 +467,7 @@ class TestFloorCertificate:
                                        hint=REFERENCE_GAP_HINT)
         ctx = TrialContext(model, grid, None, b, width)
         box = ctx.box
-        floor, clears = ise.window_floor(ctx)
+        floor = eta * box.w
         omega = data.draw(st.lists(st.floats(eta, 1.0), min_size=len(box.sites),
                                    max_size=len(box.sites)))
         v_omega = box.matrix @ np.array(omega)
@@ -448,15 +475,16 @@ class TestFloorCertificate:
         top = b + width
         count = np.sum(dense_eigvals(box.hamiltonian(v_omega)) < top)
         assert count <= np.sum(dense_eigvals(box.hamiltonian(floor)) < top)
-        if clears:
+        if ise.window_floor(ctx)[0] is not None:
             assert count == ctx.certified_below
 
     def test_refused_floor_counts_every_trial(self):
         # at L = 6 the floor H0 + W / 2 has two eigenvalues more than the
-        # certified 36 below b + w: every trial counts its own H_omega
+        # certified 36 below b + w, and the holed floor below it at least as
+        # many: every trial counts its own H_omega
         ctx, seeds = reference_box(6)
         assert ctx.certified_below == 36
-        assert not ise.window_floor(ctx)[1]
+        assert ise.window_floor(ctx)[0] is None
         assert not any(run_ise_trial(ctx, s).floor_certified for s in seeds)
 
     def test_floor_is_counted_once_per_box_size(self, monkeypatch):
@@ -473,7 +501,8 @@ class TestFloorCertificate:
         floor = ise.window_floor(ctx)
         # a pickled context is a new object, and still finds the floor
         assert ise.window_floor(pickle.loads(pickle.dumps(ctx))) is floor
-        assert len(counts) == 1 and floor[1]
+        # the holed floor clears, so the plain one is not counted
+        assert len(counts) == 1 and floor[1] is not None
 
     def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
         ctx, _ = reference_box(8)
@@ -484,12 +513,13 @@ class TestFloorCertificate:
         monkeypatch.setattr(ise, "count_below", fail)
         ise.window_floor.cache_clear()
         try:
-            assert not ise.window_floor(ctx)[1]
+            assert ise.window_floor(ctx)[0] is None
         finally:
             ise.window_floor.cache_clear()
 
     def test_floor_decided_trial_factorizes_nothing(self, monkeypatch):
-        ctx, seeds = reference_box(8)
+        # the 24th trial is the first with two couplings below eta
+        ctx, seeds = reference_box(8, trials=24)
         for seed in seeds:   # warm the lift and the floor
             run_ise_trial(ctx, seed)
         factorizations = []
@@ -500,18 +530,26 @@ class TestFloorCertificate:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(eigensolve, "splu", spy)
-        decided = 0
+        eta = ctx.model.disorder.eta
+        decided, one_low = 0, 0
         for seed in seeds:
             factorizations.clear()
             record = run_ise_trial(ctx, seed)
+            low = np.count_nonzero(
+                DisorderConfiguration(seed, ctx.model.disorder)[ctx.box.sites]
+                < eta)
+            # the holed floor clears at L = 8: it decides every |Z| <= 1
+            assert record.floor_certified == (low <= 1)
             if record.floor_certified:
                 assert not factorizations
                 assert (record["window_count"], record["outcome"],
                         record["borderline"]) == (0, True, False)
                 decided += 1
+                one_low += low == 1
             else:
                 assert factorizations
         assert 1 <= decided < len(seeds)
+        assert one_low >= 1
 
     def test_pool_maps_event_trials_first(self, monkeypatch):
         mapped = []
@@ -533,6 +571,131 @@ class TestFloorCertificate:
         events = [s for s, f in zip(seeds, flags) if f]
         others = [s for s, f in zip(seeds, flags) if not f]
         assert mapped == [events + others]
+
+
+# periodic reference boxes (side, points per unit) small enough for the
+# dense oracle: at most 400 nodes
+SMALL_BOXES = [(2, p) for p in range(5, 11)] + [(3, 5), (3, 6), (4, 5)]
+
+
+def small_box_context(side, points_per_unit, width, spec=None,
+                      boundary="periodic"):
+    """The reference model's context on a small box at the gap edge b."""
+    model = load_model(spec or shipped("reference_gapped"))
+    grid = GridSpec(dimension=2, side=float(side),
+                    spacing=1.0 / points_per_unit, boundary=boundary)
+    _, b = band_edge_of_background(grid, model.background,
+                                   hint=REFERENCE_GAP_HINT)
+    event = EventSpec(dimension=2, l=1, L=int(side), eta=model.disorder.eta,
+                      kappa=model.disorder.kappa)
+    return TrialContext(model, grid, event, b, width)
+
+
+def floor_counts(monkeypatch, ctx):
+    """(window_floor(ctx) counted afresh, the number of counts it made)."""
+    counts = []
+    real = ise.count_below
+
+    def spy(*args):
+        counts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ise, "count_below", spy)
+    ise.window_floor.cache_clear()
+    try:
+        return ise.window_floor(ctx), len(counts)
+    finally:
+        ise.window_floor.cache_clear()
+
+
+class TestTranslatedFloor:
+    """The holed floor, rolled onto the one site with omega_j < eta."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(box_size=st.sampled_from(SMALL_BOXES),
+           width=st.floats(0.01, 0.3), data=st.data())
+    def test_certificate_holds_against_the_dense_count(
+            self, dense_eigvals, config_from, box_size, width, data):
+        ctx = small_box_context(*box_size, width)
+        box, eta = ctx.box, ctx.model.disorder.eta
+        # couplings in [eta, 1] at the box's and the event's sites, then at
+        # most one live site, inside or on the boundary, below eta
+        sites = np.unique(np.concatenate(
+            [box.sites, ctx.event_spec.cells().reshape(-1, 2)]), axis=0)
+        values = dict(zip(map(tuple, sites.tolist()), data.draw(st.lists(
+            st.floats(eta, 1.0), min_size=len(sites), max_size=len(sites)))))
+        low = data.draw(st.none() | st.integers(0, len(box.sites) - 1))
+        if low is not None:
+            values[tuple(box.sites[low].tolist())] = data.draw(
+                st.floats(0.0, eta, exclude_max=True))
+        cfg = config_from(values)
+        with mock.patch.object(ise, "DisorderConfiguration",
+                               lambda seed, dist: cfg):
+            record = run_ise_trial(ctx, 0)
+        want, _, h = public_path_record(ctx.model, box.grid, ctx.event_spec,
+                                        ctx.b, ctx.width, 0, cfg)
+        assert_records_match(record, want)
+        if ise.window_floor(ctx)[1] is not None:
+            # the holed floor clears: it decides every trial with |Z| <= 1
+            assert record.floor_certified
+        if record.floor_certified:
+            vals = dense_eigvals(h)
+            assert not np.any((vals >= ctx.b - TOL_EIG)
+                              & (vals < ctx.b + ctx.width))
+
+    def test_every_site_rolls_the_hole_onto_itself(self, dense_eigvals,
+                                                     config_from):
+        # side 2: every live site but the centre is a boundary half ball,
+        # whose hole the roll wraps around the box
+        ctx = small_box_context(2, 6, 0.1)
+        box, eta = ctx.box, ctx.model.disorder.eta
+        assert ise.window_floor(ctx)[1] is not None
+        sites = [tuple(j) for j in ctx.event_spec.cells().reshape(-1, 2)
+                 .tolist()]
+        assert sorted(sites) == sorted(map(tuple, box.sites.tolist()))
+        for low in sites:
+            cfg = config_from({j: 0.0 if j == low else eta for j in sites})
+            with mock.patch.object(ise, "DisorderConfiguration",
+                                   lambda seed, dist: cfg):
+                record = run_ise_trial(ctx, 0)
+            assert record.floor_certified, low
+            vals = dense_eigvals(box.hamiltonian(box.potential(cfg)))
+            assert np.sum(vals < ctx.b + ctx.width) == ctx.certified_below
+
+    def test_reference_boxes_translate_by_one_period(self):
+        for side in (6, 9):
+            box = small_box_context(side, 9, 0.1).box
+            assert box.lattice_step == 9
+
+    def test_dirichlet_and_neumann_boxes_refuse_translation(self,
+                                                            monkeypatch):
+        for boundary in ("dirichlet", "neumann"):
+            ctx = small_box_context(2, 6, 0.1, boundary=boundary)
+            assert ctx.box.lattice_step is None
+            # only the plain floor is counted
+            (_, shifts), counted = floor_counts(monkeypatch, ctx)
+            assert shifts is None and counted == 1
+
+    def test_period_off_the_nodes_refuses_translation(self, monkeypatch):
+        # G / h = 0.75 * 5 = 3.75 nodes; the plain floor still clears
+        spec = shipped("reference_gapped")
+        spec["G"] = 0.75
+        ctx = small_box_context(2, 5, 0.1, spec=spec)
+        assert ctx.box.lattice_step is None
+        (floor, shifts), counted = floor_counts(monkeypatch, ctx)
+        assert floor is not None and shifts is None and counted == 1
+
+    def test_background_that_a_roll_moves_refuses_translation(self):
+        # G / h = 10 nodes, but the periodic box is 25 nodes wide: a roll by
+        # 10 moves the square wave, and only the constant V0 stays put
+        spec = shipped("reference_gapped")
+        box = load_model(spec).box(GridSpec(dimension=2, side=2.5,
+                                            spacing=0.1))
+        assert box.lattice_step is None
+        spec["V0"] = {"kind": "constant", "value": 3.0}
+        box = load_model(spec).box(GridSpec(dimension=2, side=2.5,
+                                            spacing=0.1))
+        assert box.lattice_step == 10
 
 
 class TestPlan:

@@ -5,9 +5,11 @@ from iselab.eigensolve import check_t_grid
 from iselab.errors import IselabError
 from iselab.events import EventSpec
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
-from iselab.potentials import (assemble_random_potential, constant_potential,
-                               indicator_profile, site_matrix, zero_potential)
+from iselab.potentials import (constant_potential, indicator_profile,
+                               site_matrix, zero_potential)
 from iselab.ucp import equidistributed_from_choice
+
+from conftest import assemble_random_potential
 
 
 @pytest.fixture

@@ -10,12 +10,13 @@ from iselab import rng
 from iselab.errors import UnresolvableBallError
 from iselab.grid import GridSpec
 from iselab.potentials import (Box, DisorderConfiguration,
-                               DisorderDistribution, assemble_random_potential,
-                               bernoulli, cone_profile, constant_potential,
-                               indicator_profile, load_model,
-                               separable_square_potential, site_matrix,
-                               truncated, uniform01, verify_single_site_bound,
-                               zero_potential)
+                               DisorderDistribution, bernoulli, cone_profile,
+                               constant_potential, indicator_profile,
+                               load_model, separable_square_potential,
+                               site_matrix, truncated, uniform01,
+                               verify_single_site_bound, zero_potential)
+
+from conftest import assemble_random_potential
 
 
 # one law of each kind, every value a coupling can take drawn often

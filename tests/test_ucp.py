@@ -9,8 +9,7 @@ from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
 from iselab.events import EventSpec, event_A_indicator, lifting_bound
 from iselab.grid import GridSpec, assemble_schrodinger
-from iselab.potentials import (Box, DisorderConfiguration,
-                               assemble_random_potential, indicator_profile,
+from iselab.potentials import (Box, DisorderConfiguration, indicator_profile,
                                load_model, site_matrix, zero_potential)
 from iselab.ucp import (FitSample, UCPBoundParams,
                         equidistributed_from_choice,
@@ -19,7 +18,7 @@ from iselab.ucp import (FitSample, UCPBoundParams,
                         random_subspace_vectors, ucp_theoretical_bound,
                         verify_gap_hypothesis)
 
-from conftest import shipped
+from conftest import assemble_random_potential, shipped
 
 
 @pytest.fixture
