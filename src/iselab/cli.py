@@ -28,8 +28,8 @@ from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
 from .eigensolve import T_GRID_RULE, background_eigs_below
 from .events import (EventSpec, build_ledger, event_A_indicator,
-                     exact_event_probability, monte_carlo_event_probability,
-                     scale_window)
+                     exact_event_probability, min_scale_for_probability,
+                     monte_carlo_event_probability, scale_window)
 from .grid import GridSpec
 from .ise import (BAND_EDGE_MODES, ExperimentPlan, band_edge_of_background,
                   estimate_ise_probability, ids_estimate)
@@ -161,6 +161,9 @@ def cmd_scale(args):
         print(f"ledger verdict: {ledger.verdict}")
         for line in ledger.failing():
             print(f"  failing: {line.name}")
+        data["smallest_L"] = min_scale_for_probability(
+            args.d, args.alpha, args.q, args.kappa, args.eta, args.c)
+        print(f"smallest true L (None past e^700): {data['smallest_L']}")
         if not ledger.verdict:
             code = EXIT_ASSERTION
     return code, {"scale.json": data}

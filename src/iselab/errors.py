@@ -30,7 +30,7 @@ class GapNotFoundError(IselabError):
 
 
 class SearchBudgetError(IselabError):
-    """Upward scan / bisection exceeded its iteration budget."""
+    """lift or ucp drew no configuration in the good event in --attempts."""
 
 
 class EventViolatedError(IselabError):

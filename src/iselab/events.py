@@ -5,6 +5,8 @@ large-deviation estimate (1-kappa)^(l^d) into a probability bound of the
 form 1 - L^(-q), together with the scale window that trades that bound
 against the exp(-l^(7/5)) eigenvalue lift.  All smallness is tracked in
 log space: the exponents involved underflow doubles almost immediately.
+The chain holds "for L large enough": min_scale_for_probability finds the
+smallest such L exactly, one bisection per scale l, up to e^700.
 
 The cells have a closed form.  For odd l <= L they are the open cubes
 Lambda_l(j) of side l centered at j = l * (-m..m)^d, m = (2L - 1) // (2l),
@@ -21,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .errors import ScaleWindowError, SearchBudgetError
+from .errors import ScaleWindowError
 
 
 @dataclass(frozen=True)
@@ -188,7 +190,7 @@ def scale_window(L, alpha):
         raise ValueError("alpha must be positive")
     if L < 2:
         raise ScaleWindowError(f"L={L} too small for any scale window")
-    x = (alpha * math.log(L)) ** (2.0 / 3.0)
+    x = _window_x(L, alpha)
     l = int(math.floor(x))
     if l % 2 == 0:
         l -= 1
@@ -197,6 +199,10 @@ def scale_window(L, alpha):
             f"no odd integer in ({x / 2.0:.6g}, {x:.6g}] for L={L}, alpha={alpha}"
         )
     return l, x
+
+
+def _window_x(L, alpha):
+    return (alpha * math.log(L)) ** (2.0 / 3.0)
 
 
 def select_scale(L, alpha):
@@ -289,7 +295,9 @@ def _ledger_table(d, L, alpha, q, kappa, eta, c):
         ("ln_L_at_least_one", 1.0, "<=", ln_l),
         ("per_cell_failure_vs_target", a_cell, "<=", -log_two_l_d + log_target),
         ("sufficient_large_L", needed, "<=", have),
-        ("cell_count_vs_doubled_box", log_m, "<=", log_two_l_d),
+        # M <= (2L)^d in integers; log is monotone, so rounding cannot
+        # reverse it, as it can in d (ln 2 + ln L)
+        ("cell_count_vs_doubled_box", log_m, "<=", math.log((2 * L) ** d)),
         ("union_bound_vs_target", log_m + a_cell, "<=", log_target),
         ("lifting_at_selected_scale", lift_exponent, "<=", lift_room),
         ("lifting_scale_free", (alpha * ln_l) ** (14.0 / 15.0), "<=", lift_room),
@@ -334,41 +342,49 @@ def ledger_verdict(dimension, L, alpha, q, kappa, eta, c):
     return all(_HOLDS[rel](lhs, rhs) for _, lhs, rel, rhs in table)
 
 
-def min_scale_for_probability(dimension, alpha, q, kappa, eta, c,
-                              strategy="scan", max_iterations=5_000_000):
-    """Smallest L with a true ledger verdict.
+# the search gives up on bands of one scale l that start above e^700
+_L_BUDGET = int(math.exp(700.0))
 
-    'scan' walks L upward one integer at a time; 'bisect' brackets by
-    doubling and then binary-searches.  'bisect' assumes the verdict is
-    monotone in L, true on every L from the smallest one up to the bracket;
-    where it is, both return the same exact integer.
+
+def _first(pred, lo, hi):
+    """Smallest L in [lo, hi) with pred(L), or hi; pred false, then true."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def min_scale_for_probability(dimension, alpha, q, kappa, eta, c):
+    """Smallest L >= 3 with a true ledger verdict, or None beyond e^700.
+
+    Exact: the L at which scale_window picks one l form a band, and within
+    a band the verdict is false, then true, so bisection finds its first
+    true L.  The answer lies in the first band whose last L is true.
     """
+    # A band is where x = (alpha ln L)^(2/3) lies in [l, min(l + 2, 2l)).
+    # In it sufficient_large_L (d >= 2) and both lifting lines rise with L;
+    # the window lines, ln L >= 1 and M <= (2L)^d always hold.  With
+    # K = -ln(1 - kappa), sufficient_large_L times ln L >= 1 gives
+    # (q + d) ln L + d ln 2 <= K (x/2)^d < K l^d, the per-cell line, and
+    # ln M <= d ln 2L turns that into the union line; so neither decides.
+    if dimension < 2 or not alpha > 0:
+        raise ValueError("the search needs d >= 2 and alpha > 0")
+
     def verdict(L):
         return ledger_verdict(dimension, L, alpha, q, kappa, eta, c)
 
-    if strategy == "scan":
-        L = 3
-        for _ in range(max_iterations):
-            if verdict(L):
-                return L
-            L += 1
-        raise SearchBudgetError(f"no true verdict up to L={L}")
-    if strategy == "bisect":
-        hi = 3
-        for _ in range(max_iterations):
-            if verdict(hi):
-                break
-            hi *= 2
-            if math.log(hi) > 10 ** 7:
-                raise SearchBudgetError("doubling exceeded the log budget")
-        else:
-            raise SearchBudgetError("bracket not found")
-        lo = max(3, hi // 2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if verdict(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return hi
-    raise ValueError(f"unknown strategy {strategy!r}")
+    l, lo = 1, 3
+    while True:
+        lo = _first(lambda L: _window_x(L, alpha) >= l, lo, _L_BUDGET + 1)
+        if lo > _L_BUDGET:
+            return None
+        # ln L grows at most 2^1.5 < 3 times across a band, so it ends
+        # below lo^3
+        hi = _first(lambda L: _window_x(L, alpha) >= min(l + 2, 2 * l), lo,
+                    lo ** 3)
+        if lo < hi and verdict(hi - 1):
+            return _first(verdict, lo, hi - 1)
+        l, lo = l + 2, hi

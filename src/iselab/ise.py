@@ -489,8 +489,6 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     This is a diagnostic only: the slope statistic is reported where
     N(E) - N(E0) lies in (0, 1) and no limit claim is attached.
     """
-    if isinstance(model, dict):
-        model = load_model(model)
     E_grid = list(E_grid)
     if trials < 1 or not E_grid or E_grid != sorted(E_grid):
         raise ValueError("need trials >= 1 and a nonempty, sorted E_grid")

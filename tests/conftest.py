@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iselab.events import _event_logs
+from iselab.events import _event_logs, ledger_verdict
 from iselab.grid import GridSpec
 from iselab.ise import ExperimentPlan
 from iselab.potentials import Box, load_model, zero_potential
@@ -62,6 +62,18 @@ def exact_event_log_failure(spec):
     if z > math.log(745.0):   # P[A] ~ 0; the failure is certain
         return 0.0
     return math.log(-math.expm1(-math.exp(z)))
+
+
+def min_scale_by_scan(dimension, alpha, q, kappa, eta, c, last=5_000_000):
+    """Smallest L >= 3 with a true ledger verdict, walking L one at a time.
+
+    The oracle of events.min_scale_for_probability: it reads the verdict
+    alone, assumes nothing about its shape in L and fails past `last`.
+    """
+    for L in range(3, last):
+        if ledger_verdict(dimension, L, alpha, q, kappa, eta, c):
+            return L
+    raise AssertionError(f"no true verdict below L={last}")
 
 
 def assemble_random_potential(cfg, profiles, grid):

@@ -29,7 +29,8 @@ from iselab.ucp import (FitSample, equidistributed_from_event,
                         random_subspace_vectors)
 
 from conftest import (assemble_random_potential, exact_event_log_failure,
-                      laplacian_eigenvalues, reference_plan, shipped)
+                      laplacian_eigenvalues, min_scale_by_scan,
+                      reference_plan, shipped)
 
 REFERENCE_SEED = reference_plan().master_seed
 
@@ -271,9 +272,9 @@ class TestLedgerSoundness:
                           q=float(gen.uniform(0.05, 0.3)),
                           kappa=float(gen.uniform(0.97, 0.999)),
                           eta=0.5, c=1.0)
-            scan = min_scale_for_probability(3, strategy="scan", **params)
-            bisect = min_scale_for_probability(3, strategy="bisect", **params)
-            assert scan == bisect
+            scan = min_scale_by_scan(3, **params)
+            solve = min_scale_for_probability(3, **params)
+            assert scan == solve
 
 
 class TestConditionalCertainty:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from iselab.cli import main
-from iselab.events import lifting_bound
+from iselab.events import lifting_bound, min_scale_for_probability
 
 from conftest import MODELS, shipped
 
@@ -56,6 +56,24 @@ class TestPrintedValues:
         assert out.startswith("l = 3 ")
         assert "window" in out
 
+    def test_scale_reports_the_smallest_true_L(self, tmp_path, capsys):
+        out = tmp_path / "art"
+        assert main(["scale", "--L", "2981", "--alpha", "1.0", "--q", "0.2",
+                     "--kappa", "0.9", "--out", str(out)]) == 3
+        data = read_artifact(out / "scale.json")[1]
+        assert data["smallest_L"] == min_scale_for_probability(
+            2, 1.0, 0.2, 0.9, 0.5, 1.0)
+        assert len(str(data["smallest_L"])) == 106
+        assert (f"smallest true L (None past e^700): {data['smallest_L']}"
+                in capsys.readouterr().out)
+        # none below e^700: null; and no key without --q
+        assert main(["scale", "--L", "100000", "--alpha", "0.5", "--q", "1",
+                     "--eta", "1", "--out", str(out)]) == 3
+        assert read_artifact(out / "scale.json")[1]["smallest_L"] is None
+        assert main(["scale", "--L", "2981", "--alpha", "1.0",
+                     "--out", str(out)]) == 0
+        assert "smallest_L" not in read_artifact(out / "scale.json")[1]
+
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
 
@@ -95,6 +113,12 @@ class TestExitCodes:
 
     def test_empty_scale_window_is_input_error(self, capsys):
         assert main(["scale", "--L", "6", "--alpha", "0.4"]) == 1
+
+    def test_smallest_scale_below_dimension_two_is_input_error(self, capsys):
+        # sufficient_large_L falls with L at d = 1, so no band search
+        assert main(["scale", "--L", "2981", "--alpha", "1.0", "--q", "0.2",
+                     "--d", "1"]) == 1
+        assert "d >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--trials", "0"),
                                              ("--e-steps", "0")])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iselab import events
-from iselab.errors import ScaleWindowError, SearchBudgetError
+from iselab.errors import ScaleWindowError
 from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            cell_count, event_A_indicator,
                            exact_event_probability,
@@ -15,7 +15,7 @@ from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
                            monte_carlo_event_probability, select_scale,
                            wilson_interval)
 
-from conftest import exact_event_log_failure
+from conftest import exact_event_log_failure, min_scale_by_scan
 
 
 class TestEventIndicator:
@@ -237,7 +237,7 @@ class TestLedger:
     def test_true_verdict_implies_probability_target(self):
         # spot instance; the acceptance suite scans this property widely
         params = dict(alpha=0.95, q=0.1, kappa=0.99, eta=0.5, c=1.0)
-        L0 = min_scale_for_probability(3, strategy="bisect", **params)
+        L0 = min_scale_for_probability(3, **params)
         ledger = build_ledger(3, L0, **params)
         assert ledger.verdict
         spec = EventSpec(dimension=3, l=select_scale(L0, 0.95), L=L0,
@@ -246,15 +246,15 @@ class TestLedger:
 
     def test_min_scale_strategies_agree(self):
         params = dict(alpha=0.95, q=0.1, kappa=0.99, eta=0.5, c=1.0)
-        scan = min_scale_for_probability(3, strategy="scan", **params)
-        bisect = min_scale_for_probability(3, strategy="bisect", **params)
-        assert scan == bisect
+        scan = min_scale_by_scan(3, **params)
+        solve = min_scale_for_probability(3, **params)
+        assert scan == solve
 
     def test_verdict_monotone_up_to_the_doubling_bracket(self):
-        # bisect returns the scan result only if the verdict stays true
-        # from there up to the first doubling 3 * 2^k with a true verdict
+        # the verdict stays true from the smallest L up to the first
+        # doubling 3 * 2^k with a true verdict
         params = dict(alpha=0.95, q=0.1, kappa=0.99, eta=0.5, c=1.0)
-        scan = min_scale_for_probability(3, strategy="scan", **params)
+        scan = min_scale_by_scan(3, **params)
         bracket = 3
         while not ledger_verdict(3, bracket, **params):
             bracket *= 2
@@ -303,17 +303,140 @@ class TestLedger:
         assert verdict == ledger.verdict
 
     def test_min_scale_monotone_in_q(self):
-        base = dict(alpha=0.95, kappa=0.99, eta=0.5, c=1.0,
-                    strategy="bisect")
+        base = dict(alpha=0.95, kappa=0.99, eta=0.5, c=1.0)
         l0_small = min_scale_for_probability(3, q=0.05, **base)
         l0_large = min_scale_for_probability(3, q=0.2, **base)
         assert l0_large >= l0_small
 
     def test_search_budget_error(self):
-        with pytest.raises(SearchBudgetError):
-            min_scale_for_probability(2, alpha=0.5, q=1.0, kappa=0.5,
-                                      eta=1.0, c=1.0, strategy="scan",
-                                      max_iterations=50)
+        # no band that starts below e^700 holds a true verdict
+        assert min_scale_for_probability(2, alpha=0.5, q=1.0, kappa=0.5,
+                                         eta=1.0, c=1.0) is None
+
+    def test_search_gives_up_on_bands_above_e_700(self):
+        # sufficient_large_L first holds near ln L = 645 and 777
+        L0 = min_scale_for_probability(2, 1.0, 0.2, 0.81, 0.5, 1.0)
+        assert 600 < math.log(L0) < 700
+        assert ledger_verdict(2, L0, 1.0, 0.2, 0.81, 0.5, 1.0)
+        assert not ledger_verdict(2, L0 - 1, 1.0, 0.2, 0.81, 0.5, 1.0)
+        assert min_scale_for_probability(2, 1.0, 0.2, 0.79, 0.5, 1.0) is None
+
+    @pytest.mark.parametrize("params, L0", [
+        ((2, 2.0, 1.0, 0.999, 1.0, 2.0), 3),        # in the band of l = 1
+        ((2, 1.0, 1.0, 0.999999, 0.5, 2.0), 8),
+        ((3, 1.0, 1.0, 0.999999, 0.5, 2.0), 181),   # first L of l = 3
+        # x(150) is exactly 3.0 here, so l = 3 starts at 150, not 151
+        ((2, 1.0370246720668257, 1.0, 1 - math.exp(-11), 0.5, 2.0), 150),
+    ])
+    def test_smallest_scale_at_band_edges(self, params, L0):
+        assert min_scale_for_probability(*params) == L0
+        assert min_scale_by_scan(*params) == L0
+
+    def test_smallest_scale_far_beyond_any_scan(self):
+        params = dict(alpha=1.0, q=0.2, kappa=0.9, eta=0.5, c=1.0)
+        L0 = min_scale_for_probability(2, **params)
+        assert L0 == int(
+            "10372667565791161212741075037377547182128294065042548836597938"
+            "86556540496011181827713951963743503503065089")
+        assert ledger_verdict(2, L0, **params)
+        assert not ledger_verdict(2, L0 - 1, **params)
+
+    @pytest.mark.parametrize("d, alpha", [(1, 1.0), (0, 1.0), (2, 0.0)])
+    def test_search_refuses_d_below_two_or_alpha_zero(self, d, alpha):
+        # at d < 2 sufficient_large_L falls with L
+        with pytest.raises(ValueError):
+            min_scale_for_probability(d, alpha, 0.2, kappa=0.9, eta=0.5, c=1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.sampled_from([2, 3]),
+           alpha=st.floats(0.05, 3.0),
+           q=st.floats(-1.0, 3.0),
+           kappa=st.floats(0.01, 1.0),
+           eta=st.floats(0.01, 2.0),
+           c=st.floats(0.01, 10.0))
+    def test_smallest_scale_is_the_first_true_verdict(self, d, alpha, q,
+                                                       kappa, eta, c):
+        L0 = min_scale_for_probability(d, alpha, q, kappa, eta, c)
+        if L0 is None:
+            return
+        assert ledger_verdict(d, L0, alpha, q, kappa, eta, c)
+        assert not any(ledger_verdict(d, L, alpha, q, kappa, eta, c)
+                       for L in range(max(3, L0 - 200), L0))
+
+    def test_cell_count_line_is_exact_in_integers(self):
+        # M = (2L - 1)^3 < (2L)^3, but ln M rounds above 3 (ln 2 + ln L)
+        L = 32331189578227200
+        assert select_scale(L, 0.054) == 1
+        assert math.log((2 * L - 1) ** 3) > 3 * (math.log(2.0) + math.log(L))
+        ledger = build_ledger(3, L, 0.054, 0.1, 0.99, 0.5, 1.0)
+        line = next(ln for ln in ledger.lines
+                    if ln.name == "cell_count_vs_doubled_box")
+        assert line.holds
+        assert line.rhs == math.log((2 * L) ** 3)
+
+
+RISING = {"sufficient_large_L", "lifting_at_selected_scale",
+          "lifting_scale_free"}
+FALLING = {"per_cell_failure_vs_target", "union_bound_vs_target"}
+
+
+class TestLedgerLinesWithinABand:
+    """Among the L of one selected scale each ledger line is monotone in L,
+    and the verdict rises: the search bisects on it band by band."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.sampled_from([2, 3]),
+           u=st.floats(math.log(3.0), 69.0),
+           v=st.floats(0.0, 3.0),
+           alpha=st.floats(0.05, 3.0),
+           q=st.floats(0.0, 3.0),
+           kappa=st.floats(0.01, 1.0),
+           eta=st.floats(0.01, 2.0),
+           c=st.floats(0.01, 10.0))
+    def test_each_line_keeps_its_direction(self, d, u, v, alpha, q, kappa,
+                                           eta, c):
+        # L < L2 <= 10^30 with one l: a rising line's margin rhs - lhs does
+        # not fall, a falling one's does not rise, every other line holds
+        L = max(3, int(math.exp(u)))
+        L2 = max(L + 1, int(math.exp(min(u + v, 69.0))))
+        try:
+            low, high = (build_ledger(d, x, alpha, q, kappa, eta, c)
+                         for x in (L, L2))
+        except ScaleWindowError:
+            return
+        if low.l != high.l:
+            return
+        for a, b in zip(low.lines, high.lines):
+            rise = b.rhs - b.lhs - (a.rhs - a.lhs)
+            if math.isnan(rise):   # an infinite margin at kappa = 1
+                rise = 0.0
+            tol = 1e-12 * (1.0 + abs(a.lhs) + abs(a.rhs))
+            if a.name in RISING:
+                assert rise >= -tol and (b.holds or not a.holds), a.name
+            elif a.name in FALLING:
+                assert rise <= tol and (a.holds or not b.holds), a.name
+            else:
+                assert a.holds and b.holds, a.name
+        assert high.verdict or not low.verdict
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]),
+           L=st.integers(3, 10 ** 300),
+           alpha=st.floats(0.01, 5.0),
+           q=st.floats(-5.0, 10.0),
+           kappa=st.floats(0.001, 1.0),
+           eta=st.floats(0.01, 2.0),
+           c=st.floats(0.01, 10.0))
+    def test_sufficient_condition_implies_the_target_lines(self, d, L, alpha,
+                                                           q, kappa, eta, c):
+        # so the falling lines never decide a verdict
+        try:
+            ledger = build_ledger(d, L, alpha, q, kappa, eta, c)
+        except ScaleWindowError:
+            return
+        holds = {line.name: line.holds for line in ledger.lines}
+        if holds["sufficient_large_L"]:
+            assert all(holds[name] for name in FALLING)
 
 
 class TestEquidistributedSequence:

@@ -779,9 +779,9 @@ class TestEstimate:
 
 class TestIDS:
     def test_zero_below_the_spectrum(self):
-        rec = ids_estimate(bernoulli_model(0.5), L=3, E_grid=[-2.0, -1.0],
-                           trials=2, seed=0, reference_energy=-2.0,
-                           points_per_unit=6)
+        rec = ids_estimate(load_model(bernoulli_model(0.5)), L=3,
+                           E_grid=[-2.0, -1.0], trials=2, seed=0,
+                           reference_energy=-2.0, points_per_unit=6)
         assert rec.counting == (0.0, 0.0)
 
     def test_free_laplacian_matches_closed_form_count(self):
@@ -793,13 +793,13 @@ class TestIDS:
                         boundary="periodic")
         closed = laplacian_eigenvalues(grid)
         e_grid = [0.5, 2.0, 5.0]
-        rec = ids_estimate(model, L=4, E_grid=e_grid, trials=1, seed=0,
-                           reference_energy=0.0, points_per_unit=6)
+        rec = ids_estimate(load_model(model), L=4, E_grid=e_grid, trials=1,
+                           seed=0, reference_energy=0.0, points_per_unit=6)
         for e, n in zip(e_grid, rec.counting):
             assert n == pytest.approx(np.sum(closed <= e) / 16.0, abs=1e-9)
 
     def test_counting_is_monotone_and_statistic_guarded(self):
-        rec = ids_estimate(bernoulli_model(0.5), L=3,
+        rec = ids_estimate(load_model(bernoulli_model(0.5)), L=3,
                            E_grid=[0.0, 1.0, 2.0, 4.0], trials=3, seed=1,
                            reference_energy=0.0, points_per_unit=6)
         assert all(b >= a for a, b in zip(rec.counting, rec.counting[1:]))
@@ -912,7 +912,8 @@ class TestCountsOnGrid:
             return real_splu(*args, **kwargs)
 
         def ids(L):
-            return ids_estimate(FREE_MODEL, L, list(np.linspace(0, 6, 25)),
+            return ids_estimate(load_model(FREE_MODEL), L,
+                                list(np.linspace(0, 6, 25)),
                                 trials=3, seed=20260824, reference_energy=0.0)
 
         monkeypatch.setattr(eigensolve, "splu", spy)
