@@ -222,7 +222,7 @@ def enclosure(mat, spectrum, s, top):
             np.minimum.accumulate(upper[::-1])[::-1])
 
 
-def counts_below(mat, energies, bounds=None):
+def counts_below(mat, energies, bounds):
     """[count_below(mat, e) for e in energies], from as few counts as exact.
 
     `energies` are sorted.  count_below(mat, E) = #{lambda < E*} for some E*
@@ -241,12 +241,9 @@ def counts_below(mat, energies, bounds=None):
     e = np.asarray(energies, dtype=float)
     if np.any(np.diff(e) < 0):
         raise ValueError("energies must be sorted")
-    if bounds is None:
-        lo, hi = np.zeros(e.size, dtype=int), np.full(e.size, mat.shape[0])
-    else:
-        lower, upper = bounds
-        lo = np.searchsorted(upper, e - TOL_GAP)
-        hi = np.searchsorted(lower, _nudge(e) + TOL_GAP)
+    lower, upper = bounds
+    lo = np.searchsorted(upper, e - TOL_GAP)
+    hi = np.searchsorted(lower, _nudge(e) + TOL_GAP)
     breaks = np.flatnonzero(e[1:] <= _nudge(e[:-1])) + 1
     for run in np.split(np.arange(e.size), breaks):
         while True:

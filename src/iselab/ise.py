@@ -20,8 +20,8 @@ monotonicity gives lambda_j(H0) <= lambda_j(H_omega) <= lambda_j(H0) + s.
 With k background eigenvalues below b - tol_eig, the largest of them
 lambda_k(H0), and lambda_k(H0) + s < b - tol_eig - tol_gap, every H_omega
 has exactly k eigenvalues below b - tol_eig.  The certificate is refused,
-and the trial counts at b - tol_eig as well, when U has a negative entry or
-s does not fit below the gap; each per-L entry records which held.
+and the trial counts at b - tol_eig as well, when s does not fit below the
+gap; each per-L entry records whether it held.
 
 A trial may clear the window by operator order alone.  Couplings are >= 0
 and so is U, so with Z = {j : omega_j < eta} the trial has V_omega >=
@@ -29,20 +29,20 @@ eta U (1 - e_Z) node by node, and H_omega lies above H0 plus that floor.
 When the floor has the certified k eigenvalues below b + width, min-max
 leaves H_omega's window empty.  window_floor counts one floor per process
 and box size (an lru_cache on the context, which a pickled copy in each
-pool chunk hits): the holed floor, every live site but j0 (the one nearest
-the box centre) at eta.  Where -Laplacian + V0 is exactly invariant under
-lattice translations (a periodic box, G / h whole and V0 equal to its roll
-by G / h nodes, bit for bit: Box.lattice_step), rolling the holed floor by
-(site_j - site_j0) G / h nodes permutes H0 plus it into a matrix of the same
-spectrum, so one count decides every trial with |Z| <= 1: Z empty compares
-V_omega with the holed floor, Z = {j} with its roll onto j.  Only where
-that is refused is the plain floor eta W counted, for Z empty.  Rounding
-V0 + x is monotone in x, so the order of the node arrays is that of the
-diagonals factorized.  Each per-L entry counts the trials so decided in
-`floor_certified`, and in `lift_certified` those of them in the good
-event; every other trial counts as above.  Both floors are refused for
-the whole box size when their counts differ from the certified one, and
-neither is counted when no count is certified.
+pool chunk hits), the one the box picks.  Where -Laplacian + V0 is exactly
+invariant under lattice translations (a periodic box, G / h whole and V0
+equal to its roll by G / h nodes, bit for bit: Box.lattice_step), it is the
+holed floor, every live site but j0 (the one nearest the box centre) at
+eta: rolling it by (site_j - site_j0) G / h nodes permutes H0 plus it into
+a matrix of the same spectrum, so one count decides every trial with
+|Z| <= 1: Z empty compares V_omega with the holed floor, Z = {j} with its
+roll onto j.  On any other box it is the plain floor eta W, for Z empty.
+Rounding V0 + x is monotone in x, so the order of the node arrays is that
+of the diagonals factorized.  Each per-L entry counts the trials so
+decided in `floor_certified`, and in `lift_certified` those of them in the
+good event; every other trial counts as above.  The floor is refused for
+the whole box size when its count differs from the certified one, and is
+not counted when no count is certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
 depends on omega only through each cell's chosen site, so its lift above b
@@ -104,15 +104,11 @@ def certified_lower_count(box, b):
 
     Weyl, with V_omega in [0, s] node-wise (s = box.envelope), keeps the
     background's count k when its k-th eigenvalue plus s stays tol_gap below
-    b - tol_eig.  None (refused) when U has a negative entry or s does not
-    fit.
+    b - tol_eig.  None (refused) when s does not fit.
     """
-    s = box.envelope
-    if s is None:
-        return None
     values = box.spectrum.values
     k = int(np.searchsorted(values, b - TOL_EIG))
-    if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
+    if k and values[k - 1] + box.envelope >= b - TOL_EIG - TOL_GAP:
         return None
     return k
 
@@ -210,46 +206,42 @@ def event_lift(ctx, choice):
 
 @lru_cache(maxsize=16)
 def window_floor(ctx):
-    """(floor, shifts): a floor that clears the window, or (None, None).
+    """(floor, shifts): the box's floor if it clears the window, else
+    (None, None).
 
     A floor F is a node array, shaped (n,) * d, whose H0 + diag(F) has
     exactly the certified count below b + width; then every H_omega with
-    V_omega >= F node by node has an empty window.  Tried in turn, each
+    V_omega >= F node by node has an empty window.  The box picks one floor,
     counted once per process and box size:
-    - the holed floor eta U (1 - e_j0), every live site but the one nearest
-      the box centre at eta, when Box.lattice_step finds the lattice
-      translations exact.  `shifts` then holds, per live site j, the node
-      roll (site_j - site_j0) G / h that carries the hole to j: a roll
-      fixes -Laplacian + V0, so the rolled floor has the same count.
-    - the plain floor eta W (W = U @ 1), with `shifts` None.
-    Refused, with nothing counted, when no lower count is certified.
+    - where Box.lattice_step finds the lattice translations exact, the holed
+      floor eta U (1 - e_j0), every live site but the one nearest the box
+      centre at eta.  `shifts` holds, per live site j, the node roll
+      (site_j - site_j0) G / h that carries the hole to j: a roll fixes
+      -Laplacian + V0, so the rolled floor has the same count.
+    - otherwise the plain floor eta W (W = U @ 1), with `shifts` None.
+    Refused when its count differs from the certified one or cannot be
+    made, and, with nothing counted, when no lower count is certified.
     """
     if ctx.certified_below is None:
         return None, None
     box = ctx.box
-    holes = [None]
+    couplings, shifts = np.ones(len(box.sites)), None
     step = box.lattice_step
     if step is not None and len(box.sites):
         offset = box.sites * ctx.model.period - np.asarray(box.grid.center)
-        holes.insert(0, int(np.argmin(np.sum(offset ** 2, axis=1))))
-    for hole in holes:
-        couplings = np.ones(len(box.sites))
-        if hole is not None:
-            couplings[hole] = 0.0
-        floor = ctx.model.disorder.eta * (box.matrix @ couplings)
-        try:
-            clears = count_below(box.hamiltonian(floor),
-                                 ctx.b + ctx.width) == ctx.certified_below
-        except SolverError:
-            clears = False
-        if clears:
-            floor = floor.reshape((box.grid.points_per_side,)
-                                  * box.grid.dimension)
-            floor.flags.writeable = False
-            shifts = None if hole is None else \
-                (box.sites - box.sites[hole]) * step
-            return floor, shifts
-    return None, None
+        hole = int(np.argmin(np.sum(offset ** 2, axis=1)))
+        couplings[hole] = 0.0
+        shifts = (box.sites - box.sites[hole]) * step
+    floor = ctx.model.disorder.eta * (box.matrix @ couplings)
+    try:
+        count = count_below(box.hamiltonian(floor), ctx.b + ctx.width)
+    except SolverError:
+        return None, None
+    if count != ctx.certified_below:
+        return None, None
+    floor = floor.reshape((box.grid.points_per_side,) * box.grid.dimension)
+    floor.flags.writeable = False
+    return floor, shifts
 
 
 def floor_certifies(ctx, omega, v_omega):
@@ -494,15 +486,13 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
         raise ValueError("need trials >= 1 and a nonempty, sorted E_grid")
     grid = GridSpec.per_unit(dimension, L, points_per_unit, boundary)
     box = model.box(grid)
-    s = box.envelope
     counts = np.zeros(len(E_grid))
     for t in range(trials):
         # box.potential draws the couplings of the box's live sites only
         cfg = DisorderConfiguration(
             rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t)), model.disorder)
         h = box.hamiltonian(box.potential(cfg))
-        bounds = None if s is None else enclosure(h, box.spectrum, s,
-                                                  E_grid[-1])
+        bounds = enclosure(h, box.spectrum, box.envelope, E_grid[-1])
         counts += counts_below(h, E_grid, bounds)
     volume = float(L) ** dimension
     counting = counts / (trials * volume)

@@ -113,7 +113,7 @@ class SingleSiteProfile:
 
     def evaluate(self, points):
         values = np.asarray(self.func(np.asarray(points, dtype=float)), dtype=float)
-        if values.size and values.min() < -1e-12:
+        if values.size and values.min() < 0:
             raise ValueError("single-site profile must be nonnegative")
         return values
 
@@ -295,10 +295,8 @@ class Box:
 
     @property
     def envelope(self):
-        """s = max W, so 0 <= U @ omega <= s for omega in [0, 1]^m; None when
-        U has a negative entry, so V_omega has no such envelope."""
-        if self.matrix.nnz and self.matrix.data.min() < 0:
-            return None
+        """s = max W, so 0 <= U @ omega <= s for omega in [0, 1]^m: every
+        profile refuses a negative value, so U >= 0."""
         return float(self.w.max(initial=0.0))
 
     @property

@@ -182,10 +182,10 @@ class TestTrialContext:
 
     def test_trial_equals_the_public_path(self, reference_context):
         # H0 + eta W lifts the band bottom by about 0.2995: below
-        # w = 6^-0.6 ~ 0.341, so the L = 6 floors are refused and no trial
-        # is certified; above w = 8^-0.6 ~ 0.287, and so is the holed floor,
-        # so L = 8 trials with at most one coupling below eta are, and the
-        # public path counts their H_omega
+        # w = 6^-0.6 ~ 0.341, so the L = 6 holed floor is refused and no
+        # trial is certified; above w = 8^-0.6 ~ 0.287, and so is the holed
+        # floor, so L = 8 trials with at most one coupling below eta are,
+        # and the public path counts their H_omega
         certified, floored = {}, {}
         for ctx, seeds in (reference_context, reference_box(8)):
             box = ctx.box
@@ -478,13 +478,13 @@ class TestFloorCertificate:
         if ise.window_floor(ctx)[0] is not None:
             assert count == ctx.certified_below
 
-    def test_refused_floor_counts_every_trial(self):
-        # at L = 6 the floor H0 + W / 2 has two eigenvalues more than the
-        # certified 36 below b + w, and the holed floor below it at least as
-        # many: every trial counts its own H_omega
+    def test_refused_floor_counts_every_trial(self, monkeypatch):
+        # at L = 6 the holed floor has 38 eigenvalues below b + w against
+        # the certified 36: it is counted once and refused, and every trial
+        # counts its own H_omega
         ctx, seeds = reference_box(6)
         assert ctx.certified_below == 36
-        assert ise.window_floor(ctx)[0] is None
+        assert floor_counts(monkeypatch, ctx) == ((None, None), 1)
         assert not any(run_ise_trial(ctx, s).floor_certified for s in seeds)
 
     def test_floor_is_counted_once_per_box_size(self, monkeypatch):
@@ -501,7 +501,7 @@ class TestFloorCertificate:
         floor = ise.window_floor(ctx)
         # a pickled context is a new object, and still finds the floor
         assert ise.window_floor(pickle.loads(pickle.dumps(ctx))) is floor
-        # the holed floor clears, so the plain one is not counted
+        # the box translates, so its floor is the holed one
         assert len(counts) == 1 and floor[1] is not None
 
     def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
@@ -662,6 +662,23 @@ class TestTranslatedFloor:
             vals = dense_eigvals(box.hamiltonian(box.potential(cfg)))
             assert np.sum(vals < ctx.b + ctx.width) == ctx.certified_below
 
+    def test_translating_box_counts_no_plain_floor(self, monkeypatch):
+        # side 2 at 9 points per unit, width 0.25: the certified count is 4
+        # and the plain floor has 4 below b + w, but the box translates, so
+        # its floor is the holed one, with 6: refused, and every trial
+        # counts its own H_omega
+        ctx = small_box_context(2, 9, 0.25)
+        assert ctx.box.lattice_step == 9 and ctx.certified_below == 4
+        assert floor_counts(monkeypatch, ctx) == ((None, None), 1)
+        for t in range(6):
+            seed = rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+            want, _, _ = public_path_record(ctx.model, ctx.box.grid,
+                                            ctx.event_spec, ctx.b, ctx.width,
+                                            seed)
+            record = run_ise_trial(ctx, seed)
+            assert_records_match(record, want)
+            assert not record.floor_certified
+
     def test_reference_boxes_translate_by_one_period(self):
         for side in (6, 9):
             box = small_box_context(side, 9, 0.1).box
@@ -672,7 +689,7 @@ class TestTranslatedFloor:
         for boundary in ("dirichlet", "neumann"):
             ctx = small_box_context(2, 6, 0.1, boundary=boundary)
             assert ctx.box.lattice_step is None
-            # only the plain floor is counted
+            # the box does not translate: its floor is the plain one
             (_, shifts), counted = floor_counts(monkeypatch, ctx)
             assert shifts is None and counted == 1
 
@@ -868,7 +885,8 @@ class TestCountsOnGrid:
         assert eigensolve.counts_below(h, energies, weyl) == want
         bounds = enclosure(h, box.spectrum, s, energies[-1])
         assert eigensolve.counts_below(h, energies, bounds) == want
-        assert eigensolve.counts_below(h, energies) == want
+        open_ = (np.full(h.shape[0], -np.inf), np.full(h.shape[0], np.inf))
+        assert eigensolve.counts_below(h, energies, open_) == want
 
     def test_weyl_bracket_holds_and_closes(self):
         model = load_model(FREE_MODEL)
@@ -891,7 +909,8 @@ class TestCountsOnGrid:
 
     def test_unsorted_energies_rejected(self):
         with pytest.raises(ValueError):
-            eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0])
+            eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0],
+                                    (np.full(3, -np.inf), np.full(3, np.inf)))
 
     def test_bracket_that_misses_the_count_raises(self):
         h = sparse.csr_matrix(np.diag([0.0, 1.0, 2.0]))

@@ -236,6 +236,17 @@ class TestFieldAssembly:
         assert box.matrix.shape[1] < len(profiles)
         assert np.array_equal(box.potential(cfg), want)
 
+    @pytest.mark.parametrize("dip", [-1e-12, -5e-13, -1e-300])
+    def test_negative_profile_value_is_refused(self, grid8, dip):
+        # U >= 0 is what bounds V_omega in [0, s]: a profile dipping below 0
+        # by any amount is refused when the box is built
+        p = indicator_profile((0, 0), 1.0, 0.5)
+        dipped = p.__class__(p.site, lambda x: np.minimum(p.func(x), dip),
+                             p.lower_bound, p.ball_radius, p.ball_center,
+                             p.support_radius)
+        with pytest.raises(ValueError, match="nonnegative"):
+            Box.build(grid8, zero_potential(), [dipped])
+
     def test_profile_outside_the_box_reads_no_coupling(self, grid8,
                                                          config_from):
         # the double raises KeyError on (5, 5): its column holds no node of
