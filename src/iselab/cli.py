@@ -7,9 +7,9 @@ the whole subcommand, builds one run manifest (tool version, content hash,
 parameters, wall clock, worker count) and, with `--out`, writes every
 artifact with that manifest, also on an assertion failure.  The parameters
 are every parsed flag except `--out` and `--workers`; `ise` records its
-resolved plan and seed.  Rerunning with the same manifest parameters
-reproduces the data sections byte for byte.  Exit codes: 0 success,
-1 input error, 2 solver failure, 3 assertion failure.
+resolved plan, less its worker count, and seed.  Rerunning with the same
+manifest parameters reproduces the data sections byte for byte.  Exit
+codes: 0 success, 1 input error, 2 solver failure, 3 assertion failure.
 """
 
 import argparse
@@ -265,7 +265,9 @@ def cmd_ise(args):
     if args.workers is not None:
         plan_spec["workers"] = args.workers
     plan = ExperimentPlan.from_json(plan_spec)
-    # the manifest records the resolved plan, seed and worker count
+    # the manifest records the resolved plan and seed; the worker count,
+    # which changes no data, goes to its "workers" field and not the hash
+    plan_spec.pop("workers", None)
     args.plan, args.seed, args.workers = (plan_spec, plan.master_seed,
                                           plan.workers)
     report = estimate_ise_probability(plan)

@@ -19,9 +19,9 @@ residual-checked against tol_eig, and failures surface as SolverError with
 telemetry instead of silently truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
-dimensions: V0 is separable and the stencil Laplacian is a Kronecker sum,
-so its spectrum is the set of sums of the eigenvalues of one n x n
-operator per axis (`background_spectrum`).
+dimensions: V0 is separable, the stencil Laplacian is a Kronecker sum and
+every axis has the same nodes, so its spectrum is the set of sums over the
+d axes of the eigenvalues of one n x n operator (`background_spectrum`).
 """
 
 from dataclasses import dataclass, field
@@ -50,23 +50,26 @@ def start_vector(n):
 
 @dataclass(frozen=True)
 class BackgroundSpectrum:
-    """The whole spectrum of H_{0,L}, sorted, with the 1D factors it comes from.
+    """The whole spectrum of H_{0,L}, sorted, with the 1D factor it comes from.
 
-    values[i] = offset + sum_k w_k[j_k] for the axis eigenvalues w_k and the
-    multi-index (j_0, ..., j_{d-1}) = unravel(order[i]); its eigenvector is
-    the Kronecker product of the axis eigenvectors u_k[:, j_k].
+    Every axis carries the same n x n operator, with eigenvalues w and
+    eigenvectors u = axis_vectors.  values[i] = offset + sum_k w[j_k] for
+    the multi-index (j_0, ..., j_{d-1}) = unravel(order[i]), and its
+    eigenvector is the Kronecker product of the columns u[:, j_k].
     """
 
     values: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)
-    axis_vectors: tuple = field(repr=False)
+    axis_vectors: np.ndarray = field(repr=False)
+    dimension: int
 
     def vectors(self, count):
         """Eigenvectors of values[:count], in C node order (axis 0 slowest)."""
-        n = self.axis_vectors[0].shape[0]
-        multi = np.unravel_index(self.order[:count], (n,) * len(self.axis_vectors))
+        u = self.axis_vectors
+        n = u.shape[0]
+        multi = np.unravel_index(self.order[:count], (n,) * self.dimension)
         out = np.ones((1, count))
-        for u, j in zip(self.axis_vectors, multi):
+        for j in multi:
             out = (out[:, None, :] * u[:, j][None, :, :]).reshape(
                 out.shape[0] * n, count)
         return out
@@ -76,23 +79,22 @@ class BackgroundSpectrum:
 def background_spectrum(grid, v0):
     """Exact spectrum of H_{0,L} = -Laplacian + V0 without a d-dimensional solve.
 
-    Per axis k this diagonalizes the n x n operator
-    _lap1d + diag(axis term at grid.axis_coords(k)), the same block that
-    laplacian_matrix sums, so the Kronecker sum is H_{0,L} itself.  It is
-    memoized per (grid, v0), as laplacian_matrix is per grid, and its arrays
-    are read-only, so no caller can change what the next one reads.
+    Every axis has the same nodes, so one eigh of the n x n operator
+    _lap1d + diag(axis term at grid.axis_coords()), the block that
+    laplacian_matrix sums on each axis, gives the whole spectrum: its
+    values summed over the d axes are the Kronecker sum, H_{0,L} itself.
+    It is memoized per (grid, v0), as laplacian_matrix is per grid, and its
+    arrays are read-only, so no caller can change what the next one reads.
     """
     block = _lap1d(grid.points_per_side, grid.spacing, grid.boundary).toarray()
+    values, vectors = np.linalg.eigh(
+        block + np.diag(v0.axis_values(grid.axis_coords())))
     total = np.array([float(v0.offset)])
-    axis_vectors = []
-    for k in range(grid.dimension):
-        values, vectors = np.linalg.eigh(
-            block + np.diag(v0.axis_values(grid.axis_coords(k))))
+    for _ in range(grid.dimension):
         total = np.add.outer(total, values).ravel()
-        axis_vectors.append(vectors)
     order = np.argsort(total, kind="stable")
-    spectrum = BackgroundSpectrum(total[order], order, tuple(axis_vectors))
-    for array in (spectrum.values, order, *axis_vectors):
+    spectrum = BackgroundSpectrum(total[order], order, vectors, grid.dimension)
+    for array in (spectrum.values, order, vectors):
         array.flags.writeable = False
     return spectrum
 

@@ -1,7 +1,7 @@
 """Boxes, ball node sets, the finite-difference Laplacian and box Hamiltonians.
 
-The open hypercube of side L centered at x is discretized with n = L/h
-cell-centered nodes per axis, so every node lies strictly inside the box
+The box (-L/2, L/2)^d is discretized with n = L/h cell-centered nodes per
+axis, the same on every axis, so every node lies strictly inside the box
 and, for periodic boundary conditions, wrapping a node by L lands exactly
 on another node.  The cells of the good event are integer boxes with a
 closed-form layout; events.EventSpec.cells tabulates them.
@@ -24,13 +24,16 @@ MAX_POINTS = 4_000_000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization of the box of side `side` centered at `center`."""
+    """Discretization of the box (-side/2, side/2)^dimension.
+
+    Every box is centred at the origin: with G/h whole, a box centred at
+    another lattice point is the same operator with its sites relabelled.
+    """
 
     dimension: int
     side: float
     spacing: float
     boundary: str = "periodic"
-    center: tuple = None
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -39,13 +42,6 @@ class GridSpec:
             raise ValueError("side and spacing must be positive")
         if self.boundary not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unknown boundary condition {self.boundary!r}")
-        if self.center is None:
-            object.__setattr__(self, "center", (0.0,) * self.dimension)
-        else:
-            center = tuple(float(c) for c in self.center)
-            if len(center) != self.dimension:
-                raise ValueError("center must have one coordinate per dimension")
-            object.__setattr__(self, "center", center)
         n = self.points_per_side
         if n < 2:
             raise ValueError("need at least 2 points per side")
@@ -72,24 +68,22 @@ class GridSpec:
     def num_points(self):
         return self.points_per_side ** self.dimension
 
-    def axis_coords(self, axis):
-        """Cell-centered node coordinates along one axis."""
+    def axis_coords(self):
+        """Cell-centered node coordinates along an axis, the same on each."""
         n = self.points_per_side
-        lo = self.center[axis] - self.side / 2.0
-        return lo + (np.arange(n) + 0.5) * self.spacing
+        return -self.side / 2.0 + (np.arange(n) + 0.5) * self.spacing
 
     def nodes(self):
         """All node coordinates, shape (n^d, d), C order (axis 0 slowest)."""
-        axes = [self.axis_coords(k) for k in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*(self.axis_coords(),) * self.dimension,
+                           indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def node_coords(self, idx):
         """Coordinates of the nodes with flat indices idx; equals nodes()[idx]."""
         n = self.points_per_side
         multi = np.unravel_index(idx, (n,) * self.dimension)
-        return np.stack([self.axis_coords(k)[i] for k, i in enumerate(multi)],
-                        axis=1)
+        return self.axis_coords()[np.stack(multi, axis=1)]
 
     def nodes_within_ball(self, center, radius):
         """Flat indices of nodes with strict Euclidean distance < radius.
@@ -99,9 +93,10 @@ class GridSpec:
         """
         n = self.points_per_side
         h = self.spacing
+        lo = -self.side / 2.0
+        coords = self.axis_coords()
         slices = []
         for k in range(self.dimension):
-            lo = self.center[k] - self.side / 2.0
             # node i covers coordinate lo + (i + 0.5) h
             i_lo = max(0, int(math.floor((center[k] - radius - lo) / h - 0.5)))
             i_hi = min(n - 1, int(math.ceil((center[k] + radius - lo) / h - 0.5)))
@@ -114,8 +109,7 @@ class GridSpec:
         for k in range(self.dimension):
             ik = mesh[k].ravel()
             idx = idx * n + ik
-            coord = self.center[k] - self.side / 2.0 + (ik + 0.5) * h
-            dist2 += (coord - center[k]) ** 2
+            dist2 += (coords[ik] - center[k]) ** 2
         return np.sort(idx[dist2 < radius * radius])
 
 

@@ -228,8 +228,8 @@ def window_floor(ctx):
     couplings, shifts = np.ones(len(box.sites)), None
     step = box.lattice_step
     if step is not None and len(box.sites):
-        offset = box.sites * ctx.model.period - np.asarray(box.grid.center)
-        hole = int(np.argmin(np.sum(offset ** 2, axis=1)))
+        hole = int(np.argmin(np.sum((box.sites * ctx.model.period) ** 2,
+                                    axis=1)))
         couplings[hole] = 0.0
         shifts = (box.sites - box.sites[hole]) * step
     floor = ctx.model.disorder.eta * (box.matrix @ couplings)

@@ -415,12 +415,9 @@ class PotentialModel:
         """Integer site indices whose support can intersect the grid box."""
         reach = self.support_radius
         g = self.period
-        ranges = []
-        for k in range(grid.dimension):
-            lo = grid.center[k] - grid.side / 2.0 - reach
-            hi = grid.center[k] + grid.side / 2.0 + reach
-            ranges.append(range(math.ceil(lo / g), math.floor(hi / g) + 1))
-        return list(itertools.product(*ranges))
+        hi = grid.side / 2.0 + reach
+        axis = range(math.ceil(-hi / g), math.floor(hi / g) + 1)
+        return list(itertools.product(axis, repeat=grid.dimension))
 
     def profiles_for(self, grid):
         return [self.profile_for(s) for s in self.sites_for(grid)]

@@ -460,9 +460,7 @@ class TestManifest:
                     grid_params(model, 2.0, a=1.0, b=3.0, t_steps=21),
                     "gap.json"),
             "ise": (["ise", "--plan", plan, "--workers", "1"],
-                    {"plan": {**json.loads(Path(plan).read_text()),
-                              "workers": 1},
-                     "seed": 5},
+                    {"plan": json.loads(Path(plan).read_text()), "seed": 5},
                     "ise.json"),
             "ids": (["ids", "--model", model, "--L", "3",
                      "--points-per-unit", "6", "--e-min", "0.0",
@@ -509,10 +507,29 @@ class TestManifest:
                      "--out", str(out)]) == 0
         manifest, _ = read_artifact(out / "ise.json")
         assert manifest["workers"] == 2
-        assert manifest["params"]["plan"]["workers"] == 2
+        assert "workers" not in manifest["params"]["plan"]
         csv_manifest = json.loads((out / "ise.csv").read_text()
                                   .splitlines()[0].removeprefix("# manifest: "))
         assert csv_manifest == manifest
+
+    def test_ise_hash_does_not_depend_on_the_worker_count(self, plan_file,
+                                                          tmp_path, capsys):
+        # the worker count changes no data, so it stays out of the hash
+        # whether it comes from the flag, from the plan or from neither
+        with_workers = tmp_path / "plan_workers.json"
+        with_workers.write_text(json.dumps(
+            {**json.loads(Path(plan_file).read_text()), "workers": 2}))
+        hashes = set()
+        for i, argv in enumerate((["--plan", plan_file],
+                                  ["--plan", plan_file, "--workers", "1"],
+                                  ["--plan", plan_file, "--workers", "2"],
+                                  ["--plan", str(with_workers)])):
+            out = tmp_path / f"art{i}"
+            assert main(["ise", *argv, "--out", str(out)]) == 0
+            manifest, _ = read_artifact(out / "ise.json")
+            hashes.add(manifest["content_hash"])
+        assert hashes == {"ab462dfdfa1328b13b92ef873bf8946d"
+                          "2625cd684e7a19d613293f4aa829080a"}
 
     def test_failing_ledger_still_writes_its_artifact(self, tmp_path, capsys):
         out = tmp_path / "art"

@@ -286,7 +286,7 @@ class TestBackgroundSpectrum:
     def test_matches_dense_diagonalization(self, kind, boundary, d,
                                            dense_eigvals):
         grid = GridSpec(dimension=d, side=2.0, spacing=0.2 if d == 2 else 1 / 3,
-                        boundary=boundary, center=(0.3,) + (-0.7,) * (d - 1))
+                        boundary=boundary)
         v0 = BACKGROUNDS[kind]
         want = dense_eigvals(background(grid, v0))
         got = background_spectrum(grid, v0).values
@@ -296,7 +296,7 @@ class TestBackgroundSpectrum:
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_kronecker_basis_spans_the_dense_subspace(self, boundary):
         grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
-                        boundary=boundary, center=(0.5, 0.0))
+                        boundary=boundary)
         v0 = separable_square_potential(40.0)
         mat = background(grid, v0)
         all_values, all_vectors = np.linalg.eigh(mat.toarray())
@@ -309,11 +309,29 @@ class TestBackgroundSpectrum:
             p_dense = all_vectors[:, :k] @ all_vectors[:, :k].T
             assert np.max(np.abs(p_kron - p_dense)) <= 1e-8
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_axis_solve_per_spectrum(self, d, monkeypatch):
+        # every axis has the same nodes and 1D operator: one eigh serves all
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(mat, *args, **kwargs):
+            shapes.append(mat.shape)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        grid = GridSpec(dimension=d, side=3.0, spacing=1 / 3,
+                        boundary="dirichlet")
+        spectrum = background_spectrum.__wrapped__(
+            grid, separable_square_potential(40.0))
+        assert shapes == [(9, 9)]
+        assert spectrum.values.shape == (9 ** d,)
+
     def test_memoized_spectrum_is_read_only(self, free4):
         spectrum = background_spectrum(free4, zero_potential())
         assert background_spectrum(free4, zero_potential()) is spectrum
         for array in (spectrum.values, spectrum.order,
-                      *spectrum.axis_vectors):
+                      spectrum.axis_vectors):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1.0
         values, _ = background_eigs_below(free4, zero_potential(), 3.0)

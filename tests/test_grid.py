@@ -37,7 +37,7 @@ class TestGridSpec:
 
     def test_nodes_are_cell_centered(self):
         g = GridSpec(dimension=2, side=2.0, spacing=1.0)
-        assert np.allclose(g.axis_coords(0), [-0.5, 0.5])
+        assert np.allclose(g.axis_coords(), [-0.5, 0.5])
 
     def test_nodes_within_ball_matches_brute_force(self, fine_grid):
         center, radius = (0.3, -0.7), 0.9

@@ -130,10 +130,10 @@ class TestTestPerturbation:
 
     def test_empty_mask_rejected(self):
         # every chosen ball lies far outside the box: the mask has no node
-        far = GridSpec(dimension=2, side=6.0, spacing=1.0,
-                       boundary="periodic", center=(100.0, 100.0))
+        grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
+                        boundary="periodic")
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        chosen = spec.cells()[:, 0].tolist()
+        chosen = (spec.cells()[:, 0] + 100).tolist()
         profiles = [indicator_profile(tuple(s), 1.0, 0.2) for s in chosen]
         with pytest.raises(IselabError, match="mask is empty"):
-            equidistributed_from_choice(spec, chosen, profiles, far)
+            equidistributed_from_choice(spec, chosen, profiles, grid)

@@ -61,7 +61,7 @@ class TestSeparableEvaluation:
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_matches_full_d_formula_bit_for_bit(self, d, boundary):
         grid = GridSpec(dimension=d, side=3.0, spacing=1 / 7 if d == 2 else 1 / 3,
-                        boundary=boundary, center=(0.4,) * d)
+                        boundary=boundary)
         points = grid.nodes()
         g = 1.0
         wrapped = ((points + g / 2.0) % g) - g / 2.0
@@ -218,8 +218,8 @@ class TestFieldAssembly:
 
     def test_matches_full_node_array_reference(self):
         grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
-                        boundary="periodic", center=(0.2, -0.1))
-        sites = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
+                        boundary="periodic")
+        sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
         profiles = ([indicator_profile(s, 1.0, 0.45) for s in sites]
                     + [cone_profile(s, 2.0, 0.7, 1.0, 0.3) for s in sites])
         cfg = DisorderConfiguration(11, uniform01())
@@ -230,8 +230,8 @@ class TestFieldAssembly:
                 want[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
         assert np.array_equal(assemble_random_potential(cfg, profiles, grid),
                               want)
-        # the box keeps U's live columns only: the columns of the sites -2
-        # on axis 0 hold no node of this off-centre box
+        # the box keeps U's live columns only: the columns of the sites +-3
+        # on either axis hold no node of the box (-1.5, 1.5)^2
         box = Box.build(grid, zero_potential(), profiles)
         assert box.matrix.shape[1] < len(profiles)
         assert np.array_equal(box.potential(cfg), want)
