@@ -27,7 +27,7 @@ from . import __version__, rng
 from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
 from .eigensolve import T_GRID_RULE, background_eigs_below
-from .events import (EventSpec, build_ledger, event_A_indicator,
+from .events import (EventSpec, build_ledger, event_A_indicator, event_choice,
                      exact_event_probability, min_scale_for_probability,
                      monte_carlo_event_probability, scale_window)
 from .grid import GridSpec
@@ -35,9 +35,9 @@ from .ise import (BAND_EDGE_MODES, ExperimentPlan, band_edge_of_background,
                   estimate_ise_probability, ids_estimate)
 from .plotting import ids_curve_svg, ise_trend_svg
 from .potentials import DisorderConfiguration, load_model
-from .ucp import (FitSample, LiftingRecord, equidistributed_from_event,
-                  fit_ucp_constant, lifting_experiment, mass_ratio,
-                  random_subspace_vectors, verify_gap_hypothesis)
+from .ucp import (FitSample, LiftingRecord, event_balls, fit_ucp_constant,
+                  lifting_experiment, mass_ratio, random_subspace_vectors,
+                  verify_gap_hypothesis)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,6 +118,14 @@ def _grid(args):
                              args.boundary)
 
 
+def _event_side(args):
+    """--L as an int: the good event's integer cells tile a whole side."""
+    if not float(args.L).is_integer():
+        raise ValueError(f"--L {args.L:g} is not a whole number: the good "
+                         "event needs a whole box side")
+    return int(args.L)
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -183,6 +191,7 @@ def _event_configuration(model, spec, seed, attempts):
 
 
 def cmd_lift(args):
+    side = _event_side(args)
     model = load_model(args.model)
     grid = _grid(args)
     _, b = band_edge_of_background(grid, model.background, hint=args.hint,
@@ -190,7 +199,7 @@ def cmd_lift(args):
     box = model.box(grid)
     records = []
     for l in (int(s) for s in args.scales.split(",")):
-        spec = EventSpec(dimension=args.d, l=l, L=int(args.L),
+        spec = EventSpec(dimension=args.d, l=l, L=side,
                          eta=model.disorder.eta, kappa=model.disorder.kappa)
         cfg = _event_configuration(model, spec, args.seed, args.attempts)
         records.append(lifting_experiment(
@@ -209,18 +218,17 @@ def cmd_lift(args):
 def cmd_ucp(args):
     model = load_model(args.model)
     grid = _grid(args)
-    spec = EventSpec(dimension=args.d, l=args.l, L=int(args.L),
+    spec = EventSpec(dimension=args.d, l=args.l, L=_event_side(args),
                      eta=model.disorder.eta, kappa=model.disorder.kappa)
     cfg = _event_configuration(model, spec, args.seed, args.attempts)
-    profiles = model.profiles_for(grid)
-    _, mask = equidistributed_from_event(cfg, spec, profiles, grid,
-                                         model.period)
+    box = model.box(grid)
+    mask, _ = event_balls(box, event_choice(cfg, spec))
     values, basis = background_eigs_below(grid, model.background, args.energy)
     if values.size == 0:
         raise ValueError("no eigenvalues below the requested energy")
     v_inf = args.v_inf
     if v_inf is None:
-        v_inf = float(np.max(np.abs(model.background.evaluate(grid.nodes()))))
+        v_inf = float(np.max(np.abs(box.v0)))
     vectors = random_subspace_vectors(basis, args.count, args.seed)
     samples = [FitSample(delta=model.ball_radius, l=float(args.l),
                          v_inf=v_inf, energy=args.energy,

@@ -12,35 +12,19 @@ The cells have a closed form.  For odd l <= L they are the open cubes
 Lambda_l(j) of side l centered at j = l * (-m..m)^d, m = (2L - 1) // (2l),
 the points of lZ^d strictly inside the doubled box (-L, L)^d; each holds
 the l^d integer sites j + {-(l-1)/2 .. (l-1)/2}^d.  EventSpec.cells
-tabulates them, and everything that reads the event reads that table.
+tabulates them, and event_choice reads the event from that table: each
+cell's chosen site, or None off the event.
 """
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import rng
 from .errors import ScaleWindowError
-
-
-@dataclass(frozen=True)
-class EquidistributedSequence:
-    """Ball centers y_j with B_delta(y_j) inside the cell Lambda_l(j)."""
-
-    cell_side: float
-    radius: float
-    points: dict = field(repr=False)  # cell center -> y_j
-
-    def __post_init__(self):
-        if not 0 < self.radius < self.cell_side / 2.0:
-            raise ValueError("radius must lie in (0, l/2)")
-        for j, y in self.points.items():
-            off = max(abs(a - b) for a, b in zip(y, j))
-            if off + self.radius >= self.cell_side / 2.0:
-                raise ValueError(f"ball at {y} leaves its cell around {j}")
 
 
 @dataclass(frozen=True)
@@ -85,20 +69,24 @@ def _cube(r, d):
     return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), -1).reshape(-1, d)
 
 
-def cell_hits(cfg, spec):
-    """(spec.cells(), hits), hits[i, k] true iff omega >= eta at entry (i, k)."""
+def event_choice(cfg, spec):
+    """Each cell's chosen site if omega lies in the good event, else None.
+
+    A cell's choice is its lexicographically smallest site with omega >= eta,
+    the first qualifying entry of its row of spec.cells(); the choices are
+    int tuples in row order, in a tuple, so the choice can key a memo.
+    """
     table = spec.cells()
-    return table, cfg[table] >= spec.eta
-
-
-def cell_choice(table, hits):
-    """(M, d): each cell's first qualifying site, lexicographically smallest."""
-    return table[np.arange(len(table)), hits.argmax(axis=1)]
+    hits = cfg[table] >= spec.eta
+    if not hits.any(axis=1).all():
+        return None
+    rows = table[np.arange(len(table)), hits.argmax(axis=1)]
+    return tuple(map(tuple, rows.tolist()))
 
 
 def event_A_indicator(cfg, spec):
     """True iff every cell of the doubled box has a site with coupling >= eta."""
-    return bool(cell_hits(cfg, spec)[1].any(axis=1).all())
+    return event_choice(cfg, spec) is not None
 
 
 def cell_count(dimension, L, l):

@@ -45,9 +45,9 @@ the whole box size when its count differs from the certified one, and is
 not counted when no count is certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
-depends on omega only through each cell's chosen site, so its lift above b
-is solved on the context's box once per process, box size and choice
-(event_lift) and recorded as the trial's observed lift.  That solve is a
+depends on omega only through each cell's chosen site (event_choice, None
+off the event), so its lift above b is solved on the context's box once
+per process, box size and choice (event_lift) and recorded as the trial's observed lift.  That solve is a
 trial's longest task, so a pool maps each box size's event trials first.
 """
 
@@ -63,11 +63,11 @@ from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
                          counts_below, enclosure)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
-from .events import (EventSpec, build_ledger, cell_choice, cell_hits,
-                     event_A_indicator, select_scale, wilson_interval)
+from .events import (EventSpec, build_ledger, event_A_indicator,
+                     event_choice, select_scale, wilson_interval)
 from .grid import GridSpec
 from .potentials import Box, DisorderConfiguration, load_model
-from .ucp import equidistributed_from_choice, perturbed_eigenvalue
+from .ucp import event_balls, perturbed_eigenvalue
 
 BAND_EDGE_MODES = ("gap", "bottom")
 
@@ -141,7 +141,10 @@ class ExperimentPlan:
             raise ValueError("L_values must name at least one box size")
         if list(ls) != sorted(ls):
             raise ValueError("L values must be sorted ascending")
-        object.__setattr__(self, "L_values", ls)
+        # the good event's cells and the ledger count integer sites
+        if not all(float(L).is_integer() for L in ls):
+            raise ValueError(f"L values must be whole numbers: {list(ls)}")
+        object.__setattr__(self, "L_values", tuple(int(L) for L in ls))
 
     @classmethod
     def from_json(cls, spec):
@@ -190,17 +193,16 @@ class TrialContext:
 def event_lift(ctx, choice):
     """The good event's test operator's lift above b for one per-cell choice.
 
-    H_pert = H0 + eta c chi_S on the context's box, S the union of the balls
-    of the chosen sites (one int tuple per cell, as cell_choice picks them);
-    the lift is H_pert's lowest eigenvalue at or above b minus b.  It depends
-    on omega only through the choice, so each process (the serial one, or
-    each pool worker) solves it once per box size and choice.
+    H_pert = H0 + eta c chi_S on the context's box, S the union of the
+    chosen sites' balls (ucp.event_balls of event_choice's int tuples); the
+    lift is H_pert's lowest eigenvalue at or above b minus b.  It depends on
+    omega only through the choice, so each process (the serial one, or each
+    pool worker) solves it once per box size and choice.
     """
-    box, model = ctx.box, ctx.model
-    _, mask = equidistributed_from_choice(ctx.event_spec, choice,
-                                          box.profiles, box.grid, model.period)
+    model = ctx.model
+    mask, _ = event_balls(ctx.box, choice)
     _, lam = perturbed_eigenvalue(
-        box, mask, model.disorder.eta * model.coupling_floor, ctx.b)
+        ctx.box, mask, model.disorder.eta * model.coupling_floor, ctx.b)
     return lam - ctx.b
 
 
@@ -304,12 +306,11 @@ def run_ise_trial(ctx, seed):
     omega = cfg[box.sites]
     v_omega = box.potential_of(omega)   # >= 0 node by node, or it raises
     result.floor_certified = floor_certifies(ctx, omega, v_omega)
-    in_event, lift, lift_error = None, None, None
+    in_event, choice, lift, lift_error = None, None, None, None
     if spec is not None:
-        table, hits = cell_hits(cfg, spec)
-        in_event = bool(hits.any(axis=1).all())
+        choice = event_choice(cfg, spec)
+        in_event = choice is not None
     if in_event:
-        choice = tuple(map(tuple, cell_choice(table, hits).tolist()))
         try:
             lift = event_lift(ctx, choice)
         except IselabError as exc:
@@ -391,8 +392,9 @@ class ISEReport:
         return rows
 
 
-def estimate_ise_probability(plan, dimension=2):
-    """Per-L Wilson estimates with bound ledgers; one pool serves every L."""
+def estimate_ise_probability(plan):
+    """Per-L Wilson estimates with bound ledgers on square (d = 2) boxes;
+    one pool serves every L."""
     model = load_model(plan.model)
     dist = model.disorder
     per_L = []
@@ -400,18 +402,16 @@ def estimate_ise_probability(plan, dimension=2):
           if plan.workers > 1 else nullcontext()) as pool:
         run = map if pool is None else partial(pool.map, chunksize=4)
         for L_index, L in enumerate(plan.L_values):
-            grid = GridSpec.per_unit(dimension, L, plan.points_per_unit,
-                                     plan.boundary)
+            grid = GridSpec.per_unit(2, L, plan.points_per_unit, plan.boundary)
             a, b = band_edge_of_background(
                 grid, model.background, hint=plan.band_edge_hint,
                 mode=plan.band_edge_mode)
             try:
                 l = select_scale(L, plan.alpha)
-                event_spec = EventSpec(dimension=dimension, l=l, L=int(L),
-                                       eta=dist.eta, kappa=dist.kappa)
-                ledger = build_ledger(dimension, int(L), plan.alpha, plan.q,
-                                      dist.kappa, dist.eta,
-                                      model.coupling_floor)
+                event_spec = EventSpec(dimension=2, l=l, L=L, eta=dist.eta,
+                                       kappa=dist.kappa)
+                ledger = build_ledger(2, L, plan.alpha, plan.q, dist.kappa,
+                                      dist.eta, model.coupling_floor)
             except ScaleWindowError:
                 l, event_spec, ledger = None, None, None
             ctx = TrialContext(model, grid, event_spec, b,
@@ -434,7 +434,7 @@ def estimate_ise_probability(plan, dimension=2):
             successes = sum(1 for r in valid if r["outcome"])
             p_hat, lo, hi = wilson_interval(successes, len(valid))
             per_L.append(ISEPerL(
-                L=int(L), l=l, band_edge=b, gap_lower=a,
+                L=L, l=l, band_edge=b, gap_lower=a,
                 window_width=ctx.width,
                 lower_count_certified=ctx.certified_below is not None,
                 trials=plan.trials, valid=len(valid), successes=successes,

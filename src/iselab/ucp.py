@@ -7,7 +7,9 @@ node-counting sums, so the h^d factors cancel in the ratio.
 
 Every operator is a box's hamiltonian (potentials.Box): V0 at the nodes plus
 eta c on a sorted node-index mask, U @ omega or t W, so its order is
-node-wise order.
+node-wise order.  The mask of the good event's test perturbation is the
+union S of one ball per cell, read from the box (event_balls) at each cell's
+chosen site (events.event_choice).
 """
 
 import math
@@ -20,8 +22,7 @@ from .errors import EventViolatedError, IselabError
 from .eigensolve import (TOL_EIG, TOL_GAP, check_t_grid, count_below,
                          eigs_in_window, lowest_in_spectrum_above,
                          min_eig_above)
-from .events import (EquidistributedSequence, cell_choice, cell_hits,
-                     lifting_bound)
+from .events import event_choice, lifting_bound
 
 
 @dataclass(frozen=True)
@@ -106,49 +107,36 @@ def random_subspace_vectors(vectors, count, seed):
     return out
 
 
-def equidistributed_from_event(cfg, spec, profiles, grid, period=1.0):
-    """Pick one qualifying site per cell and build the ball-union mask.
+def event_balls(box, choice):
+    """(mask, delta): the good event's balls B_delta(x_j) on box.grid, one
+    per chosen site j (event_choice) that has a profile.
 
-    The per-cell choice is the lexicographically smallest site of J(omega)
-    in the cell, the first qualifying entry of its row of spec.cells(), so
-    the selection is deterministic.  `period` is the lattice spacing G.
+    The mask is the sorted node indices of their union and delta their
+    smallest radius.  Each ball must lie inside its site's period cell,
+    |x_j - G j|_inf + delta_j < G/2 with G the background period, and so
+    inside the site's cell of side G l; a ball that does not is a ValueError.
+    A site with no profile puts no mass in the box and adds no ball; its
+    cell is still covered by the event.
     """
-    table, hits = cell_hits(cfg, spec)
-    if not hits.any(axis=1).all():
-        raise EventViolatedError("configuration is not in the event")
-    return equidistributed_from_choice(
-        spec, cell_choice(table, hits).tolist(), profiles, grid, period)
-
-
-def equidistributed_from_choice(spec, chosen, profiles, grid, period=1.0):
-    """(sequence, mask) of the balls of `chosen`, row i a site of cell i;
-    the mask is the sorted node indices of their union.  The sequence is in
-    physical units: the cells' centres and side times the lattice spacing
-    G = `period`, as the balls' centres G * site are."""
-    table = spec.cells()
-    centers = table[:, table.shape[1] // 2].tolist()
-    by_site = {p.site: p for p in profiles}
-    points = {}
-    pieces = []
-    delta = None
-    for center, site in zip(map(tuple, centers), map(tuple, chosen)):
+    g = box.background.period
+    by_site = {p.site: p for p in box.profiles}
+    pieces, delta = [], math.inf
+    for site in choice:
         profile = by_site.get(site)
         if profile is None:
-            # sites outside the profile lattice cannot contribute mass
-            # inside the box; their cells are still covered by the event
             continue
-        delta = profile.ball_radius if delta is None else min(delta, profile.ball_radius)
-        points[tuple(period * x for x in center)] = profile.ball_center
-        pieces.append(grid.nodes_within_ball(profile.ball_center,
-                                             profile.ball_radius))
-    if delta is None:
+        x, radius = profile.ball_center, profile.ball_radius
+        if max(abs(a - g * j) for a, j in zip(x, site)) + radius >= g / 2.0:
+            raise ValueError(f"ball of radius {radius} at {x} leaves the "
+                             f"cell of site {site}")
+        delta = min(delta, radius)
+        pieces.append(box.grid.nodes_within_ball(x, radius))
+    if not pieces:
         raise IselabError("no profile available for any selected site")
     mask = np.unique(np.concatenate(pieces))
     if not mask.size:
         raise IselabError("indicator mask is empty: no ball meets the grid")
-    sequence = EquidistributedSequence(cell_side=period * spec.l,
-                                       radius=delta, points=points)
-    return sequence, mask
+    return mask, delta
 
 
 def perturbed_eigenvalue(box, mask, amplitude, b):
@@ -188,6 +176,11 @@ class LiftingRecord:
 def lifting_experiment(box, cfg, spec, b, eta, c):
     """Lift of the lowest eigenvalue above b under the test perturbation.
 
+    The perturbation is eta c on the balls of event_choice(cfg, spec)
+    (event_balls); a configuration outside the event is an
+    EventViolatedError.  The predicted floor is lifting_bound at the cell
+    side G l, G the background period.
+
     Also records the eigenvalue of the full random operator and certifies
     H0 <= H0 + eta c chi_S <= H_omega <= H0 + W with no eigensolve: all four
     share -Laplacian + V0, so the order holds iff eta c chi_S <= V_omega <= W
@@ -198,8 +191,10 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
     """
     if eta * c < 0:
         raise ValueError("amplitude must be nonnegative")
-    sequence, mask = equidistributed_from_event(
-        cfg, spec, box.profiles, box.grid, box.background.period)
+    choice = event_choice(cfg, spec)
+    if choice is None:
+        raise EventViolatedError("configuration is not in the event")
+    mask, delta = event_balls(box, choice)
     v_rand = box.potential(cfg)
 
     k0, lam0 = lowest_in_spectrum_above(box.spectrum.values, b)
@@ -212,10 +207,10 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
     if observed < -TOL_EIG:
         raise IselabError(f"observed lift {observed} is meaningfully negative")
     return LiftingRecord(
-        l=spec.l, L=box.grid.side, eta=eta, c=c, delta=sequence.radius, k0=k0,
+        l=spec.l, L=box.grid.side, eta=eta, c=c, delta=delta, k0=k0,
         base_eigenvalue=lam0, perturbed_eigenvalue=lam_pert,
         random_eigenvalue=lam_rand, observed_lift=observed,
-        predicted_floor=lifting_bound(sequence.cell_side, eta, c),
+        predicted_floor=lifting_bound(spec.l * box.background.period, eta, c),
         sandwich_ok=sandwich_ok,
     )
 

@@ -115,6 +115,27 @@ def _brute_force_cells(spec):
             for j in centers.tolist()]
 
 
+def event_ball_mask(cfg, spec, profiles, grid):
+    """Sorted node indices of the good event's balls, or None off the event.
+
+    The oracle of events.event_choice with ucp.event_balls: each cell of
+    _brute_force_cells chooses its smallest site with omega >= eta, read site
+    by site; the mask is the union of the chosen sites' profile balls
+    B_delta(x_j) on the grid, a site with no profile adding none.
+    """
+    by_site = {p.site: p for p in profiles}
+    pieces = []
+    for _, cell in _brute_force_cells(spec):
+        hits = [s for s in cell if cfg[s] >= spec.eta]
+        if not hits:
+            return None
+        profile = by_site.get(min(hits))
+        if profile is not None:
+            pieces.append(grid.nodes_within_ball(profile.ball_center,
+                                                 profile.ball_radius))
+    return np.unique(np.concatenate(pieces))
+
+
 @pytest.fixture(scope="session")
 def brute_force_cells():
     """Independent oracle for EventSpec.cells(): see _brute_force_cells."""

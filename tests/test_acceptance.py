@@ -24,13 +24,12 @@ from iselab.events import (EventSpec, build_ledger, event_A_indicator,
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.ise import estimate_ise_probability
 from iselab.potentials import DisorderConfiguration, load_model, site_matrix
-from iselab.ucp import (FitSample, equidistributed_from_event,
-                        fit_ucp_constant, lifting_experiment, mass_ratio,
-                        random_subspace_vectors)
+from iselab.ucp import (FitSample, fit_ucp_constant, lifting_experiment,
+                        mass_ratio, random_subspace_vectors)
 
-from conftest import (assemble_random_potential, exact_event_log_failure,
-                      laplacian_eigenvalues, min_scale_by_scan,
-                      reference_plan, shipped)
+from conftest import (assemble_random_potential, event_ball_mask,
+                      exact_event_log_failure, laplacian_eigenvalues,
+                      min_scale_by_scan, reference_plan, shipped)
 
 REFERENCE_SEED = reference_plan().master_seed
 
@@ -121,9 +120,9 @@ class TestEigenvalueSandwich:
             if not (leq(base, rand) and leq(rand, top)):
                 violations += 1
                 continue
-            if event_A_indicator(cfg, spec):
-                _, mask = equidistributed_from_event(cfg, spec, profiles,
-                                                     grid)
+            mask = event_ball_mask(cfg, spec, profiles, grid)
+            assert (mask is not None) == event_A_indicator(cfg, spec)
+            if mask is not None:
                 v_test = np.zeros(grid.num_points)
                 v_test[mask] = amplitude
                 h_mid = assemble_schrodinger(grid, v0_nodes + v_test)

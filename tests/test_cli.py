@@ -195,6 +195,44 @@ class TestExitCodes:
             "input error: coupling values must lie in [0, 1]")
         assert not out.exists()
 
+    def test_non_whole_plan_side_is_input_error(self, plan_file, tmp_path,
+                                                capsys):
+        # a box of side 6.5 once ran with the event and ledger of L = 6,
+        # and was reported as L = 6
+        plan = json.loads(Path(plan_file).read_text())
+        plan["L_values"] = [6.5]
+        Path(plan_file).write_text(json.dumps(plan))
+        out = tmp_path / "art"
+        assert main(["ise", "--plan", plan_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: L values must be whole numbers: [6.5]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["lift", "ucp"])
+    def test_non_whole_event_side_is_input_error(self, tmp_path, capsys,
+                                                 subcommand):
+        # the good event's cells tile a whole box: --L 5.5 once ran with
+        # the cells of L = 5 and was reported as L = 5.5
+        argv = {"lift": ["--hint", "36", "--scales", "1"],
+                "ucp": ["--l", "1", "--energy", "30"]}[subcommand]
+        out = tmp_path / "art"
+        code = main([subcommand, "--model", REFERENCE_MODEL, "--L", "5.5",
+                     "--points-per-unit", "2", "--seed", "1",
+                     "--out", str(out)] + argv)
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: --L 5.5 is not a whole number: the good event "
+            "needs a whole box side")
+        assert not out.exists()
+
+    def test_bands_keeps_a_non_whole_side(self, tmp_path, capsys):
+        # bands, gap and ids build no event, so any side the grid takes runs
+        out = tmp_path / "art"
+        assert main(["bands", "--model", REFERENCE_MODEL, "--L", "5.5",
+                     "--points-per-unit", "2", "--hint", "36",
+                     "--out", str(out)]) == 0
+        assert read_artifact(out / "bands.json")[0]["params"]["L"] == 5.5
+
     def test_negative_workers_flag_is_input_error(self, plan_file, capsys):
         assert main(["ise", "--plan", plan_file, "--workers", "-3"]) == 1
         assert capsys.readouterr().err.strip() == (

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from iselab import events
 from iselab.errors import ScaleWindowError
-from iselab.events import (EquidistributedSequence, EventSpec, build_ledger,
-                           cell_count, event_A_indicator,
-                           exact_event_probability,
+from iselab.events import (EventSpec, build_ledger, cell_count,
+                           event_A_indicator, exact_event_probability,
                            ledger_verdict, lifting_bound,
                            min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
@@ -438,13 +437,3 @@ class TestLedgerLinesWithinABand:
         if holds["sufficient_large_L"]:
             assert all(holds[name] for name in FALLING)
 
-
-class TestEquidistributedSequence:
-    def test_accepts_centered_points(self):
-        EquidistributedSequence(cell_side=3, radius=0.4,
-                                points={(0, 0): (0.3, -0.2)})
-
-    def test_rejects_ball_leaving_the_cell(self):
-        with pytest.raises(ValueError):
-            EquidistributedSequence(cell_side=3, radius=1.4,
-                                    points={(0, 0): (1.0, 0.0)})

@@ -14,16 +14,15 @@ from scipy import sparse
 from iselab import eigensolve, ise, rng
 from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
 from iselab.errors import GapNotFoundError, SolverError
-from iselab.events import (EventSpec, cell_choice, cell_hits,
-                           event_A_indicator, select_scale)
+from iselab.events import EventSpec, event_A_indicator, select_scale
 from iselab.grid import GridSpec, assemble_schrodinger
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial)
 from iselab.potentials import (DisorderConfiguration, DisorderDistribution,
                                load_model, zero_potential)
-from iselab.ucp import equidistributed_from_event
 
-from conftest import MODELS, laplacian_eigenvalues, reference_plan, shipped
+from conftest import (MODELS, event_ball_mask, laplacian_eigenvalues,
+                      reference_plan, shipped)
 
 PLAN = reference_plan()
 REFERENCE_ALPHA = PLAN.alpha
@@ -140,7 +139,7 @@ def public_path_record(model, grid, spec, b, width, seed, cfg=None):
                              count_below(h, b + width - TOL_EIG) == below),
               "event": event_A_indicator(cfg, spec), "observed_lift": None}
     if record["event"]:
-        _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
+        mask = event_ball_mask(cfg, spec, profiles, grid)
         v_test = np.zeros(grid.num_points)
         v_test[mask] = model.disorder.eta * model.coupling_floor
         h_pert = assemble_schrodinger(grid, v0_nodes + v_test)
@@ -733,6 +732,17 @@ class TestPlan:
         with pytest.raises(ValueError, match="band_edge mode 'botom'"):
             ExperimentPlan(model={}, L_values=(3, 6), alpha=0.5, q=1.0,
                            trials=4, master_seed=0, band_edge_mode="botom")
+
+    def test_box_sides_are_whole(self):
+        # the event's cells and the ledger count integer sites: a side of
+        # 6.5 once ran its box with the event and ledger of L = 6
+        with pytest.raises(ValueError, match=r"whole numbers: \[3, 6\.5\]"):
+            ExperimentPlan(model={}, L_values=(3, 6.5), alpha=0.5, q=1.0,
+                           trials=4, master_seed=0)
+        plan = ExperimentPlan(model={}, L_values=(3.0, 6), alpha=0.5, q=1.0,
+                              trials=4, master_seed=0)
+        assert plan.L_values == (3, 6)
+        assert all(type(L) is int for L in plan.L_values)
 
     def test_benchmark_restates_the_shipped_plan(self):
         # perfbench/workloads.py spells out the reference models and plan

@@ -5,9 +5,9 @@ from iselab.eigensolve import check_t_grid
 from iselab.errors import IselabError
 from iselab.events import EventSpec
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
-from iselab.potentials import (constant_potential, indicator_profile,
+from iselab.potentials import (Box, constant_potential, indicator_profile,
                                site_matrix, zero_potential)
-from iselab.ucp import equidistributed_from_choice
+from iselab.ucp import event_balls
 
 from conftest import assemble_random_potential
 
@@ -133,7 +133,8 @@ class TestTestPerturbation:
         grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        chosen = (spec.cells()[:, 0] + 100).tolist()
-        profiles = [indicator_profile(tuple(s), 1.0, 0.2) for s in chosen]
+        choice = tuple(map(tuple, (spec.cells()[:, 0] + 100).tolist()))
+        box = Box.build(grid, zero_potential(),
+                        [indicator_profile(s, 1.0, 0.2) for s in choice])
         with pytest.raises(IselabError, match="mask is empty"):
-            equidistributed_from_choice(spec, chosen, profiles, grid)
+            event_balls(box, choice)

@@ -7,18 +7,17 @@ import pytest
 from iselab import potentials, rng
 from iselab.errors import EventViolatedError
 from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
-from iselab.events import EventSpec, event_A_indicator, lifting_bound
+from iselab.events import (EventSpec, event_A_indicator, event_choice,
+                           lifting_bound)
 from iselab.grid import GridSpec, assemble_schrodinger
 from iselab.potentials import (Box, DisorderConfiguration, indicator_profile,
                                load_model, site_matrix, zero_potential)
-from iselab.ucp import (FitSample, UCPBoundParams,
-                        equidistributed_from_choice,
-                        equidistributed_from_event,
+from iselab.ucp import (FitSample, UCPBoundParams, event_balls,
                         fit_ucp_constant, lifting_experiment, mass_ratio,
                         random_subspace_vectors, ucp_theoretical_bound,
                         verify_gap_hypothesis)
 
-from conftest import assemble_random_potential, shipped
+from conftest import assemble_random_potential, event_ball_mask, shipped
 
 
 @pytest.fixture
@@ -143,6 +142,9 @@ def event_sites(spec):
 
 
 class TestEquidistributedSelection:
+    """event_choice against the brute-force choice, and event_balls against
+    the site-by-site mask oracle."""
+
     def _profiles(self, sites, delta=0.45):
         return [indicator_profile(s, 1.0, delta) for s in sites]
 
@@ -154,16 +156,17 @@ class TestEquidistributedSelection:
         cells = brute_force_cells(spec)
         sites = [s for _, cell in cells for s in cell]
         cfg = config_from({s: 1.0 for s in sites})
+        choice = event_choice(cfg, spec)
+        assert choice == tuple(min(cell) for _, cell in cells)
+        assert all(type(w) is int for site in choice for w in site)
+        # cells whose smallest site has no profile add no ball
         profiles = self._profiles([s for s in sites
                                    if max(abs(s[0]), abs(s[1])) <= 3])
-        sequence, mask = equidistributed_from_event(cfg, spec, profiles, grid)
-        # cells whose smallest site has no profile drop out of the sequence
-        want = {center: tuple(float(w) for w in min(cell))
-                for center, cell in cells
-                if max(abs(w) for w in min(cell)) <= 3}
-        assert sequence.points == want
-        assert all(type(w) is int for center in want for w in center)
-        assert mask.size > 0
+        mask, delta = event_balls(
+            Box.build(grid, zero_potential(), profiles), choice)
+        assert mask.size > 0 and delta == 0.45
+        assert np.array_equal(mask,
+                              event_ball_mask(cfg, spec, profiles, grid))
 
     def test_matches_brute_force_choice(self, brute_force_cells, config_from):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
@@ -175,49 +178,57 @@ class TestEquidistributedSelection:
             cells = brute_force_cells(spec)
             sites = [s for _, cell in cells for s in cell]
             profiles = self._profiles(sites)
+            box = Box.build(grid, zero_potential(), profiles)
             checked = 0
             for _ in range(20):
                 values = {s: float(gen.random()) for s in sites}
                 cfg = config_from(values)
-                if not all(any(values[s] >= spec.eta for s in cell)
-                           for _, cell in cells):
-                    with pytest.raises(EventViolatedError):
-                        equidistributed_from_event(cfg, spec, profiles, grid)
+                hits = [[s for s in cell if values[s] >= spec.eta]
+                        for _, cell in cells]
+                want = tuple(map(min, hits)) if all(hits) else None
+                assert event_choice(cfg, spec) == want
+                oracle = event_ball_mask(cfg, spec, profiles, grid)
+                if want is None:
+                    assert oracle is None
                     continue
-                sequence, _ = equidistributed_from_event(cfg, spec, profiles,
-                                                         grid)
-                assert sequence.points == {
-                    center: tuple(float(w) for w in
-                                  min(s for s in cell if values[s] >= spec.eta))
-                    for center, cell in cells}
+                mask, _ = event_balls(box, want)
+                assert np.array_equal(mask, oracle)
                 checked += 1
             assert 0 < checked < 20
 
     def test_event_violation_is_an_error(self, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        cfg = config_from({s: 0.0 for s in event_sites(spec)})
+        sites = event_sites(spec)
+        cfg = config_from({s: 0.0 for s in sites})
+        assert event_choice(cfg, spec) is None
+        grid = GridSpec(dimension=2, side=2.0, spacing=0.25,
+                        boundary="periodic")
+        box = Box.build(grid, zero_potential(), self._profiles(sites, 0.2))
         with pytest.raises(EventViolatedError):
-            equidistributed_from_event(cfg, spec, [], None)
+            lifting_experiment(box, cfg, spec, b=0.0, eta=0.5, c=1.0)
 
     def test_cells_scale_with_the_lattice_spacing(self):
-        # at G = 2 cell j has centre 2 j and side 2 l, as ball j has centre
-        # 2 j: a ball of radius 0.9 fits its cell, one of radius G/2 does not
+        # at G = 2 ball j has centre 2 j and its period cell side 2: a ball
+        # of radius 0.9 fits it, one of radius G/2 does not, and neither
+        # fits on a box whose background has G = 1
         grid = GridSpec(dimension=2, side=8.0, spacing=0.25,
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
-        chosen = spec.cells()[:, 0].tolist()
+        choice = tuple(map(tuple, spec.cells()[:, 0].tolist()))
 
-        def balls(delta):
-            return [indicator_profile(s, 1.0, delta, period=2.0)
-                    for s in chosen]
+        def box(delta, period=2.0):
+            return Box.build(grid, zero_potential(period=period),
+                             [indicator_profile(s, 1.0, delta, period=2.0)
+                              for s in choice])
 
-        sequence, mask = equidistributed_from_choice(spec, chosen, balls(0.9),
-                                                     grid, period=2.0)
-        assert sequence.cell_side == 2.0 and mask.size > 0
-        assert sequence.points[(-2.0, -2.0)] == (-2.0, -2.0)
-        with pytest.raises(ValueError, match="radius"):
-            equidistributed_from_choice(spec, chosen, balls(1.0), grid,
-                                        period=2.0)
+        mask, delta = event_balls(box(0.9), choice)
+        assert delta == 0.9
+        assert np.array_equal(mask, np.unique(np.concatenate(
+            [grid.nodes_within_ball((2.0 * a, 2.0 * b), 0.9)
+             for a, b in choice])))
+        for bad in (box(1.0), box(0.9, period=1.0)):
+            with pytest.raises(ValueError, match="radius"):
+                event_balls(bad, choice)
 
 
 class TestLiftingExperiment:
@@ -318,7 +329,7 @@ class TestLiftingExperiment:
                                      model.disorder.eta, model.coupling_floor)
             if not rec.sandwich_ok:
                 continue
-            _, mask = equidistributed_from_event(cfg, spec, profiles, grid)
+            mask = event_ball_mask(cfg, spec, profiles, grid)
             v_test = np.zeros(grid.num_points)
             v_test[mask] = amplitude
             v_omega = assemble_random_potential(cfg, profiles, grid)
