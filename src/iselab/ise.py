@@ -46,9 +46,9 @@ not counted when no count is certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
 depends on omega only through each cell's chosen site (event_choice, None
-off the event), so its lift above b is solved on the context's box once
-per process, box size and choice (event_lift) and recorded as the trial's observed lift.  That solve is a
-trial's longest task, so a pool maps each box size's event trials first.
+off the event).  So a trial is its count (run_ise_trial) and its choice's
+lift above b (event_lift), one task per distinct choice that trial_records
+maps first, serially or on a pool alike: a lift is the longest task.
 """
 
 import math
@@ -63,8 +63,8 @@ from . import rng
 from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
                          counts_below, enclosure)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
-from .events import (EventSpec, build_ledger, event_A_indicator,
-                     event_choice, select_scale, wilson_interval)
+from .events import (EventSpec, build_ledger, event_choice, select_scale,
+                     wilson_interval)
 from .grid import GridSpec
 from .potentials import Box, DisorderConfiguration, load_model
 from .ucp import event_balls, perturbed_eigenvalue
@@ -168,7 +168,7 @@ class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
     A value compared and hashed on (model, grid, event_spec, b, width), also
-    after pickling, so window_floor and event_lift memoize on it.  The window
+    after pickling, so window_floor memoizes on it.  The window
     is [b, b + width); `event_spec` is None where the scale window is empty.
     Derived: `box` (potentials.Box) and `certified_below`
     certified_lower_count at b, or None.
@@ -189,21 +189,22 @@ class TrialContext:
                              certified_below=certified_lower_count(box, self.b))
 
 
-@lru_cache(maxsize=16)
 def event_lift(ctx, choice):
-    """The good event's test operator's lift above b for one per-cell choice.
+    """(lift, error) of the good event's test operator for one choice.
 
     H_pert = H0 + eta c chi_S on the context's box, S the union of the
     chosen sites' balls (ucp.event_balls of event_choice's int tuples); the
-    lift is H_pert's lowest eigenvalue at or above b minus b.  It depends on
-    omega only through the choice, so each process (the serial one, or each
-    pool worker) solves it once per box size and choice.
+    lift is H_pert's lowest eigenvalue at or above b minus b.  A solve that
+    fails returns (None, its message), so it cannot abort a pool's map.
     """
     model = ctx.model
-    mask, _ = event_balls(ctx.box, choice)
-    _, lam = perturbed_eigenvalue(
-        ctx.box, mask, model.disorder.eta * model.coupling_floor, ctx.b)
-    return lam - ctx.b
+    try:
+        mask, _ = event_balls(ctx.box, choice)
+        _, lam = perturbed_eigenvalue(
+            ctx.box, mask, model.disorder.eta * model.coupling_floor, ctx.b)
+    except IselabError as exc:
+        return None, str(exc)
+    return lam - ctx.b, None
 
 
 @lru_cache(maxsize=16)
@@ -261,13 +262,6 @@ def floor_certifies(ctx, omega, v_omega):
     return bool(np.all(v_omega.reshape(floor.shape) >= floor))
 
 
-def is_event_trial(ctx, seed):
-    """Whether the trial of this seed lies in the good event."""
-    return ctx.event_spec is not None and event_A_indicator(
-        DisorderConfiguration(seed, ctx.model.disorder),
-        ctx.event_spec)
-
-
 class TrialRecord(dict):
     """A trial's data, and beside it how the verdict was reached.
 
@@ -284,21 +278,20 @@ class TrialRecord(dict):
 
 
 def run_ise_trial(ctx, seed):
-    """One trial: is the window [b, b + width) free of spectrum?
+    """One trial's count: is the window [b, b + width) free of spectrum?
 
-    Returns a dict with the verdict, the number of eigenvalues in the window
-    (values within tol_eig below b count), a borderline flag (the window
-    holds spectrum only within tol_eig of its upper edge), and, when the
-    configuration lies in the good event, the observed lift of the test
-    perturbation above b (event_lift).  The record's `floor_certified` says
-    whether a floor settled the verdict (floor_certifies): H_omega lies above
-    an operator that clears the window (window_floor), so H_omega's window is
-    empty and H_omega is not factorized.  Otherwise the
-    count below b - tol_eig is the context's certified one where it holds,
-    so the trial factorizes only at b + width (and at b + width - tol_eig
-    when the window holds spectrum).
+    Returns a record with the verdict, the number of eigenvalues in the
+    window (values within tol_eig below b count) and a borderline flag (the
+    window holds spectrum only within tol_eig of its upper edge); `event`
+    and `observed_lift` stay None for trial_records.  `floor_certified`
+    says whether a floor settled the verdict (floor_certifies): H_omega
+    lies above an operator that clears the window (window_floor), so its
+    window is empty and it is not factorized.  Otherwise the count below
+    b - tol_eig is the context's certified one where it holds, so the trial
+    factorizes only at b + width (and at b + width - tol_eig when the
+    window holds spectrum).
     """
-    box, b, width, spec = ctx.box, ctx.b, ctx.width, ctx.event_spec
+    box, b, width = ctx.box, ctx.b, ctx.width
     cfg = DisorderConfiguration(seed, ctx.model.disorder)
     result = TrialRecord(seed=seed, valid=True, outcome=None,
                          window_count=None, borderline=False, event=None,
@@ -306,15 +299,6 @@ def run_ise_trial(ctx, seed):
     omega = cfg[box.sites]
     v_omega = box.potential_of(omega)   # >= 0 node by node, or it raises
     result.floor_certified = floor_certifies(ctx, omega, v_omega)
-    in_event, choice, lift, lift_error = None, None, None, None
-    if spec is not None:
-        choice = event_choice(cfg, spec)
-        in_event = choice is not None
-    if in_event:
-        try:
-            lift = event_lift(ctx, choice)
-        except IselabError as exc:
-            lift_error = str(exc)
     try:
         if result.floor_certified:
             result.update(window_count=0, outcome=True)
@@ -330,11 +314,31 @@ def run_ise_trial(ctx, seed):
                     count_below(h_rand, b + width - TOL_EIG) == below
     except SolverError as exc:
         result.update(valid=False, error=str(exc))
-        return result
-    result.update(event=in_event, observed_lift=lift)
-    if lift_error is not None:
-        result.update(valid=False, error=lift_error)
     return result
+
+
+def trial_records(ctx, seeds, run=map):
+    """The records of `seeds`, in order: `run` (map, or a pool's) maps
+    event_lift over the distinct choices of the seeds, read here once each,
+    then run_ise_trial over the seeds.  Each counted record gets `event`
+    (None without an event spec) and its choice's lift, and a failed lift
+    makes it invalid with the lift's message."""
+    spec = ctx.event_spec
+    choices = [None if spec is None else event_choice(
+        DisorderConfiguration(s, ctx.model.disorder), spec) for s in seeds]
+    distinct = list(dict.fromkeys(filter(None, choices)))
+    # a pool's map submits at once, so the lifts, the longest tasks, start
+    # first, and both maps are submitted before either is read
+    lifts = run(partial(event_lift, ctx), distinct)
+    records = run(partial(run_ise_trial, ctx), seeds)
+    lifts, records = dict(zip(distinct, lifts)), list(records)
+    for record, choice in zip(records, choices):
+        if record["valid"] and spec is not None:
+            lift, error = lifts.get(choice, (None, None))
+            record.update(event=choice is not None, observed_lift=lift)
+            if error is not None:
+                record.update(valid=False, error=error)
+    return records
 
 
 @dataclass(frozen=True)
@@ -419,15 +423,7 @@ def estimate_ise_probability(plan):
             seeds = [rng.derive_seed(plan.master_seed, rng.TRIAL_STREAM,
                                      (L_index, t))
                      for t in range(plan.trials)]
-            order = list(range(plan.trials))
-            if pool is not None:
-                # an event trial solves the lift, a worker's longest task:
-                # map the event trials first, so none is met last
-                order.sort(key=lambda t: not is_event_trial(ctx, seeds[t]))
-            records = [None] * plan.trials
-            for t, record in zip(order, run(partial(run_ise_trial, ctx),
-                                            [seeds[t] for t in order])):
-                records[t] = record
+            records = trial_records(ctx, seeds, run)
             valid = [r for r in records if r["valid"]]
             if not valid:
                 raise SolverError(f"all trials invalid at L={L}")

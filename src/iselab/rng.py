@@ -42,11 +42,6 @@ def stream(seed, purpose, index=()):
     return np.random.Generator(bitgen)
 
 
-def uniform_at(seed, purpose, index):
-    """Single uniform in [0, 1) at the given coordinates."""
-    return float(stream(seed, purpose, index).random())
-
-
 def _mulhilo(x):
     """(low, high) 64-bit words of _PHILOX_M * x, row by row, in uint64."""
     m_lo, m_hi = _PHILOX_M_LO, _PHILOX_M_HI
@@ -57,12 +52,13 @@ def _mulhilo(x):
 
 
 def uniforms_at(seed, purpose, coords):
-    """uniform_at(seed, purpose, c) for every row c of an (m, <=4) integer array.
+    """stream(seed, purpose, c).random() for every row c of an (m, <=4)
+    integer array.
 
     One Philox-4x64-10 evaluation over all rows: a generator's first
     random() increments the counter words (with carry) and maps the first
     output word x to (x >> 11) * 2^-53.  Row entries are counter words
-    modulo 2^64, as in uniform_at.
+    modulo 2^64, as in stream.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.shape == (0,):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iselab import rng
 from iselab.events import _event_logs, ledger_verdict
 from iselab.grid import GridSpec
 from iselab.ise import ExperimentPlan
@@ -74,6 +75,12 @@ def min_scale_by_scan(dimension, alpha, q, kappa, eta, c, last=5_000_000):
         if ledger_verdict(dimension, L, alpha, q, kappa, eta, c):
             return L
     raise AssertionError(f"no true verdict below L={last}")
+
+
+def uniform_at(seed, purpose, index):
+    """Single uniform in [0, 1) at the given coordinates, drawn from its own
+    generator: the per-site oracle of rng.uniforms_at."""
+    return float(rng.stream(seed, purpose, index).random())
 
 
 def assemble_random_potential(cfg, profiles, grid):

@@ -14,10 +14,12 @@ from scipy import sparse
 from iselab import eigensolve, ise, rng
 from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
 from iselab.errors import GapNotFoundError, SolverError
-from iselab.events import EventSpec, event_A_indicator, select_scale
+from iselab.events import (EventSpec, event_A_indicator, event_choice,
+                           select_scale)
 from iselab.grid import GridSpec, assemble_schrodinger
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
-                        estimate_ise_probability, ids_estimate, run_ise_trial)
+                        estimate_ise_probability, ids_estimate, run_ise_trial,
+                        trial_records)
 from iselab.potentials import (DisorderConfiguration, DisorderDistribution,
                                load_model, zero_potential)
 
@@ -189,11 +191,10 @@ class TestTrialContext:
         for ctx, seeds in (reference_context, reference_box(8)):
             box = ctx.box
             events = certified[box.grid.side] = floored[box.grid.side] = 0
-            for seed in seeds:
+            for seed, record in zip(seeds, trial_records(ctx, seeds)):
                 want, cfg, h = public_path_record(ctx.model, box.grid,
                                                   ctx.event_spec, ctx.b,
                                                   ctx.width, seed)
-                record = run_ise_trial(ctx, seed)
                 assert_records_match(record, want)
                 assert (box.hamiltonian(box.potential(cfg)) != h).nnz == 0
                 events += bool(want["event"])
@@ -230,7 +231,7 @@ class TestContextValue:
         for other in (twin, pickle.loads(pickle.dumps(twin))):
             assert other == ctx and hash(other) == hash(ctx)
 
-    def test_each_field_keys_the_floor_and_the_lift(self):
+    def test_each_field_keys_the_floor(self):
         model, grid, spec, b, width = small_context_inputs()
         variants = {
             "model": dataclasses.replace(
@@ -242,25 +243,18 @@ class TestContextValue:
             "width": 2.0 * width,
         }
         ctx = TrialContext(model, grid, spec, b, width)
-        choice = tuple(map(tuple, spec.cells()[:, 0].tolist()))
         ise.window_floor.cache_clear()
-        ise.event_lift.cache_clear()
         try:
             ise.window_floor(ctx)
-            ise.event_lift(ctx, choice)
             for name, value in variants.items():
                 other = dataclasses.replace(ctx, **{name: value})
                 assert other != ctx, name
                 floors = ise.window_floor.cache_info().misses
-                lifts = ise.event_lift.cache_info().misses
                 ise.window_floor(other)
-                ise.event_lift(other, choice)
                 # a context that differs in one field is a new key
                 assert ise.window_floor.cache_info().misses == floors + 1, name
-                assert ise.event_lift.cache_info().misses == lifts + 1, name
         finally:
             ise.window_floor.cache_clear()
-            ise.event_lift.cache_clear()
 
 
 class TestLowerCountCertificate:
@@ -283,11 +277,11 @@ class TestLowerCountCertificate:
                 for t in range(count)]
 
     def assert_public_path(self, ctx, seeds):
-        for seed in seeds:
+        for seed, record in zip(seeds, trial_records(ctx, seeds)):
             want, _, _ = public_path_record(ctx.model, ctx.box.grid,
                                             ctx.event_spec, ctx.b,
                                             ctx.width, seed)
-            assert run_ise_trial(ctx, seed) == want
+            assert record == want
 
     def test_reference_gap_is_certified(self):
         ctx = self.context(shipped("reference_gapped"), "gap")
@@ -368,8 +362,8 @@ class TestLowerCountCertificate:
             return real_splu(*args, **kwargs)
 
         ctx = self.context(shipped("reference_gapped"), "gap")
-        # the event lift is solved once per box size; warm it up so that
-        # only H_omega's factorizations are counted below
+        # the floor is counted once per box size; warm it up so that only
+        # H_omega's factorizations are counted below
         for seed in self.seeds(8):
             run_ise_trial(ctx, seed)
         monkeypatch.setattr(eigensolve, "splu", spy)
@@ -403,11 +397,10 @@ class TestLiftCertificate:
         ctx = overclaimed_floor(ctx)
         assert ise.window_floor(ctx)[0] is not None
         failed = 0
-        for seed in seeds:
+        for seed, record in zip(seeds, trial_records(ctx, seeds)):
             want, _, _ = public_path_record(ctx.model, ctx.box.grid,
                                             ctx.event_spec, ctx.b, ctx.width,
                                             seed)
-            record = run_ise_trial(ctx, seed)
             assert_records_match(record, want)
             assert not record.floor_certified
             failed += not record["outcome"]
@@ -425,7 +418,6 @@ class TestLiftCertificate:
             factorizations.append(1)
             return real_splu(*args, **kwargs)
 
-        ise.event_lift.cache_clear()
         ise.window_floor.cache_clear()
         monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
@@ -519,7 +511,7 @@ class TestFloorCertificate:
     def test_floor_decided_trial_factorizes_nothing(self, monkeypatch):
         # the 24th trial is the first with two couplings below eta
         ctx, seeds = reference_box(8, trials=24)
-        for seed in seeds:   # warm the lift and the floor
+        for seed in seeds:   # warm the floor
             run_ise_trial(ctx, seed)
         factorizations = []
         real_splu = eigensolve.splu
@@ -550,13 +542,13 @@ class TestFloorCertificate:
         assert 1 <= decided < len(seeds)
         assert one_low >= 1
 
-    def test_pool_maps_event_trials_first(self, monkeypatch):
+    def test_pool_maps_each_lift_then_every_seed(self, monkeypatch):
         mapped = []
 
         class SerialPool(ise.ProcessPoolExecutor):
-            def map(self, fn, seeds, chunksize=1):
-                mapped.append(list(seeds))
-                return map(fn, mapped[-1])
+            def map(self, fn, items, chunksize=1):
+                mapped.append((fn.func, fn.args, list(items)))
+                return map(fn, mapped[-1][2])
 
         monkeypatch.setattr(ise, "ProcessPoolExecutor", SerialPool)
         plan = reference_plan(L_values=(8,), trials=12)
@@ -567,9 +559,52 @@ class TestFloorCertificate:
         flags = [r["event"] for r in serial.trial_records]
         seeds = [r["seed"] for r in serial.trial_records]
         assert True in flags and False in flags
-        events = [s for s, f in zip(seeds, flags) if f]
-        others = [s for s, f in zip(seeds, flags) if not f]
-        assert mapped == [events + others]
+        (lift, (ctx,), choices), (count, args, counted) = mapped
+        # at l = 1 every event trial makes the same choice: one lift
+        want = {event_choice(DisorderConfiguration(s, ctx.model.disorder),
+                             ctx.event_spec) for s in seeds} - {None}
+        assert lift is ise.event_lift and len(want) == 1
+        assert choices == list(want)
+        assert count is ise.run_ise_trial and args == (ctx,)
+        assert counted == seeds
+
+
+class TestMergeRules:
+    """trial_records merges each event trial's lift into its count."""
+
+    def test_failed_lift_invalidates_the_event_trial(self, monkeypatch):
+        ctx, seeds = reference_box(6)
+
+        def fail(*args):
+            raise SolverError("no converged lift")
+
+        monkeypatch.setattr(ise, "perturbed_eigenvalue", fail)
+        records = trial_records(ctx, seeds)
+        assert True in [r["event"] for r in records]
+        for record in records:
+            if record["event"]:
+                assert not record["valid"]
+                assert record["error"] == "no converged lift"
+                assert record["observed_lift"] is None
+            else:
+                assert record["valid"] and "error" not in record
+
+    def test_failed_count_leaves_the_event_unset(self, monkeypatch):
+        ctx, seeds = reference_box(6)
+        # the L = 6 floor is refused, so every trial counts
+        assert ise.window_floor(ctx) == (None, None)
+        assert any(event_choice(DisorderConfiguration(s, ctx.model.disorder),
+                                ctx.event_spec) for s in seeds)
+
+        def fail(*args):
+            raise SolverError("no trusted LDL^T factor")
+
+        monkeypatch.setattr(ise, "count_below", fail)
+        for record in trial_records(ctx, seeds):
+            assert not record["valid"]
+            assert record["error"] == "no trusted LDL^T factor"
+            assert record["event"] is None
+            assert record["observed_lift"] is None
 
 
 # periodic reference boxes (side, points per unit) small enough for the
@@ -630,7 +665,7 @@ class TestTranslatedFloor:
         cfg = config_from(values)
         with mock.patch.object(ise, "DisorderConfiguration",
                                lambda seed, dist: cfg):
-            record = run_ise_trial(ctx, 0)
+            [record] = trial_records(ctx, [0])
         want, _, h = public_path_record(ctx.model, box.grid, ctx.event_spec,
                                         ctx.b, ctx.width, 0, cfg)
         assert_records_match(record, want)
@@ -669,12 +704,12 @@ class TestTranslatedFloor:
         ctx = small_box_context(2, 9, 0.25)
         assert ctx.box.lattice_step == 9 and ctx.certified_below == 4
         assert floor_counts(monkeypatch, ctx) == ((None, None), 1)
-        for t in range(6):
-            seed = rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+        seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
+                 for t in range(6)]
+        for seed, record in zip(seeds, trial_records(ctx, seeds)):
             want, _, _ = public_path_record(ctx.model, ctx.box.grid,
                                             ctx.event_spec, ctx.b, ctx.width,
                                             seed)
-            record = run_ise_trial(ctx, seed)
             assert_records_match(record, want)
             assert not record.floor_certified
 

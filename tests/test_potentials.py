@@ -16,7 +16,7 @@ from iselab.potentials import (Box, DisorderConfiguration,
                                site_matrix, truncated, uniform01,
                                verify_single_site_bound, zero_potential)
 
-from conftest import assemble_random_potential
+from conftest import assemble_random_potential, uniform_at
 
 
 # one law of each kind, every value a coupling can take drawn often
@@ -99,7 +99,7 @@ class TestDisorderDistributions:
     def test_matches_the_per_site_stream(self):
         dist = LAWS["truncated"]
         sites = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
-        want = [float(dist.from_uniform(rng.uniform_at(7, rng.SITE_VALUES, s)))
+        want = [float(dist.from_uniform(uniform_at(7, rng.SITE_VALUES, s)))
                 for s in sites]
         cfg = DisorderConfiguration(7, dist)
         for given, order in ((sites, want), (np.array(sites), want),
@@ -177,7 +177,7 @@ class TestDisorderDistributions:
         if count > 1:
             rows[-1] = rows[data.draw(st.integers(0, count - 2))]
         q = np.array(rows, dtype=np.int64).reshape(tuple(sizes) + (d,))
-        want = [dist.from_uniform(rng.uniform_at(seed, rng.SITE_VALUES, r))
+        want = [dist.from_uniform(uniform_at(seed, rng.SITE_VALUES, r))
                 for r in rows]
         cfg = DisorderConfiguration(seed, dist)
         got = cfg[q]

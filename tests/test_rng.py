@@ -3,34 +3,36 @@ import pytest
 
 from iselab import rng
 
+from conftest import uniform_at
+
 
 def test_same_coordinates_reproduce_exactly():
-    a = rng.uniform_at(42, rng.SITE_VALUES, (3, -1))
-    b = rng.uniform_at(42, rng.SITE_VALUES, (3, -1))
+    a = uniform_at(42, rng.SITE_VALUES, (3, -1))
+    b = uniform_at(42, rng.SITE_VALUES, (3, -1))
     assert a == b
 
 
 def test_purpose_tags_decorrelate():
     idx = (5, 5)
-    assert rng.uniform_at(1, rng.SITE_VALUES, idx) != \
-        rng.uniform_at(1, rng.TRIAL_STREAM, idx)
+    assert uniform_at(1, rng.SITE_VALUES, idx) != \
+        uniform_at(1, rng.TRIAL_STREAM, idx)
 
 
 def test_negative_indices_are_distinct_sites():
     # two's-complement packing must keep (-3, 2) and (3, 2) apart
-    assert rng.uniform_at(7, rng.SITE_VALUES, (-3, 2)) != \
-        rng.uniform_at(7, rng.SITE_VALUES, (3, 2))
+    assert uniform_at(7, rng.SITE_VALUES, (-3, 2)) != \
+        uniform_at(7, rng.SITE_VALUES, (3, 2))
 
 
 def test_seed_changes_values():
-    assert rng.uniform_at(1, rng.SITE_VALUES, (0, 0)) != \
-        rng.uniform_at(2, rng.SITE_VALUES, (0, 0))
+    assert uniform_at(1, rng.SITE_VALUES, (0, 0)) != \
+        uniform_at(2, rng.SITE_VALUES, (0, 0))
 
 
 def test_stream_is_order_free():
     sites = [(i, j) for i in range(-2, 3) for j in range(-2, 3)]
-    forward = {s: rng.uniform_at(9, rng.SITE_VALUES, s) for s in sites}
-    backward = {s: rng.uniform_at(9, rng.SITE_VALUES, s)
+    forward = {s: uniform_at(9, rng.SITE_VALUES, s) for s in sites}
+    backward = {s: uniform_at(9, rng.SITE_VALUES, s)
                 for s in reversed(sites)}
     assert forward == backward
 
@@ -59,7 +61,7 @@ class TestUniformsAt:
     SEED = 20260824
 
     def oracle(self, coords, seed=SEED):
-        return np.array([rng.uniform_at(seed, rng.SITE_VALUES, tuple(c))
+        return np.array([uniform_at(seed, rng.SITE_VALUES, tuple(c))
                          for c in coords], dtype=float)
 
     @pytest.mark.parametrize("words", [1, 2, 3, 4])
