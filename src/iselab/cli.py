@@ -3,8 +3,10 @@
 Each `cmd_*` computes, prints and returns `(exit_code, artifacts)`, where
 `artifacts` maps a file name to its payload: a JSON-able object for
 `.json`, `(columns, rows)` for `.csv` and text for `.svg`.  `main` times
-the whole subcommand, builds one run manifest (tool version, content hash,
-parameters, wall clock, worker count) and, with `--out`, writes every
+the whole subcommand, runs it with every loaded OpenBLAS on one thread
+(`eigensolve.one_blas_thread`; `--workers` is the parallelism), builds one
+run manifest (tool version, content hash, parameters, wall clock, worker
+count, number of BLAS libraries pinned) and, with `--out`, writes every
 artifact with that manifest, also on an assertion failure.  The parameters
 are every parsed flag except `--out` and `--workers`; `ise` records its
 resolved plan, less its worker count, and seed.  Rerunning with the same
@@ -26,7 +28,7 @@ import numpy as np
 from . import __version__, rng
 from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
-from .eigensolve import T_GRID_RULE, background_eigs_below
+from .eigensolve import T_GRID_RULE, background_eigs_below, one_blas_thread
 from .events import (EventSpec, build_ledger, event_A_indicator, event_choice,
                      exact_event_probability, min_scale_for_probability,
                      monte_carlo_event_probability, scale_window)
@@ -53,13 +55,14 @@ def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def make_manifest(subcommand, params, wall_clock_s, workers=1):
+def make_manifest(subcommand, params, wall_clock_s, workers=1, blas_pinned=0):
     digest = hashlib.sha256(
         _canonical({"version": __version__, "subcommand": subcommand,
                     "params": params}).encode()).hexdigest()
     return {"version": __version__, "content_hash": digest,
             "subcommand": subcommand, "params": params,
-            "wall_clock_s": round(wall_clock_s, 6), "workers": workers}
+            "wall_clock_s": round(wall_clock_s, 6), "workers": workers,
+            "blas_pinned": blas_pinned}
 
 
 def _fmt_field(x):
@@ -92,14 +95,16 @@ def _write_text(path, text):
 
 
 def _run(args):
-    """Run the subcommand, then stamp one manifest on every artifact."""
+    """Run the subcommand on one BLAS thread, then stamp one manifest on
+    every artifact."""
     t0 = time.perf_counter()
-    code, artifacts = args.func(args)
+    with one_blas_thread() as blas_pinned:
+        code, artifacts = args.func(args)
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "out", "subcommand")}
     workers = params.pop("workers", 1)
     manifest = make_manifest(args.subcommand, params,
-                             time.perf_counter() - t0, workers)
+                             time.perf_counter() - t0, workers, blas_pinned)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for name, payload in artifacts.items():

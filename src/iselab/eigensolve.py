@@ -22,8 +22,12 @@ The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable, the stencil Laplacian is a Kronecker sum and
 every axis has the same nodes, so its spectrum is the set of sums over the
 d axes of the eigenvalues of one n x n operator (`background_spectrum`).
+
+These kernels are small, so a command runs them under `one_blas_thread`:
+every loaded OpenBLAS on one thread, and parallelism across trials only.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -46,6 +50,51 @@ def start_vector(n):
     reruns.
     """
     return np.random.Generator(np.random.Philox(key=0x1ab0)).standard_normal(n)
+
+
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, read from /proc/self/maps; none where there is no /proc."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None)
+                        for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    Yields how many libraries it set (0 where it finds none: another BLAS,
+    or no /proc) and restores the thread counts it found on exit.  Worker
+    processes forked inside the block inherit the setting.
+    """
+    found = [(put, get()) for get, put in _openblas_thread_controls()]
+    for put, _ in found:
+        put(1)
+    try:
+        yield len(found)
+    finally:
+        for put, threads in found:
+            put(threads)
 
 
 @dataclass(frozen=True)

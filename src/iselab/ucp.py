@@ -97,12 +97,16 @@ def fit_ucp_constant(samples):
 
 
 def random_subspace_vectors(vectors, count, seed):
-    """Seeded random unit combinations spanning the computed subspace."""
+    """Seeded unit vectors, uniform on the unit sphere of span(vectors).
+
+    The columns of vectors are orthonormal.  Each draw projects g ~ N(0, I)
+    onto their span, V (V^T g), so it depends on the subspace alone and not
+    on the basis a solver returns inside a degenerate level.
+    """
     gen = rng.stream(seed, rng.COMBINATIONS)
     out = []
     for _ in range(count):
-        coeff = gen.normal(size=vectors.shape[1])
-        v = vectors @ coeff
+        v = vectors @ (vectors.T @ gen.normal(size=vectors.shape[0]))
         out.append(v / np.linalg.norm(v))
     return out
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iselab import rng
+from iselab import eigensolve, rng
 from iselab.events import _event_logs, ledger_verdict
 from iselab.grid import GridSpec
 from iselab.ise import ExperimentPlan
@@ -182,3 +182,22 @@ def _dense_eigvals(mat):
 def dense_eigvals():
     """Dense oracle for a matrix's spectrum: see _dense_eigvals."""
     return _dense_eigvals
+
+
+def blas_threads():
+    """The thread count each loaded OpenBLAS reports."""
+    return [get() for get, _ in eigensolve._openblas_thread_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads during the test, so that a pin
+    to one thread shows; the counts found before are put back after it.
+    Yields the counts the libraries report on two threads."""
+    controls = eigensolve._openblas_thread_controls()
+    before = blas_threads()
+    for _, put in controls:
+        put(2)
+    yield blas_threads()
+    for (_, put), threads in zip(controls, before):
+        put(threads)

@@ -195,14 +195,10 @@ class TestEigenvalueLifting:
         for l in (3, 5, 7):
             grid = GridSpec(dimension=2, side=float(l), spacing=0.125,
                             boundary="periodic")
-            # the seeded combinations below depend on the basis LAPACK picks
-            # inside the degenerate levels, and evx keeps the 10 % criterion
-            # (see the FOUND on this test's basis dependence in CHANGES.md)
             lap = laplacian_matrix(grid)
             k = count_below(lap, 4.0 - TOL_EIG)
             assert k >= 1
-            _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1],
-                          driver="evx")
+            _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1])
             mask = grid.nodes_within_ball((0.0, 0.0), 0.45)
             for v in random_subspace_vectors(low, 8, seed=l):
                 samples.append(FitSample(delta=0.45, l=float(l), v_inf=0.0,

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iselab import cli, eigensolve
 from iselab.cli import main
 from iselab.events import lifting_bound, min_scale_for_probability
 
-from conftest import MODELS, shipped
+from conftest import MODELS, blas_threads, shipped
 
 REFERENCE_MODEL = str(MODELS / "reference_gapped.json")
 
@@ -392,7 +393,7 @@ class TestArtifacts:
         manifest, data = read_artifact(out / "bands.json")
         assert manifest["subcommand"] == "bands"
         assert set(manifest) >= {"version", "content_hash", "params",
-                                 "wall_clock_s", "workers"}
+                                 "wall_clock_s", "workers", "blas_pinned"}
         assert manifest["params"]["L"] == 3.0
         assert data["band_edge"] == pytest.approx(0.0, abs=1e-9)
         assert data["gap_lower"] is None
@@ -537,6 +538,35 @@ class TestManifest:
                                          "8e842009c650a7e956862feebda2d72b")
         assert ise["content_hash"] == ("ab462dfdfa1328b13b92ef873bf8946d"
                                        "2625cd684e7a19d613293f4aa829080a")
+
+    def test_a_command_runs_one_blas_thread_and_restores_the_counts(
+            self, model_file, tmp_path, monkeypatch, two_blas_threads,
+            capsys):
+        seen = []
+
+        def bands(args):
+            seen.append(blas_threads())
+            return 0, {"bands.json": {}}
+
+        monkeypatch.setattr(cli, "cmd_bands", bands)
+        out = tmp_path / "art"
+        assert main(["bands", "--model", model_file, "--L", "3",
+                     "--out", str(out)]) == 0
+        assert seen == [[1] * len(two_blas_threads)]
+        assert blas_threads() == two_blas_threads
+        manifest, _ = read_artifact(out / "bands.json")
+        assert manifest["blas_pinned"] == len(two_blas_threads)
+
+    def test_blas_pinned_is_zero_where_no_library_is_found(
+            self, model_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(eigensolve, "_openblas_thread_controls",
+                            lambda: [])
+        out = tmp_path / "art"
+        assert main(["bands", "--model", model_file, "--L", "3",
+                     "--points-per-unit", "6", "--mode", "bottom",
+                     "--out", str(out)]) == 0
+        manifest, _ = read_artifact(out / "bands.json")
+        assert manifest["blas_pinned"] == 0
 
     def test_ise_records_the_resolved_worker_count(self, plan_file, tmp_path,
                                                    capsys):

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
 from iselab import eigensolve
 from iselab.eigensolve import (TOL_EIG, background_eigs_below,
                                background_spectrum, count_below,
-                               eigs_in_window, min_eig_above)
+                               eigs_in_window, min_eig_above,
+                               one_blas_thread)
 from iselab.errors import SolverError
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.potentials import (Box, DisorderConfiguration,
@@ -17,7 +20,7 @@ from iselab.potentials import (Box, DisorderConfiguration,
                                zero_potential)
 from iselab.ucp import verify_gap_hypothesis
 
-from conftest import laplacian_eigenvalues, shipped
+from conftest import blas_threads, laplacian_eigenvalues, shipped
 
 
 def background(grid, v0):
@@ -375,3 +378,30 @@ class TestSolverFailures:
             eigs_in_window(laplacian_matrix(grid), 1.0, 5.0)
         assert len(calls) == 1
         assert isinstance(calls[0]["OPinv"], LinearOperator)
+
+
+class TestOneBlasThread:
+    def test_every_library_runs_one_thread_inside_then_as_before(
+            self, two_blas_threads):
+        with one_blas_thread() as pinned:
+            assert pinned == len(two_blas_threads)
+            assert blas_threads() == [1] * pinned
+        assert blas_threads() == two_blas_threads
+
+    def test_a_worker_started_inside_inherits_one_thread(
+            self, two_blas_threads):
+        with one_blas_thread() as pinned:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                threads = pool.submit(blas_threads).result(timeout=60)
+            assert threads == [1] * pinned
+        assert blas_threads() == two_blas_threads
+
+    def test_no_library_found_does_nothing(self, two_blas_threads,
+                                           monkeypatch):
+        controls = eigensolve._openblas_thread_controls()
+        monkeypatch.setattr(eigensolve, "_openblas_thread_controls",
+                            lambda: [])
+        with one_blas_thread() as pinned:
+            assert pinned == 0
+            assert [get() for get, _ in controls] == two_blas_threads
+        assert [get() for get, _ in controls] == two_blas_threads

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from iselab import potentials, rng
 from iselab.errors import EventViolatedError
-from iselab.eigensolve import TOL_EIG, TOL_GAP, background_eigs_below
+from iselab.eigensolve import (TOL_EIG, TOL_GAP, background_eigs_below,
+                               count_below, one_blas_thread)
 from iselab.events import (EventSpec, event_A_indicator, event_choice,
                            lifting_bound)
-from iselab.grid import GridSpec, assemble_schrodinger
+from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.potentials import (Box, DisorderConfiguration, indicator_profile,
                                load_model, site_matrix, zero_potential)
 from iselab.ucp import (FitSample, UCPBoundParams, event_balls,
@@ -134,6 +136,38 @@ class TestConstantFit:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
             assert np.linalg.norm(u) == pytest.approx(1.0)
+
+    def test_random_combinations_depend_on_the_span_alone(self):
+        gen = np.random.default_rng(1)
+        vectors = np.linalg.qr(gen.normal(size=(40, 5)))[0]
+        rotated = vectors @ np.linalg.qr(gen.normal(size=(5, 5)))[0]
+        for u, v in zip(random_subspace_vectors(vectors, 4, seed=9),
+                        random_subspace_vectors(rotated, 4, seed=9)):
+            assert np.allclose(u, v, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def free_fit(driver):
+        """Fitted constant over the free periodic Laplacian's degenerate
+        levels below 4, its basis from one LAPACK driver."""
+        samples = []
+        for l in (3, 5):
+            grid = GridSpec(dimension=2, side=float(l), spacing=0.125,
+                            boundary="periodic")
+            lap = laplacian_matrix(grid)
+            k = count_below(lap, 4.0 - TOL_EIG)
+            _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1],
+                          driver=driver)
+            mask = grid.nodes_within_ball((0.0, 0.0), 0.45)
+            samples += [FitSample(delta=0.45, l=float(l), v_inf=0.0,
+                                  energy=4.0, ratio=mass_ratio(v, mask))
+                        for v in random_subspace_vectors(low, 8, seed=l)]
+        return fit_ucp_constant(samples)[0]
+
+    def test_fit_is_the_same_for_any_driver_and_blas_threads(self):
+        fits = [self.free_fit(driver) for driver in ("evr", "evx")]
+        with one_blas_thread():
+            fits += [self.free_fit(driver) for driver in ("evr", "evx")]
+        assert max(fits) - min(fits) <= 1e-12
 
 
 def event_sites(spec):
