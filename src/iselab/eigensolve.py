@@ -4,24 +4,28 @@ The spectral primitive is `count_below(mat, sigma)`: by Sylvester's law of
 inertia the negative pivots of a sparse LDL^T of H - sigma I number exactly
 the eigenvalues below sigma.  Whether a window holds spectrum is a
 difference of two counts and needs no eigensolve, and a sorted grid of
-energies (`counts_below`) is counted only where an eigenvalue enclosure and
-the count's monotonicity leave an energy open.  The enclosure
-(`enclosure`) of H0 + V with 0 <= V <= s is Weyl's, tightened from above
-by Rayleigh-Ritz and from below by Lehmann's bound on the background
-eigenvectors; it needs no factorization.  A query that must report
-eigenvalues counts first and then makes one shift-invert solve for exactly
-that many: the lowest eigenvalue above an energy (`min_eig_above`) and the
-eigenvalues of a window (`eigs_in_window`) are each one ARPACK run on the
-trusted LDL^T of the count, not on a pivoted LU of its own.  Queries take
-the SciPy sparse matrix that `grid.assemble_schrodinger` builds.  A window
-solve must return exactly the counted eigenvalues, background eigenpairs are
-residual-checked against tol_eig, and failures surface as SolverError with
-telemetry instead of silently truncated results.
+energies (`counts_below`), or whether one count equals a given one
+(`count_is`), is counted only where an eigenvalue enclosure and the
+count's monotonicity leave it open.  The enclosure (`enclosure`) of
+H0 + diag(V) with V >= 0 a node array is Weyl's, tightened from above by
+Rayleigh-Ritz and from below by Lehmann's bound on the background
+eigenvectors; it needs no factorization, and no d-dimensional vector: the
+projections X^T diag(V) X come from the 1D factor
+(`background_projections`).  A query that must report eigenvalues counts
+first and then makes one shift-invert solve for exactly that many: the
+lowest eigenvalue above an energy (`min_eig_above`) and the eigenvalues of
+a window (`eigs_in_window`) are each one ARPACK run on the trusted LDL^T of
+the count, not on a pivoted LU of its own.  Queries take the SciPy sparse
+matrix that `grid.assemble_schrodinger` builds.  A window solve must return
+exactly the counted eigenvalues, background eigenpairs are residual-checked
+against tol_eig, and failures surface as SolverError with telemetry instead
+of silently truncated results.
 
 The background operator H_{0,L} = -Laplacian + V0 is never solved in d
 dimensions: V0 is separable, the stencil Laplacian is a Kronecker sum and
 every axis has the same nodes, so its spectrum is the set of sums over the
-d axes of the eigenvalues of one n x n operator (`background_spectrum`).
+d axes of the eigenvalues of one n x n operator (`background_spectrum`),
+whose eigenvectors are checked once, where they are computed.
 
 These kernels are small, so a command runs them under `one_blas_thread`:
 every loaded OpenBLAS on one thread, and parallelism across trials only.
@@ -132,12 +136,24 @@ def background_spectrum(grid, v0):
     _lap1d + diag(axis term at grid.axis_coords()), the block that
     laplacian_matrix sums on each axis, gives the whole spectrum: its
     values summed over the d axes are the Kronecker sum, H_{0,L} itself.
+    The 1D factor is checked here, once: max |u^T u - I| and the residual
+    max |B u - u w| must be within 1e-12 (the residual relative to
+    1 + max |w|), or it is a SolverError; its Kronecker products are then
+    orthonormal eigenvectors of H_{0,L} to the same order.
     It is memoized per (grid, v0), as laplacian_matrix is per grid, and its
     arrays are read-only, so no caller can change what the next one reads.
     """
     block = _lap1d(grid.points_per_side, grid.spacing, grid.boundary).toarray()
-    values, vectors = np.linalg.eigh(
-        block + np.diag(v0.axis_values(grid.axis_coords())))
+    block += np.diag(v0.axis_values(grid.axis_coords()))
+    values, vectors = np.linalg.eigh(block)
+    orthonormality = np.abs(vectors.T @ vectors
+                            - np.eye(values.size)).max()
+    residual = np.abs(block @ vectors - vectors * values).max()
+    if (orthonormality > 1e-12
+            or residual > 1e-12 * (1.0 + np.abs(values).max())):
+        raise SolverError("1D background factor fails its check",
+                          telemetry={"orthonormality": float(orthonormality),
+                                     "residual": float(residual)})
     total = np.array([float(v0.offset)])
     for _ in range(grid.dimension):
         total = np.add.outer(total, values).ravel()
@@ -219,51 +235,89 @@ def count_below(mat, sigma):
     return _trusted_ldlt(mat, sigma)[1]
 
 
-def enclosure(mat, spectrum, s, top):
-    """(lower, upper), both sorted, with lower_j <= lambda_j(mat) <= upper_j.
+def background_projections(spectrum, diagonals, count):
+    """X^T diag(v) X for each node array v of `diagonals`, stacked, X the
+    background eigenvectors of values[:count], from the 1D factor alone.
 
-    For mat = H0 + V with `spectrum` the background spectrum of H0 and
-    0 <= V <= s node by node.  Weyl gives values_j <= lambda_j <=
-    values_j + s for every j.  The levels that can decide a count below
+    Level p is the Kronecker product of the axis modes a_k(p) (u's columns),
+    so entry (p, q) is the sum over nodes i of v(i) prod_k u[i_k, a_k(p)]
+    u[i_k, a_k(q)].  With the A distinct axis modes m of the `count` levels,
+    Y = u[:, m_a] u[:, m_b] is an n x A^2 array; contracting v with Y along
+    each axis leaves an (A^2)^d array, and the count x count entries are
+    read from it by their d mode pairs.  That is O(n^d A^2) work, and no
+    n^d x count array of d-dimensional vectors is built.
+    """
+    u, dimension = spectrum.axis_vectors, spectrum.dimension
+    n = u.shape[0]
+    multi = np.unravel_index(spectrum.order[:count], (n,) * dimension)
+    modes, index = np.unique(np.asarray(multi), return_inverse=True)
+    index = index.reshape(dimension, count)
+    y = (u[:, modes, None] * u[:, None, modes]).reshape(n, -1)
+    t = np.reshape(diagonals, (len(diagonals),) + (n,) * dimension)
+    for _ in range(dimension):
+        # sums the leading node axis, and appends that axis's pair axis
+        t = np.tensordot(t, y, axes=(1, 0))
+    pairs = tuple(modes.size * i[:, None] + i[None, :] for i in index)
+    return t[(slice(None),) + pairs]
+
+
+def enclosure(diagonal, spectrum, top):
+    """(lower, upper), both sorted, with lower_j <= lambda_j <= upper_j
+    for the eigenvalues lambda_j of H0 + diag(diagonal).
+
+    `spectrum` is the background spectrum of H0 and `diagonal` a node array
+    V >= 0, so 0 <= V <= s with s = max V.  Weyl gives values_j <= lambda_j
+    <= values_j + s for every j.  The levels that can decide a count below
     `top` are the J0 = #{values < nudge(top) + tol_gap} lowest; they are
     tightened with the background eigenvectors X of the first J >= J0
-    levels (orthonormal, from the separable spectrum):
+    levels (orthonormal, checked once in background_spectrum), through
+    G = X^T V X and G2 = X^T V^2 X (background_projections), so no
+    d-dimensional vector is built:
 
     - Rayleigh-Ritz (min-max, any orthonormal X): lambda_j <= theta_j,
-      the eigenvalues of X^T mat X.
+      the eigenvalues of X^T (H0 + V) X = Lambda + G.
     - Lehmann, when a background gap wider than s follows some
-      J in [J0, 2 J0]: by Weyl exactly J eigenvalues of mat lie below rho,
-      the midpoint of (values_J + s, values_{J+1}), and none within
-      d = (gap - s) / 2 of it.  Rayleigh-Ritz for (mat - rho)^-1 on the
-      span of R = (mat - rho) X gives the pencil (X^T R, R^T R), whose
-      eigenvalues tau_1 <= ... bound lambda_{J+1-i} >= rho + 1 / tau_i for
-      every tau_i < 0.  It is skipped when R^T R is too ill-conditioned
-      for tol_gap: 64 eps (||mat - rho||_1 / d)^2 > tol_gap.
+      J in [J0, 2 J0]: by Weyl exactly J eigenvalues lie below rho, the
+      midpoint of (values_J + s, values_{J+1}), and none within
+      d = (gap - s) / 2 of it.  Rayleigh-Ritz for (H - rho)^-1 on the
+      span of R = (H - rho) X gives the pencil (X^T R, R^T R), here
+      (Lambda - rho + G, (Lambda - rho)^2 + (Lambda - rho) G
+      + G (Lambda - rho) + G2), whose eigenvalues tau_1 <= ... bound
+      lambda_{J+1-i} >= rho + 1 / tau_i for every tau_i < 0.  It is skipped
+      when R^T R is too ill-conditioned for tol_gap: 64 eps (r / d)^2 >
+      tol_gap, with r = max(values_max + s - rho, rho - values_0) >=
+      ||H - rho||_2.
 
     lower is a running max and upper a suffix min, so both stay sorted.
     """
+    diagonal = np.asarray(diagonal, dtype=float)
+    if diagonal.size and diagonal.min() < 0:
+        raise ValueError("the enclosure needs a nonnegative diagonal")
     values = spectrum.values
+    s = float(diagonal.max(initial=0.0))
     lower, upper = values.copy(), values + s
     j0 = int(np.searchsorted(values, _nudge(top) + TOL_GAP))
     if j0:
         stop = min(2 * j0, values.size - 1)
         wide = np.flatnonzero(np.diff(values[j0 - 1:stop + 1]) > s)
         j = j0 + int(wide[0]) if wide.size else j0
-        x = spectrum.vectors(j)
-        if np.abs(x.T @ x - np.eye(j)).max() > 1e-12:
-            raise SolverError("background eigenvectors are not orthonormal",
-                              telemetry={"k": j})
         rho = d = 0.0
         if wide.size:
             rho = 0.5 * (values[j - 1] + s + values[j])
             d = 0.5 * (values[j] - values[j - 1] - s)
-        r = mat @ x - rho * x
-        a0 = x.T @ r
-        a0 = 0.5 * (a0 + a0.T)
+        norm = max(values[-1] + s - rho, rho - values[0])
+        lehmann = (d > 0 and
+                   64 * np.finfo(float).eps * (norm / d) ** 2 <= TOL_GAP)
+        g = background_projections(
+            spectrum, (diagonal, diagonal ** 2) if lehmann else (diagonal,), j)
+        g = 0.5 * (g + g.transpose(0, 2, 1))
+        shifted = values[:j] - rho
+        a0 = np.diag(shifted) + g[0]
         upper[:j] = np.minimum(upper[:j], np.linalg.eigvalsh(a0) + rho)
-        norm = abs(mat).sum(axis=0).max() + abs(rho)
-        if d and 64 * np.finfo(float).eps * (norm / d) ** 2 <= TOL_GAP:
-            c = np.linalg.cholesky(r.T @ r)
+        if lehmann:
+            c = np.linalg.cholesky(np.diag(shifted ** 2) + g[1]
+                                   + shifted[:, None] * g[0]
+                                   + g[0] * shifted[None, :])
             tau = np.linalg.eigvalsh(
                 np.linalg.solve(c, np.linalg.solve(c, a0).T))
             bound = np.full(j, -np.inf)
@@ -271,6 +325,14 @@ def enclosure(mat, spectrum, s, top):
             lower[:j] = np.maximum(lower[:j], bound[::-1])
     return (np.maximum.accumulate(lower),
             np.minimum.accumulate(upper[::-1])[::-1])
+
+
+def _count_brackets(energies, bounds):
+    """(lo, hi) with lo <= count_below(mat, e) <= hi at each energy (an
+    array, or one energy), read from `bounds` alone (see counts_below)."""
+    lower, upper = bounds
+    return (np.searchsorted(upper, energies - TOL_GAP),
+            np.searchsorted(lower, _nudge(energies) + TOL_GAP))
 
 
 def counts_below(mat, energies, bounds):
@@ -287,14 +349,14 @@ def counts_below(mat, energies, bounds):
     upper_j (`enclosure`, or Weyl's (values, values + s)), brackets every
     count before any factorization: count_below(mat, E) lies in
     [#{upper < E - tol_gap}, #{lower < nudge(E) + tol_gap}], and an energy
-    whose bracket closes is never counted.
+    whose bracket closes is never counted.  A bound may miss its eigenvalue
+    by less than tol_gap (rounding): the margins absorb it.  A count outside
+    its bracket is a SolverError.
     """
     e = np.asarray(energies, dtype=float)
     if np.any(np.diff(e) < 0):
         raise ValueError("energies must be sorted")
-    lower, upper = bounds
-    lo = np.searchsorted(upper, e - TOL_GAP)
-    hi = np.searchsorted(lower, _nudge(e) + TOL_GAP)
+    lo, hi = _count_brackets(e, bounds)
     breaks = np.flatnonzero(e[1:] <= _nudge(e[:-1])) + 1
     for run in np.split(np.arange(e.size), breaks):
         while True:
@@ -315,6 +377,13 @@ def counts_below(mat, energies, bounds):
                                              "hi": int(hi[j])})
             lo[j] = hi[j] = count
     return lo.tolist()
+
+
+def count_is(mat, energy, bounds, k):
+    """Whether count_below(mat, energy) == k, as counts_below decides it,
+    but without a count where the bracket already excludes k."""
+    lo, hi = _count_brackets(energy, bounds)
+    return bool(lo <= k <= hi) and counts_below(mat, [energy], bounds) == [k]
 
 
 def _ldlt_shift_invert(mat, sigma, k, which="LM"):

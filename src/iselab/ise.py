@@ -8,7 +8,8 @@ omega are its seed and the model's law (potentials.DisorderConfiguration),
 drawn where they are read: at the box's live sites for V_omega = U @ omega,
 and at the good event's cells.  Then comes at most one count at the top of
 the window (none when a floor decides the trial, a second only when the
-window holds spectrum, for the borderline flag).
+window holds spectrum, for the borderline flag), and each of them only
+where the trial's eigenvalue enclosure leaves it open.
 Trials are pure functions of (context, seed), and seeds of (master seed,
 L index, trial index), so the estimate is byte-identical no matter how
 trials are distributed over worker processes.
@@ -23,26 +24,40 @@ has exactly k eigenvalues below b - tol_eig.  The certificate is refused,
 and the trial counts at b - tol_eig as well, when s does not fit below the
 gap; each per-L entry records whether it held.
 
+Every count is bracketed before it is made.  eigensolve.enclosure bounds
+each eigenvalue of H0 + diag(V), for the trial's V_omega or a floor, from
+both sides (Weyl, Rayleigh-Ritz and Lehmann on the background
+eigenvectors, read from the 1D factor), and eigensolve.counts_below and
+count_is factorize only where that bracket stays open: a count at E lies
+between the upper bounds below E - tol_gap and the lower bounds below
+nudge(E) + tol_gap.  A closed bracket leaves no eigenvalue near E, so the
+records are those exact counting gives; a count outside its bracket is a
+SolverError, and the trial is invalid.  On the reference model this
+decides every trial and the floor at L = 4, and about one trial in four
+at L = 6, where the Ritz bounds show spectrum in the window.
+
 A trial may clear the window by operator order alone.  Couplings are >= 0
 and so is U, so with Z = {j : omega_j < eta} the trial has V_omega >=
 eta U (1 - e_Z) node by node, and H_omega lies above H0 plus that floor.
 When the floor has the certified k eigenvalues below b + width, min-max
-leaves H_omega's window empty.  window_floor counts one floor per process
+leaves H_omega's window empty.  window_floor checks one floor per process
 and box size (an lru_cache on the context, which a pickled copy in each
-pool chunk hits), the one the box picks.  Where -Laplacian + V0 is exactly
-invariant under lattice translations (a periodic box, G / h whole and V0
-equal to its roll by G / h nodes, bit for bit: Box.lattice_step), it is the
-holed floor, every live site but j0 (the one nearest the box centre) at
-eta: rolling it by (site_j - site_j0) G / h nodes permutes H0 plus it into
-a matrix of the same spectrum, so one count decides every trial with
-|Z| <= 1: Z empty compares V_omega with the holed floor, Z = {j} with its
-roll onto j.  On any other box it is the plain floor eta W, for Z empty.
+pool chunk hits), the one the box picks, with at most one count.  Where
+-Laplacian + V0 is exactly invariant under lattice translations (a
+periodic box, G / h whole and V0 equal to its roll by G / h nodes, bit for
+bit: Box.lattice_step), it is the holed floor, every live site but j0 (the
+one nearest the box centre) at eta: rolling it by (site_j - site_j0) G / h
+nodes permutes H0 plus it into a matrix of the same spectrum, so one check
+decides every trial with |Z| <= 1: Z empty compares V_omega with the holed
+floor, Z = {j} with its roll onto j.  On any other box it is the plain
+floor eta W, for Z empty.
 Rounding V0 + x is monotone in x, so the order of the node arrays is that
 of the diagonals factorized.  Each per-L entry counts the trials so
 decided in `floor_certified`, and in `lift_certified` those of them in the
 good event; every other trial counts as above.  The floor is refused for
-the whole box size when its count differs from the certified one, and is
-not counted when no count is certified.
+the whole box size when its count differs from the certified one (also
+when its bracket already excludes it), and is not counted when no count is
+certified.
 
 On the good event the paper's test perturbation H_pert = H0 + eta c chi_S
 depends on omega only through each cell's chosen site (event_choice, None
@@ -60,7 +75,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import rng
-from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_below,
+from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_is,
                          counts_below, enclosure)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, event_choice, select_scale,
@@ -215,7 +230,9 @@ def window_floor(ctx):
     A floor F is a node array, shaped (n,) * d, whose H0 + diag(F) has
     exactly the certified count below b + width; then every H_omega with
     V_omega >= F node by node has an empty window.  The box picks one floor,
-    counted once per process and box size:
+    checked once per process and box size by eigensolve.count_is: its
+    enclosure first, and a count only where that bracket stays open around
+    the certified count:
     - where Box.lattice_step finds the lattice translations exact, the holed
       floor eta U (1 - e_j0), every live site but the one nearest the box
       centre at eta.  `shifts` holds, per live site j, the node roll
@@ -236,11 +253,14 @@ def window_floor(ctx):
         couplings[hole] = 0.0
         shifts = (box.sites - box.sites[hole]) * step
     floor = ctx.model.disorder.eta * (box.matrix @ couplings)
+    top = ctx.b + ctx.width
     try:
-        count = count_below(box.hamiltonian(floor), ctx.b + ctx.width)
+        clears = count_is(box.hamiltonian(floor), top,
+                          enclosure(floor, box.spectrum, top),
+                          ctx.certified_below)
     except SolverError:
         return None, None
-    if count != ctx.certified_below:
+    if not clears:
         return None, None
     floor = floor.reshape((box.grid.points_per_side,) * box.grid.dimension)
     floor.flags.writeable = False
@@ -288,8 +308,12 @@ def run_ise_trial(ctx, seed):
     lies above an operator that clears the window (window_floor), so its
     window is empty and it is not factorized.  Otherwise the count below
     b - tol_eig is the context's certified one where it holds, so the trial
-    factorizes only at b + width (and at b + width - tol_eig when the
-    window holds spectrum).
+    counts only at b + width (and, when the window holds spectrum, checks
+    whether the count at b + width - tol_eig is still the one below).
+    Each count is bracketed first by the trial's eigensolve.enclosure and
+    factorizes H_omega only where the bracket stays open
+    (eigensolve.counts_below and count_is); a count outside its bracket
+    makes the record invalid.
     """
     box, b, width = ctx.box, ctx.b, ctx.width
     cfg = DisorderConfiguration(seed, ctx.model.disorder)
@@ -304,14 +328,18 @@ def run_ise_trial(ctx, seed):
             result.update(window_count=0, outcome=True)
         else:
             h_rand = box.hamiltonian(v_omega)
+            bounds = enclosure(v_omega, box.spectrum, b + width)
             below = ctx.certified_below
             if below is None:
-                below = count_below(h_rand, b - TOL_EIG)
-            result["window_count"] = count_below(h_rand, b + width) - below
+                below, top = counts_below(h_rand, [b - TOL_EIG, b + width],
+                                          bounds)
+            else:
+                [top] = counts_below(h_rand, [b + width], bounds)
+            result["window_count"] = top - below
             result["outcome"] = result["window_count"] == 0
             if not result["outcome"]:
-                result["borderline"] = \
-                    count_below(h_rand, b + width - TOL_EIG) == below
+                result["borderline"] = count_is(h_rand, b + width - TOL_EIG,
+                                                bounds, below)
     except SolverError as exc:
         result.update(valid=False, error=str(exc))
     return result
@@ -468,7 +496,7 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     N(E) counts the eigenvalues <= E exactly (count_below at each energy),
     but factorizes H_omega only where two exact layers leave it open
     (eigensolve.counts_below).  A per-trial eigenvalue enclosure: V_omega
-    lies in [0, s] node-wise (Box.envelope), so eigensolve.enclosure bounds
+    lies in [0, max V_omega] node-wise, so eigensolve.enclosure bounds
     each eigenvalue of H_omega from both sides (Weyl, tightened by
     Rayleigh-Ritz and Lehmann bounds on the background eigenvectors), and
     an energy whose count both ends fix is not counted.  Monotone bisection
@@ -487,9 +515,9 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
         # box.potential draws the couplings of the box's live sites only
         cfg = DisorderConfiguration(
             rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t)), model.disorder)
-        h = box.hamiltonian(box.potential(cfg))
-        bounds = enclosure(h, box.spectrum, box.envelope, E_grid[-1])
-        counts += counts_below(h, E_grid, bounds)
+        v = box.potential(cfg)
+        counts += counts_below(box.hamiltonian(v), E_grid,
+                               enclosure(v, box.spectrum, E_grid[-1]))
     volume = float(L) ** dimension
     counting = counts / (trials * volume)
     # the count at the last grid energy within 1e-12 of E0, else interpolated

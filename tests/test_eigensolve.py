@@ -1,3 +1,4 @@
+import functools
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -8,10 +9,10 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, splu
 
 from iselab import eigensolve
-from iselab.eigensolve import (TOL_EIG, background_eigs_below,
-                               background_spectrum, count_below,
-                               eigs_in_window, min_eig_above,
-                               one_blas_thread)
+from iselab.eigensolve import (TOL_EIG, TOL_GAP, background_eigs_below,
+                               background_projections, background_spectrum,
+                               count_below, counts_below, eigs_in_window,
+                               enclosure, min_eig_above, one_blas_thread)
 from iselab.errors import SolverError
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.potentials import (Box, DisorderConfiguration,
@@ -345,6 +346,125 @@ class TestBackgroundSpectrum:
         values, vectors = background_eigs_below(free4, zero_potential(), -0.5)
         assert values.size == 0
         assert vectors.shape == (free4.num_points, 0)
+
+
+class TestOneDimensionalFactorCheck:
+    """background_spectrum checks its 1D factor once, where it builds it."""
+
+    def spectrum_with(self, monkeypatch, spoil):
+        eigh = np.linalg.eigh
+
+        def spoiled(mat, *args, **kwargs):
+            return spoil(*eigh(mat, *args, **kwargs))
+
+        monkeypatch.setattr(np.linalg, "eigh", spoiled)
+        grid = GridSpec(dimension=2, side=3.0, spacing=1 / 3,
+                        boundary="periodic")
+        return background_spectrum.__wrapped__(
+            grid, separable_square_potential(40.0))
+
+    def test_exact_factor_passes(self, monkeypatch):
+        spectrum = self.spectrum_with(monkeypatch, lambda w, u: (w, u))
+        assert spectrum.values.size == 81
+
+    def test_vectors_that_are_not_orthonormal_are_refused(self, monkeypatch):
+        # u (1 + 1e-9) is still a set of eigenvectors, but not orthonormal
+        with pytest.raises(SolverError) as err:
+            self.spectrum_with(monkeypatch, lambda w, u: (w, u * (1 + 1e-9)))
+        assert err.value.telemetry["orthonormality"] > 1e-12
+
+    def test_values_off_their_vectors_are_refused(self, monkeypatch):
+        with pytest.raises(SolverError) as err:
+            self.spectrum_with(monkeypatch, lambda w, u: (w + 1e-9, u))
+        assert err.value.telemetry["residual"] > 1e-12
+
+
+def kronecker_vectors(spectrum, count):
+    """Background eigenvectors of values[:count], one np.kron chain per level
+    (axis 0 slowest)."""
+    u = spectrum.axis_vectors
+    multi = np.unravel_index(spectrum.order[:count],
+                             (u.shape[0],) * spectrum.dimension)
+    return np.column_stack([
+        functools.reduce(np.kron, [u[:, axis[i]] for axis in multi])
+        for i in range(count)])
+
+
+@st.composite
+def small_boxes(draw):
+    """(grid, v0) with at most 216 nodes: d = 2 or 3, any boundary."""
+    d = draw(st.sampled_from([2, 3]))
+    points = draw(st.sampled_from([3, 4, 5, 6] if d == 2 else [2, 3]))
+    grid = GridSpec(dimension=d, side=2.0, spacing=1.0 / points,
+                    boundary=draw(st.sampled_from(
+                        ["dirichlet", "neumann", "periodic"])))
+    return grid, BACKGROUNDS[draw(st.sampled_from(sorted(BACKGROUNDS)))]
+
+
+class TestSeparableEnclosure:
+    """The enclosure from the 1D factor against dense linear algebra."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(box=small_boxes(), data=st.data())
+    def test_projection_equals_the_dense_one(self, box, data):
+        grid, v0 = box
+        spectrum = background_spectrum(grid, v0)
+        count = data.draw(st.integers(1, grid.num_points))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        v = rng.uniform(0.0, data.draw(st.floats(0.1, 5.0)), grid.num_points)
+        x = kronecker_vectors(spectrum, count)
+        got = background_projections(spectrum, (v, v ** 2), count)
+        for g, w in zip(got, (v, v ** 2)):
+            want = x.T @ (w[:, None] * x)
+            assert np.abs(g - want).max() <= 1e-12 * (1.0 + w.max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(box=small_boxes(), data=st.data())
+    def test_brackets_the_dense_spectrum(self, box, data, dense_eigvals):
+        grid, v0 = box
+        spectrum = background_spectrum(grid, v0)
+        values = spectrum.values
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        # small s leaves background gaps wider than s, so Lehmann applies
+        s = data.draw(st.sampled_from([0.1, 1.0, 10.0]))
+        v = rng.uniform(0.0, s, grid.num_points)
+        top = data.draw(st.floats(float(values[0]), float(values[-1]) + s))
+        lower, upper = enclosure(v, spectrum, top)
+        exact = dense_eigvals(assemble_schrodinger(
+            grid, v0.evaluate(grid.nodes()) + v))
+        slack = 1e-9 * (1.0 + np.abs(exact))
+        assert np.all(lower <= exact + slack)
+        assert np.all(exact <= upper + slack)
+        assert np.all(values <= lower) and np.all(upper <= values + v.max())
+
+    def test_negative_diagonal_is_refused(self, free4):
+        spectrum = background_spectrum(free4, zero_potential())
+        v = np.zeros(free4.num_points)
+        v[3] = -1e-3
+        with pytest.raises(ValueError):
+            enclosure(v, spectrum, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bounds_off_by_less_than_tol_gap_still_count_exactly(self, data):
+        # a bound may miss its eigenvalue by rounding, less than tol_gap,
+        # on either side: the bracket's tol_gap margins absorb it, so
+        # energies within tol_gap of an eigenvalue still count exactly
+        n = data.draw(st.integers(2, 8))
+        exact = np.sort(np.array(data.draw(st.lists(
+            st.integers(0, 40), min_size=n, max_size=n)), dtype=float))
+        mat = sparse.csr_matrix(np.diag(exact))
+        miss = st.floats(0.0, 0.45 * TOL_GAP)
+        lower = exact + np.array([data.draw(miss) for _ in range(n)])
+        upper = exact - np.array([data.draw(miss) for _ in range(n)])
+        bounds = (np.maximum.accumulate(lower),
+                  np.minimum.accumulate(upper[::-1])[::-1])
+        energies = sorted(float(exact[data.draw(st.integers(0, n - 1))])
+                          + data.draw(st.sampled_from(
+                              [-0.9, -0.3, 0.3, 0.9])) * TOL_GAP
+                          for _ in range(data.draw(st.integers(1, 4))))
+        want = [count_below(mat, e) for e in energies]
+        assert counts_below(mat, energies, bounds) == want
 
 
 class TestSolverFailures:

@@ -364,17 +364,24 @@ class TestLowerCountCertificate:
         ctx = self.context(shipped("reference_gapped"), "gap")
         # the floor is counted once per box size; warm it up so that only
         # H_omega's factorizations are counted below
-        for seed in self.seeds(8):
+        for seed in self.seeds(16):
             run_ise_trial(ctx, seed)
         monkeypatch.setattr(eigensolve, "splu", spy)
-        outcomes = []
-        for seed in self.seeds(8):
+        outcomes, counted = [], []
+        for seed in self.seeds(16):
             factorizations.clear()
             record = run_ise_trial(ctx, seed)
             outcomes.append(record["outcome"])
+            counted.append(len(factorizations))
             # borderline takes a second count only on a failed window
-            assert len(factorizations) == (1 if record["outcome"] else 2)
+            assert len(factorizations) <= (1 if record["outcome"] else 2)
         assert True in outcomes and False in outcomes
+        # the enclosure puts an eigenvalue in the window of trials 1, 7 and
+        # 14 before any count, so they factorize nothing, and in the window
+        # below b + w - tol_eig of trials 4, 10 and 11, so they take no
+        # borderline count; only trial 13 needs both
+        assert counted == [1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 2, 0, 1]
+        assert not any(outcomes[t] for t in (1, 4, 7, 10, 11, 13, 14))
 
 
 def overclaimed_floor(ctx, eta=1.0):
@@ -471,37 +478,39 @@ class TestFloorCertificate:
 
     def test_refused_floor_counts_every_trial(self, monkeypatch):
         # at L = 6 the holed floor has 38 eigenvalues below b + w against
-        # the certified 36: it is counted once and refused, and every trial
-        # counts its own H_omega
+        # the certified 36: its enclosure closes on 38, so it is refused
+        # without a count, and every trial counts its own H_omega
         ctx, seeds = reference_box(6)
         assert ctx.certified_below == 36
-        assert floor_counts(monkeypatch, ctx) == ((None, None), 1)
+        assert floor_counts(monkeypatch, ctx) == ((None, None), 0)
         assert not any(run_ise_trial(ctx, s).floor_certified for s in seeds)
 
     def test_floor_is_counted_once_per_box_size(self, monkeypatch):
         ctx, _ = reference_box(8)
         counts = []
-        real = ise.count_below
+        real = eigensolve.count_below
 
         def spy(*args):
             counts.append(args)
             return real(*args)
 
-        monkeypatch.setattr(ise, "count_below", spy)
+        monkeypatch.setattr(eigensolve, "count_below", spy)
         ise.window_floor.cache_clear()
         floor = ise.window_floor(ctx)
         # a pickled context is a new object, and still finds the floor
         assert ise.window_floor(pickle.loads(pickle.dumps(ctx))) is floor
-        # the box translates, so its floor is the holed one
+        # the box translates, so its floor is the holed one; its enclosure
+        # stays open at b + w, so it takes its one count
         assert len(counts) == 1 and floor[1] is not None
 
     def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
+        # the L = 8 floor's enclosure stays open at b + w, so it is counted
         ctx, _ = reference_box(8)
 
         def fail(*args):
             raise SolverError("no trusted LDL^T factor")
 
-        monkeypatch.setattr(ise, "count_below", fail)
+        monkeypatch.setattr(eigensolve, "count_below", fail)
         ise.window_floor.cache_clear()
         try:
             assert ise.window_floor(ctx)[0] is None
@@ -591,20 +600,83 @@ class TestMergeRules:
 
     def test_failed_count_leaves_the_event_unset(self, monkeypatch):
         ctx, seeds = reference_box(6)
-        # the L = 6 floor is refused, so every trial counts
+        # the L = 6 floor is refused, so no trial is floor-decided; the
+        # enclosure decides trials 1 and 7, and every other trial counts
         assert ise.window_floor(ctx) == (None, None)
-        assert any(event_choice(DisorderConfiguration(s, ctx.model.disorder),
-                                ctx.event_spec) for s in seeds)
+        clean = trial_records(ctx, seeds)
+        counting = [t for t in range(len(seeds)) if t not in (1, 7)]
+        assert any(event_choice(DisorderConfiguration(seeds[t],
+                                                      ctx.model.disorder),
+                                ctx.event_spec) for t in counting)
 
         def fail(*args):
             raise SolverError("no trusted LDL^T factor")
 
-        monkeypatch.setattr(ise, "count_below", fail)
-        for record in trial_records(ctx, seeds):
+        monkeypatch.setattr(eigensolve, "count_below", fail)
+        for t, record in enumerate(trial_records(ctx, seeds)):
+            if t not in counting:
+                assert record == clean[t] and record["valid"]
+                continue
             assert not record["valid"]
             assert record["error"] == "no trusted LDL^T factor"
             assert record["event"] is None
             assert record["observed_lift"] is None
+
+
+class TestBracketedCounts:
+    """Every count on the ISE path is bracketed by eigensolve.enclosure
+    first, and factorized only where the bracket stays open."""
+
+    def test_reference_box_of_side_4_factorizes_nothing(self, monkeypatch):
+        # at L = 4 the enclosure refuses the floor (it closes above the
+        # certified count) and closes every trial's count at b + w
+        factorizations = []
+        real_splu = eigensolve.splu
+
+        def spy(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+        ise.window_floor.cache_clear()
+        try:
+            per = estimate_ise_probability(
+                reference_plan(L_values=(4,), trials=16)).per_L[0]
+        finally:
+            ise.window_floor.cache_clear()
+        assert not factorizations
+        monkeypatch.undo()
+        assert per.valid == per.trials == 16 and per.floor_certified == 0
+        assert per.lower_count_certified
+        # the records are the exact counts'
+        model = load_model(PLAN.model)
+        box = model.box(GridSpec(dimension=2, side=4.0, spacing=1.0 / 9,
+                                 boundary="periodic"))
+        b, top = per.band_edge, per.band_edge + per.window_width
+        for record in per.trial_records:
+            h = box.hamiltonian(box.potential(
+                DisorderConfiguration(record["seed"], model.disorder)))
+            below = count_below(h, b - TOL_EIG)
+            count = count_below(h, top) - below
+            assert (record["window_count"], record["outcome"]) == \
+                (count, count == 0)
+            assert record["borderline"] == (
+                count != 0 and count_below(h, top - TOL_EIG) == below)
+
+    def test_count_outside_its_bracket_invalidates_the_record(
+            self, monkeypatch):
+        # trial 0 at L = 6 counts at b + w with its bracket open, trial 1
+        # is decided by its enclosure (TestMergeRules)
+        ctx, seeds = reference_box(6, trials=2)
+        clean = [run_ise_trial(ctx, seed) for seed in seeds]
+        real = eigensolve.count_below
+        monkeypatch.setattr(eigensolve, "count_below",
+                            lambda mat, sigma: real(mat, sigma) + 3)
+        wrong, decided = (run_ise_trial(ctx, seed) for seed in seeds)
+        assert not wrong["valid"]
+        assert wrong["error"] == "count outside its bracket"
+        assert wrong["window_count"] is None and wrong["outcome"] is None
+        assert decided == clean[1] and decided["valid"]
 
 
 # periodic reference boxes (side, points per unit) small enough for the
@@ -628,13 +700,13 @@ def small_box_context(side, points_per_unit, width, spec=None,
 def floor_counts(monkeypatch, ctx):
     """(window_floor(ctx) counted afresh, the number of counts it made)."""
     counts = []
-    real = ise.count_below
+    real = eigensolve.count_below
 
     def spy(*args):
         counts.append(args)
         return real(*args)
 
-    monkeypatch.setattr(ise, "count_below", spy)
+    monkeypatch.setattr(eigensolve, "count_below", spy)
     ise.window_floor.cache_clear()
     try:
         return ise.window_floor(ctx), len(counts)
@@ -699,11 +771,12 @@ class TestTranslatedFloor:
     def test_translating_box_counts_no_plain_floor(self, monkeypatch):
         # side 2 at 9 points per unit, width 0.25: the certified count is 4
         # and the plain floor has 4 below b + w, but the box translates, so
-        # its floor is the holed one, with 6: refused, and every trial
-        # counts its own H_omega
+        # its floor is the holed one, with 6: its enclosure closes on 6, so
+        # it is refused without a count, and every trial counts its own
+        # H_omega
         ctx = small_box_context(2, 9, 0.25)
         assert ctx.box.lattice_step == 9 and ctx.certified_below == 4
-        assert floor_counts(monkeypatch, ctx) == ((None, None), 1)
+        assert floor_counts(monkeypatch, ctx) == ((None, None), 0)
         seeds = [rng.derive_seed(REFERENCE_SEED, rng.TRIAL_STREAM, (0, t))
                  for t in range(6)]
         for seed, record in zip(seeds, trial_records(ctx, seeds)):
@@ -723,9 +796,10 @@ class TestTranslatedFloor:
         for boundary in ("dirichlet", "neumann"):
             ctx = small_box_context(2, 6, 0.1, boundary=boundary)
             assert ctx.box.lattice_step is None
-            # the box does not translate: its floor is the plain one
-            (_, shifts), counted = floor_counts(monkeypatch, ctx)
-            assert shifts is None and counted == 1
+            # the box does not translate: its floor is the plain one, which
+            # its enclosure clears without a count
+            (floor, shifts), counted = floor_counts(monkeypatch, ctx)
+            assert floor is not None and shifts is None and counted == 0
 
     def test_period_off_the_nodes_refuses_translation(self, monkeypatch):
         # G / h = 0.75 * 5 = 3.75 nodes; the plain floor still clears
@@ -734,7 +808,7 @@ class TestTranslatedFloor:
         ctx = small_box_context(2, 5, 0.1, spec=spec)
         assert ctx.box.lattice_step is None
         (floor, shifts), counted = floor_counts(monkeypatch, ctx)
-        assert floor is not None and shifts is None and counted == 1
+        assert floor is not None and shifts is None and counted == 0
 
     def test_background_that_a_roll_moves_refuses_translation(self):
         # G / h = 10 nodes, but the periodic box is 25 nodes wide: a roll by
@@ -907,8 +981,9 @@ class TestCountsOnGrid:
                         boundary=data.draw(st.sampled_from(
                             ("periodic", "dirichlet", "neumann"))))
         box = model.box(grid)
-        h = box.hamiltonian(box.potential(DisorderConfiguration(
-            data.draw(st.integers(0, 2 ** 32)), model.disorder)))
+        v = box.potential(DisorderConfiguration(
+            data.draw(st.integers(0, 2 ** 32)), model.disorder))
+        h = box.hamiltonian(v)
         values = box.spectrum.values
         s = box.envelope
         top = float(values[min(40, values.size - 1)]) + s
@@ -928,7 +1003,7 @@ class TestCountsOnGrid:
         want = per_energy_counts(h, energies)
         weyl = (values, values + s)
         assert eigensolve.counts_below(h, energies, weyl) == want
-        bounds = enclosure(h, box.spectrum, s, energies[-1])
+        bounds = enclosure(v, box.spectrum, energies[-1])
         assert eigensolve.counts_below(h, energies, bounds) == want
         open_ = (np.full(h.shape[0], -np.inf), np.full(h.shape[0], np.inf))
         assert eigensolve.counts_below(h, energies, open_) == want
@@ -965,6 +1040,28 @@ class TestCountsOnGrid:
             eigensolve.counts_below(h, [1.5], (lower, upper))
         assert err.value.telemetry == {"sigma": 1.5, "count": 2,
                                        "lo": 0, "hi": 1}
+
+    def test_count_is_counts_only_an_open_bracket_holding_k(
+            self, monkeypatch):
+        h = sparse.csr_matrix(np.diag([0.0, 1.0, 2.0]))
+        counted = []
+        real = eigensolve.count_below
+
+        def spy(mat, sigma):
+            counted.append(sigma)
+            return real(mat, sigma)
+
+        monkeypatch.setattr(eigensolve, "count_below", spy)
+        weyl = (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]))
+        # at 1.2 the bracket is [1, 2]: k = 0 lies outside it, and 1 and 2
+        # are counted (two eigenvalues lie below 1.2)
+        assert not eigensolve.count_is(h, 1.2, weyl, 0) and not counted
+        assert not eigensolve.count_is(h, 1.2, weyl, 1) and counted == [1.2]
+        assert eigensolve.count_is(h, 1.2, weyl, 2) and len(counted) == 2
+        # at 0.7 it closes on 1
+        assert eigensolve.count_is(h, 0.7, weyl, 1)
+        assert not eigensolve.count_is(h, 0.7, weyl, 2)
+        assert len(counted) == 2
 
     def test_ids_makes_at_most_a_tenth_of_the_per_energy_counts(
             self, monkeypatch):
@@ -1016,19 +1113,22 @@ class TestEnclosure:
                         boundary=data.draw(st.sampled_from(
                             ("periodic", "dirichlet", "neumann"))))
         box = model.box(grid)
-        h = box.hamiltonian(box.potential(DisorderConfiguration(
-            data.draw(st.integers(0, 2 ** 32)), model.disorder)))
-        values, s = box.spectrum.values, box.envelope
+        v = box.potential(DisorderConfiguration(
+            data.draw(st.integers(0, 2 ** 32)), model.disorder))
+        values = box.spectrum.values
         top = data.draw(st.floats(float(values[0]), float(values[-1])))
         if data.draw(st.booleans()):
-            lower, upper = enclosure(h, box.spectrum, s, top)
+            lower, upper = enclosure(v, box.spectrum, top)
             assume(np.any(lower > values))      # Lehmann tightened a level
         else:
-            # 0 <= V <= s' for any s' >= s; past the spectrum's width no
-            # background gap is wider than s', so only Rayleigh-Ritz applies
-            wide = s + float(values[-1] - values[0])
-            lower, upper = enclosure(h, box.spectrum, wide, top)
+            # a spike wider than the spectrum at one node: past the
+            # spectrum's width no background gap is wider than s = max V, so
+            # only Rayleigh-Ritz applies
+            v[data.draw(st.integers(0, v.size - 1))] += float(
+                values[-1] - values[0]) + 1.0
+            lower, upper = enclosure(v, box.spectrum, top)
             assert np.array_equal(lower, values)
+        h = box.hamiltonian(v)
         exact = np.linalg.eigvalsh(h.toarray())
         slack = 1e-9 * (1.0 + np.abs(exact))
         assert np.all(lower <= exact + slack)
