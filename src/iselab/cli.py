@@ -29,7 +29,7 @@ from . import __version__, rng
 from .errors import (EventViolatedError, GapNotFoundError, IselabError,
                      ScaleWindowError, SearchBudgetError, SolverError)
 from .eigensolve import T_GRID_RULE, background_eigs_below, one_blas_thread
-from .events import (EventSpec, build_ledger, event_A_indicator, event_choice,
+from .events import (EventSpec, build_ledger, event_choice,
                      exact_event_probability, min_scale_for_probability,
                      monte_carlo_event_probability, scale_window)
 from .grid import GridSpec
@@ -189,7 +189,7 @@ def _event_configuration(model, spec, seed, attempts):
     for attempt in range(attempts):
         child = rng.derive_seed(seed, rng.EVENT_TRIALS, (spec.l, attempt))
         cfg = DisorderConfiguration(child, model.disorder)
-        if event_A_indicator(cfg, spec):
+        if event_choice(cfg, spec) is not None:
             return cfg
     raise SearchBudgetError(
         f"no configuration in the event after {attempts} attempts")

@@ -84,11 +84,6 @@ def event_choice(cfg, spec):
     return tuple(map(tuple, rows.tolist()))
 
 
-def event_A_indicator(cfg, spec):
-    """True iff every cell of the doubled box has a site with coupling >= eta."""
-    return event_choice(cfg, spec) is not None
-
-
 def cell_count(dimension, L, l):
     """M = #((lZ)^d intersect Lambda_{2L}); exact for (possibly huge) int L."""
     return (2 * ((2 * L - 1) // (2 * l)) + 1) ** dimension

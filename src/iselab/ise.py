@@ -40,9 +40,9 @@ A trial may clear the window by operator order alone.  Couplings are >= 0
 and so is U, so with Z = {j : omega_j < eta} the trial has V_omega >=
 eta U (1 - e_Z) node by node, and H_omega lies above H0 plus that floor.
 When the floor has the certified k eigenvalues below b + width, min-max
-leaves H_omega's window empty.  window_floor checks one floor per process
-and box size (an lru_cache on the context, which a pickled copy in each
-pool chunk hits), the one the box picks, with at most one count.  Where
+leaves H_omega's window empty.  window_floor checks the one floor the box
+picks, with at most one count, as one task per box size that trial_records
+maps before the trials and hands to each of them.  Where
 -Laplacian + V0 is exactly invariant under lattice translations (a
 periodic box, G / h whole and V0 equal to its roll by G / h nodes, bit for
 bit: Box.lattice_step), it is the holed floor, every live site but j0 (the
@@ -70,7 +70,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -182,11 +182,10 @@ class ExperimentPlan:
 class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
-    A value compared and hashed on (model, grid, event_spec, b, width), also
-    after pickling, so window_floor memoizes on it.  The window
-    is [b, b + width); `event_spec` is None where the scale window is empty.
-    Derived: `box` (potentials.Box) and `certified_below`
-    certified_lower_count at b, or None.
+    The window is [b, b + width); `event_spec` is None where the scale
+    window is empty.  Derived: `box` (potentials.Box) and `certified_below`
+    certified_lower_count at b, or None.  It is pickled into every pool task,
+    and the box's floor (window_floor) and lifts (event_lift) are tasks on it.
     """
 
     model: object
@@ -222,7 +221,6 @@ def event_lift(ctx, choice):
     return lam - ctx.b, None
 
 
-@lru_cache(maxsize=16)
 def window_floor(ctx):
     """(floor, shifts): the box's floor if it clears the window, else
     (None, None).
@@ -230,9 +228,9 @@ def window_floor(ctx):
     A floor F is a node array, shaped (n,) * d, whose H0 + diag(F) has
     exactly the certified count below b + width; then every H_omega with
     V_omega >= F node by node has an empty window.  The box picks one floor,
-    checked once per process and box size by eigensolve.count_is: its
-    enclosure first, and a count only where that bracket stays open around
-    the certified count:
+    checked by eigensolve.count_is, its enclosure first and a count only
+    where that bracket stays open around the certified count; trial_records
+    maps it once per box size and hands the pair to every trial:
     - where Box.lattice_step finds the lattice translations exact, the holed
       floor eta U (1 - e_j0), every live site but the one nearest the box
       centre at eta.  `shifts` holds, per live site j, the node roll
@@ -267,11 +265,11 @@ def window_floor(ctx):
     return floor, shifts
 
 
-def floor_certifies(ctx, omega, v_omega):
-    """Whether window_floor's floor lies below V_omega = U @ omega node by
-    node, its hole rolled onto the one site with omega_j < eta if there is
-    exactly one."""
-    floor, shifts = window_floor(ctx)
+def floor_certifies(ctx, floor, omega, v_omega):
+    """Whether `floor`, window_floor(ctx)'s (floor, shifts) pair, lies below
+    V_omega = U @ omega node by node, its hole rolled onto the one site with
+    omega_j < eta if there is exactly one."""
+    floor, shifts = floor
     if floor is None:
         return False
     if shifts is not None:
@@ -297,19 +295,20 @@ class TrialRecord(dict):
         return self.floor_certified and bool(self.get("event"))
 
 
-def run_ise_trial(ctx, seed):
+def run_ise_trial(ctx, floor, seed):
     """One trial's count: is the window [b, b + width) free of spectrum?
 
     Returns a record with the verdict, the number of eigenvalues in the
     window (values within tol_eig below b count) and a borderline flag (the
     window holds spectrum only within tol_eig of its upper edge); `event`
     and `observed_lift` stay None for trial_records.  `floor_certified`
-    says whether a floor settled the verdict (floor_certifies): H_omega
-    lies above an operator that clears the window (window_floor), so its
-    window is empty and it is not factorized.  Otherwise the count below
-    b - tol_eig is the context's certified one where it holds, so the trial
-    counts only at b + width (and, when the window holds spectrum, checks
-    whether the count at b + width - tol_eig is still the one below).
+    says whether the box's floor, window_floor(ctx) passed in as `floor`,
+    settled the verdict (floor_certifies): H_omega lies above an operator
+    that clears the window, so its window is empty and it is not
+    factorized.  Otherwise the count below b - tol_eig is the context's
+    certified one where it holds, so the trial counts only at b + width
+    (and, when the window holds spectrum, checks whether the count at
+    b + width - tol_eig is still the one below).
     Each count is bracketed first by the trial's eigensolve.enclosure and
     factorizes H_omega only where the bracket stays open
     (eigensolve.counts_below and count_is); a count outside its bracket
@@ -322,7 +321,7 @@ def run_ise_trial(ctx, seed):
                          observed_lift=None)
     omega = cfg[box.sites]
     v_omega = box.potential_of(omega)   # >= 0 node by node, or it raises
-    result.floor_certified = floor_certifies(ctx, omega, v_omega)
+    result.floor_certified = floor_certifies(ctx, floor, omega, v_omega)
     try:
         if result.floor_certified:
             result.update(window_count=0, outcome=True)
@@ -345,20 +344,29 @@ def run_ise_trial(ctx, seed):
     return result
 
 
-def trial_records(ctx, seeds, run=map):
-    """The records of `seeds`, in order: `run` (map, or a pool's) maps
-    event_lift over the distinct choices of the seeds, read here once each,
-    then run_ise_trial over the seeds.  Each counted record gets `event`
+def serial_map(fn, items):
+    """map, run at once: its tasks run in the order a pool's map submits
+    them."""
+    return list(map(fn, items))
+
+
+def trial_records(ctx, seeds, run=serial_map):
+    """The records of `seeds`, in order: `run` (serial_map, or a pool's map)
+    maps event_lift over the distinct choices of the seeds, read here once
+    each, then window_floor over [ctx], and, once the floor is back,
+    run_ise_trial with it over the seeds.  Each counted record gets `event`
     (None without an event spec) and its choice's lift, and a failed lift
     makes it invalid with the lift's message."""
     spec = ctx.event_spec
     choices = [None if spec is None else event_choice(
         DisorderConfiguration(s, ctx.model.disorder), spec) for s in seeds]
     distinct = list(dict.fromkeys(filter(None, choices)))
-    # a pool's map submits at once, so the lifts, the longest tasks, start
-    # first, and both maps are submitted before either is read
+    # each run starts its tasks when called: the lifts, the longest tasks,
+    # start first, and a pool keeps solving them while the floor comes back
+    # and the trials are submitted
     lifts = run(partial(event_lift, ctx), distinct)
-    records = run(partial(run_ise_trial, ctx), seeds)
+    [floor] = run(window_floor, [ctx])
+    records = run(partial(run_ise_trial, ctx, floor), seeds)
     lifts, records = dict(zip(distinct, lifts)), list(records)
     for record, choice in zip(records, choices):
         if record["valid"] and spec is not None:
@@ -432,7 +440,7 @@ def estimate_ise_probability(plan):
     per_L = []
     with (ProcessPoolExecutor(max_workers=plan.workers)
           if plan.workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else partial(pool.map, chunksize=4)
+        run = serial_map if pool is None else partial(pool.map, chunksize=4)
         for L_index, L in enumerate(plan.L_values):
             grid = GridSpec.per_unit(2, L, plan.points_per_unit, plan.boundary)
             a, b = band_edge_of_background(

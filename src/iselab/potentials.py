@@ -159,10 +159,7 @@ class DisorderDistribution:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind == "bernoulli":
-            if not 0 <= self.params[0] <= 1:
-                raise ValueError("bernoulli p must lie in [0, 1]")
-        elif self.kind == "truncated":
+        if self.kind == "truncated":
             values, probs = self.params
             if not all(0 <= v <= 1 for v in values):
                 raise ValueError("coupling values must lie in [0, 1]")
@@ -182,9 +179,6 @@ class DisorderDistribution:
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform01":
             value = u
-        elif self.kind == "bernoulli":
-            (p,) = self.params
-            value = (u < p).astype(float)
         else:
             values, probs = self.params
             edges = np.cumsum(probs)
@@ -196,9 +190,6 @@ class DisorderDistribution:
         """Exact P[omega >= eta]."""
         if self.kind == "uniform01":
             return max(0.0, 1.0 - self.eta) if self.eta <= 1 else 0.0
-        if self.kind == "bernoulli":
-            (p,) = self.params
-            return p if self.eta <= 1 else 0.0
         values, probs = self.params
         return float(sum(p for v, p in zip(values, probs) if v >= self.eta))
 
@@ -208,7 +199,12 @@ def uniform01(eta=0.5, kappa=0.5):
 
 
 def bernoulli(p, eta=0.5, kappa=None):
-    return DisorderDistribution("bernoulli", eta, p if kappa is None else kappa, (p,))
+    """Coupling 1 with probability p, else 0: a two-point table; u < p
+    draws 1."""
+    if not 0 <= p <= 1:
+        raise ValueError("bernoulli p must lie in [0, 1]")
+    return truncated((1.0, 0.0), (p, 1.0 - p), eta,
+                     p if kappa is None else kappa)
 
 
 def truncated(values, probs, eta, kappa=None):

@@ -18,7 +18,7 @@ from iselab import rng
 from iselab.cli import _event_configuration, main
 from iselab.eigensolve import TOL_EIG, TOL_GAP, count_below, eigs_in_window
 from iselab.errors import ScaleWindowError
-from iselab.events import (EventSpec, build_ledger, event_A_indicator,
+from iselab.events import (EventSpec, build_ledger, event_choice,
                            exact_event_probability, min_scale_for_probability,
                            monte_carlo_event_probability, select_scale)
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
@@ -121,7 +121,7 @@ class TestEigenvalueSandwich:
                 violations += 1
                 continue
             mask = event_ball_mask(cfg, spec, profiles, grid)
-            assert (mask is not None) == event_A_indicator(cfg, spec)
+            assert (mask is None) == (event_choice(cfg, spec) is None)
             if mask is not None:
                 v_test = np.zeros(grid.num_points)
                 v_test[mask] = amplitude
@@ -314,7 +314,7 @@ class TestConditionalCertainty:
             profiles = model.profiles_for(grid)
             for rec in certified[:5]:
                 cfg = DisorderConfiguration(rec["seed"], model.disorder)
-                assert event_A_indicator(cfg, spec)
+                assert event_choice(cfg, spec) is not None
                 h = assemble_schrodinger(
                     grid, model.background.evaluate(grid.nodes())
                     + assemble_random_potential(cfg, profiles, grid))

@@ -203,7 +203,7 @@ class TestLowestAbove:
     def test_no_eigenvalue_above_raises(self, free4):
         op = laplacian_matrix(free4)
         assert count_below(op, 1e9) == free4.num_points
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="no eigenvalue at or above b"):
             min_eig_above(op, 1e9)
 
 
@@ -229,7 +229,8 @@ class TestWindows:
         # returns at most n - 1 of them: the count check must catch it
         mat = laplacian_matrix(free4)
         assert count_below(mat, 1000.0) - count_below(mat, -1.0) == 16
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError,
+                           match="window solve disagrees with its count"):
             eigs_in_window(mat, -1.0, 1000.0)
 
     def test_level_on_the_upper_edge_counts_inside(self, free4):
@@ -272,7 +273,7 @@ class TestTrackFamily:
         assert np.all(np.diff(stacked, axis=0) >= -1e-10)
 
     def test_unsorted_t_grid_rejected(self, free4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_grid must rise strictly"):
             window_levels(free4, [], [0.5, 0.2], (0, 1))
 
 
@@ -441,7 +442,7 @@ class TestSeparableEnclosure:
         spectrum = background_spectrum(free4, zero_potential())
         v = np.zeros(free4.num_points)
         v[3] = -1e-3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative diagonal"):
             enclosure(v, spectrum, 1.0)
 
     @settings(max_examples=40, deadline=None)
@@ -478,7 +479,7 @@ class TestSolverFailures:
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", broken)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="bad argument"):
             min_eig_above(laplacian_matrix(grid), 1.0)
         assert len(calls) == 1
 
@@ -494,7 +495,7 @@ class TestSolverFailures:
         grid = GridSpec(dimension=2, side=8.0, spacing=1.0,
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="shift-invert failed"):
             eigs_in_window(laplacian_matrix(grid), 1.0, 5.0)
         assert len(calls) == 1
         assert isinstance(calls[0]["OPinv"], LinearOperator)

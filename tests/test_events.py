@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from iselab import events
 from iselab.errors import ScaleWindowError
 from iselab.events import (EventSpec, build_ledger, cell_count,
-                           event_A_indicator, exact_event_probability,
+                           event_choice, exact_event_probability,
                            ledger_verdict, lifting_bound,
                            min_scale_for_probability,
                            monte_carlo_event_probability, select_scale,
@@ -22,13 +22,13 @@ class TestEventIndicator:
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         cfg = config_from({s: 1.0 for _, cell in brute_force_cells(spec)
                            for s in cell})
-        assert event_A_indicator(cfg, spec)
+        assert event_choice(cfg, spec) is not None
 
     def test_one_dead_cell(self, brute_force_cells, config_from):
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         values = {s: 1.0 for _, cell in brute_force_cells(spec) for s in cell}
         values[(1, -1)] = 0.0
-        assert not event_A_indicator(config_from(values), spec)
+        assert event_choice(config_from(values), spec) is None
 
     def test_matches_brute_force_conjunction(self, brute_force_cells,
                                              config_from):
@@ -43,12 +43,14 @@ class TestEventIndicator:
                           for _, sites in cells for s in sites}
                 brute = all(any(values[s] >= spec.eta for s in sites)
                             for _, sites in cells)
-                assert event_A_indicator(config_from(values), spec) == brute
+                assert (event_choice(config_from(values), spec)
+                        is not None) == brute
                 seen.add(brute)
             assert seen == {True, False}
 
     def test_even_l_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="l must be an odd positive integer"):
             EventSpec(dimension=2, l=2, L=4, eta=0.5, kappa=0.5)
 
 
@@ -94,7 +96,7 @@ class TestExactProbability:
         for trials in (1, 100_000):
             assert monte_carlo_event_probability(spec, trials, seed=5) == \
                 wilson_interval(trials, trials)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one trial"):
             monte_carlo_event_probability(spec, 0, seed=5)
 
     def test_union_bound_dominates_exact_failure(self):
@@ -163,7 +165,7 @@ class TestScaleSelector:
         assert select_scale(10, 0.5) == 1
 
     def test_empty_window_raises(self):
-        with pytest.raises(ScaleWindowError):
+        with pytest.raises(ScaleWindowError, match="no odd integer in"):
             select_scale(6, 0.4)
 
     @settings(max_examples=80, deadline=None)
@@ -262,9 +264,9 @@ class TestLedger:
                    for L in range(scan, bracket + 1))
 
     def test_verdict_keeps_its_input_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="math domain error"):
             ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.0, c=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="math domain error"):
             ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.5, c=-1.0)
         # kappa = P[omega >= eta] must lie in (0, 1], also where the scale
         # window is empty
@@ -343,7 +345,8 @@ class TestLedger:
     @pytest.mark.parametrize("d, alpha", [(1, 1.0), (0, 1.0), (2, 0.0)])
     def test_search_refuses_d_below_two_or_alpha_zero(self, d, alpha):
         # at d < 2 sufficient_large_L falls with L
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="the search needs d >= 2 and alpha > 0"):
             min_scale_for_probability(d, alpha, 0.2, kappa=0.9, eta=0.5, c=1.0)
 
     @settings(max_examples=25, deadline=None)

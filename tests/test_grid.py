@@ -24,15 +24,15 @@ def strict_lattice_count(center, side):
 
 class TestGridSpec:
     def test_rejects_dimension_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
             GridSpec(dimension=1, side=4.0, spacing=1.0)
 
     def test_rejects_incommensurate_spacing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="spacing must divide the side"):
             GridSpec(dimension=2, side=4.0, spacing=0.3)
 
     def test_rejects_memory_budget_overflow(self):
-        with pytest.raises(MemoryBudgetError):
+        with pytest.raises(MemoryBudgetError, match="budget is"):
             GridSpec(dimension=2, side=4096.0, spacing=1.0 / 4096)
 
     def test_nodes_are_cell_centered(self):
@@ -118,7 +118,7 @@ class TestCellDecomposition:
         assert self.centers(spec) == want
 
     def test_rejects_l_larger_than_L(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need l <= L"):
             EventSpec(dimension=2, l=3, L=2, eta=0.5, kappa=0.5)
 
     @pytest.mark.parametrize("l", [1, 3, 5])

@@ -14,12 +14,11 @@ from scipy import sparse
 from iselab import eigensolve, ise, rng
 from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
 from iselab.errors import GapNotFoundError, SolverError
-from iselab.events import (EventSpec, event_A_indicator, event_choice,
-                           select_scale)
+from iselab.events import EventSpec, event_choice, select_scale
 from iselab.grid import GridSpec, assemble_schrodinger
 from iselab.ise import (ExperimentPlan, TrialContext, band_edge_of_background,
                         estimate_ise_probability, ids_estimate, run_ise_trial,
-                        trial_records)
+                        trial_records, window_floor)
 from iselab.potentials import (DisorderConfiguration, DisorderDistribution,
                                load_model, zero_potential)
 
@@ -43,7 +42,8 @@ class TestBandEdge:
     def test_hint_below_the_spectrum_raises(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
-        with pytest.raises(GapNotFoundError):
+        with pytest.raises(GapNotFoundError,
+                           match="outside the computed spectrum"):
             band_edge_of_background(grid, zero_potential(), hint=-1.0)
 
     def test_unknown_mode_raises(self):
@@ -87,15 +87,20 @@ def box_context(model_spec, L, alpha, b=0.0, points_per_unit=8):
                         float(L) ** (-alpha))
 
 
+def one_trial(ctx, seed):
+    """run_ise_trial of `seed` with the box's floor, counted afresh."""
+    return run_ise_trial(ctx, window_floor(ctx), seed)
+
+
 class TestSingleTrial:
     def test_full_couplings_lift_clears_window(self):
-        out = run_ise_trial(box_context(bernoulli_model(1.0), 4, 0.9), 0)
+        out = one_trial(box_context(bernoulli_model(1.0), 4, 0.9), 0)
         # every site fires, so the ground state moves well above 4^-0.9
         assert out["valid"] and out["outcome"]
         assert out["window_count"] == 0
 
     def test_zero_couplings_reduce_to_background(self):
-        out = run_ise_trial(box_context(bernoulli_model(1e-12), 4, 0.5), 0)
+        out = one_trial(box_context(bernoulli_model(1e-12), 4, 0.5), 0)
         # the background periodic Laplacian has its ground state at b, well
         # below the upper window edge 4^-0.5
         assert out["window_count"] == 1
@@ -106,14 +111,14 @@ class TestSingleTrial:
         # width 4^-alpha = TOL_EIG / 2: the ground state at b lies within
         # TOL_EIG of the upper window edge
         alpha = math.log(2e8) / math.log(4.0)
-        out = run_ise_trial(box_context(bernoulli_model(1e-12), 4, alpha), 0)
+        out = one_trial(box_context(bernoulli_model(1e-12), 4, alpha), 0)
         assert out["valid"]
         assert out["window_count"] == 1
         assert not out["outcome"]
         assert out["borderline"]
 
     def test_vanishing_window_is_vacuously_clear(self):
-        out = run_ise_trial(box_context(bernoulli_model(1.0), 4, 200.0), 0)
+        out = one_trial(box_context(bernoulli_model(1.0), 4, 200.0), 0)
         assert out["outcome"]
 
 
@@ -139,7 +144,8 @@ def public_path_record(model, grid, spec, b, width, seed, cfg=None):
               "window_count": count,
               "borderline": (count != 0 and
                              count_below(h, b + width - TOL_EIG) == below),
-              "event": event_A_indicator(cfg, spec), "observed_lift": None}
+              "event": event_choice(cfg, spec) is not None,
+              "observed_lift": None}
     if record["event"]:
         mask = event_ball_mask(cfg, spec, profiles, grid)
         v_test = np.zeros(grid.num_points)
@@ -207,8 +213,8 @@ class TestTrialContext:
     def test_pickled_context_gives_the_same_records(self, reference_context):
         ctx, seeds = reference_context
         clone = pickle.loads(pickle.dumps(ctx))
-        assert [run_ise_trial(clone, s) for s in seeds[:4]] == \
-            [run_ise_trial(ctx, s) for s in seeds[:4]]
+        assert [one_trial(clone, s) for s in seeds[:4]] == \
+            [one_trial(ctx, s) for s in seeds[:4]]
 
 
 def small_context_inputs():
@@ -230,31 +236,6 @@ class TestContextValue:
         assert ctx is not twin
         for other in (twin, pickle.loads(pickle.dumps(twin))):
             assert other == ctx and hash(other) == hash(ctx)
-
-    def test_each_field_keys_the_floor(self):
-        model, grid, spec, b, width = small_context_inputs()
-        variants = {
-            "model": dataclasses.replace(
-                model, disorder=dataclasses.replace(model.disorder,
-                                                    eta=0.25)),
-            "grid": dataclasses.replace(grid, spacing=1.0 / 8),
-            "event_spec": dataclasses.replace(spec, kappa=0.5),
-            "b": b + 0.5,
-            "width": 2.0 * width,
-        }
-        ctx = TrialContext(model, grid, spec, b, width)
-        ise.window_floor.cache_clear()
-        try:
-            ise.window_floor(ctx)
-            for name, value in variants.items():
-                other = dataclasses.replace(ctx, **{name: value})
-                assert other != ctx, name
-                floors = ise.window_floor.cache_info().misses
-                ise.window_floor(other)
-                # a context that differs in one field is a new key
-                assert ise.window_floor.cache_info().misses == floors + 1, name
-        finally:
-            ise.window_floor.cache_clear()
 
 
 class TestLowerCountCertificate:
@@ -346,11 +327,7 @@ class TestLowerCountCertificate:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(eigensolve, "splu", spy)
-        ise.window_floor.cache_clear()
-        try:
-            assert ise.window_floor(ctx) == (None, None)
-        finally:
-            ise.window_floor.cache_clear()
+        assert window_floor(ctx) == (None, None)
         assert not factorizations
 
     def test_certified_trial_factorizes_once(self, monkeypatch):
@@ -362,15 +339,14 @@ class TestLowerCountCertificate:
             return real_splu(*args, **kwargs)
 
         ctx = self.context(shipped("reference_gapped"), "gap")
-        # the floor is counted once per box size; warm it up so that only
-        # H_omega's factorizations are counted below
-        for seed in self.seeds(16):
-            run_ise_trial(ctx, seed)
+        # the floor is counted before the spy, so that only H_omega's
+        # factorizations are counted below
+        floor = window_floor(ctx)
         monkeypatch.setattr(eigensolve, "splu", spy)
         outcomes, counted = [], []
         for seed in self.seeds(16):
             factorizations.clear()
-            record = run_ise_trial(ctx, seed)
+            record = run_ise_trial(ctx, floor, seed)
             outcomes.append(record["outcome"])
             counted.append(len(factorizations))
             # borderline takes a second count only on a failed window
@@ -402,7 +378,7 @@ class TestLiftCertificate:
         # node-wise check against it sends these trials to their own count
         ctx, seeds = reference_box(6, trials=12)
         ctx = overclaimed_floor(ctx)
-        assert ise.window_floor(ctx)[0] is not None
+        assert window_floor(ctx)[0] is not None
         failed = 0
         for seed, record in zip(seeds, trial_records(ctx, seeds)):
             want, _, _ = public_path_record(ctx.model, ctx.box.grid,
@@ -425,7 +401,6 @@ class TestLiftCertificate:
             factorizations.append(1)
             return real_splu(*args, **kwargs)
 
-        ise.window_floor.cache_clear()
         monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
         plan = ExperimentPlan(
@@ -473,7 +448,7 @@ class TestFloorCertificate:
         top = b + width
         count = np.sum(dense_eigvals(box.hamiltonian(v_omega)) < top)
         assert count <= np.sum(dense_eigvals(box.hamiltonian(floor)) < top)
-        if ise.window_floor(ctx)[0] is not None:
+        if window_floor(ctx)[0] is not None:
             assert count == ctx.certified_below
 
     def test_refused_floor_counts_every_trial(self, monkeypatch):
@@ -482,26 +457,36 @@ class TestFloorCertificate:
         # without a count, and every trial counts its own H_omega
         ctx, seeds = reference_box(6)
         assert ctx.certified_below == 36
-        assert floor_counts(monkeypatch, ctx) == ((None, None), 0)
-        assert not any(run_ise_trial(ctx, s).floor_certified for s in seeds)
+        floor, counted = floor_counts(monkeypatch, ctx)
+        assert (floor, counted) == ((None, None), 0)
+        assert not any(run_ise_trial(ctx, floor, s).floor_certified
+                       for s in seeds)
 
     def test_floor_is_counted_once_per_box_size(self, monkeypatch):
-        ctx, _ = reference_box(8)
-        counts = []
-        real = eigensolve.count_below
+        # a serial estimate checks each box's floor once, whatever its trial
+        # count: at L = 4 the enclosure refuses it without a count; the L = 8
+        # box translates, so its floor is the holed one, whose enclosure
+        # stays open at b + w: it takes its one count
+        counts, floors = [], []
+        real_count, real_floor = eigensolve.count_below, ise.window_floor
 
-        def spy(*args):
+        def count_spy(*args):
             counts.append(args)
-            return real(*args)
+            return real_count(*args)
 
-        monkeypatch.setattr(eigensolve, "count_below", spy)
-        ise.window_floor.cache_clear()
-        floor = ise.window_floor(ctx)
-        # a pickled context is a new object, and still finds the floor
-        assert ise.window_floor(pickle.loads(pickle.dumps(ctx))) is floor
-        # the box translates, so its floor is the holed one; its enclosure
-        # stays open at b + w, so it takes its one count
-        assert len(counts) == 1 and floor[1] is not None
+        def floor_spy(ctx):
+            start = len(counts)
+            floor = real_floor(ctx)
+            floors.append((ctx.grid.side, floor[1] is not None,
+                           len(counts) - start))
+            return floor
+
+        monkeypatch.setattr(eigensolve, "count_below", count_spy)
+        monkeypatch.setattr(ise, "window_floor", floor_spy)
+        per_L = estimate_ise_probability(
+            reference_plan(L_values=(4, 8), trials=12)).per_L
+        assert floors == [(4.0, False, 0), (8.0, True, 1)]
+        assert [p.floor_certified > 0 for p in per_L] == [False, True]
 
     def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
         # the L = 8 floor's enclosure stays open at b + w, so it is counted
@@ -511,17 +496,12 @@ class TestFloorCertificate:
             raise SolverError("no trusted LDL^T factor")
 
         monkeypatch.setattr(eigensolve, "count_below", fail)
-        ise.window_floor.cache_clear()
-        try:
-            assert ise.window_floor(ctx)[0] is None
-        finally:
-            ise.window_floor.cache_clear()
+        assert window_floor(ctx)[0] is None
 
     def test_floor_decided_trial_factorizes_nothing(self, monkeypatch):
         # the 24th trial is the first with two couplings below eta
         ctx, seeds = reference_box(8, trials=24)
-        for seed in seeds:   # warm the floor
-            run_ise_trial(ctx, seed)
+        floor = window_floor(ctx)
         factorizations = []
         real_splu = eigensolve.splu
 
@@ -534,7 +514,7 @@ class TestFloorCertificate:
         decided, one_low = 0, 0
         for seed in seeds:
             factorizations.clear()
-            record = run_ise_trial(ctx, seed)
+            record = run_ise_trial(ctx, floor, seed)
             low = np.count_nonzero(
                 DisorderConfiguration(seed, ctx.model.disorder)[ctx.box.sites]
                 < eta)
@@ -556,8 +536,8 @@ class TestFloorCertificate:
 
         class SerialPool(ise.ProcessPoolExecutor):
             def map(self, fn, items, chunksize=1):
-                mapped.append((fn.func, fn.args, list(items)))
-                return map(fn, mapped[-1][2])
+                mapped.append((fn, list(items)))
+                return map(fn, mapped[-1][1])
 
         monkeypatch.setattr(ise, "ProcessPoolExecutor", SerialPool)
         plan = reference_plan(L_values=(8,), trials=12)
@@ -568,14 +548,58 @@ class TestFloorCertificate:
         flags = [r["event"] for r in serial.trial_records]
         seeds = [r["seed"] for r in serial.trial_records]
         assert True in flags and False in flags
-        (lift, (ctx,), choices), (count, args, counted) = mapped
+        (lift, choices), (floor_task, [ctx]), (count, counted) = mapped
         # at l = 1 every event trial makes the same choice: one lift
         want = {event_choice(DisorderConfiguration(s, ctx.model.disorder),
                              ctx.event_spec) for s in seeds} - {None}
-        assert lift is ise.event_lift and len(want) == 1
-        assert choices == list(want)
-        assert count is ise.run_ise_trial and args == (ctx,)
+        assert lift.func is ise.event_lift and lift.args == (ctx,)
+        assert len(want) == 1 and choices == list(want)
+        # the trials get the floor the one floor task returned
+        assert floor_task is ise.window_floor
+        floor, shifts = window_floor(ctx)
+        assert count.func is ise.run_ise_trial and count.args[0] is ctx
+        assert np.array_equal(count.args[1][0], floor)
+        assert np.array_equal(count.args[1][1], shifts)
         assert counted == seeds
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_each_box_size_maps_one_floor(self, monkeypatch, workers):
+        # per box size the parent maps the lifts, then the floor, one task,
+        # and the trials only with the floor back; in a pool run the parent
+        # counts nothing itself, the floor included
+        mapped, parent_counts = [], []
+        real_map, real_count = ise.serial_map, eigensolve.count_below
+
+        def spy_map(fn, items):
+            mapped.append((fn, list(items)))
+            return real_map(fn, mapped[-1][1])
+
+        class SpyPool(ise.ProcessPoolExecutor):
+            def map(self, fn, items, chunksize=1):
+                mapped.append((fn, list(items)))
+                return super().map(fn, mapped[-1][1], chunksize=chunksize)
+
+        def count_spy(*args):
+            parent_counts.append(args)
+            return real_count(*args)
+
+        monkeypatch.setattr(ise, "serial_map", spy_map)
+        monkeypatch.setattr(ise, "ProcessPoolExecutor", SpyPool)
+        # a forked worker inherits the count spy, but appends to its own list
+        monkeypatch.setattr(eigensolve, "count_below", count_spy)
+        per_L = estimate_ise_probability(reference_plan(
+            L_values=(4, 8), trials=8, workers=workers)).per_L
+        assert (workers > 1) == (not parent_counts)
+        tasks = [getattr(fn, "func", fn) for fn, _ in mapped]
+        assert tasks == [ise.event_lift, ise.window_floor,
+                         ise.run_ise_trial] * 2
+        for L, (_, [ctx]), (trial, seeds) in zip(
+                (4, 8), mapped[1::3], mapped[2::3]):
+            assert ctx.grid.side == L and trial.args[0] is ctx
+            # the L = 4 floor is refused, the L = 8 holed floor clears
+            assert (trial.args[1][0] is not None) == (L == 8)
+            assert seeds == [r["seed"] for r in per_L[L // 4 - 1]
+                             .trial_records]
 
 
 class TestMergeRules:
@@ -602,7 +626,7 @@ class TestMergeRules:
         ctx, seeds = reference_box(6)
         # the L = 6 floor is refused, so no trial is floor-decided; the
         # enclosure decides trials 1 and 7, and every other trial counts
-        assert ise.window_floor(ctx) == (None, None)
+        assert window_floor(ctx) == (None, None)
         clean = trial_records(ctx, seeds)
         counting = [t for t in range(len(seeds)) if t not in (1, 7)]
         assert any(event_choice(DisorderConfiguration(seeds[t],
@@ -638,12 +662,8 @@ class TestBracketedCounts:
             return real_splu(*args, **kwargs)
 
         monkeypatch.setattr(eigensolve, "splu", spy)
-        ise.window_floor.cache_clear()
-        try:
-            per = estimate_ise_probability(
-                reference_plan(L_values=(4,), trials=16)).per_L[0]
-        finally:
-            ise.window_floor.cache_clear()
+        per = estimate_ise_probability(
+            reference_plan(L_values=(4,), trials=16)).per_L[0]
         assert not factorizations
         monkeypatch.undo()
         assert per.valid == per.trials == 16 and per.floor_certified == 0
@@ -668,11 +688,12 @@ class TestBracketedCounts:
         # trial 0 at L = 6 counts at b + w with its bracket open, trial 1
         # is decided by its enclosure (TestMergeRules)
         ctx, seeds = reference_box(6, trials=2)
-        clean = [run_ise_trial(ctx, seed) for seed in seeds]
+        floor = window_floor(ctx)
+        clean = [run_ise_trial(ctx, floor, seed) for seed in seeds]
         real = eigensolve.count_below
         monkeypatch.setattr(eigensolve, "count_below",
                             lambda mat, sigma: real(mat, sigma) + 3)
-        wrong, decided = (run_ise_trial(ctx, seed) for seed in seeds)
+        wrong, decided = (run_ise_trial(ctx, floor, seed) for seed in seeds)
         assert not wrong["valid"]
         assert wrong["error"] == "count outside its bracket"
         assert wrong["window_count"] is None and wrong["outcome"] is None
@@ -707,11 +728,7 @@ def floor_counts(monkeypatch, ctx):
         return real(*args)
 
     monkeypatch.setattr(eigensolve, "count_below", spy)
-    ise.window_floor.cache_clear()
-    try:
-        return ise.window_floor(ctx), len(counts)
-    finally:
-        ise.window_floor.cache_clear()
+    return window_floor(ctx), len(counts)
 
 
 class TestTranslatedFloor:
@@ -741,7 +758,7 @@ class TestTranslatedFloor:
         want, _, h = public_path_record(ctx.model, box.grid, ctx.event_spec,
                                         ctx.b, ctx.width, 0, cfg)
         assert_records_match(record, want)
-        if ise.window_floor(ctx)[1] is not None:
+        if window_floor(ctx)[1] is not None:
             # the holed floor clears: it decides every trial with |Z| <= 1
             assert record.floor_certified
         if record.floor_certified:
@@ -755,7 +772,8 @@ class TestTranslatedFloor:
         # whose hole the roll wraps around the box
         ctx = small_box_context(2, 6, 0.1)
         box, eta = ctx.box, ctx.model.disorder.eta
-        assert ise.window_floor(ctx)[1] is not None
+        floor = window_floor(ctx)
+        assert floor[1] is not None
         sites = [tuple(j) for j in ctx.event_spec.cells().reshape(-1, 2)
                  .tolist()]
         assert sorted(sites) == sorted(map(tuple, box.sites.tolist()))
@@ -763,7 +781,7 @@ class TestTranslatedFloor:
             cfg = config_from({j: 0.0 if j == low else eta for j in sites})
             with mock.patch.object(ise, "DisorderConfiguration",
                                    lambda seed, dist: cfg):
-                record = run_ise_trial(ctx, 0)
+                record = run_ise_trial(ctx, floor, 0)
             assert record.floor_certified, low
             vals = dense_eigvals(box.hamiltonian(box.potential(cfg)))
             assert np.sum(vals < ctx.b + ctx.width) == ctx.certified_below
@@ -828,10 +846,10 @@ class TestPlan:
         with pytest.raises(ValueError, match="L_values"):
             ExperimentPlan(model={}, L_values=(), alpha=0.5, q=1.0,
                            trials=4, master_seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sorted ascending"):
             ExperimentPlan(model={}, L_values=(6, 3), alpha=0.5, q=1.0,
                            trials=4, master_seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             ExperimentPlan(model={}, L_values=(3, 6), alpha=1.5, q=1.0,
                            trials=4, master_seed=0)
         for workers in (0, -3):
@@ -1028,7 +1046,7 @@ class TestCountsOnGrid:
         assert closed > 0
 
     def test_unsorted_energies_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="energies must be sorted"):
             eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0],
                                     (np.full(3, -np.inf), np.full(3, np.inf)))
 

@@ -83,7 +83,7 @@ class TestInterpolatedFamily:
         assert (t0 != h0).nnz == 0
 
     def test_t_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_grid must rise strictly"):
             check_t_grid([1.5])
 
     def test_eigenvalues_nondecreasing_in_t(self, dense_eigvals):

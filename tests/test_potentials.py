@@ -43,8 +43,8 @@ class TestBackgrounds:
 
     def test_sup_bound_is_enforced(self):
         v = zero_potential()
-        v = v.__class__(1.0, lambda p: np.full(p.shape[0], 2.0), 1.0, "bad")
-        with pytest.raises(ValueError):
+        v = v.__class__(1.0, lambda p: np.full(p.shape[0], 2.0), 1.0)
+        with pytest.raises(ValueError, match="sup bound"):
             v.evaluate(np.zeros((3, 2)))
 
 
@@ -81,6 +81,19 @@ class TestDisorderDistributions:
     def test_bernoulli_one_is_degenerate(self):
         cfg = DisorderConfiguration(1, bernoulli(1.0))
         assert np.all(cfg[np.array([(0, 0), (1, 2)])] == 1.0)
+
+    def test_bernoulli_draws_as_u_below_p(self):
+        # bernoulli(p) is the table (1, 0), (p, 1 - p): a uniform u draws
+        # 1.0 exactly when u < p, at u = p and at its neighbouring floats
+        ps = np.append(np.random.default_rng(0).random(200),
+                       [1e-12, 0.1, 0.3, 0.5, 0.7, 1 - 1e-12, 1.0])
+        for p in ps.tolist():
+            dist = bernoulli(p)
+            u = np.array([np.nextafter(p, 0.0), p, np.nextafter(p, 2.0)])
+            assert np.array_equal(dist.from_uniform(u), (u < p).astype(float))
+            assert [dist.from_uniform(x) for x in u.tolist()] == \
+                [float(x < p) for x in u.tolist()]
+            assert dist.kappa == dist.exact_threshold_mass() == p
 
     def test_same_seed_same_site_reproduces(self):
         d = uniform01()
@@ -125,7 +138,7 @@ class TestDisorderDistributions:
         assert dist.kappa == pytest.approx(0.8)
 
     def test_kappa_above_available_mass_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"P\[omega >= eta\] < kappa"):
             uniform01(eta=0.9, kappa=0.5)
 
     def test_values_outside_unit_interval_rejected(self):
@@ -155,9 +168,9 @@ class TestDisorderDistributions:
         cfg = config_from({(0, 0): 1.0, (1, 0): 0.5})
         assert cfg[(1, 0)] == 0.5
         assert np.array_equal(cfg[np.array([[[0, 0], [1, 0]]])], [[1.0, 0.5]])
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"\(5, 5\)"):
             cfg[(5, 5)]
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"\(5, 5\)"):
             cfg[np.array([(0, 0), (5, 5)])]
 
     @settings(max_examples=80, deadline=None)
@@ -336,7 +349,7 @@ class TestSingleSiteBound:
     def test_unresolvable_ball_is_an_error(self):
         coarse = GridSpec(dimension=2, side=4.0, spacing=1.0,
                           boundary="periodic")
-        with pytest.raises(UnresolvableBallError):
+        with pytest.raises(UnresolvableBallError, match="delta/h = 0.5 < 4"):
             verify_single_site_bound(indicator_profile((0, 0), 1.0, 0.5),
                                      coarse)
 
@@ -349,7 +362,7 @@ class TestModelLoading:
         assert gapped_model.disorder.kappa == pytest.approx(0.996)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown V0 kind 'mystery'"):
             load_model({"G": 1.0, "V0": {"kind": "mystery"},
                         "single_site": {"kind": "ball_indicator",
                                         "c": 1, "delta": 0.4},

@@ -38,7 +38,7 @@ def test_stream_is_order_free():
 
 
 def test_index_tuple_limited_to_four_words():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="index tuples of length <= 4"):
         rng.stream(0, rng.SITE_VALUES, (1, 2, 3, 4, 5))
 
 
@@ -95,5 +95,5 @@ class TestUniformsAt:
             assert got.shape == (0,)
 
     def test_more_than_four_words_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coords must be an"):
             rng.uniforms_at(0, rng.SITE_VALUES, np.zeros((2, 5), dtype=int))

@@ -9,8 +9,7 @@ from iselab import potentials, rng
 from iselab.errors import EventViolatedError
 from iselab.eigensolve import (TOL_EIG, TOL_GAP, background_eigs_below,
                                count_below, one_blas_thread)
-from iselab.events import (EventSpec, event_A_indicator, event_choice,
-                           lifting_bound)
+from iselab.events import EventSpec, event_choice, lifting_bound
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
 from iselab.potentials import (Box, DisorderConfiguration, indicator_profile,
                                load_model, site_matrix, zero_potential)
@@ -47,7 +46,7 @@ class TestTheoreticalBound:
         assert ucp_theoretical_bound(a) == ucp_theoretical_bound(b)
 
     def test_invalid_geometry_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 0 < delta < l/2"):
             UCPBoundParams(delta=2.0, l=3.0, v_inf=0.0, energy=0.0,
                            constant=1.0)
 
@@ -98,7 +97,7 @@ class TestMassRatio:
 
     def test_zero_vector_rejected(self, grid6):
         mask = grid6.nodes_within_ball((0.0, 0.0), 0.4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero vector"):
             mass_ratio(np.zeros(grid6.num_points), mask)
 
 
@@ -121,11 +120,11 @@ class TestConstantFit:
 
     def test_degenerate_ratio_rejected(self):
         bad = [FitSample(0.5, 2.0, 0.0, 0.0, 1.0)] * 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside \(0, 1\)"):
             fit_ucp_constant(bad)
 
     def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3 samples"):
             fit_ucp_constant([FitSample(0.5, 2.0, 0.0, 0.0, 0.5)])
 
     def test_random_combinations_are_seeded_units(self):
@@ -238,7 +237,7 @@ class TestEquidistributedSelection:
         grid = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         box = Box.build(grid, zero_potential(), self._profiles(sites, 0.2))
-        with pytest.raises(EventViolatedError):
+        with pytest.raises(EventViolatedError, match="not in the event"):
             lifting_experiment(box, cfg, spec, b=0.0, eta=0.5, c=1.0)
 
     def test_cells_scale_with_the_lattice_spacing(self):
@@ -357,7 +356,7 @@ class TestLiftingExperiment:
         for t in range(6):
             cfg = DisorderConfiguration(
                 rng.derive_seed(11, rng.TRIAL_STREAM, (0, t)), model.disorder)
-            if not event_A_indicator(cfg, spec):
+            if event_choice(cfg, spec) is None:
                 continue
             rec = lifting_experiment(model.box(grid), cfg, spec, 0.0,
                                      model.disorder.eta, model.coupling_floor)
@@ -407,7 +406,7 @@ class TestGapHypothesis:
     def test_coarse_t_grid_rejected(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t_grid must rise strictly"):
             verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
                                   (4.1, 5.9), [0.0, 0.5, 1.0])
 
