@@ -276,10 +276,11 @@ def enclosure(diagonal, spectrum, top):
 
     - Rayleigh-Ritz (min-max, any orthonormal X): lambda_j <= theta_j,
       the eigenvalues of X^T (H0 + V) X = Lambda + G.
-    - Lehmann, when a background gap wider than s follows some
-      J in [J0, 2 J0]: by Weyl exactly J eigenvalues lie below rho, the
-      midpoint of (values_J + s, values_{J+1}), and none within
-      d = (gap - s) / 2 of it.  Rayleigh-Ritz for (H - rho)^-1 on the
+    - Lehmann, at the widest background gap that follows some J in
+      [J0, 2 J0] (the first of equal ones) when it is wider than s: by
+      Weyl exactly J eigenvalues lie below rho, the midpoint of
+      (values_J + s, values_{J+1}), and none within d = (gap - s) / 2 of
+      it.  Rayleigh-Ritz for (H - rho)^-1 on the
       span of R = (H - rho) X gives the pencil (X^T R, R^T R), here
       (Lambda - rho + G, (Lambda - rho)^2 + (Lambda - rho) G
       + G (Lambda - rho) + G2), whose eigenvalues tau_1 <= ... bound
@@ -298,11 +299,11 @@ def enclosure(diagonal, spectrum, top):
     lower, upper = values.copy(), values + s
     j0 = int(np.searchsorted(values, _nudge(top) + TOL_GAP))
     if j0:
-        stop = min(2 * j0, values.size - 1)
-        wide = np.flatnonzero(np.diff(values[j0 - 1:stop + 1]) > s)
-        j = j0 + int(wide[0]) if wide.size else j0
+        gaps = np.diff(values[j0 - 1:min(2 * j0, values.size - 1) + 1])
+        wide = gaps.size and gaps.max() > s
+        j = j0 + int(np.argmax(gaps)) if wide else j0
         rho = d = 0.0
-        if wide.size:
+        if wide:
             rho = 0.5 * (values[j - 1] + s + values[j])
             d = 0.5 * (values[j] - values[j - 1] - s)
         norm = max(values[-1] + s - rho, rho - values[0])

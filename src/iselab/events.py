@@ -252,12 +252,14 @@ def _ledger_table(d, L, alpha, q, kappa, eta, c):
     """(l, lines, quantities) of the inequality chain at the selected scale.
 
     Each line is a (name, lhs, relation, rhs) tuple, in ledger order, and
-    holds iff _HOLDS[relation](lhs, rhs).  Raises ScaleWindowError if the
-    scale window is empty and ValueError if kappa lies outside (0, 1]
-    or eta * c <= 0.
+    holds iff _HOLDS[relation](lhs, rhs).  Raises ValueError if kappa lies
+    outside (0, 1] or eta * c <= 0, also where the scale window is empty,
+    and ScaleWindowError if it is empty.
     """
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
+    if not eta * c > 0:
+        raise ValueError(f"eta * c must be positive: eta = {eta}, c = {c}")
     l, x = scale_window(L, alpha)
     ln_l = math.log(L)
     a_cell = _cell_failure_log(l, d, kappa)

@@ -85,32 +85,42 @@ class GridSpec:
         multi = np.unravel_index(idx, (n,) * self.dimension)
         return self.axis_coords()[np.stack(multi, axis=1)]
 
-    def nodes_within_ball(self, center, radius):
-        """Flat indices of nodes with strict Euclidean distance < radius.
+    def nodes_within_balls(self, centers, radius):
+        """(indptr, indices): indices[indptr[i]:indptr[i + 1]] are the sorted
+        flat indices of the nodes at strict Euclidean distance < radius from
+        centers[i], one row per centre, from one batched search.
 
-        Restricted to an axis-aligned index window first, so the cost is
-        proportional to the ball volume, not the grid volume.
+        Each centre is searched in an axis-aligned window of w nodes per
+        axis, w more than a diameter spans, moved inside the box where it
+        would leave it, so the cost is proportional to the ball volume, not
+        the grid volume.  Balls are clipped at the box edge.
         """
-        n = self.points_per_side
-        h = self.spacing
-        lo = -self.side / 2.0
-        coords = self.axis_coords()
-        slices = []
-        for k in range(self.dimension):
-            # node i covers coordinate lo + (i + 0.5) h
-            i_lo = max(0, int(math.floor((center[k] - radius - lo) / h - 0.5)))
-            i_hi = min(n - 1, int(math.ceil((center[k] + radius - lo) / h - 0.5)))
-            if i_lo > i_hi:
-                return np.empty(0, dtype=np.int64)
-            slices.append(np.arange(i_lo, i_hi + 1))
-        mesh = np.meshgrid(*slices, indexing="ij")
-        idx = np.zeros(mesh[0].size, dtype=np.int64)
-        dist2 = np.zeros(mesh[0].size)
-        for k in range(self.dimension):
-            ik = mesh[k].ravel()
-            idx = idx * n + ik
-            dist2 += (coords[ik] - center[k]) ** 2
-        return np.sort(idx[dist2 < radius * radius])
+        n, d = self.points_per_side, self.dimension
+        centers = np.asarray(centers, dtype=float).reshape(-1, d)
+        if not radius > 0:
+            return (np.zeros(len(centers) + 1, dtype=np.int64),
+                    np.empty(0, dtype=np.int64))
+        w = min(n, math.ceil(2.0 * radius / self.spacing) + 3)
+        # node i covers coordinate -L/2 + (i + 0.5) h
+        start = np.floor((centers - radius + self.side / 2.0) / self.spacing
+                         - 0.5).astype(np.int64)
+        axis_idx = np.clip(start, 0, n - w)[:, :, None] + np.arange(w)
+        square = (self.axis_coords()[axis_idx] - centers[:, :, None]) ** 2
+        # C order over the window, axis 0 slowest: the indices rise along
+        # a row, and each node's squares add up axis by axis
+        dist2, idx = 0.0, 0
+        for k in range(d):
+            shape = (len(centers),) + (1,) * k + (w,) + (1,) * (d - 1 - k)
+            dist2 = dist2 + square[:, k].reshape(shape)
+            idx = idx * n + axis_idx[:, k].reshape(shape)
+        hit = (dist2 < radius * radius).reshape(len(centers), -1)
+        indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1))))
+        return indptr, idx.reshape(hit.shape)[hit]
+
+    def nodes_within_ball(self, center, radius):
+        """Sorted flat indices of the nodes at strict Euclidean distance <
+        radius from center: nodes_within_balls for one centre."""
+        return self.nodes_within_balls([center], radius)[1]
 
 
 def _lap1d(n, h, boundary):

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -93,13 +92,16 @@ class SquareWave:
 
 @dataclass(frozen=True)
 class SingleSiteProfile:
-    """Nonnegative bump u_j with a certified ball lower bound.
+    """Nonnegative bump u_j(x) = shape(x - x_j) with a certified ball lower
+    bound.
 
     `site` is the integer lattice index; the geometric site is G * site.
+    `shape` is a hashable value, called on an (N, d) array of offsets from
+    the centre, so the profiles of one shape evaluate together (site_matrix).
     """
 
     site: tuple
-    func: object = field(repr=False)
+    shape: object = field(repr=False)
     lower_bound: float           # c
     ball_radius: float           # delta
     ball_center: tuple           # x_j
@@ -112,37 +114,57 @@ class SingleSiteProfile:
             raise ValueError("c and delta must be positive")
 
     def evaluate(self, points):
-        values = np.asarray(self.func(np.asarray(points, dtype=float)), dtype=float)
-        if values.size and values.min() < 0:
-            raise ValueError("single-site profile must be nonnegative")
-        return values
+        return shape_values(self.shape, np.asarray(points, dtype=float)
+                            - np.asarray(self.ball_center))
 
 
-# Profile functions are partials of module-level functions, so a model
-# pickles into pool workers.
+def shape_values(shape, offsets):
+    """shape at the rows of `offsets`; a negative value is a ValueError."""
+    values = np.asarray(shape(offsets), dtype=float)
+    if values.size and values.min() < 0:
+        raise ValueError("single-site profile must be nonnegative")
+    return values
 
-def _indicator(center, c, delta, points):
-    d2 = np.sum((points - np.asarray(center)) ** 2, axis=1)
-    return c * (d2 < delta * delta)
+
+# Shapes are frozen values, not closures, so a model pickles into pool
+# workers and the profiles of one shape group by it.
+
+@dataclass(frozen=True)
+class Indicator:
+    """c on the open ball of radius delta, 0 elsewhere."""
+
+    c: float
+    delta: float
+
+    def __call__(self, offsets):
+        d2 = np.sum(offsets ** 2, axis=1)
+        return self.c * (d2 < self.delta * self.delta)
 
 
-def _cone(center, peak, radius, points):
-    dist = np.sqrt(np.sum((points - np.asarray(center)) ** 2, axis=1))
-    return peak * np.maximum(0.0, 1.0 - dist / radius)
+@dataclass(frozen=True)
+class Cone:
+    """A linear cone of height `peak`, 0 from distance `radius` on."""
+
+    peak: float
+    radius: float
+
+    def __call__(self, offsets):
+        dist = np.sqrt(np.sum(offsets ** 2, axis=1))
+        return self.peak * np.maximum(0.0, 1.0 - dist / self.radius)
 
 
 def indicator_profile(site, c, delta, period=1.0):
     """u_j = c * indicator(B_delta(j*G)); the minimal admissible profile."""
     center = tuple(float(s) * period for s in site)
-    return SingleSiteProfile(site, partial(_indicator, center, c, delta), c,
-                             delta, center, delta)
+    return SingleSiteProfile(site, Indicator(c, delta), c, delta, center,
+                             delta)
 
 
 def cone_profile(site, peak, radius, c, delta, period=1.0):
     """Linear cone of height `peak`; certified bound needs peak*(1-delta/radius) >= c."""
     center = tuple(float(s) * period for s in site)
-    return SingleSiteProfile(site, partial(_cone, center, peak, radius), c,
-                             delta, center, radius)
+    return SingleSiteProfile(site, Cone(peak, radius), c, delta, center,
+                             radius)
 
 
 @dataclass(frozen=True)
@@ -242,15 +264,31 @@ def site_matrix(profiles, grid):
     V_omega = U @ omega for omega_j the coupling of profiles[j].  The CSC
     product adds the columns in profile order, node by node, so it equals
     adding the weighted profiles one at a time, bit for bit.
+
+    The profiles of one (shape, support radius) are one batched ball search
+    (grid.nodes_within_balls) and one shape evaluation at every offset from
+    their centres; a stable sort by column puts the entries in profile order.
     """
-    rows, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
-    for profile in profiles:
-        idx = grid.nodes_within_ball(profile.ball_center, profile.support_radius)
+    groups = {}
+    for j, p in enumerate(profiles):
+        groups.setdefault((p.shape, p.support_radius), []).append(j)
+    empty = np.empty(0, dtype=np.int64)
+    cols, rows, values = [empty], [empty], [np.empty(0)]
+    for (shape, radius), members in groups.items():
+        centers = np.array([profiles[j].ball_center for j in members])
+        indptr, idx = grid.nodes_within_balls(centers, radius)
+        owner = np.repeat(np.arange(len(members)), np.diff(indptr))
+        cols.append(np.asarray(members)[owner])
         rows.append(idx)
-        values.append(profile.evaluate(grid.node_coords(idx)))
-        indptr.append(indptr[-1] + idx.size)
-    return sparse.csc_matrix((np.concatenate(values), np.concatenate(rows),
-                              indptr), shape=(grid.num_points, len(profiles)))
+        values.append(shape_values(shape,
+                                   grid.node_coords(idx) - centers[owner]))
+    col = np.concatenate(cols)
+    order = np.argsort(col, kind="stable")
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(col, minlength=len(profiles)))))
+    return sparse.csc_matrix((np.concatenate(values)[order],
+                              np.concatenate(rows)[order], indptr),
+                             shape=(grid.num_points, len(profiles)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,7 +393,8 @@ def verify_single_site_bound(profile, grid, period=1.0):
     cell_center = tuple(s * period for s in profile.site)
     offset = max(abs(x - c) for x, c in zip(profile.ball_center, cell_center))
     inside = offset + profile.ball_radius <= period / 2.0
-    idx = grid.nodes_within_ball(profile.ball_center, profile.ball_radius)
+    idx = grid.nodes_within_balls([profile.ball_center],
+                                  profile.ball_radius)[1]
     if idx.size == 0:
         raise UnresolvableBallError("ball contains no grid node")
     values = profile.evaluate(grid.node_coords(idx))

@@ -120,27 +120,28 @@ def event_balls(box, choice):
     |x_j - G j|_inf + delta_j < G/2 with G the background period, and so
     inside the site's cell of side G l; a ball that does not is a ValueError.
     A site with no profile puts no mass in the box and adds no ball; its
-    cell is still covered by the event.
+    cell is still covered by the event.  The balls of one radius are one
+    batched search (grid.nodes_within_balls).
     """
     g = box.background.period
     by_site = {p.site: p for p in box.profiles}
-    pieces, delta = [], math.inf
-    for site in choice:
-        profile = by_site.get(site)
-        if profile is None:
-            continue
-        x, radius = profile.ball_center, profile.ball_radius
-        if max(abs(a - g * j) for a, j in zip(x, site)) + radius >= g / 2.0:
-            raise ValueError(f"ball of radius {radius} at {x} leaves the "
-                             f"cell of site {site}")
-        delta = min(delta, radius)
-        pieces.append(box.grid.nodes_within_ball(x, radius))
-    if not pieces:
+    chosen = [by_site[site] for site in choice if site in by_site]
+    if not chosen:
         raise IselabError("no profile available for any selected site")
-    mask = np.unique(np.concatenate(pieces))
+    centers = np.array([p.ball_center for p in chosen])
+    sites = np.array([p.site for p in chosen])
+    radii = np.array([p.ball_radius for p in chosen])
+    outside = np.max(np.abs(centers - g * sites), axis=1) + radii >= g / 2.0
+    if outside.any():
+        p = chosen[int(np.argmax(outside))]
+        raise ValueError(f"ball of radius {p.ball_radius} at {p.ball_center} "
+                         f"leaves the cell of site {p.site}")
+    mask = np.unique(np.concatenate([
+        box.grid.nodes_within_balls(centers[radii == r], r)[1]
+        for r in np.unique(radii)]))
     if not mask.size:
         raise IselabError("indicator mask is empty: no ball meets the grid")
-    return mask, delta
+    return mask, float(radii.min())
 
 
 def perturbed_eigenvalue(box, mask, amplitude, b):

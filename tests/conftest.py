@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from iselab import eigensolve, rng
 from iselab.events import _event_logs, ledger_verdict
@@ -81,6 +82,25 @@ def uniform_at(seed, purpose, index):
     """Single uniform in [0, 1) at the given coordinates, drawn from its own
     generator: the per-site oracle of rng.uniforms_at."""
     return float(rng.stream(seed, purpose, index).random())
+
+
+def site_matrix_by_profile(profiles, grid):
+    """U assembled one profile at a time: each profile's support nodes by
+    a distance scan over grid.nodes() (squares summed axis by axis, strictly
+    below support_radius^2) and its values by its own evaluate there.  The
+    oracle of potentials.site_matrix."""
+    nodes = grid.nodes()
+    rows, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
+    for p in profiles:
+        dist2 = np.zeros(len(nodes))
+        for k in range(grid.dimension):
+            dist2 += (nodes[:, k] - p.ball_center[k]) ** 2
+        idx = np.flatnonzero(dist2 < p.support_radius * p.support_radius)
+        rows.append(idx)
+        values.append(p.evaluate(nodes[idx]))
+        indptr.append(indptr[-1] + idx.size)
+    return sparse.csc_matrix((np.concatenate(values), np.concatenate(rows),
+                              indptr), shape=(grid.num_points, len(profiles)))
 
 
 def assemble_random_potential(cfg, profiles, grid):

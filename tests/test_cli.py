@@ -355,25 +355,27 @@ class TestExitCodes:
 
     def test_lift_builds_one_box(self, monkeypatch, capsys):
         # every scale of `lift` reads one box: U is built once (one
-        # evaluation per profile) and the background spectrum computed once
+        # evaluation of the model's one profile shape) and the background
+        # spectrum computed once
         from iselab import eigensolve, potentials
         from iselab.grid import GridSpec
 
         calls = []
-        real = potentials.SingleSiteProfile.evaluate
+        real = potentials.shape_values
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real(*args)
 
         profiles = potentials.load_model(REFERENCE_MODEL).profiles_for(
             GridSpec(dimension=2, side=3.0, spacing=1.0 / 9))
         eigensolve.background_spectrum.cache_clear()
-        monkeypatch.setattr(potentials.SingleSiteProfile, "evaluate", spy)
+        monkeypatch.setattr(potentials, "shape_values", spy)
         assert main(["lift", "--model", REFERENCE_MODEL, "--L", "3",
                      "--hint", "36", "--scales", "1,3",
                      "--seed", "20260824"]) == 0
-        assert len(calls) == len(profiles) > 0
+        assert len(calls) == len({p.shape for p in profiles}) == 1
+        assert len(profiles) > 1
         assert eigensolve.background_spectrum.cache_info().misses == 1
 
     def test_window_intrusion_is_assertion_failure(self, model_file, capsys):

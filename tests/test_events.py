@@ -264,10 +264,14 @@ class TestLedger:
                    for L in range(scan, bracket + 1))
 
     def test_verdict_keeps_its_input_errors(self):
-        with pytest.raises(ValueError, match="math domain error"):
-            ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.0, c=1.0)
-        with pytest.raises(ValueError, match="math domain error"):
-            ledger_verdict(2, 10 ** 6, 0.5, 1.0, kappa=0.5, eta=0.5, c=-1.0)
+        # eta * c must be positive, also where the scale window is empty
+        for eta, c in ((0.0, 1.0), (0.5, -1.0), (-0.5, 1.0)):
+            for L, alpha in ((10 ** 6, 0.5), (6, 0.4)):
+                with pytest.raises(ValueError, match=(
+                        rf"eta \* c must be positive: eta = {eta}, c = {c}")):
+                    ledger_verdict(2, L, alpha, 1.0, kappa=0.5, eta=eta, c=c)
+            with pytest.raises(ValueError, match=r"eta \* c must be positive"):
+                build_ledger(2, 10 ** 6, 0.5, 1.0, 0.5, eta, c)
         # kappa = P[omega >= eta] must lie in (0, 1], also where the scale
         # window is empty
         for kappa in (0.0, -0.5, 1.5):

@@ -48,6 +48,52 @@ class TestGridSpec:
         assert got == want
 
 
+@st.composite
+def ball_searches(draw):
+    """(grid, centers, radius): a small box of any boundary condition in
+    d = 2 or 3, centres on a node, on the box edge, half a spacing off it
+    or outside the box, and a radius at a node distance sqrt(k) h or
+    anywhere up to the side."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 12 if d == 2 else 6))
+    h = draw(st.sampled_from([1.0, 0.5, 0.25, 1.0 / 3, 1.0 / 9]))
+    grid = GridSpec(dimension=d, side=n * h, spacing=h,
+                    boundary=draw(st.sampled_from(
+                        ["dirichlet", "neumann", "periodic"])))
+    edge = grid.side / 2.0
+    coordinate = st.one_of(
+        st.sampled_from(grid.axis_coords().tolist()),
+        st.sampled_from([-edge, edge, -edge - h / 2, edge + h / 2]),
+        st.floats(-2 * edge, 2 * edge))
+    centers = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                            min_size=1, max_size=6))
+    radius = draw(st.one_of(
+        st.integers(0, 4 * d).map(lambda k: float(np.sqrt(k)) * h),
+        st.floats(0.0, grid.side)))
+    return grid, np.array(centers), radius
+
+
+class TestBallSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(search=ball_searches())
+    def test_batched_search_equals_a_distance_scan(self, search):
+        # the squared distance summed axis by axis to every node, strictly
+        # below radius^2; a node outside the box is no node
+        grid, centers, radius = search
+        nodes = grid.nodes()
+        indptr, indices = grid.nodes_within_balls(centers, radius)
+        assert indptr.shape == (len(centers) + 1,) and indptr[0] == 0
+        assert indices.dtype == np.int64
+        for i, center in enumerate(centers):
+            dist2 = np.zeros(len(nodes))
+            for k in range(grid.dimension):
+                dist2 += (nodes[:, k] - center[k]) ** 2
+            want = np.flatnonzero(dist2 < radius * radius)
+            assert np.array_equal(indices[indptr[i]:indptr[i + 1]], want)
+            assert np.array_equal(grid.nodes_within_ball(center, radius),
+                                  want)
+
+
 class TestLaplacian:
     def test_dirichlet_2x2_smallest_eigenvalue(self, dense_eigvals):
         g = GridSpec(dimension=2, side=2.0, spacing=1.0, boundary="dirichlet")

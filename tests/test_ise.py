@@ -344,7 +344,7 @@ class TestLowerCountCertificate:
         floor = window_floor(ctx)
         monkeypatch.setattr(eigensolve, "splu", spy)
         outcomes, counted = [], []
-        for seed in self.seeds(16):
+        for seed in self.seeds(48)[32:]:
             factorizations.clear()
             record = run_ise_trial(ctx, floor, seed)
             outcomes.append(record["outcome"])
@@ -352,12 +352,13 @@ class TestLowerCountCertificate:
             # borderline takes a second count only on a failed window
             assert len(factorizations) <= (1 if record["outcome"] else 2)
         assert True in outcomes and False in outcomes
-        # the enclosure puts an eigenvalue in the window of trials 1, 7 and
-        # 14 before any count, so they factorize nothing, and in the window
-        # below b + w - tol_eig of trials 4, 10 and 11, so they take no
-        # borderline count; only trial 13 needs both
-        assert counted == [1, 0, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 2, 0, 1]
-        assert not any(outcomes[t] for t in (1, 4, 7, 10, 11, 13, 14))
+        # trials 32 to 47, here 0 to 15: the enclosure decides ten before
+        # any count, clearing the window of 1, 3, 4, 7 and 12 (Lehmann) and
+        # putting an eigenvalue in it for 0, 2, 5, 6 and 11; it puts one in
+        # the window below b + w - tol_eig of 9, 10 and 13, so they take no
+        # borderline count; only 14 needs both
+        assert counted == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 1, 2, 1]
+        assert not any(outcomes[t] for t in (0, 2, 5, 6, 9, 10, 11, 13, 14))
 
 
 def overclaimed_floor(ctx, eta=1.0):
@@ -404,19 +405,19 @@ class TestLiftCertificate:
         monkeypatch.setattr(eigensolve, "eigsh", eigsh_spy)
         monkeypatch.setattr(eigensolve, "splu", splu_spy)
         plan = ExperimentPlan(
-            model=shipped("reference_gapped"), L_values=(8,),
+            model=shipped("reference_gapped"), L_values=(12,),
             alpha=REFERENCE_ALPHA, q=1.0, trials=24,
             master_seed=REFERENCE_SEED, band_edge_hint=REFERENCE_GAP_HINT)
         per = estimate_ise_probability(plan).per_L[0]
         assert per.event_count >= 2 and per.lift_certified >= 2
         assert per.floor_certified > per.lift_certified
         assert len(solves) == 1
-        # the lift's factor and the holed floor's count, then H_omega's
-        # counts on every trial the floor did not settle: at L = 8 the
-        # first trial with two couplings below eta is the 24th
+        # the lift's factor (the holed floor's enclosure decides it with no
+        # count), then H_omega's counts on every trial the floor did not
+        # settle: at L = 12 trials 2, 7 and 23 have two couplings below eta
         counted = [r for r in per.trial_records if not r.floor_certified]
         assert counted
-        assert len(factorizations) == 2 + sum(
+        assert len(factorizations) == 1 + sum(
             1 if r["outcome"] else 2 for r in counted)
 
 
@@ -488,6 +489,17 @@ class TestFloorCertificate:
         assert floors == [(4.0, False, 0), (8.0, True, 1)]
         assert [p.floor_certified > 0 for p in per_L] == [False, True]
 
+    @pytest.mark.parametrize("L, counts", [(8, 1), (9, 0), (10, 0), (12, 0)])
+    def test_reference_floor_counts(self, monkeypatch, L, counts):
+        # every reference holed floor clears the window; Lehmann at the
+        # widest background gap in [J0, 2 J0] closes its bracket at b + w
+        # on the certified count from L = 9 on, while at L = 8 the bracket
+        # stays open and the floor takes its one count
+        ctx, _ = reference_box(L)
+        floor, counted = floor_counts(monkeypatch, ctx)
+        assert floor[0] is not None and floor[1] is not None
+        assert counted == counts
+
     def test_floor_that_cannot_be_counted_is_refused(self, monkeypatch):
         # the L = 8 floor's enclosure stays open at b + w, so it is counted
         ctx, _ = reference_box(8)
@@ -499,8 +511,9 @@ class TestFloorCertificate:
         assert window_floor(ctx)[0] is None
 
     def test_floor_decided_trial_factorizes_nothing(self, monkeypatch):
-        # the 24th trial is the first with two couplings below eta
-        ctx, seeds = reference_box(8, trials=24)
+        # trials 2 and 7 have two couplings below eta, and their enclosure
+        # leaves the count at b + w open
+        ctx, seeds = reference_box(12, trials=8)
         floor = window_floor(ctx)
         factorizations = []
         real_splu = eigensolve.splu
@@ -518,7 +531,7 @@ class TestFloorCertificate:
             low = np.count_nonzero(
                 DisorderConfiguration(seed, ctx.model.disorder)[ctx.box.sites]
                 < eta)
-            # the holed floor clears at L = 8: it decides every |Z| <= 1
+            # the holed floor clears at L = 12: it decides every |Z| <= 1
             assert record.floor_certified == (low <= 1)
             if record.floor_certified:
                 assert not factorizations
@@ -623,12 +636,12 @@ class TestMergeRules:
                 assert record["valid"] and "error" not in record
 
     def test_failed_count_leaves_the_event_unset(self, monkeypatch):
-        ctx, seeds = reference_box(6)
-        # the L = 6 floor is refused, so no trial is floor-decided; the
-        # enclosure decides trials 1 and 7, and every other trial counts
+        ctx, seeds = reference_box(6, trials=16)
+        # the L = 6 floor is refused, so no trial is floor-decided; of the
+        # first 16 trials, the enclosure decides all but these, which count
         assert window_floor(ctx) == (None, None)
         clean = trial_records(ctx, seeds)
-        counting = [t for t in range(len(seeds)) if t not in (1, 7)]
+        counting = [6, 8, 9, 10, 13, 15]
         assert any(event_choice(DisorderConfiguration(seeds[t],
                                                       ctx.model.disorder),
                                 ctx.event_spec) for t in counting)
@@ -685,9 +698,10 @@ class TestBracketedCounts:
 
     def test_count_outside_its_bracket_invalidates_the_record(
             self, monkeypatch):
-        # trial 0 at L = 6 counts at b + w with its bracket open, trial 1
+        # trial 6 at L = 6 counts at b + w with its bracket open, trial 7
         # is decided by its enclosure (TestMergeRules)
-        ctx, seeds = reference_box(6, trials=2)
+        ctx, seeds = reference_box(6, trials=8)
+        seeds = seeds[6:]
         floor = window_floor(ctx)
         clean = [run_ise_trial(ctx, floor, seed) for seed in seeds]
         real = eigensolve.count_below

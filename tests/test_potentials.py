@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -15,8 +17,10 @@ from iselab.potentials import (Box, DisorderConfiguration,
                                load_model, separable_square_potential,
                                site_matrix, truncated, uniform01,
                                verify_single_site_bound, zero_potential)
+from iselab.ucp import event_balls
 
-from conftest import assemble_random_potential, uniform_at
+from conftest import (assemble_random_potential, site_matrix_by_profile,
+                      uniform_at)
 
 
 # one law of each kind, every value a coupling can take drawn often
@@ -251,14 +255,18 @@ class TestFieldAssembly:
 
     @pytest.mark.parametrize("dip", [-1e-12, -5e-13, -1e-300])
     def test_negative_profile_value_is_refused(self, grid8, dip):
-        # U >= 0 is what bounds V_omega in [0, s]: a profile dipping below 0
-        # by any amount is refused when the box is built
+        # U >= 0 is what bounds V_omega in [0, s]: a profile of a custom
+        # shape dipping below 0 by any amount is refused when the box is
+        # built, also beside profiles of a shape that does not dip
         p = indicator_profile((0, 0), 1.0, 0.5)
-        dipped = p.__class__(p.site, lambda x: np.minimum(p.func(x), dip),
-                             p.lower_bound, p.ball_radius, p.ball_center,
-                             p.support_radius)
+
+        def dipped(offsets):
+            return np.minimum(p.shape(offsets), dip)
+
+        profiles = [indicator_profile((1, 0), 1.0, 0.5),
+                    dataclasses.replace(p, shape=dipped)]
         with pytest.raises(ValueError, match="nonnegative"):
-            Box.build(grid8, zero_potential(), [dipped])
+            Box.build(grid8, zero_potential(), profiles)
 
     def test_profile_outside_the_box_reads_no_coupling(self, grid8,
                                                          config_from):
@@ -326,6 +334,62 @@ class TestFieldAssembly:
         assert np.all(f_hi <= w + 1e-12)
 
 
+def box_geometry_digest(box):
+    """sha256 of U's CSC arrays, the live sites and the event mask of every
+    profile's ball, each with its dtype and shape."""
+    mask, _ = event_balls(box, tuple(p.site for p in box.profiles))
+    digest = hashlib.sha256()
+    for array in (box.matrix.indptr, box.matrix.indices, box.matrix.data,
+                  box.sites, mask):
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()[:16]
+
+
+# recorded with the per-ball search (one window per centre, one profile
+# evaluation per site) that the batched search replaced
+REFERENCE_BOX_DIGESTS = {
+    3: "11ba9bcdb9790fec", 4: "8684edb4d552e5a0", 5: "c86ab27c6ad4566c",
+    6: "ea99957a7a30c1d5", 7: "0aaa63e14bcd4457", 8: "cb8ccadc47706072",
+    9: "496e2ed2bcbda645", 10: "8f4a8d9101485acb", 11: "a0bcfb227571b504",
+    12: "9f5428ce9573ad54"}
+
+
+class TestBoxGeometry:
+    """U, the live sites and the event balls from one batched ball search
+    per shape."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_site_matrix_equals_the_profile_by_profile_assembly(self, data):
+        # indicator and cone profiles of several shapes, interleaved, some
+        # of them outside the box: U's arrays equal, bit for bit, those
+        # assembled one profile at a time
+        d = data.draw(st.sampled_from([2, 3]))
+        side = data.draw(st.integers(1, 2 if d == 3 else 4))
+        grid = GridSpec.per_unit(
+            d, side, data.draw(st.sampled_from([4, 5] if d == 3 else [4, 9])),
+            data.draw(st.sampled_from(["dirichlet", "neumann", "periodic"])))
+        site = st.lists(st.integers(-side, side), min_size=d, max_size=d)
+        profile = st.one_of(
+            st.builds(indicator_profile, site, st.sampled_from([0.5, 1.0]),
+                      st.sampled_from([0.3, 0.45])),
+            st.builds(lambda s, r: cone_profile(s, 2.0, r, 1.0, 0.25), site,
+                      st.sampled_from([0.5, 0.7])))
+        profiles = data.draw(st.lists(profile, max_size=12))
+        got = site_matrix(profiles, grid)
+        want = site_matrix_by_profile(profiles, grid)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("L", range(3, 13))
+    def test_reference_box_is_the_recorded_one(self, gapped_model, L):
+        box = gapped_model.box(GridSpec.per_unit(2, L, 9))
+        assert box_geometry_digest(box) == REFERENCE_BOX_DIGESTS[L]
+
+
 class TestSingleSiteBound:
     def test_indicator_profile_passes(self, grid8):
         report = verify_single_site_bound(
@@ -334,8 +398,7 @@ class TestSingleSiteBound:
 
     def test_halved_profile_fails_its_stated_bound(self, grid8):
         p = indicator_profile((0, 0), 1.0, 0.5)
-        halved = p.__class__(p.site, lambda x: 0.5 * p.func(x), p.lower_bound,
-                             p.ball_radius, p.ball_center, p.support_radius)
+        halved = dataclasses.replace(p, shape=lambda x: 0.5 * p.shape(x))
         report = verify_single_site_bound(halved, grid8)
         assert not report.ok and not report.bound_holds
 

@@ -295,25 +295,29 @@ class TestLiftingExperiment:
     def test_builds_u_and_v0_once(self, monkeypatch, config_from):
         grid, spec, cfg, profiles = self._setup(config_from)
         calls = []
+        real_shape, real_v0 = (potentials.shape_values,
+                               potentials.PeriodicPotential.evaluate)
 
-        def spy(cls):
-            real = cls.evaluate
+        def shape_spy(*args):
+            calls.append("shape")
+            return real_shape(*args)
 
-            def counted(*args, **kwargs):
-                calls.append(cls.__name__)
-                return real(*args, **kwargs)
-            monkeypatch.setattr(cls, "evaluate", counted)
+        def v0_spy(*args):
+            calls.append("v0")
+            return real_v0(*args)
 
-        # U evaluates each profile once on its support nodes, and V0 at the
-        # nodes is one v0.evaluate(grid.nodes()); two lifts read one box
-        spy(potentials.SingleSiteProfile)
-        spy(potentials.PeriodicPotential)
+        # U evaluates each distinct shape once, at every support node of its
+        # profiles, and V0 at the nodes is one v0.evaluate(grid.nodes()); two
+        # lifts read one box
+        monkeypatch.setattr(potentials, "shape_values", shape_spy)
+        monkeypatch.setattr(potentials.PeriodicPotential, "evaluate", v0_spy)
         box = Box.build(grid, zero_potential(), profiles)
         for eta in (0.5, 0.25):
             lifting_experiment(box, cfg, spec, b=-1.0, eta=eta, c=1.0)
-        assert calls.count("SingleSiteProfile") == len(profiles)
-        assert calls.count("PeriodicPotential") == 1
-        assert len(calls) == len(profiles) + 1
+        shapes = {(p.shape, p.support_radius) for p in profiles}
+        assert calls.count("shape") == len(shapes) == 1 < len(profiles)
+        assert calls.count("v0") == 1
+        assert len(calls) == 2
 
     def test_understated_profile_breaks_the_sandwich(self, config_from):
         grid, spec, _, _ = self._setup(config_from)
