@@ -11,13 +11,20 @@ H0 + diag(V) with V >= 0 a node array is Weyl's, tightened from above by
 Rayleigh-Ritz and from below by Lehmann's bound on the background
 eigenvectors; it needs no factorization, and no d-dimensional vector: the
 projections X^T diag(V) X come from the 1D factor
-(`background_projections`).  A query that must report eigenvalues counts
-first and then makes one shift-invert solve for exactly that many: the
-lowest eigenvalue above an energy (`min_eig_above`) and the eigenvalues of
-a window (`eigs_in_window`) are each one ARPACK run on the trusted LDL^T of
-the count, not on a pivoted LU of its own.  Queries take the SciPy sparse
-matrix that `grid.assemble_schrodinger` builds.  A window solve must return
-exactly the counted eigenvalues, background eigenpairs are residual-checked
+(`background_projections`).  A count takes a function that builds its
+matrix, called at the first factorization only, so a decided count
+assembles nothing.  A query that must report eigenvalues counts first and
+then makes one shift-invert solve for exactly that many: the lowest
+eigenvalue above an energy (`min_eig_above`) and the eigenvalues of a
+window (`eigs_in_window`) are each one ARPACK run on the trusted LDL^T of
+the count, not on a pivoted LU of its own.  The lift is bracketed the way
+the counts are: with the count below b certified by Weyl
+(`certified_lower_count`) and the next Rayleigh-Ritz value theta above it,
+the shift sits tol_gap above theta, and the factor's count there says how
+many eigenvalues lie between b and the shift, all of which one run solves
+for.  Queries take the SciPy sparse matrix that `grid.assemble_schrodinger`
+builds.  A window solve must return exactly the counted eigenvalues, a lift
+exactly those of its bracket, background eigenpairs are residual-checked
 against tol_eig, and failures surface as SolverError with telemetry instead
 of silently truncated results.
 
@@ -261,6 +268,32 @@ def background_projections(spectrum, diagonals, count):
     return t[(slice(None),) + pairs]
 
 
+def _rayleigh_ritz(diagonal, spectrum, j, rho=0.0, lehmann=False):
+    """(theta, tau) for H = H0 + diag(diagonal) on the background
+    eigenvectors X of values[:j], with G = X^T V X and G2 = X^T V^2 X from
+    background_projections (V = diag(diagonal)).
+
+    theta, sorted, are the Rayleigh-Ritz values, the eigenvalues of
+    X^T H X = Lambda + G: lambda_i <= theta_i by min-max.  With `lehmann`,
+    tau are the eigenvalues of Lehmann's pencil at rho (see enclosure),
+    (Lambda - rho + G, (Lambda - rho)^2 + (Lambda - rho) G + G (Lambda - rho)
+    + G2), reduced by the Cholesky factor of its positive definite second
+    matrix; without it, tau is None.
+    """
+    g = background_projections(
+        spectrum, (diagonal, diagonal ** 2) if lehmann else (diagonal,), j)
+    g = 0.5 * (g + g.transpose(0, 2, 1))
+    shifted = spectrum.values[:j] - rho
+    a0 = np.diag(shifted) + g[0]
+    theta = np.linalg.eigvalsh(a0) + rho
+    if not lehmann:
+        return theta, None
+    c = np.linalg.cholesky(np.diag(shifted ** 2) + g[1]
+                           + shifted[:, None] * g[0] + g[0] * shifted[None, :])
+    return theta, np.linalg.eigvalsh(
+        np.linalg.solve(c, np.linalg.solve(c, a0).T))
+
+
 def enclosure(diagonal, spectrum, top):
     """(lower, upper), both sorted, with lower_j <= lambda_j <= upper_j
     for the eigenvalues lambda_j of H0 + diag(diagonal).
@@ -271,8 +304,8 @@ def enclosure(diagonal, spectrum, top):
     `top` are the J0 = #{values < nudge(top) + tol_gap} lowest; they are
     tightened with the background eigenvectors X of the first J >= J0
     levels (orthonormal, checked once in background_spectrum), through
-    G = X^T V X and G2 = X^T V^2 X (background_projections), so no
-    d-dimensional vector is built:
+    G = X^T V X and G2 = X^T V^2 X (background_projections, in
+    _rayleigh_ritz), so no d-dimensional vector is built:
 
     - Rayleigh-Ritz (min-max, any orthonormal X): lambda_j <= theta_j,
       the eigenvalues of X^T (H0 + V) X = Lambda + G.
@@ -309,18 +342,9 @@ def enclosure(diagonal, spectrum, top):
         norm = max(values[-1] + s - rho, rho - values[0])
         lehmann = (d > 0 and
                    64 * np.finfo(float).eps * (norm / d) ** 2 <= TOL_GAP)
-        g = background_projections(
-            spectrum, (diagonal, diagonal ** 2) if lehmann else (diagonal,), j)
-        g = 0.5 * (g + g.transpose(0, 2, 1))
-        shifted = values[:j] - rho
-        a0 = np.diag(shifted) + g[0]
-        upper[:j] = np.minimum(upper[:j], np.linalg.eigvalsh(a0) + rho)
+        theta, tau = _rayleigh_ritz(diagonal, spectrum, j, rho, lehmann)
+        upper[:j] = np.minimum(upper[:j], theta)
         if lehmann:
-            c = np.linalg.cholesky(np.diag(shifted ** 2) + g[1]
-                                   + shifted[:, None] * g[0]
-                                   + g[0] * shifted[None, :])
-            tau = np.linalg.eigvalsh(
-                np.linalg.solve(c, np.linalg.solve(c, a0).T))
             bound = np.full(j, -np.inf)
             bound[tau < 0] = rho + 1.0 / tau[tau < 0]
             lower[:j] = np.maximum(lower[:j], bound[::-1])
@@ -336,8 +360,13 @@ def _count_brackets(energies, bounds):
             np.searchsorted(lower, _nudge(energies) + TOL_GAP))
 
 
-def counts_below(mat, energies, bounds):
-    """[count_below(mat, e) for e in energies], from as few counts as exact.
+def counts_below(build, energies, bounds):
+    """[count_below(build(), e) for e in energies], from as few counts as
+    exact.
+
+    `build` is a zero-argument function that returns the matrix; it is
+    called once, at the first count, and not at all where the brackets
+    decide every energy.
 
     `energies` are sorted.  count_below(mat, E) = #{lambda < E*} for some E*
     in [E, nudge(E)], so it is monotone along every stretch of the grid in
@@ -358,6 +387,7 @@ def counts_below(mat, energies, bounds):
     if np.any(np.diff(e) < 0):
         raise ValueError("energies must be sorted")
     lo, hi = _count_brackets(e, bounds)
+    mat = None
     breaks = np.flatnonzero(e[1:] <= _nudge(e[:-1])) + 1
     for run in np.split(np.arange(e.size), breaks):
         while True:
@@ -369,6 +399,8 @@ def counts_below(mat, energies, bounds):
             if not open_.size:
                 break
             j = open_[open_.size // 2]
+            if mat is None:
+                mat = build()
             count = count_below(mat, e[j])
             if not lo[j] <= count <= hi[j]:
                 raise SolverError("count outside its bracket",
@@ -380,37 +412,89 @@ def counts_below(mat, energies, bounds):
     return lo.tolist()
 
 
-def count_is(mat, energy, bounds, k):
-    """Whether count_below(mat, energy) == k, as counts_below decides it,
-    but without a count where the bracket already excludes k."""
+def count_is(build, energy, bounds, k):
+    """Whether count_below(build(), energy) == k, as counts_below decides
+    it, but without a count (or a matrix) where the bracket already
+    excludes k."""
     lo, hi = _count_brackets(energy, bounds)
-    return bool(lo <= k <= hi) and counts_below(mat, [energy], bounds) == [k]
+    return bool(lo <= k <= hi) and counts_below(build, [energy],
+                                                bounds) == [k]
 
 
-def _ldlt_shift_invert(mat, sigma, k, which="LM"):
-    """eigsh near sigma, (H - sigma I)^-1 applied by _trusted_ldlt's factor."""
-    lu, _, sigma = _trusted_ldlt(mat, sigma)
+def certified_lower_count(spectrum, s, b):
+    """#{lambda < b - tol_eig} for every H0 + diag(V) with 0 <= V <= s node
+    by node, or None.
+
+    Weyl (lambda_j(H0) <= lambda_j <= lambda_j(H0) + s) keeps the
+    background's count k when its k-th eigenvalue plus s stays tol_gap below
+    b - tol_eig.  None (refused) when s does not fit.
+    """
+    values = spectrum.values
+    k = int(np.searchsorted(values, b - TOL_EIG))
+    if k and values[k - 1] + s >= b - TOL_EIG - TOL_GAP:
+        return None
+    return k
+
+
+def _ldlt_shift_invert(mat, factor, k, which="LM", ncv=None):
+    """The k eigenvalues eigsh finds near the shift of `factor`, a
+    _trusted_ldlt (lu, count, shift), (H - shift I)^-1 applied by its lu."""
+    lu, _, sigma = factor
     n = mat.shape[0]
     try:
-        return eigsh(mat, k=min(k, n - 1), sigma=sigma, which=which,
+        return eigsh(mat, k=min(k, n - 1), sigma=sigma, which=which, ncv=ncv,
                      v0=start_vector(n), OPinv=LinearOperator(
-                         mat.shape, matvec=lu.solve, dtype=mat.dtype))
+                         mat.shape, matvec=lu.solve, dtype=mat.dtype))[0]
     except RuntimeError as exc:  # ARPACK non-convergence
         raise SolverError(f"shift-invert failed: {exc}",
                           telemetry={"sigma": sigma, "k": k})
 
 
-def min_eig_above(mat, b):
-    """Smallest eigenvalue classified as >= b (values within tol_eig count).
+def min_eig_above(mat, b, diagonal, spectrum):
+    """Smallest eigenvalue of mat = H0 + diag(diagonal) classified as >= b
+    (values within tol_eig count); `spectrum` is H0's background spectrum
+    and `diagonal` >= 0 a node array, so the lift is bracketed first.
 
-    In shift-invert mode "LA" selects the largest 1 / (lambda - sigma), which
-    is the eigenvalue closest above sigma = b - tol_eig; when none lies
-    above, ARPACK returns one below sigma instead.
+    Let k = certified_lower_count(spectrum, max diagonal, b): exactly k
+    eigenvalues lie below b - tol_eig.  Rayleigh-Ritz on the background
+    eigenvectors of the J levels below nudge(b) + tol_gap gives theta with
+    lambda_{k+1} <= theta_{k+1} (min-max), so one trusted LDL^T at
+    sigma = theta_{k+1} + tol_gap counts k + m eigenvalues below its shift,
+    m >= 1: lambda_{k+1}, ..., lambda_{k+m}, the m that lie in
+    [b - tol_eig, sigma).  They are the m eigenvalues nearest below the
+    shift, the m smallest 1 / (lambda - sigma) ("SA"), so one ARPACK run
+    (ncv = 2 m + 1) solves for exactly them, each of which must lie in that
+    interval; the answer is their minimum.  Just above the level, the shift
+    sets it far apart from its neighbours in 1 / (lambda - sigma).
+    Where no count is certified, or k = J, the shift is b - tol_eig and
+    "LA" selects the largest 1 / (lambda - sigma), the eigenvalue closest
+    above it; when none lies above, ARPACK returns one below instead.
+    Anything else is a SolverError; a negative diagonal, which Weyl's
+    count does not cover, is a ValueError.
     """
-    values, _ = _ldlt_shift_invert(mat, b - TOL_EIG, 1, "LA")
-    if values[0] < b - TOL_EIG:
-        raise SolverError("no eigenvalue at or above b", telemetry={"b": b})
-    return float(values[0])
+    diagonal = np.asarray(diagonal, dtype=float)
+    if diagonal.size and diagonal.min() < 0:
+        raise ValueError("the lift needs a nonnegative diagonal")
+    k = certified_lower_count(spectrum, float(diagonal.max(initial=0.0)), b)
+    j = int(np.searchsorted(spectrum.values, _nudge(b) + TOL_GAP))
+    if k is None or k >= j:
+        values = _ldlt_shift_invert(mat, _trusted_ldlt(mat, b - TOL_EIG), 1,
+                                    "LA")
+        if values[0] < b - TOL_EIG:
+            raise SolverError("no eigenvalue at or above b",
+                              telemetry={"b": b})
+        return float(values[0])
+    theta, _ = _rayleigh_ritz(diagonal, spectrum, j)
+    factor = _trusted_ldlt(mat, theta[k] + TOL_GAP)
+    m, sigma = factor[1] - k, factor[2]
+    if m >= 1:
+        values = _ldlt_shift_invert(mat, factor, m, "SA",
+                                    min(2 * m + 1, mat.shape[0]))
+    if (m < 1 or values.size != m or values.min() < b - TOL_EIG
+            or values.max() >= sigma):
+        raise SolverError("lift outside its bracket",
+                          telemetry={"b": b, "sigma": sigma, "count": m})
+    return float(values.min())
 
 
 def lowest_in_spectrum_above(values, b):
@@ -439,7 +523,7 @@ def eigs_in_window(mat, a, b):
     k = below_hi - below_lo
     if k == 0:
         return np.empty(0)
-    values = _ldlt_shift_invert(mat, 0.5 * (a + b), k)[0]
+    values = _ldlt_shift_invert(mat, _trusted_ldlt(mat, 0.5 * (a + b)), k)
     values = np.sort(values[(values >= s_lo) & (values < s_hi)])
     if values.size != k:
         raise SolverError("window solve disagrees with its count",

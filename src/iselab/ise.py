@@ -70,13 +70,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from . import rng
-from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum, count_is,
-                         counts_below, enclosure)
+from .eigensolve import (TOL_EIG, TOL_GAP, background_spectrum,
+                         certified_lower_count, count_is, counts_below,
+                         enclosure)
 from .errors import GapNotFoundError, IselabError, ScaleWindowError, SolverError
 from .events import (EventSpec, build_ledger, event_choice, select_scale,
                      wilson_interval)
@@ -112,20 +113,6 @@ def band_edge_of_background(grid, v0, hint=None, mode="gap"):
             f"no gap wider than {10 * TOL_GAP:g} near {hint}: found ({a}, {b})"
         )
     return a, b
-
-
-def certified_lower_count(box, b):
-    """#{lambda(H_omega) < b - tol_eig} for every omega in [0, 1]^m, or None.
-
-    Weyl, with V_omega in [0, s] node-wise (s = box.envelope), keeps the
-    background's count k when its k-th eigenvalue plus s stays tol_gap below
-    b - tol_eig.  None (refused) when s does not fit.
-    """
-    values = box.spectrum.values
-    k = int(np.searchsorted(values, b - TOL_EIG))
-    if k and values[k - 1] + box.envelope >= b - TOL_EIG - TOL_GAP:
-        return None
-    return k
 
 
 @dataclass(frozen=True)
@@ -183,9 +170,10 @@ class TrialContext:
     """What every trial on one box shares; only the couplings change.
 
     The window is [b, b + width); `event_spec` is None where the scale
-    window is empty.  Derived: `box` (potentials.Box) and `certified_below`
-    certified_lower_count at b, or None.  It is pickled into every pool task,
-    and the box's floor (window_floor) and lifts (event_lift) are tasks on it.
+    window is empty.  Derived: `box` (potentials.Box) and `certified_below`,
+    eigensolve.certified_lower_count at b with s = box.envelope (so for
+    every omega), or None.  It is pickled into every pool task, and the
+    box's floor (window_floor) and lifts (event_lift) are tasks on it.
     """
 
     model: object
@@ -199,8 +187,8 @@ class TrialContext:
     def __post_init__(self):
         # frozen: the derived fields go straight into the instance dict
         box = self.model.box(self.grid)
-        self.__dict__.update(box=box,
-                             certified_below=certified_lower_count(box, self.b))
+        self.__dict__.update(box=box, certified_below=certified_lower_count(
+            box.spectrum, box.envelope, self.b))
 
 
 def event_lift(ctx, choice):
@@ -228,9 +216,10 @@ def window_floor(ctx):
     A floor F is a node array, shaped (n,) * d, whose H0 + diag(F) has
     exactly the certified count below b + width; then every H_omega with
     V_omega >= F node by node has an empty window.  The box picks one floor,
-    checked by eigensolve.count_is, its enclosure first and a count only
-    where that bracket stays open around the certified count; trial_records
-    maps it once per box size and hands the pair to every trial:
+    checked by eigensolve.count_is, its enclosure first and a count (and
+    H0 + diag(F) assembled for it) only where that bracket stays open
+    around the certified count; trial_records maps it once per box size
+    and hands the pair to every trial:
     - where Box.lattice_step finds the lattice translations exact, the holed
       floor eta U (1 - e_j0), every live site but the one nearest the box
       centre at eta.  `shifts` holds, per live site j, the node roll
@@ -253,7 +242,7 @@ def window_floor(ctx):
     floor = ctx.model.disorder.eta * (box.matrix @ couplings)
     top = ctx.b + ctx.width
     try:
-        clears = count_is(box.hamiltonian(floor), top,
+        clears = count_is(partial(box.hamiltonian, floor), top,
                           enclosure(floor, box.spectrum, top),
                           ctx.certified_below)
     except SolverError:
@@ -310,9 +299,9 @@ def run_ise_trial(ctx, floor, seed):
     (and, when the window holds spectrum, checks whether the count at
     b + width - tol_eig is still the one below).
     Each count is bracketed first by the trial's eigensolve.enclosure and
-    factorizes H_omega only where the bracket stays open
-    (eigensolve.counts_below and count_is); a count outside its bracket
-    makes the record invalid.
+    assembles and factorizes H_omega, once for both counts, only where the
+    bracket stays open (eigensolve.counts_below and count_is); a count
+    outside its bracket makes the record invalid.
     """
     box, b, width = ctx.box, ctx.b, ctx.width
     cfg = DisorderConfiguration(seed, ctx.model.disorder)
@@ -326,7 +315,8 @@ def run_ise_trial(ctx, floor, seed):
         if result.floor_certified:
             result.update(window_count=0, outcome=True)
         else:
-            h_rand = box.hamiltonian(v_omega)
+            # built at the first count, once for both calls
+            h_rand = cache(partial(box.hamiltonian, v_omega))
             bounds = enclosure(v_omega, box.spectrum, b + width)
             below = ctx.certified_below
             if below is None:
@@ -502,9 +492,9 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
     """Trial-averaged normalized counting function and its double-log slope.
 
     N(E) counts the eigenvalues <= E exactly (count_below at each energy),
-    but factorizes H_omega only where two exact layers leave it open
-    (eigensolve.counts_below).  A per-trial eigenvalue enclosure: V_omega
-    lies in [0, max V_omega] node-wise, so eigensolve.enclosure bounds
+    but assembles and factorizes H_omega only where two exact layers leave
+    it open (eigensolve.counts_below).  A per-trial eigenvalue enclosure:
+    V_omega lies in [0, max V_omega] node-wise, so eigensolve.enclosure bounds
     each eigenvalue of H_omega from both sides (Weyl, tightened by
     Rayleigh-Ritz and Lehmann bounds on the background eigenvectors), and
     an energy whose count both ends fix is not counted.  Monotone bisection
@@ -524,7 +514,7 @@ def ids_estimate(model, L, E_grid, trials, seed, reference_energy,
         cfg = DisorderConfiguration(
             rng.derive_seed(seed, rng.TRIAL_STREAM, (0, t)), model.disorder)
         v = box.potential(cfg)
-        counts += counts_below(box.hamiltonian(v), E_grid,
+        counts += counts_below(partial(box.hamiltonian, v), E_grid,
                                enclosure(v, box.spectrum, E_grid[-1]))
     volume = float(L) ** dimension
     counting = counts / (trials * volume)

@@ -146,10 +146,12 @@ def event_balls(box, choice):
 
 def perturbed_eigenvalue(box, mask, amplitude, b):
     """(v_test, lambda): v_test is `amplitude` on the node indices `mask`,
-    lambda the lowest eigenvalue at or above b of box.hamiltonian(v_test)."""
+    lambda the lowest eigenvalue at or above b of box.hamiltonian(v_test),
+    bracketed by v_test and the box's background spectrum."""
     v_test = np.zeros(box.grid.num_points)
     v_test[mask] = amplitude
-    return v_test, min_eig_above(box.hamiltonian(v_test), b)
+    lam = min_eig_above(box.hamiltonian(v_test), b, v_test, box.spectrum)
+    return v_test, lam
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,8 @@ def lifting_experiment(box, cfg, spec, b, eta, c):
 
     k0, lam0 = lowest_in_spectrum_above(box.spectrum.values, b)
     v_test, lam_pert = perturbed_eigenvalue(box, mask, eta * c, b)
-    lam_rand = min_eig_above(box.hamiltonian(v_rand), b)
+    h_rand = box.hamiltonian(v_rand)
+    lam_rand = min_eig_above(h_rand, b, v_rand, box.spectrum)
     sandwich_ok = bool(np.all(v_test <= v_rand + 1e-12)
                        and np.all(v_rand <= box.w + 1e-12))
 

@@ -286,27 +286,36 @@ class TestExitCodes:
         assert code == 3
         assert "ledger verdict: False" in capsys.readouterr().out
 
-    def test_arpack_failure_in_lift_is_solver_error(self, model_file,
+    def test_arpack_failure_in_lift_is_solver_error(self, tmp_path,
                                                     monkeypatch, capsys):
+        # no ARPACK run converges: the bracketed lift (at the bottom, where
+        # the count below b is 0) and the shift below b (c = 20 does not fit
+        # in the free gap (0, 9.65), so no count is certified) both exit 2
         from scipy.sparse.linalg import ArpackNoConvergence
 
         from iselab import eigensolve
-        real_eigsh = eigensolve.eigsh
 
-        def lift_fails(mat, k, **kwargs):
-            # min_eig_above's shift-invert ("LA") does not converge, even
-            # after its nudged retry
-            if kwargs.get("which") == "LA":
-                raise ArpackNoConvergence("no convergence", np.empty(0),
-                                          np.empty((0, 0)))
-            return real_eigsh(mat, k=k, **kwargs)
+        calls = []
 
-        monkeypatch.setattr(eigensolve, "eigsh", lift_fails)
-        code = main(["lift", "--model", model_file, "--L", "2",
-                     "--points-per-unit", "6", "--mode", "bottom",
-                     "--scales", "1", "--seed", "3"])
-        assert code == 2
-        assert "solver failure" in capsys.readouterr().err
+        def no_convergence(mat, k, **kwargs):
+            calls.append(kwargs["which"])
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((0, 0)))
+
+        monkeypatch.setattr(eigensolve, "eigsh", no_convergence)
+        for c, mode, which in ((1.0, ["--mode", "bottom"], "SA"),
+                               (20.0, ["--hint", "5"], "LA")):
+            path = tmp_path / f"model_{which}.json"
+            path.write_text(json.dumps(dict(
+                ZERO_MODEL, single_site={"kind": "ball_indicator", "c": c,
+                                         "delta": 0.45})))
+            calls.clear()
+            code = main(["lift", "--model", str(path), "--L", "2",
+                         "--points-per-unit", "6", *mode,
+                         "--scales", "1", "--seed", "3"])
+            assert code == 2
+            assert "solver failure" in capsys.readouterr().err
+            assert calls == [which]
 
     def test_window_missed_by_the_t_grid_is_assertion_failure(
             self, tmp_path, capsys, dense_eigvals):

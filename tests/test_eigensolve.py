@@ -167,15 +167,23 @@ class TestCountBelow:
         assert checked >= 28
 
 
+def background_lift(grid, v0, b):
+    """min_eig_above of H0 = -Laplacian + V0, bracketed by H0's spectrum."""
+    return min_eig_above(background(grid, v0), b, np.zeros(grid.num_points),
+                         background_spectrum(grid, v0))
+
+
 class TestLowestAbove:
     def test_spectrum_bottom(self, free4):
         op = laplacian_matrix(free4)
         assert count_below(op, -1.0 - TOL_EIG) + 1 == 1
-        assert min_eig_above(op, -1.0) == pytest.approx(0.0, abs=1e-12)
+        assert background_lift(free4, zero_potential(), -1.0) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_first_excited_level(self, free4):
         op = laplacian_matrix(free4)
-        assert min_eig_above(op, 1.0) == pytest.approx(2.0, abs=1e-10)
+        assert background_lift(free4, zero_potential(), 1.0) == \
+            pytest.approx(2.0, abs=1e-10)
         assert count_below(op, 1.0 - TOL_EIG) + 1 == 2   # k0
 
     def test_shift_equivariance(self, free4):
@@ -184,27 +192,182 @@ class TestLowestAbove:
         shifted = background(free4, constant_potential(v))
         assert count_below(base, 1.0 - TOL_EIG) == \
             count_below(shifted, 1.0 + v - TOL_EIG)
-        assert min_eig_above(shifted, 1.0 + v) == pytest.approx(
-            min_eig_above(base, 1.0) + v, abs=1e-10)
+        assert background_lift(free4, constant_potential(v), 1.0 + v) == \
+            pytest.approx(background_lift(free4, zero_potential(), 1.0) + v,
+                          abs=1e-10)
 
     def test_eigenvalue_at_b_counts_as_above(self, free4):
         op = laplacian_matrix(free4)
-        assert min_eig_above(op, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert background_lift(free4, zero_potential(), 0.0) == \
+            pytest.approx(0.0, abs=1e-12)
         assert count_below(op, 0.0 - TOL_EIG) == 0
 
     def test_min_eig_above_iterative_agrees_with_dense(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=8.0, spacing=0.5,
                         boundary="periodic")
-        op = background(grid, separable_square_potential(5.0))
-        values = dense_eigvals(op)
+        v0 = separable_square_potential(5.0)
+        values = dense_eigvals(background(grid, v0))
         want = values[values >= 6.0 - TOL_EIG][0]
-        assert min_eig_above(op, 6.0) == pytest.approx(want, abs=1e-7)
+        assert background_lift(grid, v0, 6.0) == pytest.approx(want,
+                                                                abs=1e-7)
 
     def test_no_eigenvalue_above_raises(self, free4):
         op = laplacian_matrix(free4)
         assert count_below(op, 1e9) == free4.num_points
         with pytest.raises(SolverError, match="no eigenvalue at or above b"):
-            min_eig_above(op, 1e9)
+            background_lift(free4, zero_potential(), 1e9)
+
+
+def unbracketed_lift(mat, b):
+    """The lift from the shift at b - tol_eig alone: "LA", the eigenvalue
+    nearest above it."""
+    factor = eigensolve._trusted_ldlt(mat, b - TOL_EIG)
+    return float(eigensolve._ldlt_shift_invert(mat, factor, 1, "LA")[0])
+
+
+def ritz_shift(mat, grid, v0, b):
+    """(k, sigma) of min_eig_above's bracket, rebuilt densely: k background
+    levels below b - tol_eig, and tol_gap above the (k+1)-th Rayleigh-Ritz
+    value of mat on the eigenvectors of H0's levels below nudge(b) +
+    tol_gap."""
+    values, vectors = np.linalg.eigh(background(grid, v0).toarray())
+    k = int(np.sum(values < b - TOL_EIG))
+    x = vectors[:, values < eigensolve._nudge(b) + TOL_GAP]
+    return k, np.linalg.eigvalsh(x.T @ (mat @ x))[k] + TOL_GAP
+
+
+def arpack_spy(monkeypatch):
+    """The (k, which, ncv) of every eigsh call eigensolve makes."""
+    calls, real = [], eigensolve.eigsh
+
+    def spy(mat, k, **kwargs):
+        calls.append((k, kwargs["which"], kwargs.get("ncv")))
+        return real(mat, k=k, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "eigsh", spy)
+    return calls
+
+
+class TestBracketedLift:
+    """min_eig_above shift-inverts just above its Rayleigh-Ritz value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_dense_lift_and_the_unbracketed_solve(
+            self, data, dense_eigvals):
+        boundary = data.draw(st.sampled_from(("periodic", "dirichlet")))
+        grid = GridSpec(dimension=2, side=float(data.draw(st.integers(2, 3))),
+                        spacing=1.0 / data.draw(st.integers(3, 5)),
+                        boundary=boundary)
+        v0 = data.draw(st.sampled_from((
+            zero_potential(), separable_square_potential(20.0))))
+        spectrum = background_spectrum(grid, v0)
+        # b on a background level, or between two; V > 0 at every node,
+        # at most s, so that no level stays exactly degenerate (there the
+        # unpivoted LDL^T grows pivots, and its shift-invert is accurate
+        # only to about 1e-9)
+        level = data.draw(st.integers(0, spectrum.values.size - 2))
+        b = float(spectrum.values[level] + data.draw(st.sampled_from(
+            (0.0, 0.5))) * (spectrum.values[level + 1]
+                            - spectrum.values[level]))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+        v = data.draw(st.floats(0.01, 30.0)) * (
+            0.01 + gen.random(grid.num_points))
+        mat = assemble_schrodinger(grid, v0.evaluate(grid.nodes()) + v)
+        values = dense_eigvals(mat)
+        want = values[values >= b - TOL_EIG][0]
+        got = min_eig_above(mat, b, v, spectrum)
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+        assert abs(got - unbracketed_lift(mat, b)) <= 1e-11 * (1.0 + abs(want))
+
+    def test_degenerate_free_level_is_solved_whole(self, monkeypatch):
+        # the periodic 6 x 6 free Laplacian has the level 1 four times: the
+        # bracket counts all four below tol_gap above it and solves for them
+        grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
+                        boundary="periodic")
+        calls = arpack_spy(monkeypatch)
+        assert background_lift(grid, zero_potential(), 1.0) == \
+            pytest.approx(1.0, abs=1e-12)
+        assert calls == [(4, "SA", 9)]
+
+    def test_split_cluster_returns_its_lowest_level(self, monkeypatch,
+                                                    dense_eigvals):
+        # a small V splits the fourfold level 1 into levels about 1e-8
+        # apart, all below the Ritz value plus tol_gap: asking ARPACK for
+        # fewer than all of them would return one nearer the shift
+        grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
+                        boundary="periodic")
+        v = 1e-7 * np.random.default_rng(5).random(grid.num_points)
+        mat = assemble_schrodinger(grid, v)
+        k, sigma = ritz_shift(mat, grid, zero_potential(), 1.0)
+        values = dense_eigvals(mat)
+        cluster = values[(values >= 1.0 - TOL_EIG) & (values < sigma)]
+        assert k == 1 and cluster.size == 4
+        assert np.diff(cluster).min() > 1e-9
+        calls = arpack_spy(monkeypatch)
+        got = min_eig_above(mat, 1.0, v,
+                            background_spectrum(grid, zero_potential()))
+        assert calls == [(4, "SA", 9)]
+        assert abs(got - cluster[0]) <= 1e-12
+        assert abs(got - unbracketed_lift(mat, 1.0)) <= 1e-12
+
+    def test_uncertified_count_keeps_the_shift_below_b(self, monkeypatch,
+                                                       dense_eigvals):
+        # V = 3 at one node does not fit in the gap (0, 2) of the 4 x 4 free
+        # Laplacian: no count below b = 1 is certified, so the shift is
+        # b - tol_eig; so it is below the spectrum, with no level under b
+        grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
+                        boundary="periodic")
+        spectrum = background_spectrum(grid, zero_potential())
+        sigmas = []
+        real = eigensolve._trusted_ldlt
+
+        def shifts(mat, sigma):
+            sigmas.append(sigma)
+            return real(mat, sigma)
+
+        monkeypatch.setattr(eigensolve, "_trusted_ldlt", shifts)
+        calls = arpack_spy(monkeypatch)
+        for v_node, b in ((3.0, 1.0), (0.0, -1.0)):
+            v = np.zeros(grid.num_points)
+            v[5] = v_node
+            mat = assemble_schrodinger(grid, v)
+            values = dense_eigvals(mat)
+            assert min_eig_above(mat, b, v, spectrum) == pytest.approx(
+                values[values >= b - TOL_EIG][0], abs=1e-10)
+        assert eigensolve.certified_lower_count(spectrum, 3.0, 1.0) is None
+        assert sigmas == [1.0 - TOL_EIG, -1.0 - TOL_EIG]
+        assert [which for _, which, _ in calls] == ["LA", "LA"]
+
+    def test_negative_diagonal_is_refused(self):
+        grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
+                        boundary="periodic")
+        v = np.zeros(grid.num_points)
+        v[3] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative diagonal"):
+            min_eig_above(assemble_schrodinger(grid, v), 1.0, v,
+                          background_spectrum(grid, zero_potential()))
+
+    @pytest.mark.parametrize("solved", ["below b", "at sigma", "too few"])
+    def test_solve_outside_its_bracket_is_a_solver_error(self, monkeypatch,
+                                                         solved):
+        grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
+                        boundary="periodic")
+        real = eigensolve.eigsh
+
+        def wrong(mat, k, **kwargs):
+            values, vectors = real(mat, k=k, **kwargs)
+            if solved == "below b":
+                values[0] = 1.0 - 2 * TOL_EIG
+            elif solved == "at sigma":
+                values[-1] = kwargs["sigma"]
+            else:
+                values = values[1:]
+            return values, vectors
+
+        monkeypatch.setattr(eigensolve, "eigsh", wrong)
+        with pytest.raises(SolverError, match="lift outside its bracket"):
+            background_lift(grid, zero_potential(), 1.0)
 
 
 class TestWindows:
@@ -465,7 +628,7 @@ class TestSeparableEnclosure:
                               [-0.9, -0.3, 0.3, 0.9])) * TOL_GAP
                           for _ in range(data.draw(st.integers(1, 4))))
         want = [count_below(mat, e) for e in energies]
-        assert counts_below(mat, energies, bounds) == want
+        assert counts_below(lambda: mat, energies, bounds) == want
 
 
 class TestSolverFailures:
@@ -480,7 +643,7 @@ class TestSolverFailures:
                         boundary="periodic")
         monkeypatch.setattr(eigensolve, "eigsh", broken)
         with pytest.raises(TypeError, match="bad argument"):
-            min_eig_above(laplacian_matrix(grid), 1.0)
+            background_lift(grid, zero_potential(), 1.0)
         assert len(calls) == 1
 
     def test_window_solve_is_one_arpack_run_on_the_count_factor(

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from iselab import eigensolve, ise, rng
-from iselab.eigensolve import TOL_EIG, count_below, enclosure, min_eig_above
+from iselab import eigensolve, ise, potentials, rng
+from iselab.eigensolve import (TOL_EIG, background_spectrum, count_below,
+                               enclosure, min_eig_above)
 from iselab.errors import GapNotFoundError, SolverError
 from iselab.events import EventSpec, event_choice, select_scale
 from iselab.grid import GridSpec, assemble_schrodinger
@@ -151,7 +152,9 @@ def public_path_record(model, grid, spec, b, width, seed, cfg=None):
         v_test = np.zeros(grid.num_points)
         v_test[mask] = model.disorder.eta * model.coupling_floor
         h_pert = assemble_schrodinger(grid, v0_nodes + v_test)
-        record["observed_lift"] = min_eig_above(h_pert, b) - b
+        record["observed_lift"] = min_eig_above(
+            h_pert, b, v_test,
+            background_spectrum(grid, model.background)) - b
     return record, cfg, h
 
 
@@ -420,6 +423,30 @@ class TestLiftCertificate:
         assert len(factorizations) == 1 + sum(
             1 if r["outcome"] else 2 for r in counted)
 
+    @pytest.mark.parametrize("L", [6, 8])
+    def test_reference_lift_is_twelve_shift_invert_steps(self, monkeypatch,
+                                                         L):
+        # the shift sits tol_gap above the lift's Ritz value, next to its
+        # twofold level and far from the rest of the band: ARPACK applies
+        # (H - sigma)^-1 12 times, where the shift at b - tol_eig took 31
+        ctx, seeds = reference_box(L, trials=40)
+        choice = next(filter(None, (event_choice(
+            DisorderConfiguration(s, ctx.model.disorder), ctx.event_spec)
+            for s in seeds)))
+        applications = []
+        real = eigensolve.LinearOperator
+
+        def counted(shape, matvec, dtype):
+            def apply(x):
+                applications.append(1)
+                return matvec(x)
+            return real(shape, matvec=apply, dtype=dtype)
+
+        monkeypatch.setattr(eigensolve, "LinearOperator", counted)
+        lift, error = ise.event_lift(ctx, choice)
+        assert error is None and lift > 0
+        assert len(applications) <= 13
+
 
 class TestFloorCertificate:
     @settings(max_examples=30, deadline=None)
@@ -663,6 +690,41 @@ class TestMergeRules:
 class TestBracketedCounts:
     """Every count on the ISE path is bracketed by eigensolve.enclosure
     first, and factorized only where the bracket stays open."""
+
+    def test_matrix_is_assembled_only_for_a_count(self, monkeypatch):
+        # H is built at a floor's or trial's first factorization, and only
+        # then: the L = 10 holed floor and the trials with two couplings
+        # below eta (2, 7, 23, 30 and 31 of the first 32) are decided by
+        # their enclosure and build none; an L = 6 trial that counts twice
+        # builds one
+        events = []
+        real_splu = eigensolve.splu
+        real_assemble = potentials.assemble_schrodinger
+
+        def splu_spy(*args, **kwargs):
+            events.append("factor")
+            return real_splu(*args, **kwargs)
+
+        def assemble_spy(*args):
+            events.append("assemble")
+            return real_assemble(*args)
+
+        monkeypatch.setattr(eigensolve, "splu", splu_spy)
+        monkeypatch.setattr(potentials, "assemble_schrodinger", assemble_spy)
+        ctx, seeds = reference_box(10, trials=32)
+        floor = window_floor(ctx)
+        assert floor[0] is not None and not events
+        decided = [t for t, seed in enumerate(seeds)
+                   if not run_ise_trial(ctx, floor, seed).floor_certified]
+        assert decided == [2, 7, 23, 30, 31] and not events
+        ctx, seeds = reference_box(6, trials=48)
+        floor, made = window_floor(ctx), []
+        for seed in seeds[32:]:
+            events.clear()
+            run_ise_trial(ctx, floor, seed)
+            made.append((events.count("assemble"), events.count("factor")))
+        assert all(a == min(f, 1) for a, f in made)
+        assert (1, 2) in made and (0, 0) in made
 
     def test_reference_box_of_side_4_factorizes_nothing(self, monkeypatch):
         # at L = 4 the enclosure refuses the floor (it closes above the
@@ -988,8 +1050,8 @@ DISORDER_KINDS = (
 )
 
 
-def per_energy_counts(h, energies, bounds=None):
-    return [count_below(h, e) for e in energies]
+def per_energy_counts(build, energies, bounds=None):
+    return [count_below(build(), e) for e in energies]
 
 
 class TestCountsOnGrid:
@@ -1032,13 +1094,13 @@ class TestCountsOnGrid:
             elif kind == "close":
                 energies.append(e + data.draw(st.integers(1, 99)) * TOL_EIG)
         energies.sort()
-        want = per_energy_counts(h, energies)
+        want = per_energy_counts(lambda: h, energies)
         weyl = (values, values + s)
-        assert eigensolve.counts_below(h, energies, weyl) == want
+        assert eigensolve.counts_below(lambda: h, energies, weyl) == want
         bounds = enclosure(v, box.spectrum, energies[-1])
-        assert eigensolve.counts_below(h, energies, bounds) == want
+        assert eigensolve.counts_below(lambda: h, energies, bounds) == want
         open_ = (np.full(h.shape[0], -np.inf), np.full(h.shape[0], np.inf))
-        assert eigensolve.counts_below(h, energies, open_) == want
+        assert eigensolve.counts_below(lambda: h, energies, open_) == want
 
     def test_weyl_bracket_holds_and_closes(self):
         model = load_model(FREE_MODEL)
@@ -1061,7 +1123,8 @@ class TestCountsOnGrid:
 
     def test_unsorted_energies_rejected(self):
         with pytest.raises(ValueError, match="energies must be sorted"):
-            eigensolve.counts_below(np.diag([0.0, 1.0, 2.0]), [1.0, 0.0],
+            eigensolve.counts_below(lambda: np.diag([0.0, 1.0, 2.0]),
+                                    [1.0, 0.0],
                                     (np.full(3, -np.inf), np.full(3, np.inf)))
 
     def test_bracket_that_misses_the_count_raises(self):
@@ -1069,7 +1132,7 @@ class TestCountsOnGrid:
         # two eigenvalues lie below 1.5, but the open bracket is [0, 1]
         lower, upper = np.array([0.0, 5.0, 6.0]), np.full(3, 9.0)
         with pytest.raises(SolverError) as err:
-            eigensolve.counts_below(h, [1.5], (lower, upper))
+            eigensolve.counts_below(lambda: h, [1.5], (lower, upper))
         assert err.value.telemetry == {"sigma": 1.5, "count": 2,
                                        "lo": 0, "hi": 1}
 
@@ -1087,12 +1150,15 @@ class TestCountsOnGrid:
         weyl = (np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5, 2.5]))
         # at 1.2 the bracket is [1, 2]: k = 0 lies outside it, and 1 and 2
         # are counted (two eigenvalues lie below 1.2)
-        assert not eigensolve.count_is(h, 1.2, weyl, 0) and not counted
-        assert not eigensolve.count_is(h, 1.2, weyl, 1) and counted == [1.2]
-        assert eigensolve.count_is(h, 1.2, weyl, 2) and len(counted) == 2
+        assert not eigensolve.count_is(lambda: h, 1.2, weyl, 0)
+        assert not counted
+        assert not eigensolve.count_is(lambda: h, 1.2, weyl, 1)
+        assert counted == [1.2]
+        assert eigensolve.count_is(lambda: h, 1.2, weyl, 2)
+        assert len(counted) == 2
         # at 0.7 it closes on 1
-        assert eigensolve.count_is(h, 0.7, weyl, 1)
-        assert not eigensolve.count_is(h, 0.7, weyl, 2)
+        assert eigensolve.count_is(lambda: h, 0.7, weyl, 1)
+        assert not eigensolve.count_is(lambda: h, 0.7, weyl, 2)
         assert len(counted) == 2
 
     def test_ids_makes_at_most_a_tenth_of_the_per_energy_counts(
