@@ -463,12 +463,14 @@ def min_eig_above(mat, b, diagonal, spectrum):
     m >= 1: lambda_{k+1}, ..., lambda_{k+m}, the m that lie in
     [b - tol_eig, sigma).  They are the m eigenvalues nearest below the
     shift, the m smallest 1 / (lambda - sigma) ("SA"), so one ARPACK run
-    (ncv = 2 m + 1) solves for exactly them, each of which must lie in that
-    interval; the answer is their minimum.  Just above the level, the shift
-    sets it far apart from its neighbours in 1 / (lambda - sigma).
+    (ncv = 2 m + 1, at least 4) solves for exactly them, each of which must
+    lie in that interval; the answer is their minimum.  Just above the
+    level, the shift sets it far apart from its neighbours in
+    1 / (lambda - sigma).
     Where no count is certified, or k = J, the shift is b - tol_eig and
     "LA" selects the largest 1 / (lambda - sigma), the eigenvalue closest
-    above it; when none lies above, ARPACK returns one below instead.
+    above it; when none lies above, ARPACK returns one below instead.  A
+    factor trusted only past b would skip a level at b: a SolverError.
     Anything else is a SolverError; a negative diagonal, which Weyl's
     count does not cover, is a ValueError.
     """
@@ -478,9 +480,13 @@ def min_eig_above(mat, b, diagonal, spectrum):
     k = certified_lower_count(spectrum, float(diagonal.max(initial=0.0)), b)
     j = int(np.searchsorted(spectrum.values, _nudge(b) + TOL_GAP))
     if k is None or k >= j:
-        values = _ldlt_shift_invert(mat, _trusted_ldlt(mat, b - TOL_EIG), 1,
-                                    "LA")
-        if values[0] < b - TOL_EIG:
+        sigma = b - TOL_EIG
+        factor = _trusted_ldlt(mat, sigma)
+        if factor[2] != sigma:
+            raise SolverError("no trusted LDL^T factor at b - tol_eig",
+                              telemetry={"b": b, "sigma": factor[2]})
+        values = _ldlt_shift_invert(mat, factor, 1, "LA")
+        if values[0] < sigma:
             raise SolverError("no eigenvalue at or above b",
                               telemetry={"b": b})
         return float(values[0])
@@ -489,7 +495,7 @@ def min_eig_above(mat, b, diagonal, spectrum):
     m, sigma = factor[1] - k, factor[2]
     if m >= 1:
         values = _ldlt_shift_invert(mat, factor, m, "SA",
-                                    min(2 * m + 1, mat.shape[0]))
+                                    min(max(2 * m + 1, 4), mat.shape[0]))
     if (m < 1 or values.size != m or values.min() < b - TOL_EIG
             or values.max() >= sigma):
         raise SolverError("lift outside its bracket",

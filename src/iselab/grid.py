@@ -113,14 +113,9 @@ class GridSpec:
             shape = (len(centers),) + (1,) * k + (w,) + (1,) * (d - 1 - k)
             dist2 = dist2 + square[:, k].reshape(shape)
             idx = idx * n + axis_idx[:, k].reshape(shape)
-        hit = (dist2 < radius * radius).reshape(len(centers), -1)
+        hit = (dist2 < radius * radius).reshape(len(centers), w ** d)
         indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1))))
         return indptr, idx.reshape(hit.shape)[hit]
-
-    def nodes_within_ball(self, center, radius):
-        """Sorted flat indices of the nodes at strict Euclidean distance <
-        radius from center: nodes_within_balls for one centre."""
-        return self.nodes_within_balls([center], radius)[1]
 
 
 def _lap1d(n, h, boundary):

@@ -3,7 +3,7 @@ the finite-volume counting-function diagnostic.
 
 Everything the trials at one box size share is one TrialContext, keyed by
 value and deriving the box's node data (potentials.Box: V0 at the nodes and
-U of the live profiles) and the certified lower count.  A trial's couplings
+U at the live sites) and the certified lower count.  A trial's couplings
 omega are its seed and the model's law (potentials.DisorderConfiguration),
 drawn where they are read: at the box's live sites for V_omega = U @ omega,
 and at the good event's cells.  Then comes at most one count at the top of

@@ -1,14 +1,13 @@
-"""Background potentials, single-site profiles and disorder sampling.
+"""Background potentials, the single-site profile and disorder sampling.
 
-A potential model bundles a periodic background V0, a lattice of
-nonnegative single-site profiles u_j carrying a ball lower bound
-c * indicator(B_delta(x_j)) <= u_j, and the distribution of the coupling
-constants omega_j with its threshold pair (eta, kappa).  A configuration
+A potential model bundles a G-periodic background V0, one nonnegative
+single-site profile u with a ball lower bound c * indicator(B_delta(0)) <= u,
+carried by every lattice site j translated to G j, and the distribution of
+the couplings omega_j with its threshold pair (eta, kappa).  A configuration
 is its seed and its law: cfg[q] draws omega_j from the counter-based stream
 at whatever sites q names, so no caller chooses its sites in advance.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -92,42 +91,34 @@ class SquareWave:
 
 @dataclass(frozen=True)
 class SingleSiteProfile:
-    """Nonnegative bump u_j(x) = shape(x - x_j) with a certified ball lower
-    bound.
+    """The model's one nonnegative bump u(x) = shape(x) about the origin,
+    with a certified ball lower bound c * indicator(B_delta(0)) <= u.
 
-    `site` is the integer lattice index; the geometric site is G * site.
+    Site j carries its translate u(x - G j), G the background period.
     `shape` is a hashable value, called on an (N, d) array of offsets from
-    the centre, so the profiles of one shape evaluate together (site_matrix).
+    a site, so every site evaluates in one call (site_matrix).
     """
 
-    site: tuple
     shape: object = field(repr=False)
     lower_bound: float           # c
     ball_radius: float           # delta
-    ball_center: tuple           # x_j
     support_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "site", tuple(int(s) for s in self.site))
-        object.__setattr__(self, "ball_center", tuple(float(c) for c in self.ball_center))
         if self.lower_bound <= 0 or self.ball_radius <= 0:
             raise ValueError("c and delta must be positive")
 
-    def evaluate(self, points):
-        return shape_values(self.shape, np.asarray(points, dtype=float)
-                            - np.asarray(self.ball_center))
-
-
-def shape_values(shape, offsets):
-    """shape at the rows of `offsets`; a negative value is a ValueError."""
-    values = np.asarray(shape(offsets), dtype=float)
-    if values.size and values.min() < 0:
-        raise ValueError("single-site profile must be nonnegative")
-    return values
+    def evaluate(self, offsets):
+        """u at the rows of `offsets`; a negative value is a ValueError."""
+        values = np.asarray(self.shape(np.asarray(offsets, dtype=float)),
+                            dtype=float)
+        if values.size and values.min() < 0:
+            raise ValueError("single-site profile must be nonnegative")
+        return values
 
 
 # Shapes are frozen values, not closures, so a model pickles into pool
-# workers and the profiles of one shape group by it.
+# workers and compares by its parameters.
 
 @dataclass(frozen=True)
 class Indicator:
@@ -153,18 +144,14 @@ class Cone:
         return self.peak * np.maximum(0.0, 1.0 - dist / self.radius)
 
 
-def indicator_profile(site, c, delta, period=1.0):
-    """u_j = c * indicator(B_delta(j*G)); the minimal admissible profile."""
-    center = tuple(float(s) * period for s in site)
-    return SingleSiteProfile(site, Indicator(c, delta), c, delta, center,
-                             delta)
+def indicator_profile(c, delta):
+    """u = c * indicator(B_delta(0)); the minimal admissible profile."""
+    return SingleSiteProfile(Indicator(c, delta), c, delta, delta)
 
 
-def cone_profile(site, peak, radius, c, delta, period=1.0):
+def cone_profile(peak, radius, c, delta):
     """Linear cone of height `peak`; certified bound needs peak*(1-delta/radius) >= c."""
-    center = tuple(float(s) * period for s in site)
-    return SingleSiteProfile(site, Cone(peak, radius), c, delta, center,
-                             radius)
+    return SingleSiteProfile(Cone(peak, radius), c, delta, radius)
 
 
 @dataclass(frozen=True)
@@ -258,37 +245,22 @@ class DisorderConfiguration:
         return self.dist.from_uniform(u.reshape(q.shape[:-1]))
 
 
-def site_matrix(profiles, grid):
-    """Sparse node x profile matrix U: column j holds u_j on its support nodes.
+def site_matrix(profile, centers, grid):
+    """Sparse node x site matrix U: column j holds u(x - centers[j]) on its
+    support nodes.
 
-    V_omega = U @ omega for omega_j the coupling of profiles[j].  The CSC
-    product adds the columns in profile order, node by node, so it equals
-    adding the weighted profiles one at a time, bit for bit.
-
-    The profiles of one (shape, support radius) are one batched ball search
-    (grid.nodes_within_balls) and one shape evaluation at every offset from
-    their centres; a stable sort by column puts the entries in profile order.
+    V_omega = U @ omega for omega_j the coupling at centers[j].  The CSC
+    product adds the columns in order, node by node, so it equals adding the
+    weighted translates one at a time, bit for bit.  One batched ball search
+    (grid.nodes_within_balls) gives U's column pointers and row indices, and
+    one profile evaluation at every offset its values.
     """
-    groups = {}
-    for j, p in enumerate(profiles):
-        groups.setdefault((p.shape, p.support_radius), []).append(j)
-    empty = np.empty(0, dtype=np.int64)
-    cols, rows, values = [empty], [empty], [np.empty(0)]
-    for (shape, radius), members in groups.items():
-        centers = np.array([profiles[j].ball_center for j in members])
-        indptr, idx = grid.nodes_within_balls(centers, radius)
-        owner = np.repeat(np.arange(len(members)), np.diff(indptr))
-        cols.append(np.asarray(members)[owner])
-        rows.append(idx)
-        values.append(shape_values(shape,
-                                   grid.node_coords(idx) - centers[owner]))
-    col = np.concatenate(cols)
-    order = np.argsort(col, kind="stable")
-    indptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(col, minlength=len(profiles)))))
-    return sparse.csc_matrix((np.concatenate(values)[order],
-                              np.concatenate(rows)[order], indptr),
-                             shape=(grid.num_points, len(profiles)))
+    centers = np.asarray(centers, dtype=float).reshape(-1, grid.dimension)
+    indptr, idx = grid.nodes_within_balls(centers, profile.support_radius)
+    owner = np.repeat(np.arange(len(centers)), np.diff(indptr))
+    values = profile.evaluate(grid.node_coords(idx) - centers[owner])
+    return sparse.csc_matrix((values, idx, indptr),
+                             shape=(grid.num_points, len(centers)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,10 +269,10 @@ class Box:
 
     Each operator of the chain H0 <= H0 + eta c chi_S <= H_omega <= H0 + W is
     -Laplacian + V0 plus a node diagonal (`hamiltonian`).  `v0` is V0 at the
-    nodes, `matrix` U = site_matrix(profiles, grid) kept to its live columns
-    (those with a node in the box) and `sites` their sites, so V_omega =
-    U @ omega (`potential`).  W = U @ 1 and its envelope are read from U, so
-    a pickled box ships no second node array to each pool worker.
+    nodes, `matrix` U = site_matrix(profile, G sites, grid) kept to its live
+    columns (those with a node in the box) and `sites` their (m, d) integer
+    sites, so V_omega = U @ omega (`potential`).  W = U @ 1 and its envelope
+    are read from U, so a pickled box ships no second node array.
     """
 
     grid: object
@@ -308,19 +280,17 @@ class Box:
     v0: np.ndarray = field(repr=False)
     matrix: object = field(repr=False)
     sites: np.ndarray = field(repr=False)
-    profiles: tuple = field(repr=False)
+    profile: SingleSiteProfile = field(repr=False)
 
     @classmethod
-    def build(cls, grid, background, profiles):
+    def build(cls, grid, background, profile, sites):
         # a dead column adds nothing to U @ omega: dropping it leaves every
         # node's sum, and the order of its terms, unchanged
-        profiles = tuple(profiles)
-        matrix = site_matrix(profiles, grid)
+        sites = np.asarray(sites, dtype=np.int64).reshape(-1, grid.dimension)
+        matrix = site_matrix(profile, background.period * sites, grid)
         live = np.flatnonzero(np.diff(matrix.indptr))
-        sites = np.array([profiles[j].site for j in live], dtype=np.int64)
         return cls(grid, background, background.evaluate(grid.nodes()),
-                   matrix[:, live], sites.reshape(live.size, grid.dimension),
-                   profiles)
+                   matrix[:, live], sites[live], profile)
 
     @property
     def w(self):
@@ -329,7 +299,7 @@ class Box:
 
     @property
     def envelope(self):
-        """s = max W, so 0 <= U @ omega <= s for omega in [0, 1]^m: every
+        """s = max W, so 0 <= U @ omega <= s for omega in [0, 1]^m: the
         profile refuses a negative value, so U >= 0."""
         return float(self.w.max(initial=0.0))
 
@@ -384,16 +354,15 @@ class SingleSiteReport:
 
 
 def verify_single_site_bound(profile, grid, period=1.0):
-    """Check u_j >= c on ball nodes and B_delta(x_j) inside the period cell."""
+    """Check u >= c on the nodes of B_delta(0), the ball of the site at the
+    origin, and that ball inside its period cell (delta <= G/2)."""
     if profile.ball_radius / grid.spacing < MIN_POINTS_ACROSS_BALL:
         raise UnresolvableBallError(
             f"delta/h = {profile.ball_radius / grid.spacing:.3g} < "
             f"{MIN_POINTS_ACROSS_BALL}"
         )
-    cell_center = tuple(s * period for s in profile.site)
-    offset = max(abs(x - c) for x, c in zip(profile.ball_center, cell_center))
-    inside = offset + profile.ball_radius <= period / 2.0
-    idx = grid.nodes_within_balls([profile.ball_center],
+    inside = profile.ball_radius <= period / 2.0
+    idx = grid.nodes_within_balls(np.zeros(grid.dimension),
                                   profile.ball_radius)[1]
     if idx.size == 0:
         raise UnresolvableBallError("ball contains no grid node")
@@ -411,55 +380,39 @@ def verify_single_site_bound(profile, grid, period=1.0):
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """Full model description: background, single-site lattice, disorder."""
+    """Full model description: background, the one single-site profile
+    every lattice site j carries at G j, and the disorder."""
 
-    period: float
     background: PeriodicPotential
-    site_kind: str
-    site_params: tuple
+    profile: SingleSiteProfile
     disorder: DisorderDistribution
 
     @property
+    def period(self):
+        return self.background.period
+
+    @property
     def coupling_floor(self):
-        """The certified constant c of the single-site profiles."""
-        return self.site_params[0]
+        """The certified constant c of the single-site profile."""
+        return self.profile.lower_bound
 
     @property
     def ball_radius(self):
-        return self.site_params[1]
-
-    @property
-    def support_radius(self):
-        if self.site_kind == "ball_indicator":
-            return self.site_params[1]
-        if self.site_kind == "cone":
-            return self.site_params[2]
-        raise ValueError(self.site_kind)
-
-    def profile_for(self, site):
-        if self.site_kind == "ball_indicator":
-            c, delta = self.site_params
-            return indicator_profile(site, c, delta, self.period)
-        if self.site_kind == "cone":
-            c, delta, radius = self.site_params
-            peak = c * radius / max(radius - delta, 1e-12)
-            return cone_profile(site, peak, radius, c, delta, self.period)
-        raise ValueError(self.site_kind)
+        return self.profile.ball_radius
 
     def sites_for(self, grid):
-        """Integer site indices whose support can intersect the grid box."""
-        reach = self.support_radius
+        """(m, d) int64 array of the sites whose support can intersect the
+        grid box, in lexicographic order."""
+        hi = grid.side / 2.0 + self.profile.support_radius
         g = self.period
-        hi = grid.side / 2.0 + reach
-        axis = range(math.ceil(-hi / g), math.floor(hi / g) + 1)
-        return list(itertools.product(axis, repeat=grid.dimension))
-
-    def profiles_for(self, grid):
-        return [self.profile_for(s) for s in self.sites_for(grid)]
+        axis = np.arange(math.ceil(-hi / g), math.floor(hi / g) + 1)
+        mesh = np.meshgrid(*(axis,) * grid.dimension, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
 
     def box(self, grid):
-        """Box.build of this model's background and profiles on the grid."""
-        return Box.build(grid, self.background, self.profiles_for(grid))
+        """Box.build of this model's background and profile on the grid."""
+        return Box.build(grid, self.background, self.profile,
+                         self.sites_for(grid))
 
 
 def load_model(spec):
@@ -488,9 +441,11 @@ def load_model(spec):
 
     ss = spec["single_site"]
     if ss["kind"] == "ball_indicator":
-        site_params = (float(ss["c"]), float(ss["delta"]))
+        profile = indicator_profile(float(ss["c"]), float(ss["delta"]))
     elif ss["kind"] == "cone":
-        site_params = (float(ss["c"]), float(ss["delta"]), float(ss["radius"]))
+        c, delta, radius = (float(ss[k]) for k in ("c", "delta", "radius"))
+        peak = c * radius / max(radius - delta, 1e-12)
+        profile = cone_profile(peak, radius, c, delta)
     else:
         raise ValueError(f"unknown single_site kind {ss['kind']!r}")
 
@@ -508,10 +463,4 @@ def load_model(spec):
     else:
         raise ValueError(f"unknown disorder kind {dd['kind']!r}")
 
-    return PotentialModel(
-        period=g,
-        background=background,
-        site_kind=ss["kind"],
-        site_params=site_params,
-        disorder=dist,
-    )
+    return PotentialModel(background, profile, dist)

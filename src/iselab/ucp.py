@@ -8,8 +8,9 @@ node-counting sums, so the h^d factors cancel in the ratio.
 Every operator is a box's hamiltonian (potentials.Box): V0 at the nodes plus
 eta c on a sorted node-index mask, U @ omega or t W, so its order is
 node-wise order.  The mask of the good event's test perturbation is the
-union S of one ball per cell, read from the box (event_balls) at each cell's
-chosen site (events.event_choice).
+union S of one ball B_delta(G j) per cell, j the cell's chosen site
+(events.event_choice) and delta the radius of the box's one profile, all
+found in one batched ball search (event_balls).
 """
 
 import math
@@ -112,36 +113,25 @@ def random_subspace_vectors(vectors, count, seed):
 
 
 def event_balls(box, choice):
-    """(mask, delta): the good event's balls B_delta(x_j) on box.grid, one
-    per chosen site j (event_choice) that has a profile.
+    """(mask, delta): the good event's balls B_delta(G j) on box.grid, one
+    per chosen site j (event_choice), delta the box profile's ball radius.
 
-    The mask is the sorted node indices of their union and delta their
-    smallest radius.  Each ball must lie inside its site's period cell,
-    |x_j - G j|_inf + delta_j < G/2 with G the background period, and so
-    inside the site's cell of side G l; a ball that does not is a ValueError.
-    A site with no profile puts no mass in the box and adds no ball; its
-    cell is still covered by the event.  The balls of one radius are one
-    batched search (grid.nodes_within_balls).
+    The mask is the sorted node indices of their union, from one batched
+    search (grid.nodes_within_balls).  Each ball must lie inside its site's
+    period cell, delta < G/2 with G the background period, and so inside the
+    site's cell of side G l; a radius that does not fit is a ValueError.  The
+    ball lies inside the support (u >= c > 0 on it), so the ball of a site
+    outside model.sites_for misses the box and adds no node.
     """
-    g = box.background.period
-    by_site = {p.site: p for p in box.profiles}
-    chosen = [by_site[site] for site in choice if site in by_site]
-    if not chosen:
-        raise IselabError("no profile available for any selected site")
-    centers = np.array([p.ball_center for p in chosen])
-    sites = np.array([p.site for p in chosen])
-    radii = np.array([p.ball_radius for p in chosen])
-    outside = np.max(np.abs(centers - g * sites), axis=1) + radii >= g / 2.0
-    if outside.any():
-        p = chosen[int(np.argmax(outside))]
-        raise ValueError(f"ball of radius {p.ball_radius} at {p.ball_center} "
-                         f"leaves the cell of site {p.site}")
-    mask = np.unique(np.concatenate([
-        box.grid.nodes_within_balls(centers[radii == r], r)[1]
-        for r in np.unique(radii)]))
+    g, delta = box.background.period, box.profile.ball_radius
+    if delta >= g / 2.0:
+        raise ValueError(f"ball radius {delta} leaves the period cell of "
+                         f"side {g}")
+    centers = g * np.asarray(choice, dtype=np.int64)
+    mask = np.unique(box.grid.nodes_within_balls(centers, delta)[1])
     if not mask.size:
         raise IselabError("indicator mask is empty: no ball meets the grid")
-    return mask, float(radii.min())
+    return mask, float(delta)
 
 
 def perturbed_eigenvalue(box, mask, amplitude, b):

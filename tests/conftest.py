@@ -84,28 +84,35 @@ def uniform_at(seed, purpose, index):
     return float(rng.stream(seed, purpose, index).random())
 
 
-def site_matrix_by_profile(profiles, grid):
-    """U assembled one profile at a time: each profile's support nodes by
-    a distance scan over grid.nodes() (squares summed axis by axis, strictly
-    below support_radius^2) and its values by its own evaluate there.  The
-    oracle of potentials.site_matrix."""
+def _scan_ball(nodes, center, radius):
+    """Indices of the rows of `nodes` strictly within `radius` of `center`,
+    by a distance scan (squares summed axis by axis)."""
+    dist2 = np.zeros(len(nodes))
+    for k in range(nodes.shape[1]):
+        dist2 += (nodes[:, k] - float(center[k])) ** 2
+    return np.flatnonzero(dist2 < radius * radius)
+
+
+def site_matrix_by_profile(profile, sites, grid):
+    """U assembled one site at a time, at lattice period G = 1: site j's
+    support nodes by a distance scan over grid.nodes() about its centre j,
+    and its values by the profile's evaluate at their offsets.  The oracle
+    of potentials.site_matrix."""
     nodes = grid.nodes()
     rows, values, indptr = [np.empty(0, dtype=np.int64)], [np.empty(0)], [0]
-    for p in profiles:
-        dist2 = np.zeros(len(nodes))
-        for k in range(grid.dimension):
-            dist2 += (nodes[:, k] - p.ball_center[k]) ** 2
-        idx = np.flatnonzero(dist2 < p.support_radius * p.support_radius)
+    for site in sites:
+        idx = _scan_ball(nodes, site, profile.support_radius)
         rows.append(idx)
-        values.append(p.evaluate(nodes[idx]))
+        values.append(profile.evaluate(nodes[idx] - np.asarray(site, float)))
         indptr.append(indptr[-1] + idx.size)
     return sparse.csc_matrix((np.concatenate(values), np.concatenate(rows),
-                              indptr), shape=(grid.num_points, len(profiles)))
+                              indptr), shape=(grid.num_points, len(sites)))
 
 
-def assemble_random_potential(cfg, profiles, grid):
-    """Nodewise V_omega = sum_j omega_j u_j = U @ omega on the grid."""
-    return Box.build(grid, zero_potential(), profiles).potential(cfg)
+def assemble_random_potential(cfg, profile, sites, grid):
+    """Nodewise V_omega = sum_j omega_j u(x - j) = U @ omega on the grid,
+    at lattice period G = 1."""
+    return Box.build(grid, zero_potential(), profile, sites).potential(cfg)
 
 
 @pytest.fixture
@@ -142,24 +149,24 @@ def _brute_force_cells(spec):
             for j in centers.tolist()]
 
 
-def event_ball_mask(cfg, spec, profiles, grid):
+def event_ball_mask(cfg, spec, profile, sites, grid):
     """Sorted node indices of the good event's balls, or None off the event.
 
-    The oracle of events.event_choice with ucp.event_balls: each cell of
-    _brute_force_cells chooses its smallest site with omega >= eta, read site
-    by site; the mask is the union of the chosen sites' profile balls
-    B_delta(x_j) on the grid, a site with no profile adding none.
+    The oracle of events.event_choice with ucp.event_balls, at lattice
+    period G = 1: each cell of _brute_force_cells chooses its smallest site
+    with omega >= eta, read site by site; the mask is the union of the
+    chosen sites' balls B_delta(j), each by a distance scan over
+    grid.nodes(), a chosen site not in `sites` adding none.
     """
-    by_site = {p.site: p for p in profiles}
+    carried = {tuple(map(int, s)) for s in sites}
+    nodes = grid.nodes()
     pieces = []
     for _, cell in _brute_force_cells(spec):
         hits = [s for s in cell if cfg[s] >= spec.eta]
         if not hits:
             return None
-        profile = by_site.get(min(hits))
-        if profile is not None:
-            pieces.append(grid.nodes_within_ball(profile.ball_center,
-                                                 profile.ball_radius))
+        if min(hits) in carried:
+            pieces.append(_scan_ball(nodes, min(hits), profile.ball_radius))
     return np.unique(np.concatenate(pieces))
 
 

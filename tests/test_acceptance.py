@@ -96,10 +96,10 @@ class TestEigenvalueSandwich:
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=3, L=4, eta=model.disorder.eta,
                          kappa=model.disorder.kappa)
-        profiles = model.profiles_for(grid)
+        profile, sites = model.profile, model.sites_for(grid)
         v0_nodes = model.background.evaluate(grid.nodes())
         h0 = assemble_schrodinger(grid, v0_nodes)
-        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+        w = site_matrix(profile, sites, grid) @ np.ones(len(sites))
         h_full = assemble_schrodinger(grid, v0_nodes + w)
         k = 10
         base = dense_eigvals(h0)[:k]
@@ -114,13 +114,13 @@ class TestEigenvalueSandwich:
         for t in range(100):
             seed = rng.derive_seed(7, rng.TRIAL_STREAM, (0, t))
             cfg = DisorderConfiguration(seed, model.disorder)
-            v_omega = assemble_random_potential(cfg, profiles, grid)
+            v_omega = assemble_random_potential(cfg, profile, sites, grid)
             h_rand = assemble_schrodinger(grid, v0_nodes + v_omega)
             rand = dense_eigvals(h_rand)[:k]
             if not (leq(base, rand) and leq(rand, top)):
                 violations += 1
                 continue
-            mask = event_ball_mask(cfg, spec, profiles, grid)
+            mask = event_ball_mask(cfg, spec, profile, sites, grid)
             assert (mask is None) == (event_choice(cfg, spec) is None)
             if mask is not None:
                 v_test = np.zeros(grid.num_points)
@@ -153,7 +153,8 @@ class TestDiscretizationSpectra:
         cfg = DisorderConfiguration(11, model.disorder)
         op = assemble_schrodinger(
             grid, model.background.evaluate(grid.nodes())
-            + assemble_random_potential(cfg, model.profiles_for(grid), grid))
+            + assemble_random_potential(cfg, model.profile,
+                                        model.sites_for(grid), grid))
         dense = dense_eigvals(op)
         dense = dense[(dense > -1.0 + TOL_GAP) & (dense < 3.0 - TOL_GAP)]
         iterative = eigs_in_window(op, -1.0, 3.0)
@@ -199,7 +200,7 @@ class TestEigenvalueLifting:
             k = count_below(lap, 4.0 - TOL_EIG)
             assert k >= 1
             _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1])
-            mask = grid.nodes_within_ball((0.0, 0.0), 0.45)
+            mask = grid.nodes_within_balls([(0.0, 0.0)], 0.45)[1]
             for v in random_subspace_vectors(low, 8, seed=l):
                 samples.append(FitSample(delta=0.45, l=float(l), v_inf=0.0,
                                          energy=4.0,
@@ -311,13 +312,14 @@ class TestConditionalCertainty:
             spec = EventSpec(dimension=2, l=per.l, L=per.L,
                              eta=model.disorder.eta,
                              kappa=model.disorder.kappa)
-            profiles = model.profiles_for(grid)
+            sites = model.sites_for(grid)
             for rec in certified[:5]:
                 cfg = DisorderConfiguration(rec["seed"], model.disorder)
                 assert event_choice(cfg, spec) is not None
                 h = assemble_schrodinger(
                     grid, model.background.evaluate(grid.nodes())
-                    + assemble_random_potential(cfg, profiles, grid))
+                    + assemble_random_potential(cfg, model.profile, sites,
+                                                grid))
                 assert count_below(h, per.band_edge + per.window_width) == \
                     count_below(h, per.band_edge - TOL_EIG), \
                     f"L={per.L}: certified trial {rec['seed']} has spectrum " \

@@ -322,7 +322,7 @@ class TestExitCodes:
         # indicator bumps with c = 5 on sites -1..1; the lowest branch
         # crosses the window between the sampled t = 0 and t = 0.05
         from iselab.grid import GridSpec, assemble_schrodinger
-        from iselab.potentials import load_model, site_matrix
+        from iselab.potentials import load_model
 
         spec = dict(ZERO_MODEL, single_site={"kind": "ball_indicator",
                                              "c": 5.0, "delta": 0.45})
@@ -331,9 +331,8 @@ class TestExitCodes:
         model = load_model(spec)
         grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
                         boundary="periodic")
-        profiles = model.profiles_for(grid)
         v0_nodes = model.background.evaluate(grid.nodes())
-        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+        w = model.box(grid).w
         a, b = (dense_eigvals(assemble_schrodinger(grid, v0_nodes + t * w))[0]
                 for t in (0.01, 0.04))
         code = main(["gap", "--model", str(path), "--L", "2",
@@ -364,27 +363,26 @@ class TestExitCodes:
 
     def test_lift_builds_one_box(self, monkeypatch, capsys):
         # every scale of `lift` reads one box: U is built once (one
-        # evaluation of the model's one profile shape) and the background
-        # spectrum computed once
+        # evaluation of the model's profile, at the offsets of every site)
+        # and the background spectrum computed once
         from iselab import eigensolve, potentials
         from iselab.grid import GridSpec
 
         calls = []
-        real = potentials.shape_values
+        real = potentials.SingleSiteProfile.evaluate
 
-        def spy(*args):
+        def spy(self, offsets):
             calls.append(1)
-            return real(*args)
+            return real(self, offsets)
 
-        profiles = potentials.load_model(REFERENCE_MODEL).profiles_for(
+        sites = potentials.load_model(REFERENCE_MODEL).sites_for(
             GridSpec(dimension=2, side=3.0, spacing=1.0 / 9))
         eigensolve.background_spectrum.cache_clear()
-        monkeypatch.setattr(potentials, "shape_values", spy)
+        monkeypatch.setattr(potentials.SingleSiteProfile, "evaluate", spy)
         assert main(["lift", "--model", REFERENCE_MODEL, "--L", "3",
                      "--hint", "36", "--scales", "1,3",
                      "--seed", "20260824"]) == 0
-        assert len(calls) == len({p.shape for p in profiles}) == 1
-        assert len(profiles) > 1
+        assert len(calls) == 1 < len(sites)
         assert eigensolve.background_spectrum.cache_info().misses == 1
 
     def test_window_intrusion_is_assertion_failure(self, model_file, capsys):

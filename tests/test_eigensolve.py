@@ -339,6 +339,43 @@ class TestBracketedLift:
         assert sigmas == [1.0 - TOL_EIG, -1.0 - TOL_EIG]
         assert [which for _, which, _ in calls] == ["LA", "LA"]
 
+    def test_single_level_far_below_its_ritz_value(self, monkeypatch,
+                                                    dense_eigvals):
+        # the Ritz value of the one level above b sits 3.9 above it and
+        # just below the next: three Lanczos vectors did not converge in
+        # 364 applications of (H - sigma)^-1, so m = 1 solves with four
+        grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
+                        boundary="dirichlet")
+        v0 = separable_square_potential(20.0)
+        spectrum = background_spectrum(grid, v0)
+        v = 23.0 * (0.01 + np.random.default_rng(27580).random(36))
+        mat = assemble_schrodinger(grid, v0.evaluate(grid.nodes()) + v)
+        b = float(spectrum.values[0])
+        values = dense_eigvals(mat)
+        want = values[values >= b - TOL_EIG][0]
+        calls = arpack_spy(monkeypatch)
+        got = min_eig_above(mat, b, v, spectrum)
+        assert calls == [(1, "SA", 4)]
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+    def test_nudged_shift_past_b_is_a_solver_error(self, dense_eigvals):
+        # b = 2 is a level of the 4 x 4 free Laplacian plus 3 at node 5, and
+        # no count below it is certified: the factor at b - tol_eig is not
+        # trusted, and the nudged one lies above b, where "LA" would return
+        # the next level (2.4016) instead of 2
+        grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
+                        boundary="periodic")
+        spectrum = background_spectrum(grid, zero_potential())
+        v = np.zeros(grid.num_points)
+        v[5] = 3.0
+        mat = assemble_schrodinger(grid, v)
+        values = dense_eigvals(mat)
+        assert np.min(np.abs(values - 2.0)) < 1e-12
+        assert eigensolve.certified_lower_count(spectrum, 3.0, 2.0) is None
+        assert eigensolve._trusted_ldlt(mat, 2.0 - TOL_EIG)[2] > 2.0
+        with pytest.raises(SolverError, match="no trusted LDL"):
+            min_eig_above(mat, 2.0, v, spectrum)
+
     def test_negative_diagonal_is_refused(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
@@ -405,11 +442,13 @@ class TestWindows:
         assert np.allclose(got, [0.0, 2.0, 2.0, 2.0, 2.0], atol=1e-10)
 
 
-def window_levels(grid, profiles, t_grid, window):
-    """Window eigenvalues of H0 + t W (zero V0) at each t, as the gap
-    report lists its intrusions."""
-    report = verify_gap_hypothesis(Box.build(grid, zero_potential(), profiles),
-                                   window, t_grid)
+def window_levels(grid, sites, t_grid, window):
+    """Window eigenvalues of H0 + t W (zero V0, c = 1 indicator bumps of
+    radius 0.45 at `sites`) at each t, as the gap report lists its
+    intrusions."""
+    box = Box.build(grid, zero_potential(), indicator_profile(1.0, 0.45),
+                    sites)
+    report = verify_gap_hypothesis(box, window, t_grid)
     return [np.array([v for s, v in report.intrusions if s == t])
             for t in report.t_grid]
 
@@ -426,10 +465,9 @@ class TestTrackFamily:
     def test_curves_nondecreasing_in_t(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=0.5,
                         boundary="periodic")
-        profiles = [indicator_profile((i, j), 1.0, 0.45)
-                    for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        sites = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         t_grid = [0.0, 0.02, 0.04, 0.06]
-        per_t = window_levels(grid, profiles, t_grid, (-1.0, 3.0))
+        per_t = window_levels(grid, sites, t_grid, (-1.0, 3.0))
         counts = {v.size for v in per_t}
         assert len(counts) == 1
         stacked = np.vstack(per_t)

@@ -41,7 +41,7 @@ class TestGridSpec:
 
     def test_nodes_within_ball_matches_brute_force(self, fine_grid):
         center, radius = (0.3, -0.7), 0.9
-        got = set(fine_grid.nodes_within_ball(center, radius).tolist())
+        got = set(fine_grid.nodes_within_balls([center], radius)[1].tolist())
         nodes = fine_grid.nodes()
         want = {i for i, p in enumerate(nodes)
                 if np.linalg.norm(p - np.array(center)) < radius}
@@ -66,7 +66,7 @@ def ball_searches(draw):
         st.sampled_from([-edge, edge, -edge - h / 2, edge + h / 2]),
         st.floats(-2 * edge, 2 * edge))
     centers = draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
-                            min_size=1, max_size=6))
+                            min_size=0, max_size=6))
     radius = draw(st.one_of(
         st.integers(0, 4 * d).map(lambda k: float(np.sqrt(k)) * h),
         st.floats(0.0, grid.side)))
@@ -90,7 +90,7 @@ class TestBallSearch:
                 dist2 += (nodes[:, k] - center[k]) ** 2
             want = np.flatnonzero(dist2 < radius * radius)
             assert np.array_equal(indices[indptr[i]:indptr[i + 1]], want)
-            assert np.array_equal(grid.nodes_within_ball(center, radius),
+            assert np.array_equal(grid.nodes_within_balls([center], radius)[1],
                                   want)
 
 

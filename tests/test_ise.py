@@ -126,18 +126,20 @@ class TestSingleTrial:
 def public_path_record(model, grid, spec, b, width, seed, cfg=None):
     """One trial rebuilt from the public assembly and counting calls.
 
-    V_omega is summed profile by profile here, not read from U @ omega.
+    V_omega is summed site by site here, not read from U @ omega.
     The couplings are `cfg`, by default the seed's DisorderConfiguration.
     """
     if cfg is None:
         cfg = DisorderConfiguration(seed, model.disorder)
-    profiles = model.profiles_for(grid)
+    profile, sites = model.profile, model.sites_for(grid)
     v0_nodes = model.background.evaluate(grid.nodes())
     v_omega = np.zeros(grid.num_points)
-    for p in profiles:
-        idx = grid.nodes_within_ball(p.ball_center, p.support_radius)
+    for site in sites:
+        center = model.period * site
+        idx = grid.nodes_within_balls([center], profile.support_radius)[1]
         if idx.size:
-            v_omega[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
+            v_omega[idx] += cfg[site] * profile.evaluate(
+                grid.nodes()[idx] - center)
     h = assemble_schrodinger(grid, v0_nodes + v_omega)
     below = count_below(h, b - TOL_EIG)
     count = count_below(h, b + width) - below
@@ -148,7 +150,7 @@ def public_path_record(model, grid, spec, b, width, seed, cfg=None):
               "event": event_choice(cfg, spec) is not None,
               "observed_lift": None}
     if record["event"]:
-        mask = event_ball_mask(cfg, spec, profiles, grid)
+        mask = event_ball_mask(cfg, spec, profile, sites, grid)
         v_test = np.zeros(grid.num_points)
         v_test[mask] = model.disorder.eta * model.coupling_floor
         h_pert = assemble_schrodinger(grid, v0_nodes + v_test)

@@ -22,20 +22,21 @@ def background(grid, v0):
     return assemble_schrodinger(grid, v0.evaluate(grid.nodes()))
 
 
-def envelope(profiles, grid):
+def envelope(profile, sites, grid):
     """W = U @ 1, every coupling at 1."""
-    return site_matrix(profiles, grid) @ np.ones(len(profiles))
+    return site_matrix(profile, sites, grid) @ np.ones(len(sites))
 
 
 def indicator(grid, center, radius):
     chi = np.zeros(grid.num_points)
-    chi[grid.nodes_within_ball(center, radius)] = 1.0
+    chi[grid.nodes_within_balls([center], radius)[1]] = 1.0
     return chi
 
 
 class TestAssembly:
     def test_trivial_hamiltonian_is_the_laplacian(self, grid6, config_from):
-        v_omega = assemble_random_potential(config_from({}), [], grid6)
+        v_omega = assemble_random_potential(
+            config_from({}), indicator_profile(1.0, 0.45), [], grid6)
         h = assemble_schrodinger(
             grid6, zero_potential().evaluate(grid6.nodes()) + v_omega)
         assert (h != laplacian_matrix(grid6)).nnz == 0
@@ -53,21 +54,21 @@ class TestAssembly:
         fine = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         c = 3.0
-        profiles = [indicator_profile((0, 0), c, 0.45)]
         cfg = config_from({(0, 0): 1.0})
         h = assemble_schrodinger(
             fine, zero_potential().evaluate(fine.nodes())
-            + assemble_random_potential(cfg, profiles, fine))
+            + assemble_random_potential(cfg, indicator_profile(c, 0.45),
+                                        [(0, 0)], fine))
         ground = dense_eigvals(h)[0]
         assert 0.0 < ground <= c
 
     def test_symmetry_and_pattern_stability(self, grid6, config_from):
         cfg = config_from({(0, 0): 0.7})
-        profiles = [indicator_profile((0, 0), 1.0, 0.45)]
         lap = laplacian_matrix(grid6)
         h = assemble_schrodinger(
             grid6, constant_potential(2.0).evaluate(grid6.nodes())
-            + assemble_random_potential(cfg, profiles, grid6))
+            + assemble_random_potential(cfg, indicator_profile(1.0, 0.45),
+                                        [(0, 0)], grid6))
         assert (h != h.T).nnz == 0
         assert np.array_equal(lap.indices, h.indices)
         assert np.array_equal(lap.indptr, h.indptr)
@@ -75,10 +76,10 @@ class TestAssembly:
 
 class TestInterpolatedFamily:
     def test_endpoints(self, grid6):
-        profiles = [indicator_profile((0, 0), 1.0, 0.45)]
         v0 = constant_potential(1.0)
-        t0 = assemble_schrodinger(grid6, v0.evaluate(grid6.nodes())
-                                  + 0.0 * envelope(profiles, grid6))
+        t0 = assemble_schrodinger(
+            grid6, v0.evaluate(grid6.nodes())
+            + 0.0 * envelope(indicator_profile(1.0, 0.45), [(0, 0)], grid6))
         h0 = background(grid6, v0)
         assert (t0 != h0).nnz == 0
 
@@ -89,10 +90,9 @@ class TestInterpolatedFamily:
     def test_eigenvalues_nondecreasing_in_t(self, dense_eigvals):
         grid = GridSpec(dimension=2, side=6.0, spacing=1.0,
                         boundary="periodic")
-        profiles = [indicator_profile((i, j), 1.0, 0.45)
-                    for i in (-2, 0, 2) for j in (-2, 0, 2)]
+        sites = [(i, j) for i in (-2, 0, 2) for j in (-2, 0, 2)]
         v0_nodes = zero_potential().evaluate(grid.nodes())
-        w = envelope(profiles, grid)
+        w = envelope(indicator_profile(1.0, 0.45), sites, grid)
         prev = None
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             vals = dense_eigvals(assemble_schrodinger(grid, v0_nodes + t * w))
@@ -134,7 +134,7 @@ class TestTestPerturbation:
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=1, L=2, eta=0.5, kappa=0.5)
         choice = tuple(map(tuple, (spec.cells()[:, 0] + 100).tolist()))
-        box = Box.build(grid, zero_potential(),
-                        [indicator_profile(s, 1.0, 0.2) for s in choice])
+        box = Box.build(grid, zero_potential(), indicator_profile(1.0, 0.2),
+                        choice)
         with pytest.raises(IselabError, match="mask is empty"):
             event_balls(box, choice)

@@ -210,74 +210,64 @@ class TestDisorderDistributions:
 
 class TestFieldAssembly:
     def test_zero_couplings_give_zero_field(self, grid8, config_from):
-        profiles = [indicator_profile((0, 0), 1.0, 0.5)]
         cfg = config_from({(0, 0): 0.0})
-        assert np.all(assemble_random_potential(cfg, profiles, grid8) == 0.0)
+        assert np.all(assemble_random_potential(
+            cfg, indicator_profile(1.0, 0.5), [(0, 0)], grid8) == 0.0)
 
     def test_single_indicator_site(self, grid8, config_from):
         c, delta = 2.0, 0.5
-        profiles = [indicator_profile((0, 0), c, delta)]
         cfg = config_from({(0, 0): 1.0})
-        field = assemble_random_potential(cfg, profiles, grid8)
-        ball = grid8.nodes_within_ball((0.0, 0.0), delta)
+        field = assemble_random_potential(cfg, indicator_profile(c, delta),
+                                          [(0, 0)], grid8)
+        ball = grid8.nodes_within_balls([(0.0, 0.0)], delta)[1]
         assert np.all(field[ball] == c)
         outside = np.setdiff1d(np.arange(grid8.num_points), ball)
         assert np.all(field[outside] == 0.0)
-
-    def test_overlapping_profiles_sum_nodewise(self, grid8, config_from):
-        p0 = indicator_profile((0, 0), 1.0, 0.5)
-        p1 = cone_profile((0, 0), peak=2.0, radius=0.9, c=1.0, delta=0.4)
-        cfg = config_from({(0, 0): 1.0})
-        combined = assemble_random_potential(cfg, [p0, p1], grid8)
-        nodes = grid8.nodes()
-        want = p0.evaluate(nodes) + p1.evaluate(nodes)
-        assert np.allclose(combined, want, atol=1e-14)
 
     def test_matches_full_node_array_reference(self):
         grid = GridSpec(dimension=2, side=3.0, spacing=1 / 9,
                         boundary="periodic")
         sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-        profiles = ([indicator_profile(s, 1.0, 0.45) for s in sites]
-                    + [cone_profile(s, 2.0, 0.7, 1.0, 0.3) for s in sites])
         cfg = DisorderConfiguration(11, uniform01())
-        want = np.zeros(grid.num_points)
-        for p in profiles:
-            idx = grid.nodes_within_ball(p.ball_center, p.support_radius)
-            if idx.size:
-                want[idx] += cfg[p.site] * p.evaluate(grid.nodes()[idx])
-        assert np.array_equal(assemble_random_potential(cfg, profiles, grid),
-                              want)
-        # the box keeps U's live columns only: the columns of the sites +-3
-        # on either axis hold no node of the box (-1.5, 1.5)^2
-        box = Box.build(grid, zero_potential(), profiles)
-        assert box.matrix.shape[1] < len(profiles)
-        assert np.array_equal(box.potential(cfg), want)
+        for profile in (indicator_profile(1.0, 0.45),
+                        cone_profile(2.0, 0.7, 1.0, 0.3)):
+            want = np.zeros(grid.num_points)
+            for s in sites:
+                idx = grid.nodes_within_balls([s], profile.support_radius)[1]
+                if idx.size:
+                    want[idx] += cfg[s] * profile.evaluate(
+                        grid.nodes()[idx] - np.asarray(s, dtype=float))
+            assert np.array_equal(
+                assemble_random_potential(cfg, profile, sites, grid), want)
+            # the box keeps U's live columns only: the columns of the sites
+            # +-3 on either axis hold no node of the box (-1.5, 1.5)^2
+            box = Box.build(grid, zero_potential(), profile, sites)
+            assert box.matrix.shape[1] < len(sites)
+            assert np.array_equal(box.potential(cfg), want)
 
     @pytest.mark.parametrize("dip", [-1e-12, -5e-13, -1e-300])
     def test_negative_profile_value_is_refused(self, grid8, dip):
         # U >= 0 is what bounds V_omega in [0, s]: a profile of a custom
         # shape dipping below 0 by any amount is refused when the box is
-        # built, also beside profiles of a shape that does not dip
-        p = indicator_profile((0, 0), 1.0, 0.5)
+        # built
+        p = indicator_profile(1.0, 0.5)
 
         def dipped(offsets):
             return np.minimum(p.shape(offsets), dip)
 
-        profiles = [indicator_profile((1, 0), 1.0, 0.5),
-                    dataclasses.replace(p, shape=dipped)]
         with pytest.raises(ValueError, match="nonnegative"):
-            Box.build(grid8, zero_potential(), profiles)
+            Box.build(grid8, zero_potential(),
+                      dataclasses.replace(p, shape=dipped), [(1, 0), (0, 0)])
 
     def test_profile_outside_the_box_reads_no_coupling(self, grid8,
                                                          config_from):
         # the double raises KeyError on (5, 5): its column holds no node of
         # the box, so V_omega never reads that coupling
         cfg = config_from({(0, 0): 1.0})
-        profile = indicator_profile((0, 0), 1.0, 0.5)
-        far = indicator_profile((5, 5), 1.0, 0.5)
+        profile = indicator_profile(1.0, 0.5)
         assert np.array_equal(
-            assemble_random_potential(cfg, [profile, far], grid8),
-            assemble_random_potential(cfg, [profile], grid8))
+            assemble_random_potential(cfg, profile, [(0, 0), (5, 5)], grid8),
+            assemble_random_potential(cfg, profile, [(0, 0)], grid8))
 
     def test_models_and_profiles_pickle(self, grid8):
         model = load_model({
@@ -286,22 +276,21 @@ class TestFieldAssembly:
                             "radius": 0.7},
             "disorder": {"kind": "uniform01", "eta": 0.5}})
         clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
         nodes = grid8.nodes()
         assert np.array_equal(clone.background.evaluate(nodes),
                               model.background.evaluate(nodes))
-        for profile in (model.profile_for((0, 0)),
-                        indicator_profile((1, 0), 1.0, 0.4)):
+        for profile in (model.profile, indicator_profile(1.0, 0.4)):
             copy = pickle.loads(pickle.dumps(profile))
             assert np.array_equal(copy.evaluate(nodes),
                                   profile.evaluate(nodes))
 
     def test_w_is_c_on_disjoint_ball_union(self, grid8):
-        profiles = [indicator_profile((0, 0), 1.5, 0.3),
-                    indicator_profile((1, 1), 1.5, 0.3)]
-        w = site_matrix(profiles, grid8) @ np.ones(len(profiles))
+        w = site_matrix(indicator_profile(1.5, 0.3), [(0, 0), (1, 1)],
+                        grid8) @ np.ones(2)
         union = np.concatenate([
-            grid8.nodes_within_ball((0.0, 0.0), 0.3),
-            grid8.nodes_within_ball((1.0, 1.0), 0.3)])
+            grid8.nodes_within_balls([(0.0, 0.0)], 0.3)[1],
+            grid8.nodes_within_balls([(1.0, 1.0)], 0.3)[1]])
         assert np.all(w[union] == 1.5)
         assert np.count_nonzero(w) == union.size
 
@@ -309,9 +298,8 @@ class TestFieldAssembly:
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
         sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
-        profiles = [indicator_profile(s, 1.0, 0.4) for s in sites]
-        w = (site_matrix(profiles, grid) @ np.ones(len(profiles))).reshape(
-            16, 16)
+        w = (site_matrix(indicator_profile(1.0, 0.4), sites, grid)
+             @ np.ones(len(sites))).reshape(16, 16)
         # one full period = 4 nodes; interior rows repeat under the shift
         assert np.allclose(w[4:12, :], w[8:16, :][[i - 4 for i in range(4, 12)]])
         assert np.allclose(w[:, 2:6], w[:, 6:10])
@@ -323,12 +311,12 @@ class TestFieldAssembly:
         grid = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
         sites = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        profiles = [indicator_profile(s, 1.0, 0.4) for s in sites]
+        profile = indicator_profile(1.0, 0.4)
         lo = {s: min(a, b) for s, a, b in zip(sites, lows, highs)}
         hi = {s: max(a, b) for s, a, b in zip(sites, lows, highs)}
-        f_lo = assemble_random_potential(config_from(lo), profiles, grid)
-        f_hi = assemble_random_potential(config_from(hi), profiles, grid)
-        w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+        f_lo = assemble_random_potential(config_from(lo), profile, sites, grid)
+        f_hi = assemble_random_potential(config_from(hi), profile, sites, grid)
+        w = site_matrix(profile, sites, grid) @ np.ones(len(sites))
         assert np.all(f_lo <= f_hi + 1e-12)
         assert np.all(f_lo >= 0.0)
         assert np.all(f_hi <= w + 1e-12)
@@ -336,8 +324,8 @@ class TestFieldAssembly:
 
 def box_geometry_digest(box):
     """sha256 of U's CSC arrays, the live sites and the event mask of every
-    profile's ball, each with its dtype and shape."""
-    mask, _ = event_balls(box, tuple(p.site for p in box.profiles))
+    live site's ball, each with its dtype and shape."""
+    mask, _ = event_balls(box, box.sites)
     digest = hashlib.sha256()
     for array in (box.matrix.indptr, box.matrix.indices, box.matrix.data,
                   box.sites, mask):
@@ -356,30 +344,29 @@ REFERENCE_BOX_DIGESTS = {
 
 
 class TestBoxGeometry:
-    """U, the live sites and the event balls from one batched ball search
-    per shape."""
+    """U, the live sites and the event balls from one batched ball search."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_site_matrix_equals_the_profile_by_profile_assembly(self, data):
-        # indicator and cone profiles of several shapes, interleaved, some
-        # of them outside the box: U's arrays equal, bit for bit, those
-        # assembled one profile at a time
+        # one indicator or cone profile at a list of sites, repeats and
+        # sites outside the box allowed: U's arrays equal, bit for bit,
+        # those assembled one site at a time
         d = data.draw(st.sampled_from([2, 3]))
         side = data.draw(st.integers(1, 2 if d == 3 else 4))
         grid = GridSpec.per_unit(
             d, side, data.draw(st.sampled_from([4, 5] if d == 3 else [4, 9])),
             data.draw(st.sampled_from(["dirichlet", "neumann", "periodic"])))
-        site = st.lists(st.integers(-side, side), min_size=d, max_size=d)
-        profile = st.one_of(
-            st.builds(indicator_profile, site, st.sampled_from([0.5, 1.0]),
+        profile = data.draw(st.one_of(
+            st.builds(indicator_profile, st.sampled_from([0.5, 1.0]),
                       st.sampled_from([0.3, 0.45])),
-            st.builds(lambda s, r: cone_profile(s, 2.0, r, 1.0, 0.25), site,
-                      st.sampled_from([0.5, 0.7])))
-        profiles = data.draw(st.lists(profile, max_size=12))
-        got = site_matrix(profiles, grid)
-        want = site_matrix_by_profile(profiles, grid)
-        assert got.shape == want.shape
+            st.builds(lambda r: cone_profile(2.0, r, 1.0, 0.25),
+                      st.sampled_from([0.5, 0.7]))))
+        sites = data.draw(st.lists(
+            st.tuples(*[st.integers(-side, side)] * d), max_size=12))
+        got = site_matrix(profile, np.array(sites, dtype=float), grid)
+        want = site_matrix_by_profile(profile, sites, grid)
+        assert got.shape == want.shape == (grid.num_points, len(sites))
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -392,29 +379,33 @@ class TestBoxGeometry:
 
 class TestSingleSiteBound:
     def test_indicator_profile_passes(self, grid8):
-        report = verify_single_site_bound(
-            indicator_profile((0, 0), 1.0, 0.5), grid8)
+        report = verify_single_site_bound(indicator_profile(1.0, 0.5), grid8)
         assert report.ok and report.bound_holds and report.ball_inside_cell
 
     def test_halved_profile_fails_its_stated_bound(self, grid8):
-        p = indicator_profile((0, 0), 1.0, 0.5)
+        p = indicator_profile(1.0, 0.5)
         halved = dataclasses.replace(p, shape=lambda x: 0.5 * p.shape(x))
         report = verify_single_site_bound(halved, grid8)
         assert not report.ok and not report.bound_holds
 
     def test_cone_profile_certifies_against_nodewise_scan(self, grid8):
-        p = cone_profile((0, 0), peak=4.0, radius=0.98, c=1.0, delta=0.5)
+        p = cone_profile(peak=4.0, radius=0.98, c=1.0, delta=0.5)
         report = verify_single_site_bound(p, grid8)
-        ball = grid8.nodes_within_ball(p.ball_center, p.ball_radius)
+        ball = grid8.nodes_within_balls([(0.0, 0.0)], p.ball_radius)[1]
         values = p.evaluate(grid8.nodes()[ball])
         assert report.bound_holds == bool(np.all(values >= p.lower_bound))
+
+    def test_ball_wider_than_half_a_period_leaves_the_cell(self, grid8):
+        report = verify_single_site_bound(indicator_profile(1.0, 0.5), grid8,
+                                          period=0.9)
+        assert report.bound_holds and not report.ball_inside_cell
+        assert not report.ok
 
     def test_unresolvable_ball_is_an_error(self):
         coarse = GridSpec(dimension=2, side=4.0, spacing=1.0,
                           boundary="periodic")
         with pytest.raises(UnresolvableBallError, match="delta/h = 0.5 < 4"):
-            verify_single_site_bound(indicator_profile((0, 0), 1.0, 0.5),
-                                     coarse)
+            verify_single_site_bound(indicator_profile(1.0, 0.5), coarse)
 
 
 class TestModelLoading:
@@ -434,6 +425,9 @@ class TestModelLoading:
     def test_sites_for_covers_the_box(self, gapped_model):
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
+        # support radius 0.45: the sites within 2.45 of the origin on
+        # each axis, in lexicographic order
         sites = gapped_model.sites_for(grid)
-        assert (0, 0) in sites and (-2, 2) in sites
-        assert all(max(abs(s[0]), abs(s[1])) <= 3 for s in sites)
+        assert sites.dtype == np.int64
+        assert sites.tolist() == [[i, j] for i in range(-2, 3)
+                                  for j in range(-2, 3)]

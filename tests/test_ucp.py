@@ -26,10 +26,14 @@ def grid6():
     return GridSpec(dimension=2, side=6.0, spacing=0.125, boundary="periodic")
 
 
-def family(grid, v0, profiles):
+# c = 1 indicator bumps of radius 0.45
+BUMP = indicator_profile(1.0, 0.45)
+
+
+def family(grid, v0, profile, sites):
     """t -> H0 + t W, from V0 at the nodes and W = U @ 1."""
     v0_nodes = v0.evaluate(grid.nodes())
-    w = site_matrix(profiles, grid) @ np.ones(len(profiles))
+    w = site_matrix(profile, sites, grid) @ np.ones(len(sites))
     return lambda t: assemble_schrodinger(grid, v0_nodes + t * w)
 
 
@@ -66,7 +70,7 @@ class TestTheoreticalBound:
 
 class TestMassRatio:
     def test_constant_vector_counts_nodes(self, grid6):
-        mask = grid6.nodes_within_ball((0.0, 0.0), 0.5)
+        mask = grid6.nodes_within_balls([(0.0, 0.0)], 0.5)[1]
         phi = np.ones(grid6.num_points)
         assert mass_ratio(phi, mask) == pytest.approx(
             mask.size / grid6.num_points)
@@ -80,23 +84,23 @@ class TestMassRatio:
     def test_eigenfunction_against_direct_summation(self, grid6):
         _, vectors = background_eigs_below(grid6, zero_potential(), 2.0)
         phi = vectors[:, 1]   # first excited level
-        mask = grid6.nodes_within_ball((0.7, -0.7), 0.6)
+        mask = grid6.nodes_within_balls([(0.7, -0.7)], 0.6)[1]
         direct = float(np.sum(phi[mask] ** 2) / np.sum(phi ** 2))
         assert mass_ratio(phi, mask) == pytest.approx(direct, rel=1e-12)
 
     def test_monotone_and_additive_over_disjoint_masks(self, grid6):
         gen = np.random.default_rng(1)
         phi = gen.normal(size=grid6.num_points)
-        small = grid6.nodes_within_ball((0.0, 0.0), 0.4)
-        big = grid6.nodes_within_ball((0.0, 0.0), 0.8)
-        far = grid6.nodes_within_ball((2.0, 2.0), 0.4)
+        small = grid6.nodes_within_balls([(0.0, 0.0)], 0.4)[1]
+        big = grid6.nodes_within_balls([(0.0, 0.0)], 0.8)[1]
+        far = grid6.nodes_within_balls([(2.0, 2.0)], 0.4)[1]
         both = np.unique(np.concatenate([small, far]))
         assert mass_ratio(phi, big) >= mass_ratio(phi, small)
         assert mass_ratio(phi, both) == pytest.approx(
             mass_ratio(phi, small) + mass_ratio(phi, far), rel=1e-12)
 
     def test_zero_vector_rejected(self, grid6):
-        mask = grid6.nodes_within_ball((0.0, 0.0), 0.4)
+        mask = grid6.nodes_within_balls([(0.0, 0.0)], 0.4)[1]
         with pytest.raises(ValueError, match="zero vector"):
             mass_ratio(np.zeros(grid6.num_points), mask)
 
@@ -156,7 +160,7 @@ class TestConstantFit:
             k = count_below(lap, 4.0 - TOL_EIG)
             _, low = eigh(lap.toarray(), subset_by_index=[0, k - 1],
                           driver=driver)
-            mask = grid.nodes_within_ball((0.0, 0.0), 0.45)
+            mask = grid.nodes_within_balls([(0.0, 0.0)], 0.45)[1]
             samples += [FitSample(delta=0.45, l=float(l), v_inf=0.0,
                                   energy=4.0, ratio=mass_ratio(v, mask))
                         for v in random_subspace_vectors(low, 8, seed=l)]
@@ -178,9 +182,6 @@ class TestEquidistributedSelection:
     """event_choice against the brute-force choice, and event_balls against
     the site-by-site mask oracle."""
 
-    def _profiles(self, sites, delta=0.45):
-        return [indicator_profile(s, 1.0, delta) for s in sites]
-
     def test_lexicographically_smallest_per_cell(self, brute_force_cells,
                                                  config_from):
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
@@ -192,14 +193,14 @@ class TestEquidistributedSelection:
         choice = event_choice(cfg, spec)
         assert choice == tuple(min(cell) for _, cell in cells)
         assert all(type(w) is int for site in choice for w in site)
-        # cells whose smallest site has no profile add no ball
-        profiles = self._profiles([s for s in sites
-                                   if max(abs(s[0]), abs(s[1])) <= 3])
+        # a chosen site the box does not carry (beyond 3 on an axis) has a
+        # ball that misses the box (-3, 3)^2 and adds no node
+        carried = [s for s in sites if max(abs(s[0]), abs(s[1])) <= 3]
         mask, delta = event_balls(
-            Box.build(grid, zero_potential(), profiles), choice)
+            Box.build(grid, zero_potential(), BUMP, carried), choice)
         assert mask.size > 0 and delta == 0.45
-        assert np.array_equal(mask,
-                              event_ball_mask(cfg, spec, profiles, grid))
+        assert np.array_equal(
+            mask, event_ball_mask(cfg, spec, BUMP, carried, grid))
 
     def test_matches_brute_force_choice(self, brute_force_cells, config_from):
         grid = GridSpec(dimension=2, side=6.0, spacing=0.125,
@@ -210,8 +211,7 @@ class TestEquidistributedSelection:
                      EventSpec(dimension=2, l=3, L=6, eta=0.75, kappa=0.9)):
             cells = brute_force_cells(spec)
             sites = [s for _, cell in cells for s in cell]
-            profiles = self._profiles(sites)
-            box = Box.build(grid, zero_potential(), profiles)
+            box = Box.build(grid, zero_potential(), BUMP, sites)
             checked = 0
             for _ in range(20):
                 values = {s: float(gen.random()) for s in sites}
@@ -220,7 +220,7 @@ class TestEquidistributedSelection:
                         for _, cell in cells]
                 want = tuple(map(min, hits)) if all(hits) else None
                 assert event_choice(cfg, spec) == want
-                oracle = event_ball_mask(cfg, spec, profiles, grid)
+                oracle = event_ball_mask(cfg, spec, BUMP, sites, grid)
                 if want is None:
                     assert oracle is None
                     continue
@@ -236,7 +236,8 @@ class TestEquidistributedSelection:
         assert event_choice(cfg, spec) is None
         grid = GridSpec(dimension=2, side=2.0, spacing=0.25,
                         boundary="periodic")
-        box = Box.build(grid, zero_potential(), self._profiles(sites, 0.2))
+        box = Box.build(grid, zero_potential(), indicator_profile(1.0, 0.2),
+                        sites)
         with pytest.raises(EventViolatedError, match="not in the event"):
             lifting_experiment(box, cfg, spec, b=0.0, eta=0.5, c=1.0)
 
@@ -251,13 +252,12 @@ class TestEquidistributedSelection:
 
         def box(delta, period=2.0):
             return Box.build(grid, zero_potential(period=period),
-                             [indicator_profile(s, 1.0, delta, period=2.0)
-                              for s in choice])
+                             indicator_profile(1.0, delta), choice)
 
         mask, delta = event_balls(box(0.9), choice)
         assert delta == 0.9
         assert np.array_equal(mask, np.unique(np.concatenate(
-            [grid.nodes_within_ball((2.0 * a, 2.0 * b), 0.9)
+            [grid.nodes_within_balls([(2.0 * a, 2.0 * b)], 0.9)[1]
              for a, b in choice])))
         for bad in (box(1.0), box(0.9, period=1.0)):
             with pytest.raises(ValueError, match="radius"):
@@ -271,19 +271,16 @@ class TestLiftingExperiment:
         spec = EventSpec(dimension=2, l=3, L=6, eta=0.5, kappa=0.9)
         sites = event_sites(spec)
         cfg = config_from({s: 1.0 for s in sites})
-        profiles = [indicator_profile(s, 1.0, 0.45) for s in sites]
-        return grid, spec, cfg, profiles
+        return grid, spec, cfg, Box.build(grid, zero_potential(), BUMP, sites)
 
     def test_zero_eta_means_zero_lift(self, config_from):
-        grid, spec, cfg, profiles = self._setup(config_from)
-        rec = lifting_experiment(Box.build(grid, zero_potential(), profiles),
-                                 cfg, spec, b=-1.0, eta=0.0, c=1.0)
+        _, spec, cfg, box = self._setup(config_from)
+        rec = lifting_experiment(box, cfg, spec, b=-1.0, eta=0.0, c=1.0)
         assert abs(rec.observed_lift) <= TOL_EIG
 
     def test_ground_state_lift_is_positive_with_sandwich(self, config_from):
-        grid, spec, cfg, profiles = self._setup(config_from)
-        rec = lifting_experiment(Box.build(grid, zero_potential(), profiles),
-                                 cfg, spec, b=-1.0, eta=0.5, c=1.0)
+        _, spec, cfg, box = self._setup(config_from)
+        rec = lifting_experiment(box, cfg, spec, b=-1.0, eta=0.5, c=1.0)
         assert rec.k0 == 1
         assert rec.observed_lift > 10 * TOL_EIG
         assert rec.observed_lift <= 0.5 + TOL_EIG
@@ -293,9 +290,9 @@ class TestLiftingExperiment:
             lifting_bound(3, 0.5, 1.0))
 
     def test_builds_u_and_v0_once(self, monkeypatch, config_from):
-        grid, spec, cfg, profiles = self._setup(config_from)
+        grid, spec, cfg, _ = self._setup(config_from)
         calls = []
-        real_shape, real_v0 = (potentials.shape_values,
+        real_shape, real_v0 = (potentials.SingleSiteProfile.evaluate,
                                potentials.PeriodicPotential.evaluate)
 
         def shape_spy(*args):
@@ -306,34 +303,34 @@ class TestLiftingExperiment:
             calls.append("v0")
             return real_v0(*args)
 
-        # U evaluates each distinct shape once, at every support node of its
-        # profiles, and V0 at the nodes is one v0.evaluate(grid.nodes()); two
-        # lifts read one box
-        monkeypatch.setattr(potentials, "shape_values", shape_spy)
+        # U evaluates the profile once, at every support node of its sites,
+        # and V0 at the nodes is one v0.evaluate(grid.nodes()); two lifts
+        # read one box
+        monkeypatch.setattr(potentials.SingleSiteProfile, "evaluate",
+                            shape_spy)
         monkeypatch.setattr(potentials.PeriodicPotential, "evaluate", v0_spy)
-        box = Box.build(grid, zero_potential(), profiles)
+        box = Box.build(grid, zero_potential(), BUMP, event_sites(spec))
         for eta in (0.5, 0.25):
             lifting_experiment(box, cfg, spec, b=-1.0, eta=eta, c=1.0)
-        shapes = {(p.shape, p.support_radius) for p in profiles}
-        assert calls.count("shape") == len(shapes) == 1 < len(profiles)
+        assert calls.count("shape") == 1 < len(box.sites)
         assert calls.count("v0") == 1
         assert len(calls) == 2
 
     def test_understated_profile_breaks_the_sandwich(self, config_from):
         grid, spec, _, _ = self._setup(config_from)
         sites = event_sites(spec)
-        # every coupling 0.6 is in the event; the profiles are 0.5 on
+        # every coupling 0.6 is in the event; the profile is 0.5 on
         # their balls, so V_omega = 0.3 there
         cfg = config_from({s: 0.6 for s in sites})
-        truthful = [indicator_profile(s, 0.5, 0.45) for s in sites]
-        rec = lifting_experiment(Box.build(grid, zero_potential(), truthful),
-                                 cfg, spec, b=-1.0, eta=0.5, c=0.5)
+        truthful = indicator_profile(0.5, 0.45)
+        rec = lifting_experiment(
+            Box.build(grid, zero_potential(), truthful, sites), cfg, spec,
+            b=-1.0, eta=0.5, c=0.5)
         assert rec.sandwich_ok
         # the same bumps claiming c = 1: eta c = 0.5 exceeds V_omega = 0.3
-        understated = [dataclasses.replace(p, lower_bound=1.0)
-                       for p in truthful]
+        understated = dataclasses.replace(truthful, lower_bound=1.0)
         rec = lifting_experiment(
-            Box.build(grid, zero_potential(), understated), cfg, spec,
+            Box.build(grid, zero_potential(), understated, sites), cfg, spec,
             b=-1.0, eta=0.5, c=1.0)
         assert not rec.sandwich_ok
 
@@ -350,12 +347,12 @@ class TestLiftingExperiment:
                         boundary="periodic")
         spec = EventSpec(dimension=2, l=3, L=4, eta=model.disorder.eta,
                          kappa=model.disorder.kappa)
-        profiles = model.profiles_for(grid)
+        profile, sites = model.profile, model.sites_for(grid)
         v0 = model.background
         amplitude = model.disorder.eta * model.coupling_floor
         v0_nodes = v0.evaluate(grid.nodes())
         low = dense_eigvals(assemble_schrodinger(grid, v0_nodes))
-        top = dense_eigvals(family(grid, v0, profiles)(1.0))
+        top = dense_eigvals(family(grid, v0, profile, sites)(1.0))
         checked = 0
         for t in range(6):
             cfg = DisorderConfiguration(
@@ -366,10 +363,10 @@ class TestLiftingExperiment:
                                      model.disorder.eta, model.coupling_floor)
             if not rec.sandwich_ok:
                 continue
-            mask = event_ball_mask(cfg, spec, profiles, grid)
+            mask = event_ball_mask(cfg, spec, profile, sites, grid)
             v_test = np.zeros(grid.num_points)
             v_test[mask] = amplitude
-            v_omega = assemble_random_potential(cfg, profiles, grid)
+            v_omega = assemble_random_potential(cfg, profile, sites, grid)
             chain = [low] + [
                 dense_eigvals(assemble_schrodinger(grid, v0_nodes + v))
                 for v in (v_test, v_omega)] + [top]
@@ -380,30 +377,31 @@ class TestLiftingExperiment:
 
 
 def missed_window_setup(dense_eigvals):
-    """Free 6 x 6 box with c = 5 indicator bumps on sites -1..1, and the
-    window (lambda_0(H0 + 0.01 W), lambda_0(H0 + 0.04 W))."""
+    """Free 6 x 6 box with c = 5 indicator bumps on sites -1..1, the
+    family t -> H0 + t W and the window (lambda_0(H0 + 0.01 W),
+    lambda_0(H0 + 0.04 W))."""
     grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 3,
                     boundary="periodic")
-    profiles = [indicator_profile((i, j), 5.0, 0.45)
-                for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    h_t = family(grid, zero_potential(), profiles)
+    box = Box.build(grid, zero_potential(), indicator_profile(5.0, 0.45),
+                    [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+    h_t = family(grid, zero_potential(), box.profile, box.sites)
     window = tuple(float(dense_eigvals(h_t(t))[0]) for t in (0.01, 0.04))
-    return grid, profiles, window
+    return box, h_t, window
 
 
 class TestGapHypothesis:
     def test_trivial_gap_without_perturbation(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
-        report = verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
-                                       (4.1, 5.9), [0.0])
+        report = verify_gap_hypothesis(
+            Box.build(grid, zero_potential(), BUMP, []), (4.1, 5.9), [0.0])
         assert report.ok
 
     def test_detects_background_eigenvalue_in_window(self):
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
-        report = verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
-                                       (1.0, 3.0), [0.0])
+        report = verify_gap_hypothesis(
+            Box.build(grid, zero_potential(), BUMP, []), (1.0, 3.0), [0.0])
         assert not report.ok
         assert report.intrusions[0][0] == 0.0
 
@@ -411,20 +409,18 @@ class TestGapHypothesis:
         grid = GridSpec(dimension=2, side=4.0, spacing=1.0,
                         boundary="periodic")
         with pytest.raises(ValueError, match="t_grid must rise strictly"):
-            verify_gap_hypothesis(Box.build(grid, zero_potential(), []),
+            verify_gap_hypothesis(Box.build(grid, zero_potential(), BUMP, []),
                                   (4.1, 5.9), [0.0, 0.5, 1.0])
 
     def test_window_missed_by_the_grid_fails(self, dense_eigvals):
         # the lowest branch crosses (lambda_0(t = 0.01), lambda_0(t = 0.04))
         # between the sampled t = 0 and t = 0.05
-        grid, profiles, window = missed_window_setup(dense_eigvals)
+        box, h_t, window = missed_window_setup(dense_eigvals)
         t_grid = [i / 20 for i in range(21)]
-        h_t = family(grid, zero_potential(), profiles)
         for t in t_grid:
             values = dense_eigvals(h_t(t))
             assert not np.any((values > window[0]) & (values < window[1]))
-        report = verify_gap_hypothesis(
-            Box.build(grid, zero_potential(), profiles), window, t_grid)
+        report = verify_gap_hypothesis(box, window, t_grid)
         assert not report.ok
         assert report.crossings == 1
         assert report.intrusions == ()
@@ -443,9 +439,9 @@ class TestGapHypothesis:
         model = load_model(spec_json)
         grid = GridSpec(dimension=2, side=2.0, spacing=1.0 / 6,
                         boundary="periodic")
-        profiles = model.profiles_for(grid)
         # row i holds the sorted spectrum at t_i, column j one branch
-        h_t = family(grid, model.background, profiles)
+        h_t = family(grid, model.background, model.profile,
+                     model.sites_for(grid))
         scan = np.array([dense_eigvals(h_t(t))
                          for t in np.linspace(0.0, 1.0, 401)])
         crossings = []
@@ -462,11 +458,11 @@ class TestGapHypothesis:
                                                       dense_eigvals):
         grid = GridSpec(dimension=2, side=3.0, spacing=1.0 / 9,
                         boundary="periodic")
-        profiles = gapped_model.profiles_for(grid)
         t_grid = [i * 0.05 for i in range(21)]
         report = verify_gap_hypothesis(gapped_model.box(grid), (28.0, 46.0),
                                        t_grid)
-        h_t = family(grid, gapped_model.background, profiles)
+        h_t = family(grid, gapped_model.background, gapped_model.profile,
+                     gapped_model.sites_for(grid))
         for t in t_grid:
             vals = dense_eigvals(h_t(t))
             dense_hit = np.any((vals > 28.0 + 1e-6) & (vals < 46.0 - 1e-6))
