@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def _run(args):
     every artifact."""
     t0 = time.perf_counter()
     with one_blas_thread() as blas_pinned:
-        code, artifacts = args.func(args)
+        code, artifacts = globals()[args.func](args)
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "out", "subcommand")}
     workers = params.pop("workers", 1)
@@ -336,7 +337,10 @@ def _add_grid_flags(p):
                    choices=("dirichlet", "neumann", "periodic"))
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The iselab parser, built once per process: parsing leaves it as it
+    is, so every main() call in a process shares it."""
     parser = _Parser(prog="iselab",
                      description="Random Schrodinger box-spectrum laboratory")
     parser.add_argument("--version", action="version", version=__version__)
@@ -345,7 +349,10 @@ def build_parser():
     def add(name, func, summary):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", help="directory for JSON/CSV/SVG artifacts")
-        p.set_defaults(func=func)
+        # by name, looked up when the command runs: the parser is built
+        # once per process, and a command replaced later must still be the
+        # one that runs
+        p.set_defaults(func=func.__name__)
         return p
 
     p = add("bands", cmd_bands,

@@ -444,7 +444,11 @@ def load_model(spec):
         profile = indicator_profile(float(ss["c"]), float(ss["delta"]))
     elif ss["kind"] == "cone":
         c, delta, radius = (float(ss[k]) for k in ("c", "delta", "radius"))
-        peak = c * radius / max(radius - delta, 1e-12)
+        if radius <= delta:
+            # the cone would vanish on part of its certified ball B_delta
+            raise ValueError(f"cone radius {radius:g} must exceed its "
+                             f"delta {delta:g}")
+        peak = c * radius / (radius - delta)
         profile = cone_profile(peak, radius, c, delta)
     else:
         raise ValueError(f"unknown single_site kind {ss['kind']!r}")

@@ -262,6 +262,26 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             "input error: need at least one attempt")
 
+    @pytest.mark.parametrize("subcommand", ["lift", "ise"])
+    def test_cone_no_wider_than_its_ball_is_input_error(
+            self, tmp_path, capsys, subcommand):
+        model = dict(ZERO_MODEL, single_site={
+            "kind": "cone", "c": 1.0, "delta": 0.3, "radius": 0.2})
+        if subcommand == "lift":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            argv = ["lift", "--model", str(path), "--L", "3", "--mode",
+                    "bottom", "--scales", "1", "--seed", "1"]
+        else:
+            path = tmp_path / "plan.json"
+            path.write_text(json.dumps({
+                "model": model, "L_values": [3], "alpha": 0.6, "q": 1.0,
+                "trials": 2, "seed": 5, "band_edge": {"mode": "bottom"}}))
+            argv = ["ise", "--plan", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip() == (
+            "input error: cone radius 0.2 must exceed its delta 0.3")
+
     def test_lift_runs_at_lattice_spacing_two(self, tmp_path, capsys):
         # the balls sit at G * site, and so do the cells they must fit; the
         # floor is the bound at the cells' physical side G l
@@ -531,6 +551,19 @@ class TestManifest:
         assert manifest["params"] == params
         assert manifest["workers"] == 1
         assert manifest["wall_clock_s"] > 0
+
+    def test_two_calls_in_one_process_parse_independently(self, tmp_path,
+                                                           capsys):
+        # the parser is built once per process; a flag given to one call
+        # must not carry over to the next
+        argv = ["event-prob", "--l", "1", "--L", "2", "--kappa", "0.5"]
+        seeds = []
+        for extra in (["--seed", "7"], []):
+            out = tmp_path / f"art{len(seeds)}"
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            seeds.append(read_artifact(out / "event_prob.json")[0]
+                         ["params"]["seed"])
+        assert seeds == [7, None]
 
     def test_content_hash_is_pinned(self, plan_file, tmp_path, monkeypatch,
                                     capsys):

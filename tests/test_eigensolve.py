@@ -14,12 +14,14 @@ from iselab.eigensolve import (TOL_EIG, TOL_GAP, background_eigs_below,
                                count_below, counts_below, eigs_in_window,
                                enclosure, min_eig_above, one_blas_thread)
 from iselab.errors import SolverError
+from iselab.events import EventSpec, event_choice
 from iselab.grid import GridSpec, assemble_schrodinger, laplacian_matrix
+from iselab.ise import band_edge_of_background
 from iselab.potentials import (Box, DisorderConfiguration,
                                constant_potential, indicator_profile,
                                load_model, separable_square_potential,
                                zero_potential)
-from iselab.ucp import verify_gap_hypothesis
+from iselab.ucp import event_balls, verify_gap_hypothesis
 
 from conftest import blas_threads, laplacian_eigenvalues, shipped
 
@@ -123,16 +125,26 @@ class TestCountBelow:
             sigma = eigensolve._nudge(sigma)
         assert count == int(np.sum(values < sigma))
 
-    def test_factor_in_place_matches_the_copying_path(self):
+    def test_factor_in_place_matches_the_copying_path(self, monkeypatch):
         # _inertia factors H - sigma I through its CSR arrays read as CSC,
         # and takes the noise scale from them; the former path copied
         # both into new matrices.  Reference and benchmark operators, at
-        # the reference edges and the benchmark's energies.
+        # the reference edges and the benchmark's energies.  The copying
+        # path passes SuperLU the settings _inertia's one splu call passed,
+        # read by a spy, so the two cannot drift apart.
+        superlu_args = []
+        real_splu = eigensolve.splu
+
+        def spy(matrix, **kwargs):
+            superlu_args.append(kwargs)
+            return real_splu(matrix, **kwargs)
+
+        monkeypatch.setattr(eigensolve, "splu", spy)
+
         def copying_inertia(mat, sigma):
             shifted = (mat - sigma * sparse.identity(mat.shape[0],
                                                      format="csr")).tocsc()
-            lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0, options={"SymmetricMode": True})
+            lu = splu(shifted, **superlu_args[-1])
             pivots = lu.U.diagonal()
             size, eps = np.abs(pivots), np.finfo(float).eps
             noise = 64 * eps * max(abs(shifted).sum(axis=0).max(), size.max())
@@ -153,8 +165,8 @@ class TestCountBelow:
                         box.hamiltonian(box.potential(cfg))):
                 assert mat.format == "csr"
                 for sigma in energies:
-                    lu, count, trusted = copying_inertia(mat, sigma)
                     factor = eigensolve._inertia(mat, sigma)
+                    lu, count, trusted = copying_inertia(mat, sigma)
                     assert (factor is not None) == trusted
                     if factor is None:
                         continue
@@ -405,6 +417,42 @@ class TestBracketedLift:
         monkeypatch.setattr(eigensolve, "eigsh", wrong)
         with pytest.raises(SolverError, match="lift outside its bracket"):
             background_lift(grid, zero_potential(), 1.0)
+
+
+class TestReferenceBox:
+    """The dense-count and dense-lift properties reach n <= 225; SuperLU
+    forms its supernodes on larger boxes, such as the reference model's
+    L = 4 box (1296 nodes)."""
+
+    def test_counts_and_event_lift_match_the_dense_spectrum(
+            self, gapped_model, dense_eigvals):
+        model, L = gapped_model, 4
+        grid = GridSpec.per_unit(2, L, 9, "periodic")
+        _, b = band_edge_of_background(grid, model.background, hint=36.0)
+        box = model.box(grid)
+        spec = EventSpec(dimension=2, l=1, L=L, eta=model.disorder.eta,
+                         kappa=model.disorder.kappa)
+        choice = next(c for c in (
+            event_choice(DisorderConfiguration(seed, model.disorder), spec)
+            for seed in range(100)) if c is not None)
+        lift = np.zeros(grid.num_points)
+        lift[event_balls(box, choice)[0]] = (model.disorder.eta
+                                             * model.coupling_floor)
+        # one BLAS thread, as a command runs: the three dense solves at
+        # n = 1296 take well under a second
+        with one_blas_thread():
+            for seed in (1, 2):
+                mat = box.hamiltonian(box.potential(
+                    DisorderConfiguration(seed, model.disorder)))
+                values = dense_eigvals(mat)
+                for sigma in (b - TOL_EIG, b + L ** -0.6):
+                    assert np.min(np.abs(values - sigma)) > 1e-9
+                    assert count_below(mat, sigma) == np.sum(values < sigma)
+            mat = box.hamiltonian(lift)
+            values = dense_eigvals(mat)
+            want = values[values >= b - TOL_EIG][0]
+            got = min_eig_above(mat, b, lift, box.spectrum)
+        assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
 class TestWindows:

@@ -422,6 +422,17 @@ class TestModelLoading:
                                         "c": 1, "delta": 0.4},
                         "disorder": {"kind": "uniform01"}})
 
+    @pytest.mark.parametrize("radius", [0.2, 0.3])
+    def test_cone_no_wider_than_its_ball_is_refused(self, radius):
+        # a cone of radius <= delta vanishes on part of B_delta, so u >= c
+        # cannot hold there
+        with pytest.raises(ValueError,
+                           match=rf"radius {radius:g} .*delta 0\.3"):
+            load_model({"G": 1.0, "V0": {"kind": "zero"},
+                        "single_site": {"kind": "cone", "c": 1.0,
+                                        "delta": 0.3, "radius": radius},
+                        "disorder": {"kind": "uniform01"}})
+
     def test_sites_for_covers_the_box(self, gapped_model):
         grid = GridSpec(dimension=2, side=4.0, spacing=0.25,
                         boundary="periodic")
